@@ -2,17 +2,16 @@
 allocation for collaborative edge computing, minimizing weighted mean
 response time under M/G/1 queueing."""
 
-from ._kernels import HAVE_EXT, IMPL_NAME
 from .caching import (EfficiencyContext, brute_force_cache_oracle,
                       efficiencies_at_solution, g_of_B, partition_inputs,
                       round_to_binary, solve_caching_bs,
                       solve_inverse_efficiency, storage_efficiency,
                       sweep_all_stations, theorem3_ratio)
-from .delay import (EvalResult, ObjectiveGradient, choose_cache_search,
-                    d_delay1_d_phr, delay_no_cache, delay_with_cache,
-                    evaluate_objective, objective_gradient, processing_delay,
-                    recompute_search_flags, response_time, service_rates,
-                    service_time_cdf, weighted_objective)
+from .delay import (EvalResult, ObjectiveGradient, branch_delays,
+                    choose_cache_search, d_delay1_d_phr, evaluate_objective,
+                    objective_gradient, processing_delay,
+                    recompute_search_flags, response_time, service_time_cdf,
+                    weighted_objective)
 from .errors import (BracketError, CecReuseError, DegenerateInput,
                      DimensionMismatch, EmptyVector, Infeasible,
                      LineSearchExhausted, MalformedInput, StabilityViolation,
@@ -35,15 +34,15 @@ from .solver import (SolveReport, alternating_solve, greedy_cache,
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAVE_EXT", "IMPL_NAME", "__version__",
+    "__version__",
     # model
     "TypicalInput", "Application", "BaseStation", "Scenario",
     "CacheAssignment", "SchedulingState", "HitRateTable",
     "compute_hit_rates", "storage_used", "total_arrival_rate", "validate",
     "scenario_to_dict", "scenario_from_dict", "save_scenario", "load_scenario",
     # delay
-    "EvalResult", "ObjectiveGradient", "service_rates", "delay_no_cache",
-    "delay_with_cache", "service_time_cdf", "choose_cache_search",
+    "EvalResult", "ObjectiveGradient", "branch_delays", "service_time_cdf",
+    "choose_cache_search",
     "d_delay1_d_phr", "evaluate_objective", "weighted_objective",
     "processing_delay", "response_time", "objective_gradient",
     "recompute_search_flags",

@@ -18,8 +18,7 @@ import math
 
 import numpy as np
 
-from . import _kernels
-from .delay import evaluate_objective, evaluate_with_rates
+from .delay import evaluate_objective, evaluate_with_rates, hit_derivative
 from .errors import (BracketError, DegenerateInput, Infeasible, MalformedInput,
                      StabilityViolation, TooLarge)
 from .model import (BINARY_TOL, CacheAssignment, Scenario, SchedulingState,
@@ -107,12 +106,31 @@ class EfficiencyContext:
                 scenario.weights[a] * self.lam[a] * self.yf[a] > 0.0)))
 
     def bracket(self, a: int, hit: float) -> float:
-        """G(P_hr): hit-rate sensitivity summed over stations, -inf if unstable."""
+        """G(P_hr): hit-rate sensitivity summed over stations, -inf if unstable.
+
+        Each searching station weighs its sojourn-time derivative plus the
+        transfer its remote hits pay; the station being optimized pays no
+        transfer on its own hits.
+        """
         sc = self.scenario
-        return _kernels.efficiency_bracket(
-            hit, self.station, self.lam[a], self.yf[a], self.f[a], self.dt,
-            float(sc.total_rates[a]), float(sc.workloads[a]),
-            sc.search_workload, float(sc.weights[a]))
+        lam, yf, f, dt = self.lam[a], self.yf[a], self.f[a], self.dt
+        rate = float(sc.total_rates[a])
+        wa = float(sc.workloads[a])
+        ws = sc.search_workload
+        weight = float(sc.weights[a])
+        total = 0.0
+        for j in range(lam.shape[0]):
+            c = weight * lam[j] * yf[j]
+            if c == 0.0:
+                continue
+            d = hit_derivative(lam[j] * rate, f[j], wa, ws, hit)
+            if d == -math.inf:
+                return -math.inf
+            if j == self.station:
+                total = total + c * d
+            else:
+                total = total + c * (d + dt[j])
+        return total
 
     def exclusive_eff(self, a: int, j: int, xv: float) -> float:
         """eps of the j-th sorted exclusive input with the prefix before it
@@ -358,7 +376,6 @@ def sweep_all_stations(scenario: Scenario, cache: CacheAssignment,
             if res2.feasible and res2.objective <= obj:
                 cache = cand
                 sched.y = res2.y
-                assert res2.objective <= obj
                 obj = res2.objective
                 changed = True
         pass_objs.append(obj)

@@ -3,23 +3,23 @@
 Each (app, station) pair is an isolated FCFS queue.  Without cache searching
 the queue is M/M/1 with service rate mu0 = f/w^a.  With searching the service
 time is w^s/f plus, on a miss, an Exp(w^a)/f computation, giving an M/G/1
-queue with rate mu1 = f/(w^s + (1-P_hr) w^a); its mean sojourn is the
-Pollaczek-Khinchine value written out in delay_with_cache.
+queue with rate mu1 = f/(w^s + (1-P_hr) w^a) and the Pollaczek-Khinchine mean
+sojourn.  branch_delays evaluates both in cycle units,
 
-Internally the M/G/1 terms are evaluated in cycle units,
-
+    D0 = w^a / (f - load w^a),
     D1 = srv1/f + load (srv1^2 + (1-P^2) w^2) / (2 f (f - load srv1)),
 
 with srv1 = w^s + (1-P) w^a, which is the same algebra with fewer divisions.
+Every delay in the package, scalar or per (app, station), comes from there.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
 from .errors import StabilityViolation
 from .model import CacheAssignment, Scenario, SchedulingState, compute_hit_rates
 
@@ -28,47 +28,86 @@ from .model import CacheAssignment, Scenario, SchedulingState, compute_hit_rates
 BIG_GRADIENT = 1e12
 
 
-@dataclass(frozen=True)
-class ServiceRates:
-    """Service rates of the two branches (tasks/s)."""
-
-    mu0: float
-    mu1: float
+# -- branch delays -------------------------------------------------------------
 
 
-def service_rates(f: float, wa: float, ws: float, p_hr: float) -> ServiceRates:
-    mu0 = f / wa
-    srv1 = ws + (1.0 - p_hr) * wa
-    mu1 = math.inf if srv1 == 0.0 else f / srv1
-    return ServiceRates(mu0=mu0, mu1=mu1)
+class BranchDelays(NamedTuple):
+    """Both branch sojourn times plus the terms the gradient reuses.
+
+    ``d0``/``d1`` are the M/M/1 and M/G/1 mean sojourn times (s), 0 where
+    ``ok0``/``ok1`` mark the branch unstable; ``den0``/``den1`` are the
+    stability slacks f - load w (cycles/s), ``srv1`` the mean search-branch
+    cost and ``sq`` its second-moment numerator (cycles^2).
+    """
+
+    d0: np.ndarray
+    ok0: np.ndarray
+    d1: np.ndarray
+    ok1: np.ndarray
+    den0: np.ndarray
+    den1: np.ndarray
+    srv1: np.ndarray
+    sq: np.ndarray
 
 
-# -- scalar delay operations -------------------------------------------------
+def branch_delays(f, load, wa, ws, hit) -> BranchDelays:
+    """Both branches at CPU speed f (cycles/s) and arrival rate load (tasks/s).
+
+    ``wa`` is the mean workload, ``ws`` the search workload (cycles) and
+    ``hit`` the total hit rate; all arguments broadcast, so the same call
+    serves one queue and an (app, station) table.  No infinities are stored.
+    """
+    fpos = f > 0.0
+
+    den0 = f - load * wa
+    ok0 = fpos & (den0 > 0.0)
+    d0 = np.divide(wa * np.ones_like(f), den0, out=np.zeros_like(f), where=ok0)
+
+    srv1 = ws + (1.0 - hit) * wa
+    den1 = f - load * srv1
+    ok1 = fpos & (den1 > 0.0)
+    sq = srv1 * srv1 + (1.0 - hit * hit) * wa * wa
+    two_f_den1 = 2.0 * f * den1
+    d1 = np.divide(srv1 * np.ones_like(f), f, out=np.zeros_like(f), where=fpos)
+    d1 += np.divide(load * sq, two_f_den1, out=np.zeros_like(f), where=ok1)
+    d1 = np.where(ok1, d1, 0.0)
+    return BranchDelays(d0, ok0, d1, ok1, den0, den1, srv1, sq)
 
 
-def delay_no_cache(lam_frac: float, rate: float, mu0: float) -> float:
-    """Mean sojourn time of the no-search branch (M/M/1)."""
-    load = lam_frac * rate
-    if not load < mu0:
-        raise StabilityViolation(f"load {load} >= mu0 {mu0}")
-    return 1.0 / (mu0 - load)
+def hit_derivative(load: float, f: float, wa: float, ws: float,
+                   hit: float) -> float:
+    """Derivative of the cache-search sojourn time with respect to the hit rate.
+
+    Arguments as in branch_delays, for one queue.  Returns -inf when the
+    queue is unstable at this hit rate (callers treat that as "unboundedly
+    beneficial to raise the hit rate").
+    """
+    if f <= 0.0:
+        return -math.inf
+    W = (1.0 - hit) * wa + ws
+    den = f - load * W
+    if den <= 0.0:
+        return -math.inf
+    mu0sq = (f / wa) * (f / wa)
+    t1 = wa / f
+    t2 = load * load * wa * W * W / (2.0 * f * den * den)
+    t3 = f * load * load * (1.0 - hit) * (1.0 + hit) * wa / (2.0 * mu0sq * den * den)
+    t4 = f * load * hit / (mu0sq * den)
+    t5 = load * wa * W / (f * den)
+    return -(t1 + t2 + t3 + t4 + t5)
 
 
-def delay_with_cache(lam_frac: float, rate: float, mu0: float, mu1: float,
-                     p_hr: float) -> float:
-    """Mean sojourn time of the cache-search branch (M/G/1)."""
-    load = lam_frac * rate
-    if not load < mu1:
-        raise StabilityViolation(f"load {load} >= mu1 {mu1}")
-    if math.isinf(mu1):
-        return 0.0
-    t1 = 1.0 / mu1
-    t2 = load / (2.0 * mu1 * (mu1 - load))
-    if p_hr == 1.0:
-        t3 = 0.0
-    else:
-        t3 = (1.0 - p_hr) * (1.0 + p_hr) * load * mu1 / (2.0 * (mu1 - load) * mu0 * mu0)
-    return t1 + t2 + t3
+def d_delay1_d_phr(lam_frac: float, rate: float, f: float, wa: float,
+                   ws: float, p_hr: float) -> float:
+    """Derivative of the cache-search sojourn time w.r.t. the total hit rate.
+
+    Always <= -wa/f < 0: a better hit rate shortens both the service mixture
+    and the queue in front of it.
+    """
+    d = hit_derivative(lam_frac * rate, f, wa, ws, p_hr)
+    if d == -math.inf:
+        raise StabilityViolation("search branch unstable at this hit rate")
+    return d
 
 
 def service_time_cdf(w: float, p_hr: float, wa: float, ws: float) -> float:
@@ -88,19 +127,6 @@ def choose_cache_search(d0: float, d1: float, p_nhr: float, dt: float) -> int:
     Either delay may be +inf to mark an unstable branch; ties keep y = 0.
     """
     return 1 if d0 > d1 + p_nhr * dt else 0
-
-
-def d_delay1_d_phr(lam_frac: float, rate: float, f: float, wa: float,
-                   ws: float, p_hr: float) -> float:
-    """Derivative of the cache-search sojourn time w.r.t. the total hit rate.
-
-    Always <= -wa/f < 0: a better hit rate shortens both the service mixture
-    and the queue in front of it.
-    """
-    d = _kernels.hit_derivative(lam_frac * rate, f, wa, ws, p_hr)
-    if d == -math.inf:
-        raise StabilityViolation("search branch unstable at this hit rate")
-    return d
 
 
 # -- vectorized objective ----------------------------------------------------
@@ -124,27 +150,11 @@ class EvalResult:
 
 def _branch_tables(scenario: Scenario, total_hit: np.ndarray,
                    lam: np.ndarray, fshare: np.ndarray):
-    """Both branch delays (A, N) plus validity masks; no infinities stored."""
-    wa = scenario.workloads[:, None]
-    ws = scenario.search_workload
+    """CPU speeds and loads (A, N) followed by their branch_delays fields."""
     f = fshare * scenario.compute_capacities[None, :]
     load = lam * scenario.total_rates[:, None]
-    fpos = f > 0.0
-
-    den0 = f - load * wa
-    ok0 = fpos & (den0 > 0.0)
-    d0 = np.divide(wa * np.ones_like(f), den0, out=np.zeros_like(f), where=ok0)
-
-    srv1 = ws + (1.0 - total_hit)[:, None] * wa
-    den1 = f - load * srv1
-    ok1 = fpos & (den1 > 0.0)
-    # second moment numerator of the service mixture, in cycles^2
-    sq = srv1 * srv1 + (1.0 - total_hit * total_hit)[:, None] * wa * wa
-    two_f_den1 = 2.0 * f * den1
-    d1 = np.divide(srv1 * np.ones_like(f), f, out=np.zeros_like(f), where=fpos)
-    d1 += np.divide(load * sq, two_f_den1, out=np.zeros_like(f), where=ok1)
-    d1 = np.where(ok1, d1, 0.0)
-    return f, load, d0, ok0, d1, ok1, den0, den1, srv1, sq
+    return (f, load, *branch_delays(f, load, scenario.workloads[:, None],
+                                    scenario.search_workload, total_hit[:, None]))
 
 
 def recompute_search_flags(scenario: Scenario, total_hit: np.ndarray,

@@ -13,6 +13,7 @@ Decision variables:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,37 +57,44 @@ class Scenario:
     search_workload: float  # cycles to scan a local cache, shared by all apps
 
     def __post_init__(self):
+        # every check is written so that NaN fails it; upper bounds of inf
+        # reject infinities
         if not self.stations:
             raise MalformedInput("scenario needs at least one station")
         if not self.apps:
             raise MalformedInput("scenario needs at least one app")
-        if self.search_workload < 0:
-            raise MalformedInput("search workload must be nonnegative")
+        if not 0.0 <= self.search_workload < math.inf:
+            raise MalformedInput("search workload must be finite and nonnegative")
         for n, st in enumerate(self.stations):
-            if st.compute_capacity <= 0:
-                raise MalformedInput(f"station {n}: compute capacity must be positive")
-            if st.storage_capacity < 0:
-                raise MalformedInput(f"station {n}: storage capacity must be nonnegative")
-            if st.transfer_delay < 0:
-                raise MalformedInput(f"station {n}: transfer delay must be nonnegative")
+            if not 0.0 < st.compute_capacity < math.inf:
+                raise MalformedInput(
+                    f"station {n}: compute capacity must be finite and positive")
+            if not 0.0 <= st.storage_capacity < math.inf:
+                raise MalformedInput(
+                    f"station {n}: storage capacity must be finite and nonnegative")
+            if not 0.0 <= st.transfer_delay < math.inf:
+                raise MalformedInput(
+                    f"station {n}: transfer delay must be finite and nonnegative")
             if len(st.arrival_rates) != len(self.apps):
                 raise DimensionMismatch(
                     f"station {n}: {len(st.arrival_rates)} arrival rates for "
                     f"{len(self.apps)} apps"
                 )
-            if any(r < 0 for r in st.arrival_rates):
-                raise MalformedInput(f"station {n}: arrival rates must be nonnegative")
+            if not all(0.0 <= r < math.inf for r in st.arrival_rates):
+                raise MalformedInput(
+                    f"station {n}: arrival rates must be finite and nonnegative")
         for a, app in enumerate(self.apps):
-            if app.weight < 0:
-                raise MalformedInput(f"app {a}: weight must be nonnegative")
-            if app.mean_workload <= 0:
-                raise MalformedInput(f"app {a}: mean workload must be positive")
+            if not 0.0 <= app.weight < math.inf:
+                raise MalformedInput(f"app {a}: weight must be finite and nonnegative")
+            if not 0.0 < app.mean_workload < math.inf:
+                raise MalformedInput(f"app {a}: mean workload must be finite and positive")
             total_p = 0.0
             for k, ti in enumerate(app.typical_inputs):
                 if not 0.0 <= ti.match_prob <= 1.0:
                     raise MalformedInput(f"app {a} input {k}: match prob outside [0, 1]")
-                if ti.result_size <= 0:
-                    raise MalformedInput(f"app {a} input {k}: result size must be positive")
+                if not 0.0 < ti.result_size < math.inf:
+                    raise MalformedInput(
+                        f"app {a} input {k}: result size must be finite and positive")
                 total_p += ti.match_prob
             if total_p > 1.0 + 1e-12:
                 raise MalformedInput(f"app {a}: match probabilities sum to {total_p} > 1")

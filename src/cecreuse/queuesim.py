@@ -5,7 +5,8 @@ cache searching the service is an exponential workload over the CPU speed
 (M/M/1), with searching every task pays the deterministic search workload
 and with probability P_hr skips computation entirely (M/G/1 with an atom at
 w^s / f).  Waits follow the Lindley recursion; the mean sojourn over the
-post-warmup tasks carries a batch-means 95% confidence interval.
+post-warmup tasks carries a batch-means 95% confidence interval.  The
+analytic means come from delay.branch_delays, the formula the solver uses.
 
 RNG: numpy PCG64 seeded through SeedSequence, exponentials via inverse CDF,
 draws in the fixed order interarrivals, hit indicators, workloads.
@@ -17,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from . import _kernels
-from .delay import delay_no_cache, delay_with_cache, service_rates
-from .errors import MalformedInput, UnstableConfig
+from .delay import branch_delays
+from .errors import MalformedInput, StabilityViolation, UnstableConfig
 
 NUM_BATCHES = 32
 
@@ -65,6 +65,22 @@ def _draw_services(cfg: QueueSimConfig, rng: np.random.Generator,
     return cycles / cfg.cpu
 
 
+def _lindley_waits(interarrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
+    """FIFO waits W_i = max(0, W_{i-1} + S_{i-1} - T_i), W_0 = 0, in closed form.
+
+    With U_0 = 0 and U_i = sum_{k<=i} (S_{k-1} - T_k), W_i = U_i - min_{k<=i} U_k.
+    ``interarrivals[i]`` is T_i, the gap before arrival i (index 0 unused);
+    it is overwritten with U, so the only new array is the result.
+    """
+    u = interarrivals
+    u[0] = 0.0
+    np.subtract(services[:-1], u[1:], out=u[1:])
+    np.cumsum(u, out=u)
+    waits = np.minimum.accumulate(u)
+    np.subtract(u, waits, out=waits)
+    return waits
+
+
 def simulate(cfg: QueueSimConfig) -> SimResult:
     """Mean sojourn time with a batch-means 95% half width.
 
@@ -92,9 +108,8 @@ def simulate(cfg: QueueSimConfig) -> SimResult:
     n = cfg.num_tasks
     interarrivals = -np.log1p(-rng.random(n)) / cfg.arrival_rate
     services = _draw_services(cfg, rng, n)
-    waits = _kernels.queue_waits(
-        np.ascontiguousarray(interarrivals), np.ascontiguousarray(services))
-    sojourns = np.asarray(waits) + services
+    sojourns = _lindley_waits(interarrivals, services)
+    sojourns += services
 
     counted = sojourns[warmup:]
     mean = float(counted.mean())
@@ -111,12 +126,13 @@ def simulate(cfg: QueueSimConfig) -> SimResult:
 
 def analytic_mean(cfg: QueueSimConfig) -> float:
     """Closed-form mean sojourn for the configured branch."""
-    rates = service_rates(cfg.cpu, cfg.app_workload, cfg.search_workload,
-                          cfg.hit_rate)
-    if cfg.mode == "no_cache":
-        return delay_no_cache(1.0, cfg.arrival_rate, rates.mu0)
-    return delay_with_cache(1.0, cfg.arrival_rate, rates.mu0, rates.mu1,
-                            cfg.hit_rate)
+    b = branch_delays(cfg.cpu, cfg.arrival_rate, cfg.app_workload,
+                      cfg.search_workload, cfg.hit_rate)
+    ok, delay = (b.ok0, b.d0) if cfg.mode == "no_cache" else (b.ok1, b.d1)
+    if not ok:
+        raise StabilityViolation(
+            f"load {cfg.arrival_rate} at or above the {cfg.mode} service rate")
+    return float(delay)
 
 
 def compare_to_analytic(cfg: QueueSimConfig) -> float:

@@ -3,11 +3,48 @@
 Hand-built networks keep the worked examples readable; the seeded default
 scenario exercises everything at the scale the solvers are tuned for.
 """
+import math
+
 import numpy as np
 import pytest
 
 from cecreuse import (Application, BaseStation, CacheAssignment, GeneratorParams,
-                      Scenario, SchedulingState, TypicalInput, generate_scenario)
+                      Scenario, SchedulingState, TypicalInput, generate_scenario,
+                      scenario_to_dict)
+
+# (location in a scenario document, value) pairs that must be rejected as
+# malformed; the locations fit the two_station_one_app fixture
+NON_FINITE_FIELDS = [
+    (("search_workload_cycles",), math.nan),
+    (("search_workload_cycles",), math.inf),
+    (("stations", 0, "compute_capacity_hz"), math.nan),
+    (("stations", 0, "compute_capacity_hz"), math.inf),
+    (("stations", 1, "storage_capacity_bytes"), math.inf),
+    (("stations", 1, "storage_capacity_bytes"), -math.inf),
+    (("stations", 0, "transfer_delay_s"), math.nan),
+    (("stations", 1, "transfer_delay_s"), math.inf),
+    (("stations", 1, "arrival_rates", 0), math.nan),
+    (("stations", 0, "arrival_rates", 0), math.inf),
+    (("apps", 0, "weight"), math.nan),
+    (("apps", 0, "weight"), math.inf),
+    (("apps", 0, "mean_workload_cycles"), math.nan),
+    (("apps", 0, "mean_workload_cycles"), math.inf),
+    (("apps", 0, "typical_inputs", 1, "match_prob"), math.nan),
+    (("apps", 0, "typical_inputs", 2, "result_size_bytes"), math.nan),
+    (("apps", 0, "typical_inputs", 2, "result_size_bytes"), math.inf),
+]
+NON_FINITE_IDS = ["/".join(map(str, path)) + f"={value}"
+                  for path, value in NON_FINITE_FIELDS]
+
+
+def mutated_document(scenario, path, value):
+    """scenario_to_dict(scenario) with the entry at ``path`` set to ``value``."""
+    doc = scenario_to_dict(scenario)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
 
 
 def build_scenario(compute, storage, transfer, rates, apps, search_workload=25e6):

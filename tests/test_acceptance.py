@@ -39,7 +39,7 @@ from cecreuse import (
 )
 from cecreuse import cli
 from cecreuse.caching import LEVEL_ACCURACY, _rows_storage, g_of_B, relaxed_objective
-from cecreuse.delay import d_delay1_d_phr, delay_with_cache, service_rates
+from cecreuse.delay import branch_delays, d_delay1_d_phr
 
 ALGS = ("proposed", "nor", "greedy", "noc")
 
@@ -63,12 +63,12 @@ def test_criterion_1_queue_model_matches_simulation():
         wa = rng.uniform(1e8, 6e8)
         ws = rng.uniform(1e6, 5e7)
         hit = rng.uniform(0.0, 1.0)
-        rates = service_rates(f, wa, ws, hit)
-        e_t = 1.0 / rates.mu1
-        e_t2 = 1.0 / rates.mu1 ** 2 + (1.0 - hit ** 2) / rates.mu0 ** 2
-        load = rng.uniform(0.1, 0.9) * rates.mu1
-        got = delay_with_cache(1.0, load, rates.mu0, rates.mu1, hit)
-        ref = e_t + load * e_t2 / (2.0 * (1.0 - load / rates.mu1))
+        mu0, mu1 = f / wa, f / (ws + (1.0 - hit) * wa)
+        e_t = 1.0 / mu1
+        e_t2 = 1.0 / mu1 ** 2 + (1.0 - hit ** 2) / mu0 ** 2
+        load = rng.uniform(0.1, 0.9) * mu1
+        got = branch_delays(f, load, wa, ws, hit).d1
+        ref = e_t + load * e_t2 / (2.0 * (1.0 - load / mu1))
         worst_pk = max(worst_pk, abs(got - ref) / ref)
     assert worst_pk < 1e-12
 
@@ -110,13 +110,13 @@ def test_criterion_2_gradient_matches_finite_differences():
         wa = rng.uniform(1e8, 6e8)
         ws = rng.uniform(1e6, 5e7)
         p = rng.uniform(0.05, 0.9)
-        mu_lo = service_rates(f, wa, ws, p - h).mu1  # worst-case rate in the stencil
+        # worst-case search-branch service rate in the stencil
+        mu_lo = f / (ws + (1.0 - (p - h)) * wa)
         load = rng.uniform(0.1, 0.85) * mu_lo
         got = d_delay1_d_phr(1.0, load, f, wa, ws, p)
 
         def d1(ph):
-            r = service_rates(f, wa, ws, ph)
-            return delay_with_cache(1.0, load, r.mu0, r.mu1, ph)
+            return float(branch_delays(f, load, wa, ws, ph).d1)
 
         fd = (d1(p + h) - d1(p - h)) / (2.0 * h)
         worst_hit = max(worst_hit, abs(got - fd) / abs(fd))

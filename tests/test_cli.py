@@ -5,7 +5,8 @@ import pytest
 
 from cecreuse import cli, load_scenario, save_scenario
 
-from conftest import build_scenario
+from conftest import (NON_FINITE_FIELDS, NON_FINITE_IDS, build_scenario,
+                      mutated_document)
 
 
 @pytest.fixture
@@ -74,6 +75,18 @@ def test_solve_malformed_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["solve", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("path,value", NON_FINITE_FIELDS, ids=NON_FINITE_IDS)
+def test_solve_rejects_non_finite_config(tmp_path, capsys, two_station_one_app,
+                                         path, value):
+    # JSON's NaN and Infinity tokens load as floats; they are malformed input,
+    # never a traceback and never "infeasible"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutated_document(two_station_one_app, path, value)))
+    assert cli.main(["solve", "--config", str(bad),
+                     "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_solve_infeasible_scenario(tmp_path, capsys):

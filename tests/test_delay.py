@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from cecreuse import (CacheAssignment, SchedulingState, StabilityViolation,
-                      choose_cache_search, compute_hit_rates, d_delay1_d_phr,
-                      delay_no_cache, delay_with_cache, evaluate_objective,
-                      objective_gradient, processing_delay, recompute_search_flags,
-                      response_time, service_rates, service_time_cdf,
-                      weighted_objective)
-from cecreuse.delay import evaluate_with_rates, gradient_with_rates
+from cecreuse import (CacheAssignment, EfficiencyContext, QueueSimConfig,
+                      SchedulingState, StabilityViolation, analytic_mean,
+                      branch_delays, choose_cache_search, compute_hit_rates,
+                      d_delay1_d_phr, evaluate_objective, objective_gradient,
+                      processing_delay, recompute_search_flags, response_time,
+                      service_time_cdf, weighted_objective)
+from cecreuse.delay import evaluate_with_rates, gradient_with_rates, hit_derivative
 
 from conftest import build_scenario, full_cache, uniform_state
 
@@ -22,22 +22,36 @@ def pk_sojourn(load, mu0, mu1, p_hr):
     return e_t + load * e_t2 / (2.0 * (1.0 - load / mu1))
 
 
-# -- scalar branches ---------------------------------------------------------
+def mu1_of(f, wa, ws, p_hr):
+    # service rate of the search branch
+    return f / (ws + (1.0 - p_hr) * wa)
+
+
+# -- branch delays on one queue ------------------------------------------------
+
+
+def d0_of(load, mu0):
+    # no-search branch at f = mu0 cycles/s and one cycle per task
+    return branch_delays(mu0, load, 1.0, 0.0, 0.0)
 
 
 def test_delay_no_cache_values():
-    assert delay_no_cache(0.0, 5.0, 5.0) == pytest.approx(1.0 / 5.0)
-    assert delay_no_cache(1.0, 3.0, 5.0) == pytest.approx(0.5)
-    near = delay_no_cache(1.0, 5.0 * (1.0 - 1e-9), 5.0)
-    assert near > 1e8 / 5.0
+    assert d0_of(0.0, 5.0).d0 == pytest.approx(1.0 / 5.0)
+    assert d0_of(3.0, 5.0).d0 == pytest.approx(0.5)
+    near = d0_of(5.0 * (1.0 - 1e-9), 5.0)
+    assert near.ok0 and near.d0 > 1e8 / 5.0
+    unstable = d0_of(5.0, 5.0)
+    assert not unstable.ok0 and unstable.d0 == 0.0
     with pytest.raises(StabilityViolation):
-        delay_no_cache(1.0, 5.0, 5.0)
+        analytic_mean(QueueSimConfig(arrival_rate=5.0, cpu=5.0, app_workload=1.0,
+                                     search_workload=0.0, hit_rate=0.0,
+                                     mode="no_cache", num_tasks=10))
 
 
 def test_delay_no_cache_diverges_monotonically():
     prev = 0.0
     for load in (4.0, 4.9, 4.99, 4.9999):
-        cur = delay_no_cache(1.0, load, 5.0)
+        cur = d0_of(load, 5.0).d0
         assert cur > prev
         prev = cur
 
@@ -45,15 +59,14 @@ def test_delay_no_cache_diverges_monotonically():
 def test_delay_with_cache_all_hits_is_md1():
     # f = 1e9, ws = 2.5e7 -> mu1 = 40/s; at load 20/s the M/D/1 sojourn is
     # 1/40 + 20 / (2 * 40 * 20) = 0.0375 s
-    rates = service_rates(1e9, 1e8, 2.5e7, 1.0)
-    assert rates.mu1 == pytest.approx(40.0)
-    assert delay_with_cache(1.0, 20.0, rates.mu0, rates.mu1, 1.0) == pytest.approx(0.0375)
+    assert mu1_of(1e9, 1e8, 2.5e7, 1.0) == pytest.approx(40.0)
+    b = branch_delays(1e9, 20.0, 1e8, 2.5e7, 1.0)
+    assert b.ok1 and b.d1 == pytest.approx(0.0375)
 
 
 def test_delay_with_cache_empty_queue():
-    rates = service_rates(1e9, 1e8, 2.5e7, 0.4)
-    assert delay_with_cache(0.0, 7.0, rates.mu0, rates.mu1, 0.4) == pytest.approx(
-        1.0 / rates.mu1)
+    b = branch_delays(1e9, 0.0, 1e8, 2.5e7, 0.4)
+    assert b.d1 == pytest.approx(1.0 / mu1_of(1e9, 1e8, 2.5e7, 0.4))
 
 
 def test_delay_with_cache_matches_pollaczek_khinchine():
@@ -63,29 +76,48 @@ def test_delay_with_cache_matches_pollaczek_khinchine():
         wa = rng.uniform(1e8, 6e8)
         ws = rng.uniform(1e6, 5e7)
         p_hr = rng.uniform(0.0, 1.0)
-        rates = service_rates(f, wa, ws, p_hr)
-        load = rng.uniform(0.0, 0.95) * rates.mu1
-        got = delay_with_cache(1.0, load, rates.mu0, rates.mu1, p_hr)
-        want = pk_sojourn(load, rates.mu0, rates.mu1, p_hr)
+        mu0, mu1 = f / wa, mu1_of(f, wa, ws, p_hr)
+        load = rng.uniform(0.0, 0.95) * mu1
+        got = branch_delays(f, load, wa, ws, p_hr).d1
+        want = pk_sojourn(load, mu0, mu1, p_hr)
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_delay_with_cache_unstable_raises():
-    rates = service_rates(1e9, 1e8, 2.5e7, 0.0)
+    mu1 = mu1_of(1e9, 1e8, 2.5e7, 0.0)
+    b = branch_delays(1e9, mu1, 1e8, 2.5e7, 0.0)
+    assert not b.ok1 and b.d1 == 0.0
     with pytest.raises(StabilityViolation):
-        delay_with_cache(1.0, rates.mu1, rates.mu0, rates.mu1, 0.0)
+        analytic_mean(QueueSimConfig(arrival_rate=mu1, cpu=1e9, app_workload=1e8,
+                                     search_workload=2.5e7, hit_rate=0.0,
+                                     mode="with_cache", num_tasks=10))
+
+
+def test_branch_delays_broadcast_like_scalars():
+    f = np.array([[1e9, 2e9], [3e9, 0.0]])
+    load = np.array([[2.0, 30.0], [1.0, 0.0]])
+    wa = np.array([[1e8], [2e8]])
+    hit = np.array([[0.3], [0.9]])
+    table = branch_delays(f, load, wa, 2.5e7, hit)
+    for a in range(2):
+        for n in range(2):
+            one = branch_delays(float(f[a, n]), float(load[a, n]), float(wa[a, 0]),
+                                2.5e7, float(hit[a, 0]))
+            for name in ("d0", "ok0", "d1", "ok1"):
+                assert getattr(table, name)[a, n] == getattr(one, name)
 
 
 def test_service_rate_identity():
+    # with an empty queue each branch's sojourn is its mean service time
     rng = np.random.Generator(np.random.PCG64(4))
     for _ in range(50):
         f = rng.uniform(1e8, 8e9)
         wa = rng.uniform(1e8, 6e8)
         ws = rng.uniform(0.0, 5e7)
         p = rng.uniform(0.0, 1.0)
-        rates = service_rates(f, wa, ws, p)
-        assert rates.mu0 == pytest.approx(f / wa, rel=1e-12)
-        assert rates.mu1 * (ws + (1.0 - p) * wa) == pytest.approx(f, rel=1e-12)
+        b = branch_delays(f, 0.0, wa, ws, p)
+        assert 1.0 / b.d0 == pytest.approx(f / wa, rel=1e-12)
+        assert b.d1 * f == pytest.approx(ws + (1.0 - p) * wa, rel=1e-12)
 
 
 def test_service_time_cdf():
@@ -101,10 +133,8 @@ def test_choose_cache_search_rule():
     assert choose_cache_search(math.inf, 0.3, 0.4, 0.02) == 1
     assert choose_cache_search(0.3, 0.3, 0.0, 0.02) == 0  # tie keeps y = 0
     # zero hit probability: searching only adds ws, so it never wins
-    rates = service_rates(1e9, 1e8, 2.5e7, 0.0)
-    d0 = delay_no_cache(1.0, 3.0, rates.mu0)
-    d1 = delay_with_cache(1.0, 3.0, rates.mu0, rates.mu1, 0.0)
-    assert choose_cache_search(d0, d1, 0.0, 0.02) == 0
+    b = branch_delays(1e9, 3.0, 1e8, 2.5e7, 0.0)
+    assert choose_cache_search(float(b.d0), float(b.d1), 0.0, 0.02) == 0
 
 
 def test_recompute_search_flags_zero_hits(two_station_one_app):
@@ -129,8 +159,7 @@ def test_hit_derivative_dominates_service_term():
         wa = rng.uniform(1e8, 6e8)
         ws = rng.uniform(1e6, 5e7)
         p = rng.uniform(0.0, 1.0)
-        mu1 = service_rates(f, wa, ws, p).mu1
-        load = rng.uniform(0.0, 0.9) * mu1
+        load = rng.uniform(0.0, 0.9) * mu1_of(f, wa, ws, p)
         assert d_delay1_d_phr(1.0, load, f, wa, ws, p) <= -wa / f + 1e-18
 
 
@@ -142,16 +171,41 @@ def test_hit_derivative_matches_finite_difference():
         wa = rng.uniform(1e8, 6e8)
         ws = rng.uniform(1e6, 5e7)
         p = rng.uniform(0.05, 0.9)
-        mu_lo = service_rates(f, wa, ws, p - h).mu1  # worst-case rate in the stencil
+        mu_lo = mu1_of(f, wa, ws, p - h)  # worst-case rate in the stencil
         load = rng.uniform(0.1, 0.85) * mu_lo
         got = d_delay1_d_phr(1.0, load, f, wa, ws, p)
 
         def d1(ph):
-            r = service_rates(f, wa, ws, ph)
-            return delay_with_cache(1.0, load, r.mu0, r.mu1, ph)
+            return float(branch_delays(f, load, wa, ws, ph).d1)
 
         fd = (d1(p + h) - d1(p - h)) / (2.0 * h)
         assert got == pytest.approx(fd, rel=1e-6)
+
+
+def test_hit_derivative_unstable_is_minus_inf():
+    # no CPU, then a load at (den = 0) and past (den < 0) the search branch's
+    # service rate of 1e9 / 1.25e8 = 8 tasks/s
+    for load, f in ((1.0, 0.0), (8.0, 1e9), (9.0, 1e9)):
+        assert hit_derivative(load, f, 1e8, 2.5e7, 0.0) == -math.inf
+        with pytest.raises(StabilityViolation):
+            d_delay1_d_phr(1.0, load, f, 1e8, 2.5e7, 0.0)
+    assert math.isfinite(hit_derivative(7.9, 1e9, 1e8, 2.5e7, 0.0))
+
+
+def test_efficiency_bracket_unstable_is_minus_inf(two_station_one_app):
+    sc = two_station_one_app
+    lam = np.array([[0.5, 0.5]])
+    hit = 0.3
+    d_own = hit_derivative(0.5 * 2.0, 2e9, 4e8, sc.search_workload, hit)
+    for fshare1, y1, want in (
+            (0.0, 1, -math.inf),   # station 1 searches without CPU
+            (0.1, 1, -math.inf),   # 2e8 cycles/s cannot carry 1 task/s of 4e8
+            (0.0, 0, 0.5 * d_own),  # a station that does not search is skipped
+    ):
+        sched = SchedulingState(lam, np.array([[1.0, fshare1]]),
+                                np.array([[1, y1]], dtype=np.int8))
+        ctx = EfficiencyContext(sc, CacheAssignment.zeros(sc), sched, 0)
+        assert ctx.bracket(0, hit) == want
 
 
 # -- per-app response time -----------------------------------------------------
@@ -163,16 +217,18 @@ def test_processing_delay_branch_selection(two_station_one_app):
     hit = compute_hit_rates(sc, cache)
     lam = np.array([[0.5, 0.5]])
     fshare = np.ones((1, 2))
-    f = 2e9
-    rate = 2.0
-    r0 = service_rates(f, 4e8, sc.search_workload, float(hit.total[0]))
+    # textbook M/M/1 and Pollaczek-Khinchine forms at f = 2e9, load 0.5 * 2
+    p_hr = float(hit.total[0])
+    load = 1.0
+    mu0 = 2e9 / 4e8
+    mu1 = mu1_of(2e9, 4e8, sc.search_workload, p_hr)
     for yv in (0, 1):
         sched = SchedulingState(lam, fshare, np.full((1, 2), yv, dtype=np.int8))
         got = processing_delay(sc, cache, sched, 0, 0)
         if yv == 0:
-            want = delay_no_cache(0.5, rate, r0.mu0)
+            want = 1.0 / (mu0 - load)
         else:
-            want = (delay_with_cache(0.5, rate, r0.mu0, r0.mu1, float(hit.total[0]))
+            want = (pk_sojourn(load, mu0, mu1, p_hr)
                     + float(hit.neighbor[0, 0]) * sc.transfer_delays[0])
         assert got == pytest.approx(want, rel=1e-12)
 

@@ -4,10 +4,12 @@ import pytest
 
 from cecreuse import (CacheAssignment, DimensionMismatch, MalformedInput,
                       SchedulingState, compute_hit_rates, load_scenario,
-                      save_scenario, storage_used, total_arrival_rate, validate)
+                      save_scenario, scenario_from_dict, storage_used,
+                      total_arrival_rate, validate)
 from cecreuse.solver import greedy_cache, solve_greedy
 
-from conftest import build_scenario, full_cache, uniform_state
+from conftest import (NON_FINITE_FIELDS, NON_FINITE_IDS, build_scenario,
+                      full_cache, mutated_document, uniform_state)
 
 
 def test_total_arrival_rate_zero_and_identity():
@@ -161,6 +163,12 @@ def test_scenario_rejects_bad_inputs():
     with pytest.raises(MalformedInput):
         build_scenario((1e9,), (1e9,), (0.01,), ((1.0,),),
                        [(1.0, -1e8, [(0.1, 1e5)])])
+
+
+@pytest.mark.parametrize("path,value", NON_FINITE_FIELDS, ids=NON_FINITE_IDS)
+def test_scenario_from_dict_rejects_non_finite(two_station_one_app, path, value):
+    with pytest.raises(MalformedInput):
+        scenario_from_dict(mutated_document(two_station_one_app, path, value))
 
 
 def test_cache_assignment_rejects_out_of_range():

@@ -1,8 +1,10 @@
 """Discrete-event queue against the closed-form means."""
+import numpy as np
 import pytest
 
 from cecreuse import (MalformedInput, QueueSimConfig, UnstableConfig,
                       analytic_mean, compare_to_analytic, simulate)
+from cecreuse.queuesim import _lindley_waits
 
 
 def cfg(**kw):
@@ -19,6 +21,29 @@ def test_single_task_is_exact_service():
                      search_workload=5e7))
     assert r.mean_sojourn == 5e7 / 2e9
     assert r.half_width_95 == 0.0 and r.tasks_counted == 1
+
+
+def test_closed_form_waits_match_lindley_recursion():
+    rng = np.random.Generator(np.random.PCG64(41))
+    inter = rng.exponential(0.2, 10_000)
+    serv = rng.exponential(0.15, 10_000)
+    want = np.zeros_like(inter)
+    w = 0.0
+    for i in range(1, len(want)):
+        w = max(0.0, w + serv[i - 1] - inter[i])
+        want[i] = w
+    got = _lindley_waits(inter.copy(), serv)
+    assert got[0] == 0.0 and (got >= 0.0).all()
+    # worst-case rounding of a running sum of n float64 terms
+    atol = np.finfo(np.float64).eps * len(inter) * np.abs(serv[:-1] - inter[1:]).sum()
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+
+
+def test_single_queued_task():
+    assert _lindley_waits(np.array([0.7]), np.array([0.3])).tolist() == [0.0]
+    r = simulate(cfg(num_tasks=1))
+    assert r.tasks_counted == 1 and r.half_width_95 == 0.0
+    assert r.mean_sojourn > 0.0
 
 
 def test_mm1_matches_analytic():
