@@ -3,15 +3,11 @@ allocation for collaborative edge computing, minimizing weighted mean
 response time under M/G/1 queueing."""
 
 from .caching import (EfficiencyContext, brute_force_cache_oracle,
-                      efficiencies_at_solution, g_of_B, partition_inputs,
-                      round_to_binary, solve_caching_bs,
-                      solve_inverse_efficiency, storage_efficiency,
+                      efficiencies_at_solution, g_of_B, round_to_binary,
+                      solve_caching_bs, solve_inverse_efficiency,
                       sweep_all_stations, theorem3_ratio)
 from .delay import (EvalResult, ObjectiveGradient, branch_delays,
-                    choose_cache_search, d_delay1_d_phr, evaluate_objective,
-                    objective_gradient, processing_delay,
-                    recompute_search_flags, response_time, service_time_cdf,
-                    weighted_objective)
+                    evaluate_objective, recompute_search_flags)
 from .errors import (BracketError, CecReuseError, DegenerateInput,
                      DimensionMismatch, EmptyVector, Infeasible,
                      LineSearchExhausted, MalformedInput, StabilityViolation,
@@ -22,12 +18,10 @@ from .model import (Application, BaseStation, CacheAssignment, HitRateTable,
                     Scenario, SchedulingState, TypicalInput,
                     compute_hit_rates, load_scenario, save_scenario,
                     scenario_from_dict, scenario_to_dict, storage_used,
-                    total_arrival_rate, validate)
-from .queuesim import (QueueSimConfig, SimResult, analytic_mean,
-                       compare_to_analytic, simulate)
+                    validate)
+from .queuesim import QueueSimConfig, SimResult, analytic_mean, simulate
 from .scheduling import (PgdParams, backtrack, initial_feasible_point,
-                         project_decisions, project_simplex,
-                         solve_scheduling, stability_margin_ok)
+                         project_decisions, project_simplex, solve_scheduling)
 from .solver import (SolveReport, alternating_solve, greedy_cache,
                      solve_greedy, solve_noc, solve_nor)
 
@@ -38,25 +32,20 @@ __all__ = [
     # model
     "TypicalInput", "Application", "BaseStation", "Scenario",
     "CacheAssignment", "SchedulingState", "HitRateTable",
-    "compute_hit_rates", "storage_used", "total_arrival_rate", "validate",
+    "compute_hit_rates", "storage_used", "validate",
     "scenario_to_dict", "scenario_from_dict", "save_scenario", "load_scenario",
     # delay
-    "EvalResult", "ObjectiveGradient", "branch_delays", "service_time_cdf",
-    "choose_cache_search",
-    "d_delay1_d_phr", "evaluate_objective", "weighted_objective",
-    "processing_delay", "response_time", "objective_gradient",
+    "EvalResult", "ObjectiveGradient", "branch_delays", "evaluate_objective",
     "recompute_search_flags",
     # caching
-    "EfficiencyContext", "partition_inputs", "storage_efficiency",
-    "solve_inverse_efficiency", "g_of_B", "solve_caching_bs",
+    "EfficiencyContext", "solve_inverse_efficiency", "g_of_B", "solve_caching_bs",
     "round_to_binary", "theorem3_ratio", "sweep_all_stations",
     "brute_force_cache_oracle", "efficiencies_at_solution",
     # scheduling
     "PgdParams", "project_simplex", "project_decisions", "backtrack",
-    "stability_margin_ok", "solve_scheduling", "initial_feasible_point",
+    "solve_scheduling", "initial_feasible_point",
     # queuesim
     "QueueSimConfig", "SimResult", "simulate", "analytic_mean",
-    "compare_to_analytic",
     # solver
     "SolveReport", "greedy_cache", "solve_greedy", "alternating_solve",
     "solve_nor", "solve_noc",

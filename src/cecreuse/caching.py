@@ -30,22 +30,6 @@ LEVEL_ACCURACY = 1e-9
 INVERSE_TOL = 1e-12
 
 
-def partition_inputs(scenario: Scenario, cache: CacheAssignment,
-                     station: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per app: (exclusive, replicated) input indices relative to station.
-
-    An input is replicated when some other station holds any of its mass.
-    """
-    out = []
-    for a in range(scenario.num_apps):
-        x = cache.entries[a]
-        peer_sum = x.sum(axis=0) - x[station]
-        replicated = np.nonzero(peer_sum > 0.0)[0]
-        exclusive = np.nonzero(peer_sum <= 0.0)[0]
-        out.append((exclusive, replicated))
-    return out
-
-
 class EfficiencyContext:
     """Frozen view of one station's caching subproblem.
 
@@ -73,7 +57,6 @@ class EfficiencyContext:
         self.prefix_s: list[np.ndarray] = []
         self.base_hit: list[float] = []           # hit mass available from peers
         self.rep_eff: list[np.ndarray] = []
-        self.current_x: list[np.ndarray] = []
         self.active: list[bool] = []              # any phi lam y > 0 anywhere
 
         for a in range(A):
@@ -101,7 +84,6 @@ class EfficiencyContext:
             local_c = float(scenario.weights[a] * self.lam[a, station]
                             * self.yf[a, station])
             self.rep_eff.append(-(p[rep] / s[rep]) * (local_c * self.dt[station]))
-            self.current_x.append(x[station].copy())
             self.active.append(bool(np.any(
                 scenario.weights[a] * self.lam[a] * self.yf[a] > 0.0)))
 
@@ -161,27 +143,6 @@ class EfficiencyContext:
         if lo >= 0.0:
             return 0.0
         return 1.01 * lo
-
-
-def storage_efficiency(ctx: EfficiencyContext, a: int, k: int, xv: float) -> float:
-    """eps for input k of app a, other current-station entries held as-is."""
-    rep_pos = np.nonzero(ctx.replicated[a] == k)[0]
-    if len(rep_pos):
-        return float(ctx.rep_eff[a][rep_pos[0]])
-    pos = np.nonzero(ctx.exclusive[a] == k)[0]
-    if not len(pos):
-        raise MalformedInput(f"input {k} not in app {a}'s catalog")
-    j = int(pos[0])
-    r = ctx.ratio[a][j]
-    if r == 0.0:
-        return 0.0
-    x_cur = ctx.current_x[a][ctx.exclusive[a]]
-    hit = ctx.base_hit[a] + float(ctx.exc_p[a] @ x_cur) \
-        - ctx.exc_p[a][j] * x_cur[j] + ctx.exc_p[a][j] * xv
-    g = ctx.bracket(a, hit)
-    if g == -math.inf:
-        raise StabilityViolation("hit rate below the stability threshold")
-    return float(r * g)
 
 
 def solve_inverse_efficiency(ctx: EfficiencyContext, a: int, j: int,

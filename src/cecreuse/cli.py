@@ -4,12 +4,10 @@ Subcommands: solve (one scenario -> report.json + trace.csv), sweep (axis
 sweep -> results CSV), validate-queueing (simulator vs analytic delay grid),
 gradient-check (analytic vs central-difference gradients), generate (write a
 seeded scenario JSON).  Exit codes: 0 success, 1 infeasible or failed
-validation, 2 usage or malformed input.
+validation (for solve: no stable start, or a returned decision that
+violates a constraint), 2 usage or malformed input.
 
-Test hooks (environment): CEC_REUSE_CORRUPT_GRADIENT=1 perturbs the analytic
-gradient so gradient-check must fail; CEC_REUSE_QUEUE_RHO overrides the
-utilization grid of validate-queueing (unstable values are flagged).
-CEC_REUSE_THREADS caps sweep parallelism.
+CEC_REUSE_THREADS sets the number of sweep worker processes.
 """
 from __future__ import annotations
 
@@ -20,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .delay import evaluate_with_rates, gradient_with_rates
+from .delay import evaluate_with_rates, gradient_with_rates, selected_stability
 from .errors import CecReuseError, Infeasible, MalformedInput, UnstableConfig
 from .experiments import (ALGORITHMS, AXES, GeneratorParams, SweepSpec,
                           generate_scenario, run_sweep, save_sweep_csv)
@@ -114,15 +112,20 @@ def cmd_solve(args) -> int:
                      os.path.join(args.output, "trace.csv"))
     print(f"{rep.algorithm}: objective {rep.final_objective:.6f} s "
           f"after {rep.rounds_completed} rounds")
+    if not rep.feasible:
+        print("infeasible: the returned decision violates a constraint",
+              file=sys.stderr)
+        return 1
     return 0
 
 
 def cmd_sweep(args) -> int:
     values_text = args.values or DEFAULT_VALUES[args.axis]
-    if args.axis == "workload":
-        values = tuple(float(v) for v in values_text.split(","))
-    else:
-        values = tuple(int(v) for v in values_text.split(","))
+    parse = float if args.axis == "workload" else int
+    try:
+        values = tuple(parse(v) for v in values_text.split(","))
+    except ValueError as exc:
+        raise MalformedInput(f"bad --values for axis {args.axis}: {exc}") from exc
     algorithms = tuple(a for a in args.algorithm.split(",") if a)
     for a in algorithms:
         if a not in ALGORITHMS:
@@ -140,17 +143,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate_queueing(args) -> int:
-    rho_grid = QUEUE_GRID_RHO
-    override = os.environ.get("CEC_REUSE_QUEUE_RHO")
-    if override:
-        rho_grid = tuple(float(v) for v in override.split(","))
     cpu, wa, ws = 2e9, 1e8, 25e6
     print("p_hr   rho   simulated   analytic    rel_err  status")
     ok = True
     idx = 0
     for hit in QUEUE_GRID_HIT:
         mode = "no_cache" if hit == 0.0 else "with_cache"
-        for rho in rho_grid:
+        for rho in QUEUE_GRID_RHO:
             mean_srv = (wa / cpu if mode == "no_cache"
                         else (ws + (1.0 - hit) * wa) / cpu)
             cfg = QueueSimConfig(arrival_rate=rho / mean_srv, cpu=cpu,
@@ -181,7 +180,7 @@ def _gradient_max_rel_err(seed: int, points: int) -> float:
     flip, or an idle (load, cpu) = (0, 0) pair are skipped: the objective
     is not differentiable (or not evaluable) across those.
     """
-    corrupt = os.environ.get("CEC_REUSE_CORRUPT_GRADIENT") == "1"
+    h = 1e-7
     worst = 0.0
     made = 0
     attempt = 0
@@ -212,26 +211,22 @@ def _gradient_max_rel_err(seed: int, points: int) -> float:
         base = objective(lam, fsh, y)
         grad = gradient_with_rates(scenario, hit.total, hit.neighbor,
                                    lam, fsh, y)
-        if corrupt:
-            grad.dlam[:] *= 1.001
-            grad.dfshare[:] *= 1.001
         made += 1
 
+        # each queue's slack depends on its own (lam, fshare) only, so one
+        # table gives the slack after ten lam steps up (or twenty fshare
+        # steps down) at every coordinate
+        _, slack_lam = selected_stability(scenario, hit.total, lam + 10 * h,
+                                          fsh, y)
+        _, slack_fsh = selected_stability(scenario, hit.total, lam,
+                                          fsh - 20 * h, y)
         rates = scenario.total_rates
-        caps = scenario.compute_capacities
-        wa = scenario.workloads[:, None]
-        srv1 = scenario.search_workload + (1.0 - hit.total)[:, None] * wa
-        srv = np.where(y == 1, srv1, wa)
-        f = fsh * caps[None, :]
-        load = lam * rates[:, None]
-        slack = f - load * srv
 
         for a in range(scenario.num_apps):
             for n in range(scenario.num_stations):
-                h = 1e-7
-                if rates[a] == 0.0 or f[a, n] <= 0.0:
+                if rates[a] == 0.0 or fsh[a, n] <= 0.0:
                     continue
-                if slack[a, n] < 10 * h * rates[a] * srv[a, n]:
+                if slack_lam[a, n] < 0.0:
                     continue
                 mismatch = lam[a, n] * rates[a] - scenario.arrival_rate_matrix[a, n]
                 if abs(mismatch) < 10 * h * rates[a]:
@@ -245,7 +240,7 @@ def _gradient_max_rel_err(seed: int, points: int) -> float:
                 scale = max(abs(fd), abs(grad.dlam[a, n]), 1e-9 * abs(base))
                 worst = max(worst, abs(fd - grad.dlam[a, n]) / scale)
 
-                if slack[a, n] < 10 * h * caps[n] * 2:
+                if slack_fsh[a, n] < 0.0:
                     continue
                 fp = fsh.copy(); fp[a, n] += h
                 fm = fsh.copy(); fm[a, n] -= h

@@ -10,7 +10,9 @@ sojourn.  branch_delays evaluates both in cycle units,
     D1 = srv1/f + load (srv1^2 + (1-P^2) w^2) / (2 f (f - load srv1)),
 
 with srv1 = w^s + (1-P) w^a, which is the same algebra with fewer divisions.
-Every delay in the package, scalar or per (app, station), comes from there.
+Every delay in the package, scalar or per (app, station), comes from there,
+and so does every stability decision: a branch is stable when its slack
+f - load E[S] is positive and, given a margin, load E[S] <= (1 - margin) f.
 """
 from __future__ import annotations
 
@@ -35,9 +37,10 @@ class BranchDelays(NamedTuple):
     """Both branch sojourn times plus the terms the gradient reuses.
 
     ``d0``/``d1`` are the M/M/1 and M/G/1 mean sojourn times (s), 0 where
-    ``ok0``/``ok1`` mark the branch unstable; ``den0``/``den1`` are the
-    stability slacks f - load w (cycles/s), ``srv1`` the mean search-branch
-    cost and ``sq`` its second-moment numerator (cycles^2).
+    ``ok0``/``ok1`` mark the branch unstable or inside the margin;
+    ``den0``/``den1`` are the stability slacks f - load w (cycles/s),
+    ``srv1`` the mean search-branch cost and ``sq`` its second-moment
+    numerator (cycles^2).
     """
 
     d0: np.ndarray
@@ -50,22 +53,31 @@ class BranchDelays(NamedTuple):
     sq: np.ndarray
 
 
-def branch_delays(f, load, wa, ws, hit) -> BranchDelays:
+def branch_delays(f, load, wa, ws, hit, margin: float = 0.0) -> BranchDelays:
     """Both branches at CPU speed f (cycles/s) and arrival rate load (tasks/s).
 
     ``wa`` is the mean workload, ``ws`` the search workload (cycles) and
     ``hit`` the total hit rate; all arguments broadcast, so the same call
     serves one queue and an (app, station) table.  No infinities are stored.
+    A branch is ok when f > 0 and its slack is positive; a positive
+    ``margin`` also demands load E[S] <= (1 - margin) f, utilisation at
+    most 1 - margin (the line search keeps that distance from the boundary).
     """
     fpos = f > 0.0
 
-    den0 = f - load * wa
+    busy0 = load * wa
+    den0 = f - busy0
     ok0 = fpos & (den0 > 0.0)
+    if margin:
+        ok0 &= busy0 <= (1.0 - margin) * f
     d0 = np.divide(wa * np.ones_like(f), den0, out=np.zeros_like(f), where=ok0)
 
     srv1 = ws + (1.0 - hit) * wa
-    den1 = f - load * srv1
+    busy1 = load * srv1
+    den1 = f - busy1
     ok1 = fpos & (den1 > 0.0)
+    if margin:
+        ok1 &= busy1 <= (1.0 - margin) * f
     sq = srv1 * srv1 + (1.0 - hit * hit) * wa * wa
     two_f_den1 = 2.0 * f * den1
     d1 = np.divide(srv1 * np.ones_like(f), f, out=np.zeros_like(f), where=fpos)
@@ -97,38 +109,6 @@ def hit_derivative(load: float, f: float, wa: float, ws: float,
     return -(t1 + t2 + t3 + t4 + t5)
 
 
-def d_delay1_d_phr(lam_frac: float, rate: float, f: float, wa: float,
-                   ws: float, p_hr: float) -> float:
-    """Derivative of the cache-search sojourn time w.r.t. the total hit rate.
-
-    Always <= -wa/f < 0: a better hit rate shortens both the service mixture
-    and the queue in front of it.
-    """
-    d = hit_derivative(lam_frac * rate, f, wa, ws, p_hr)
-    if d == -math.inf:
-        raise StabilityViolation("search branch unstable at this hit rate")
-    return d
-
-
-def service_time_cdf(w: float, p_hr: float, wa: float, ws: float) -> float:
-    """CDF of the per-task computation cost in cycles under cache searching.
-
-    Jumps from 0 to p_hr at w = ws (a hit costs exactly the search), then
-    approaches 1 with the exponential miss tail.
-    """
-    if w < ws:
-        return 0.0
-    return 1.0 - (1.0 - p_hr) * math.exp(-(w - ws) / wa)
-
-
-def choose_cache_search(d0: float, d1: float, p_nhr: float, dt: float) -> int:
-    """1 if searching the cache lowers the processing delay, else 0.
-
-    Either delay may be +inf to mark an unstable branch; ties keep y = 0.
-    """
-    return 1 if d0 > d1 + p_nhr * dt else 0
-
-
 # -- vectorized objective ----------------------------------------------------
 
 
@@ -148,13 +128,33 @@ class EvalResult:
     feasible: bool
 
 
-def _branch_tables(scenario: Scenario, total_hit: np.ndarray,
-                   lam: np.ndarray, fshare: np.ndarray):
+def branch_tables(scenario: Scenario, total_hit: np.ndarray,
+                  lam: np.ndarray, fshare: np.ndarray, margin: float = 0.0):
     """CPU speeds and loads (A, N) followed by their branch_delays fields."""
     f = fshare * scenario.compute_capacities[None, :]
     load = lam * scenario.total_rates[:, None]
     return (f, load, *branch_delays(f, load, scenario.workloads[:, None],
-                                    scenario.search_workload, total_hit[:, None]))
+                                    scenario.search_workload, total_hit[:, None],
+                                    margin))
+
+
+def _stable(y, f, load, ok0, ok1) -> np.ndarray:
+    """Where the branch y selects is ok, or the queue is idle (no load, no CPU)."""
+    return np.where(y == 1, ok1, ok0) | ((load == 0.0) & (f == 0.0))
+
+
+def selected_stability(scenario: Scenario, total_hit: np.ndarray,
+                       lam: np.ndarray, fshare: np.ndarray, y: np.ndarray,
+                       margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(stable, slack) per (app, station) for the service branch y selects.
+
+    ``stable`` is the test evaluate_with_rates applies at ``margin``;
+    ``slack`` is f - load E[S] of the selected branch (cycles/s), negative
+    on an overloaded queue.
+    """
+    f, load, _, ok0, _, ok1, den0, den1, *_ = branch_tables(
+        scenario, total_hit, lam, fshare, margin)
+    return _stable(y, f, load, ok0, ok1), np.where(y == 1, den1, den0)
 
 
 def recompute_search_flags(scenario: Scenario, total_hit: np.ndarray,
@@ -164,7 +164,7 @@ def recompute_search_flags(scenario: Scenario, total_hit: np.ndarray,
 
     An unstable branch counts as infinitely slow; ties keep y = 0.
     """
-    _, _, d0, ok0, d1, ok1, *_ = _branch_tables(scenario, total_hit, lam, fshare)
+    _, _, d0, ok0, d1, ok1, *_ = branch_tables(scenario, total_hit, lam, fshare)
     dt = scenario.transfer_delays[None, :]
     cand0 = np.where(ok0, d0, np.inf)
     cand1 = np.where(ok1, d1 + neighbor_hit * dt, np.inf)
@@ -173,21 +173,23 @@ def recompute_search_flags(scenario: Scenario, total_hit: np.ndarray,
 
 def evaluate_with_rates(scenario: Scenario, total_hit: np.ndarray,
                         neighbor_hit: np.ndarray, lam: np.ndarray,
-                        fshare: np.ndarray,
-                        y: np.ndarray | None = None) -> EvalResult:
-    """Weighted objective from precomputed hit rates; y recomputed if None."""
+                        fshare: np.ndarray, y: np.ndarray | None = None,
+                        margin: float = 0.0) -> EvalResult:
+    """Weighted objective from precomputed hit rates; y recomputed if None.
+
+    A point whose selected branches are not stable at ``margin`` evaluates
+    as infeasible.
+    """
     if y is None:
         y = recompute_search_flags(scenario, total_hit, neighbor_hit, lam, fshare)
-    f, load, d0, ok0, d1, ok1, *_ = _branch_tables(scenario, total_hit, lam, fshare)
+    f, load, d0, ok0, d1, ok1, *_ = branch_tables(scenario, total_hit, lam,
+                                                  fshare, margin)
     dt = scenario.transfer_delays[None, :]
-    ysel = y == 1
-
-    idle = (load == 0.0) & (f == 0.0)
-    ok_selected = np.where(ysel, ok1, ok0)
-    if not np.all(ok_selected | idle):
+    if not np.all(_stable(y, f, load, ok0, ok1)):
         return EvalResult(None, None, None, y, False)
 
-    station_delays = np.where(ysel, d1 + neighbor_hit * dt, d0)
+    idle = (load == 0.0) & (f == 0.0)
+    station_delays = np.where(y == 1, d1 + neighbor_hit * dt, d0)
     station_delays = np.where(idle, 0.0, station_delays)
 
     rates = scenario.total_rates
@@ -211,39 +213,6 @@ def evaluate_objective(scenario: Scenario, cache: CacheAssignment,
                                sched.fshare, y=frozen_y)
 
 
-def weighted_objective(scenario: Scenario, cache: CacheAssignment,
-                       sched: SchedulingState,
-                       frozen_y: np.ndarray | None = None) -> float:
-    """Weighted mean response time over all apps; raises when unstable."""
-    res = evaluate_objective(scenario, cache, sched, frozen_y=frozen_y)
-    if not res.feasible:
-        raise StabilityViolation("some station carries load without a stable branch")
-    return res.objective
-
-
-def processing_delay(scenario: Scenario, cache: CacheAssignment,
-                     sched: SchedulingState, a: int, n: int) -> float:
-    """Mean processing delay of app a at station n under sched.y."""
-    rates = compute_hit_rates(scenario, cache)
-    res = evaluate_with_rates(scenario, rates.total, rates.neighbor,
-                              sched.lam, sched.fshare, y=sched.y)
-    if not res.feasible:
-        raise StabilityViolation(f"unstable branch selected at app {a}, station {n}")
-    return float(res.station_delays[a, n])
-
-
-def response_time(scenario: Scenario, sched: SchedulingState, a: int,
-                  station_delays: np.ndarray) -> float:
-    """App response time: routed processing delays plus transfer imbalance."""
-    rate = float(scenario.total_rates[a])
-    if rate == 0.0:
-        return 0.0
-    lam = sched.lam[a]
-    arr = scenario.arrival_rate_matrix[a]
-    dt = scenario.transfer_delays
-    return float(lam @ station_delays + np.abs(lam * rate - arr) @ dt / rate)
-
-
 # -- analytic gradient -------------------------------------------------------
 
 
@@ -257,17 +226,15 @@ def gradient_with_rates(scenario: Scenario, total_hit: np.ndarray,
                         neighbor_hit: np.ndarray, lam: np.ndarray,
                         fshare: np.ndarray, y: np.ndarray) -> ObjectiveGradient:
     """Exact partials of the y-frozen objective w.r.t. lam and fshare."""
-    f, load, d0, ok0, d1, ok1, den0, den1, srv1, sq = _branch_tables(
+    f, load, d0, ok0, d1, ok1, den0, den1, srv1, sq = branch_tables(
         scenario, total_hit, lam, fshare)
     wa = scenario.workloads[:, None]
     dt = scenario.transfer_delays[None, :]
     phi = scenario.weights[:, None]
-    ysel = y == 1
-
-    idle = (load == 0.0) & (f == 0.0)
-    ok_selected = np.where(ysel, ok1, ok0)
-    if not np.all(ok_selected | idle):
+    if not np.all(_stable(y, f, load, ok0, ok1)):
         raise StabilityViolation("gradient requested at an unstable point")
+    ysel = y == 1
+    idle = (load == 0.0) & (f == 0.0)
 
     # d(lam * D)/dlam per branch; load = lam * R throughout
     g0 = d0 + np.divide(load * wa * wa, den0 * den0,
@@ -294,11 +261,3 @@ def gradient_with_rates(scenario: Scenario, total_hit: np.ndarray,
     dlam = np.where(quiet[:, None], 0.0, dlam)
     dfshare = np.where(quiet[:, None], 0.0, dfshare)
     return ObjectiveGradient(dlam=dlam, dfshare=dfshare)
-
-
-def objective_gradient(scenario: Scenario, cache: CacheAssignment,
-                       sched: SchedulingState,
-                       frozen_y: np.ndarray) -> ObjectiveGradient:
-    rates = compute_hit_rates(scenario, cache)
-    return gradient_with_rates(scenario, rates.total, rates.neighbor,
-                               sched.lam, sched.fshare, frozen_y)

@@ -209,7 +209,7 @@ def _solve_cell(args) -> dict:
         return row
     row["total_delay_s"] = rep_.final_objective
     row["avg_delay_s"] = rep_.final_objective / scenario.num_stations
-    row["feasible"] = True
+    row["feasible"] = rep_.feasible
     row["rounds"] = rep_.rounds_completed
     row["wall_time_s"] = rep_.wall_time_s
     return row
@@ -219,7 +219,8 @@ def run_sweep(spec: SweepSpec, params: GeneratorParams) -> list[dict]:
     """All cells of a sweep, ordered by (value, repetition, algorithm).
 
     Infeasible cells come back tagged (feasible False, empty delays) rather
-    than failing the sweep.  CEC_REUSE_THREADS > 1 runs cells in worker
+    than failing the sweep; a solve whose decision fails model.validate
+    keeps its delays with feasible False.  CEC_REUSE_THREADS > 1 runs cells in worker
     processes; the row order does not depend on it.
     """
     if not spec.values:
@@ -228,7 +229,11 @@ def run_sweep(spec: SweepSpec, params: GeneratorParams) -> list[dict]:
              for value in spec.values
              for rep in range(spec.repetitions)
              for alg in spec.algorithms]
-    workers = int(os.environ.get("CEC_REUSE_THREADS", "1"))
+    threads = os.environ.get("CEC_REUSE_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError as exc:
+        raise MalformedInput(f"CEC_REUSE_THREADS={threads!r} is not an integer") from exc
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_solve_cell, cells))

@@ -177,11 +177,6 @@ class Scenario:
         return len(self.apps[a].typical_inputs)
 
 
-def total_arrival_rate(scenario: Scenario, a: int) -> float:
-    """Network-wide arrival rate of app a (tasks/s)."""
-    return float(scenario.total_rates[a])
-
-
 # -- decision containers ---------------------------------------------------
 
 
@@ -313,6 +308,14 @@ def storage_used(scenario: Scenario, cache: CacheAssignment, n: int) -> float:
 
 @dataclass(frozen=True)
 class Violation:
+    """One violated constraint; ``magnitude`` is in the constraint's units.
+
+    range: the offending value (for cache rows, its largest |x - 0.5|);
+    storage: bytes over capacity; workload_sum/cpu_sum: the row or column
+    sum minus 1; stability: load E[S] - f of the selected service branch,
+    the cycles/s by which the queue is overloaded (0 on the boundary).
+    """
+
     constraint: str          # storage | workload_sum | cpu_sum | stability | range
     app: int | None
     station: int | None
@@ -325,7 +328,7 @@ def validate(scenario: Scenario, cache: CacheAssignment,
 
     Checks storage capacities, the two simplex equalities, variable ranges,
     binary flags, and strict queue stability of the selected service branch
-    wherever a station carries traffic.
+    at every queue that is not idle, by the test the objective applies.
     """
     out: list[Violation] = []
     A, N = scenario.num_apps, scenario.num_stations
@@ -363,24 +366,12 @@ def validate(scenario: Scenario, cache: CacheAssignment,
         if abs(col_sums[n] - 1.0) > EQUALITY_TOL:
             out.append(Violation("cpu_sum", None, n, float(col_sums[n] - 1.0)))
 
-    rates = compute_hit_rates(scenario, cache)
-    f = sched.cpu_speeds(scenario)
-    for a in range(A):
-        wa = scenario.workloads[a]
-        ws = scenario.search_workload
-        for n in range(N):
-            load = sched.lam[a, n] * scenario.total_rates[a]
-            if load <= 0.0:
-                continue
-            if f[a, n] <= 0.0:
-                out.append(Violation("stability", a, n, load))
-                continue
-            if sched.y[a, n]:
-                mu = f[a, n] / (ws + (1.0 - rates.total[a]) * wa)
-            else:
-                mu = f[a, n] / wa
-            if not load < mu:
-                out.append(Violation("stability", a, n, load - mu))
+    from .delay import selected_stability  # delay imports this module
+    stable, slack = selected_stability(scenario,
+                                       compute_hit_rates(scenario, cache).total,
+                                       sched.lam, sched.fshare, sched.y)
+    for a, n in zip(*np.nonzero(~stable)):
+        out.append(Violation("stability", int(a), int(n), float(-slack[a, n])))
     return out
 
 

@@ -6,13 +6,15 @@ cache searching the service is an exponential workload over the CPU speed
 and with probability P_hr skips computation entirely (M/G/1 with an atom at
 w^s / f).  Waits follow the Lindley recursion; the mean sojourn over the
 post-warmup tasks carries a batch-means 95% confidence interval.  The
-analytic means come from delay.branch_delays, the formula the solver uses.
+analytic means and the stability check come from delay.branch_delays, the
+formula the solver uses.
 
 RNG: numpy PCG64 seeded through SeedSequence, exponentials via inverse CDF,
 draws in the fixed order interarrivals, hit indicators, workloads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +45,6 @@ class SimResult:
     mean_sojourn: float
     half_width_95: float
     tasks_counted: int
-
-
-def _mean_service(cfg: QueueSimConfig) -> float:
-    if cfg.mode == "no_cache":
-        return cfg.app_workload / cfg.cpu
-    return (cfg.search_workload
-            + (1.0 - cfg.hit_rate) * cfg.app_workload) / cfg.cpu
 
 
 def _draw_services(cfg: QueueSimConfig, rng: np.random.Generator,
@@ -91,15 +86,19 @@ def simulate(cfg: QueueSimConfig) -> SimResult:
         raise MalformedInput(f"unknown mode {cfg.mode!r}")
     if not 0.0 <= cfg.hit_rate <= 1.0:
         raise MalformedInput("hit rate outside [0, 1]")
-    if cfg.cpu <= 0.0 or cfg.app_workload <= 0.0 or cfg.search_workload < 0.0:
-        raise MalformedInput("cpu and workloads must be positive")
+    # written so that NaN fails every check
+    if not (0.0 <= cfg.arrival_rate < math.inf and 0.0 < cfg.cpu < math.inf
+            and 0.0 < cfg.app_workload < math.inf
+            and 0.0 <= cfg.search_workload < math.inf):
+        raise MalformedInput("arrival rate, cpu and workloads must be finite; "
+                             "cpu and app workload positive, the rest nonnegative")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.rng_seed)))
 
     if cfg.arrival_rate == 0.0:
         service = float(_draw_services(cfg, rng, 1)[0])
         return SimResult(mean_sojourn=service, half_width_95=0.0, tasks_counted=1)
 
-    if cfg.arrival_rate * _mean_service(cfg) >= 1.0:
+    if not _branch(cfg)[0]:
         raise UnstableConfig("utilization at or above 1")
     warmup = cfg.num_tasks // 10 if cfg.warmup_tasks is None else cfg.warmup_tasks
     if not 0 <= warmup < cfg.num_tasks:
@@ -124,19 +123,17 @@ def simulate(cfg: QueueSimConfig) -> SimResult:
                      tasks_counted=int(counted.size))
 
 
-def analytic_mean(cfg: QueueSimConfig) -> float:
-    """Closed-form mean sojourn for the configured branch."""
+def _branch(cfg: QueueSimConfig) -> tuple[bool, float]:
+    """(stable, analytic mean sojourn) of the configured branch."""
     b = branch_delays(cfg.cpu, cfg.arrival_rate, cfg.app_workload,
                       cfg.search_workload, cfg.hit_rate)
-    ok, delay = (b.ok0, b.d0) if cfg.mode == "no_cache" else (b.ok1, b.d1)
+    return (b.ok0, b.d0) if cfg.mode == "no_cache" else (b.ok1, b.d1)
+
+
+def analytic_mean(cfg: QueueSimConfig) -> float:
+    """Closed-form mean sojourn for the configured branch."""
+    ok, delay = _branch(cfg)
     if not ok:
         raise StabilityViolation(
             f"load {cfg.arrival_rate} at or above the {cfg.mode} service rate")
     return float(delay)
-
-
-def compare_to_analytic(cfg: QueueSimConfig) -> float:
-    """|simulated mean - analytic mean| / analytic mean."""
-    analytic = analytic_mean(cfg)
-    sim = simulate(cfg)
-    return abs(sim.mean_sojourn - analytic) / analytic

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay import (evaluate_with_rates, gradient_with_rates,
-                    recompute_search_flags)
+from .delay import (branch_tables, evaluate_with_rates, gradient_with_rates,
+                    recompute_search_flags, selected_stability)
 from .errors import EmptyVector, Infeasible, LineSearchExhausted, StabilityViolation
 from .model import (CacheAssignment, Scenario, SchedulingState,
                     compute_hit_rates)
@@ -58,34 +58,20 @@ def project_decisions(lam: np.ndarray, fshare: np.ndarray
     return lam_p, fsh_p
 
 
-def stability_margin_ok(scenario: Scenario, total_hit: np.ndarray,
-                        lam: np.ndarray, fshare: np.ndarray,
-                        y: np.ndarray, delta: float) -> bool:
-    """True when every selected queue satisfies load * E[S] <= (1-delta) f."""
-    f = fshare * scenario.compute_capacities[None, :]
-    load = lam * scenario.total_rates[:, None]
-    wa = scenario.workloads[:, None]
-    srv1 = scenario.search_workload + (1.0 - total_hit)[:, None] * wa
-    srv = np.where(y == 1, srv1, wa)
-    return bool(np.all(load * srv <= (1.0 - delta) * f))
-
-
-def backtrack(objective_fn, margin_fn, point: tuple[np.ndarray, np.ndarray],
+def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
               direction: tuple[np.ndarray, np.ndarray], base_obj: float,
               grad_dot_dir: float, params: PgdParams
               ) -> tuple[int, np.ndarray, np.ndarray, float]:
     """Smallest j whose step beta^j meets the decrease and margin tests.
 
     Returns (j, lam, fshare, objective) of the accepted point.  objective_fn
-    must return None on unstable points; margin_fn gates the stability
-    margin before any evaluation.
+    must return None on points that are unstable or inside the stability
+    margin.
     """
     for j in range(params.j_max + 1):
         step = params.beta ** j
         lam = point[0] + step * direction[0]
         fsh = point[1] + step * direction[1]
-        if not margin_fn(lam, fsh):
-            continue
         obj = objective_fn(lam, fsh)
         if obj is None:
             continue
@@ -136,16 +122,12 @@ def solve_scheduling(scenario: Scenario, cache: CacheAssignment,
 
         def objective_fn(lam, fsh):
             out = evaluate_with_rates(scenario, hit.total, hit.neighbor,
-                                      lam, fsh, y=y)
+                                      lam, fsh, y=y, margin=params.delta_stab)
             return out.objective if out.feasible else None
-
-        def margin_fn(lam, fsh):
-            return stability_margin_ok(scenario, hit.total, lam, fsh, y,
-                                       params.delta_stab)
 
         try:
             j, new_lam, new_fsh, new_obj = backtrack(
-                objective_fn, margin_fn, (sched.lam, sched.fshare),
+                objective_fn, (sched.lam, sched.fshare),
                 (d_lam, d_fsh), res.objective, grad_dot, params)
         except LineSearchExhausted:
             trace.append((i, res.objective, params.j_max + 1))
@@ -172,13 +154,13 @@ def initial_feasible_point(scenario: Scenario,
     A, N = scenario.num_apps, scenario.num_stations
     caps = scenario.compute_capacities
     rates = scenario.total_rates
-    wa = scenario.workloads[:, None]
-    srv1 = scenario.search_workload + (1.0 - hit.total)[:, None] * wa
-    srv_best = np.minimum(wa * np.ones((A, N)), srv1)
     delta = PgdParams().delta_stab
 
     lam = np.tile(caps / caps.sum(), (A, 1))
     fshare = np.full((A, N), 1.0 / A)
+    wa = scenario.workloads[:, None]
+    *_, srv1, _ = branch_tables(scenario, hit.total, lam, fshare)
+    srv_best = np.minimum(wa * np.ones((A, N)), srv1)
     for _attempt in range(4):
         f = fshare * caps[None, :]
         cap_load = (1.0 - delta) * f / srv_best
@@ -214,9 +196,10 @@ def initial_feasible_point(scenario: Scenario,
                           1.0 / A)
         fshare = fshare / fshare.sum(axis=0, keepdims=True)
 
-    f = fshare * caps[None, :]
-    load = lam * rates[:, None]
-    if not np.all(load * srv_best <= (1.0 - delta) * f):
+    cheaper = np.broadcast_to(srv1 < wa, (A, N)).astype(np.int8)
+    stable, _ = selected_stability(scenario, hit.total, lam, fshare, cheaper,
+                                   delta)
+    if not stable.all():
         raise Infeasible("no stable routing found for the given capacities")
     y = recompute_search_flags(scenario, hit.total, hit.neighbor, lam, fshare)
     return SchedulingState(lam=lam, fshare=fshare, y=y)

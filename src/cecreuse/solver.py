@@ -19,7 +19,7 @@ from .caching import LEVEL_ACCURACY, sweep_all_stations
 from .delay import evaluate_objective
 from .errors import Infeasible
 from .model import (Application, BaseStation, CacheAssignment, Scenario,
-                    SchedulingState)
+                    SchedulingState, validate)
 from .scheduling import PgdParams, initial_feasible_point, solve_scheduling
 
 # relative per-round improvement below which alternation stops
@@ -30,7 +30,11 @@ TraceRow = tuple[int, str, int, float]
 
 @dataclass
 class SolveReport:
-    """Everything a solve produced, JSON round-trippable."""
+    """Everything a solve produced, JSON round-trippable.
+
+    ``feasible`` says whether the returned decision passes model.validate
+    (for NoC, whether every per-station decision does).
+    """
     algorithm: str
     objective_trace: list[TraceRow]
     cache: CacheAssignment | None
@@ -38,7 +42,7 @@ class SolveReport:
     final_objective: float | None
     rounds_completed: int
     wall_time_s: float
-    feasible: bool = True
+    feasible: bool
 
     def to_dict(self) -> dict:
         d = {
@@ -128,7 +132,8 @@ def solve_greedy(scenario: Scenario) -> SolveReport:
                        objective_trace=[(0, "init", 0, obj)],
                        cache=cache, sched=sched, final_objective=obj,
                        rounds_completed=0,
-                       wall_time_s=time.perf_counter() - t0)
+                       wall_time_s=time.perf_counter() - t0,
+                       feasible=not validate(scenario, cache, sched))
 
 
 def alternating_solve(scenario: Scenario, rounds: int = 10,
@@ -160,7 +165,8 @@ def alternating_solve(scenario: Scenario, rounds: int = 10,
     return SolveReport(algorithm="proposed", objective_trace=trace,
                        cache=cache, sched=sched, final_objective=trace[-1][3],
                        rounds_completed=rounds_completed,
-                       wall_time_s=time.perf_counter() - t0)
+                       wall_time_s=time.perf_counter() - t0,
+                       feasible=not validate(scenario, cache, sched))
 
 
 def solve_nor(scenario: Scenario, rounds: int = 10, caching_iters: int = 10,
@@ -183,7 +189,8 @@ def solve_nor(scenario: Scenario, rounds: int = 10, caching_iters: int = 10,
     return SolveReport(algorithm="nor", objective_trace=trace, cache=cache,
                        sched=sched, final_objective=trace[-1][3],
                        rounds_completed=1,
-                       wall_time_s=time.perf_counter() - t0)
+                       wall_time_s=time.perf_counter() - t0,
+                       feasible=not validate(scenario, cache, sched))
 
 
 def _single_station_scenario(scenario: Scenario, n: int,
@@ -234,6 +241,7 @@ def solve_noc(scenario: Scenario, rounds: int = 10, caching_iters: int = 10,
     init_sum = 0.0
     final_sum = 0.0
     rounds_completed = 0
+    feasible = True
     for n in range(N):
         kept = [a for a in range(A) if rates[a, n] > 0.0]
         if not kept:
@@ -244,6 +252,7 @@ def solve_noc(scenario: Scenario, rounds: int = 10, caching_iters: int = 10,
         init_sum += rep.objective_trace[0][3]
         final_sum += rep.final_objective
         rounds_completed = max(rounds_completed, rep.rounds_completed)
+        feasible = feasible and rep.feasible
         for idx, a in enumerate(kept):
             cache.entries[a][n] = rep.cache.entries[idx][0]
             fshare[a, n] = rep.sched.fshare[idx, 0]
@@ -259,4 +268,5 @@ def solve_noc(scenario: Scenario, rounds: int = 10, caching_iters: int = 10,
     return SolveReport(algorithm="noc", objective_trace=trace, cache=cache,
                        sched=sched, final_objective=final_sum,
                        rounds_completed=rounds_completed,
-                       wall_time_s=time.perf_counter() - t0)
+                       wall_time_s=time.perf_counter() - t0,
+                       feasible=feasible)

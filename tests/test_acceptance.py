@@ -39,7 +39,7 @@ from cecreuse import (
 )
 from cecreuse import cli
 from cecreuse.caching import LEVEL_ACCURACY, _rows_storage, g_of_B, relaxed_objective
-from cecreuse.delay import branch_delays, d_delay1_d_phr
+from cecreuse.delay import branch_delays, hit_derivative
 
 ALGS = ("proposed", "nor", "greedy", "noc")
 
@@ -113,7 +113,7 @@ def test_criterion_2_gradient_matches_finite_differences():
         # worst-case search-branch service rate in the stencil
         mu_lo = f / (ws + (1.0 - (p - h)) * wa)
         load = rng.uniform(0.1, 0.85) * mu_lo
-        got = d_delay1_d_phr(1.0, load, f, wa, ws, p)
+        got = hit_derivative(load, f, wa, ws, p)
 
         def d1(ph):
             return float(branch_delays(f, load, wa, ws, ph).d1)

@@ -6,8 +6,8 @@ from cecreuse import (BracketError, CacheAssignment, DegenerateInput,
                       EfficiencyContext, MalformedInput, SchedulingState,
                       StabilityViolation, TooLarge, brute_force_cache_oracle,
                       efficiencies_at_solution, evaluate_objective, g_of_B,
-                      partition_inputs, round_to_binary, solve_caching_bs,
-                      solve_inverse_efficiency, storage_efficiency, storage_used,
+                      round_to_binary, solve_caching_bs,
+                      solve_inverse_efficiency, storage_used,
                       sweep_all_stations, theorem3_ratio)
 from cecreuse.caching import LEVEL_ACCURACY
 
@@ -36,31 +36,45 @@ def knapsack_scenario(seed=7, num_items=12, search_workload=1e4):
 # -- partition ----------------------------------------------------------------
 
 
+def partition(sc, cache, station):
+    """(exclusive, replicated) inputs of app 0 as the caching context sees them."""
+    ctx = EfficiencyContext(sc, cache, uniform_state(sc), station)
+    return ctx.exclusive[0], ctx.replicated[0]
+
+
 def test_partition_single_station():
     sc = build_scenario((2e9,), (4e9,), (0.02,), ((2.0,),),
                         [(1.0, 4e8, [(0.2, 1e5), (0.1, 1e5)])])
-    (exc, rep), = partition_inputs(sc, CacheAssignment.zeros(sc), 0)
+    exc, rep = partition(sc, CacheAssignment.zeros(sc), 0)
     assert rep.size == 0 and sorted(exc.tolist()) == [0, 1]
 
 
 def test_partition_two_stations(two_station_one_app):
     sc = two_station_one_app
     cache = CacheAssignment([np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])])
-    (exc, rep), = partition_inputs(sc, cache, 0)
+    exc, rep = partition(sc, cache, 0)
     assert rep.tolist() == [1] and sorted(exc.tolist()) == [0, 2]
     full = CacheAssignment([np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])])
-    (exc, rep), = partition_inputs(sc, full, 0)
+    exc, rep = partition(sc, full, 0)
     assert exc.size == 0 and sorted(rep.tolist()) == [0, 1, 2]
 
 
 # -- pointwise efficiency ------------------------------------------------------
 
 
+def storage_efficiency(ctx, cache, a, k, xv):
+    """eps of input k of app a with the station's other entries as cached."""
+    rows = [x[ctx.station].copy() for x in cache.entries]
+    rows[a][k] = xv
+    return float(efficiencies_at_solution(ctx, rows)[a][k])
+
+
 def test_storage_efficiency_zero_without_search(two_station_one_app):
     sc = two_station_one_app
-    ctx = EfficiencyContext(sc, CacheAssignment.zeros(sc), uniform_state(sc, y=0), 0)
+    cache = CacheAssignment.zeros(sc)
+    ctx = EfficiencyContext(sc, cache, uniform_state(sc, y=0), 0)
     for k in range(3):
-        assert storage_efficiency(ctx, 0, k, 0.0) == 0.0
+        assert storage_efficiency(ctx, cache, 0, k, 0.0) == 0.0
 
 
 def test_storage_efficiency_replicated_constant():
@@ -69,19 +83,19 @@ def test_storage_efficiency_replicated_constant():
                         [(1.0, 4e8, [(2e-5, 1e5)])])
     cache = CacheAssignment([np.array([[0.0], [1.0]])])
     ctx = EfficiencyContext(sc, cache, single_y1_sched(1, 2), 0)
-    got = storage_efficiency(ctx, 0, 0, 0.0)
+    got = storage_efficiency(ctx, cache, 0, 0, 0.0)
     assert got == pytest.approx(-2e-12, rel=1e-12)
     # constant in x
-    assert storage_efficiency(ctx, 0, 0, 0.7) == got
+    assert storage_efficiency(ctx, cache, 0, 0, 0.7) == got
 
 
 def test_storage_efficiency_ordered_by_density():
     sc = build_scenario((2e9,), (4e9,), (0.02,), ((2.0,),),
                         [(1.0, 4e8, [(0.1, 1e5), (0.3, 1e5), (0.2, 1e5)])],
                         search_workload=1e4)
-    ctx = EfficiencyContext(sc, CacheAssignment.zeros(sc),
-                            single_y1_sched(1, 1), 0)
-    effs = [storage_efficiency(ctx, 0, k, 0.0) for k in range(3)]
+    cache = CacheAssignment.zeros(sc)
+    ctx = EfficiencyContext(sc, cache, single_y1_sched(1, 1), 0)
+    effs = [storage_efficiency(ctx, cache, 0, k, 0.0) for k in range(3)]
     assert effs[1] < effs[2] < effs[0] < 0.0
 
 
@@ -105,7 +119,7 @@ def test_storage_efficiency_monotone_in_x_grid():
         grid = np.linspace(0.0, 1.0, 1001)
         for a in range(2):
             for k in ctx.exclusive[a]:
-                vals = np.array([storage_efficiency(ctx, a, int(k), float(g))
+                vals = np.array([storage_efficiency(ctx, cache, a, int(k), float(g))
                                  for g in grid])
                 assert (np.diff(vals) >= -1e-15).all()
 

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from cecreuse import cli, load_scenario, save_scenario
+from cecreuse import cli, load_scenario, save_scenario, solver
+from cecreuse.delay import gradient_with_rates
+from cecreuse.model import Violation
 
 from conftest import (NON_FINITE_FIELDS, NON_FINITE_IDS, build_scenario,
                       mutated_document)
@@ -89,6 +91,17 @@ def test_solve_rejects_non_finite_config(tmp_path, capsys, two_station_one_app,
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_solve_exits_1_when_decision_violates_constraints(tmp_path, scenario_json,
+                                                          monkeypatch, capsys):
+    monkeypatch.setattr(solver, "validate",
+                        lambda *a: [Violation("stability", 0, 0, 1.0)])
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", str(scenario_json),
+                     "--output", str(out), "--algorithm", "greedy"]) == 1
+    assert read_report(out)["feasible"] is False
+    assert "infeasible" in capsys.readouterr().err
+
+
 def test_solve_infeasible_scenario(tmp_path, capsys):
     sc = build_scenario((2e9,), (4e9,), (0.02,), ((20.0,),),
                         [(1.0, 4e8, [(0.2, 1e5)])])
@@ -122,15 +135,29 @@ def test_sweep_rejects_unknown_algorithm(tmp_path):
                      "--output", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("axis,values,threads", [
+    ("workload", "abc", "1"),
+    ("stations", "2.5", "1"),
+    ("workload", "0.5", "two"),
+], ids=["workload=abc", "stations=2.5", "threads=two"])
+def test_sweep_rejects_bad_input(tmp_path, monkeypatch, capsys, axis, values,
+                                 threads):
+    monkeypatch.setenv("CEC_REUSE_THREADS", threads)
+    assert cli.main(["sweep", "--axis", axis, "--values", values,
+                     "--reps", "1", "--algorithm", "greedy",
+                     "--output", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_validate_queueing_shrunk_grid(monkeypatch, capsys):
-    monkeypatch.setenv("CEC_REUSE_QUEUE_RHO", "0.3")
+    monkeypatch.setattr(cli, "QUEUE_GRID_RHO", (0.3,))
     monkeypatch.setattr(cli, "QUEUE_TASKS", 200_000)
     assert cli.main(["validate-queueing", "--seed", "42"]) == 0
     assert "PASS" in capsys.readouterr().out
 
 
 def test_validate_queueing_flags_unstable(monkeypatch, capsys):
-    monkeypatch.setenv("CEC_REUSE_QUEUE_RHO", "0.3,1.5")
+    monkeypatch.setattr(cli, "QUEUE_GRID_RHO", (0.3, 1.5))
     monkeypatch.setattr(cli, "QUEUE_TASKS", 200_000)
     assert cli.main(["validate-queueing", "--seed", "42"]) == 1
     assert "UNSTABLE" in capsys.readouterr().out
@@ -144,6 +171,13 @@ def test_gradient_check_passes(monkeypatch, capsys):
 
 def test_gradient_check_detects_corruption(monkeypatch, capsys):
     monkeypatch.setattr(cli, "GRADIENT_POINTS", 20)
-    monkeypatch.setenv("CEC_REUSE_CORRUPT_GRADIENT", "1")
+
+    def corrupted(*args):
+        grad = gradient_with_rates(*args)
+        grad.dlam[:] *= 1.001
+        grad.dfshare[:] *= 1.001
+        return grad
+
+    monkeypatch.setattr(cli, "gradient_with_rates", corrupted)
     assert cli.main(["gradient-check", "--seed", "42"]) == 1
     assert "FAIL" in capsys.readouterr().out

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from cecreuse import (CacheAssignment, EfficiencyContext, QueueSimConfig,
-                      SchedulingState, StabilityViolation, analytic_mean,
-                      branch_delays, choose_cache_search, compute_hit_rates,
-                      d_delay1_d_phr, evaluate_objective, objective_gradient,
-                      processing_delay, recompute_search_flags, response_time,
-                      service_time_cdf, weighted_objective)
-from cecreuse.delay import evaluate_with_rates, gradient_with_rates, hit_derivative
+from cecreuse import (CacheAssignment, EfficiencyContext, PgdParams,
+                      QueueSimConfig, SchedulingState, StabilityViolation,
+                      analytic_mean,
+                      branch_delays, compute_hit_rates, evaluate_objective,
+                      recompute_search_flags, validate)
+from cecreuse.delay import (evaluate_with_rates, gradient_with_rates,
+                            hit_derivative, selected_stability)
+from cecreuse.queuesim import _draw_services
 
 from conftest import build_scenario, full_cache, uniform_state
 
@@ -121,20 +122,48 @@ def test_service_rate_identity():
 
 
 def test_service_time_cdf():
-    assert service_time_cdf(2.5e7, 0.3, 1e8, 2.5e7) == pytest.approx(0.3)
-    assert service_time_cdf(1e12, 0.3, 1e8, 2.5e7) == pytest.approx(1.0)
-    assert service_time_cdf(1e7, 0.3, 1e8, 2.5e7) == 0.0
-    assert service_time_cdf(2.5e7 + 1e8, 0.0, 1e8, 2.5e7) == pytest.approx(
-        1.0 - math.exp(-1.0))
+    # the simulator's per-task cost (cpu = 1 cycle/s, so seconds are cycles)
+    # against its closed form: an atom of mass P_hr at ws, then the
+    # exponential miss tail; without searching a plain exponential
+    wa, ws, n = 1e8, 2.5e7, 100_000
+
+    def cdf(w, p_hr, mode):
+        if mode == "no_cache":
+            return 1.0 - math.exp(-w / wa)
+        return 0.0 if w < ws else 1.0 - (1.0 - p_hr) * math.exp(-(w - ws) / wa)
+
+    for p_hr, mode in ((0.3, "with_cache"), (0.0, "with_cache"), (0.0, "no_cache")):
+        cfg = QueueSimConfig(arrival_rate=1.0, cpu=1.0, app_workload=wa,
+                             search_workload=ws, hit_rate=p_hr, mode=mode,
+                             num_tasks=n)
+        cost = _draw_services(cfg, np.random.Generator(np.random.PCG64(9)), n)
+        for w in (1e7, ws, ws + 1e7, ws + wa, ws + 3 * wa, 1e12):
+            assert np.mean(cost <= w) == pytest.approx(cdf(w, p_hr, mode), abs=0.01)
+    assert cdf(ws, 0.3, "with_cache") == pytest.approx(0.3)
+    assert cdf(1e7, 0.3, "with_cache") == 0.0
+
+
+def search_flag(f, load, hit, neighbor, ws=2.5e7, dt=0.02):
+    """recompute_search_flags on one queue: f cycles/s, load tasks/s, wa=1e8."""
+    sc = build_scenario((f,), (1e9,), (dt,), ((load,),),
+                        [(1.0, 1e8, [(hit, 1e5)])], search_workload=ws)
+    y = recompute_search_flags(sc, np.array([hit]), np.array([[neighbor]]),
+                               np.ones((1, 1)), np.ones((1, 1)))
+    return int(y[0, 0])
 
 
 def test_choose_cache_search_rule():
-    assert choose_cache_search(0.5, 0.3, 0.4, 0.02) == 1
-    assert choose_cache_search(math.inf, 0.3, 0.4, 0.02) == 1
-    assert choose_cache_search(0.3, 0.3, 0.0, 0.02) == 0  # tie keeps y = 0
+    assert search_flag(1e9, 3.0, 0.5, 0.0) == 1
+    # a remote-hit transfer of 0.4 s outweighs the faster search branch
+    assert search_flag(1e9, 3.0, 0.5, 0.4, dt=1.0) == 0
+    # load 12/s overloads the no-search branch (mu0 = 10/s) but not search
+    assert search_flag(1e9, 12.0, 0.5, 0.4, dt=1.0) == 1
+    # ws = 0, no hits, empty queue: both branches take wa/f; tie keeps y = 0
+    b = branch_delays(1e9, 0.0, 1e8, 0.0, 0.0)
+    assert b.d0 == b.d1
+    assert search_flag(1e9, 0.0, 0.0, 0.0, ws=0.0) == 0
     # zero hit probability: searching only adds ws, so it never wins
-    b = branch_delays(1e9, 3.0, 1e8, 2.5e7, 0.0)
-    assert choose_cache_search(float(b.d0), float(b.d1), 0.0, 0.02) == 0
+    assert search_flag(1e9, 3.0, 0.0, 0.0) == 0
 
 
 def test_recompute_search_flags_zero_hits(two_station_one_app):
@@ -145,11 +174,71 @@ def test_recompute_search_flags_zero_hits(two_station_one_app):
     assert not y.any()
 
 
+def test_stability_predicate_agrees_everywhere():
+    # evaluate_with_rates, validate and selected_stability at margin 0 make
+    # one decision per queue: idle and CPU-without-load queues are stable,
+    # zero-CPU-with-load and overloaded ones are not, and queues placed at
+    # utilisation 1 or 1 - delta agree whichever side rounding puts them
+    rng = np.random.Generator(np.random.PCG64(31))
+    delta = PgdParams().delta_stab
+    kinds = np.array(["normal", "idle", "cpu_no_load", "no_cpu", "overloaded",
+                      "boundary", "margin"])
+    A, N = 2, 3
+    for _ in range(50):
+        sc = build_scenario(rng.uniform(1e9, 4e9, N), (1e9,) * N, (0.01,) * N,
+                            rng.uniform(0.5, 2.0, (N, A)),
+                            [(1.0, rng.uniform(1e8, 4e8), [(0.3, 1e5), (0.2, 1e5)])
+                             for _ in range(A)])
+        cache = CacheAssignment([rng.integers(0, 2, (N, 2)).astype(float)
+                                 for _ in range(A)])
+        hit = compute_hit_rates(sc, cache)
+        y = rng.integers(0, 2, (A, N)).astype(np.int8)
+        wa = sc.workloads[:, None]
+        srv = np.where(y == 1, sc.search_workload + (1.0 - hit.total[:, None]) * wa, wa)
+        kind = rng.choice(kinds, (A, N), p=[0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
+        util = rng.uniform(0.0, 0.95, (A, N))
+        util[kind == "overloaded"] = rng.uniform(1.05, 3.0, (A, N))[kind == "overloaded"]
+        util[kind == "boundary"] = 1.0
+        util[kind == "margin"] = 1.0 - delta
+        util[(kind == "idle") | (kind == "cpu_no_load")] = 0.0
+        fshare = rng.uniform(0.1, 1.0, (A, N))
+        fshare[(kind == "idle") | (kind == "no_cpu")] = 0.0
+        rates, caps = sc.total_rates[:, None], sc.compute_capacities[None, :]
+        lam = util * fshare * caps / (rates * srv)
+        lam[kind == "no_cpu"] = rng.uniform(0.1, 1.0, (A, N))[kind == "no_cpu"]
+
+        stable, slack = selected_stability(sc, hit.total, lam, fshare, y, margin=0.0)
+        f, load = fshare * caps, lam * rates
+        want = ((f > 0.0) & (load * srv < f)) | ((load == 0.0) & (f == 0.0))
+        assert (stable == want).all()
+        assert (slack == f - load * srv).all()
+        assert stable[np.isin(kind, ["normal", "idle", "cpu_no_load", "margin"])].all()
+        assert not stable[np.isin(kind, ["no_cpu", "overloaded"])].any()
+
+        flagged = {(v.app, v.station) for v in
+                   validate(sc, cache, SchedulingState(lam, fshare, y))
+                   if v.constraint == "stability"}
+        assert flagged == {(int(a), int(n)) for a, n in zip(*np.nonzero(~stable))}
+        res = evaluate_with_rates(sc, hit.total, hit.neighbor, lam, fshare, y=y)
+        assert res.feasible == stable.all()
+        for a, n in np.ndindex(A, N):
+            # every other queue idle: feasibility is this queue's verdict
+            lam1, fsh1 = np.zeros((A, N)), np.zeros((A, N))
+            lam1[a, n], fsh1[a, n] = lam[a, n], fshare[a, n]
+            one = evaluate_with_rates(sc, hit.total, hit.neighbor, lam1, fsh1, y=y)
+            assert one.feasible == stable[a, n]
+
+        # the line-search margin only removes queues, never those at <= 95%
+        inside, _ = selected_stability(sc, hit.total, lam, fshare, y, margin=delta)
+        assert not (inside & ~stable).any()
+        assert inside[kind == "normal"].all()
+
+
 # -- hit-rate derivative ------------------------------------------------------
 
 
 def test_hit_derivative_empty_queue_limit():
-    assert d_delay1_d_phr(0.0, 5.0, 1e9, 1e8, 2.5e7, 0.3) == pytest.approx(-1e8 / 1e9)
+    assert hit_derivative(0.0, 1e9, 1e8, 2.5e7, 0.3) == pytest.approx(-1e8 / 1e9)
 
 
 def test_hit_derivative_dominates_service_term():
@@ -160,7 +249,7 @@ def test_hit_derivative_dominates_service_term():
         ws = rng.uniform(1e6, 5e7)
         p = rng.uniform(0.0, 1.0)
         load = rng.uniform(0.0, 0.9) * mu1_of(f, wa, ws, p)
-        assert d_delay1_d_phr(1.0, load, f, wa, ws, p) <= -wa / f + 1e-18
+        assert hit_derivative(load, f, wa, ws, p) <= -wa / f + 1e-18
 
 
 def test_hit_derivative_matches_finite_difference():
@@ -173,7 +262,7 @@ def test_hit_derivative_matches_finite_difference():
         p = rng.uniform(0.05, 0.9)
         mu_lo = mu1_of(f, wa, ws, p - h)  # worst-case rate in the stencil
         load = rng.uniform(0.1, 0.85) * mu_lo
-        got = d_delay1_d_phr(1.0, load, f, wa, ws, p)
+        got = hit_derivative(load, f, wa, ws, p)
 
         def d1(ph):
             return float(branch_delays(f, load, wa, ws, ph).d1)
@@ -187,8 +276,6 @@ def test_hit_derivative_unstable_is_minus_inf():
     # service rate of 1e9 / 1.25e8 = 8 tasks/s
     for load, f in ((1.0, 0.0), (8.0, 1e9), (9.0, 1e9)):
         assert hit_derivative(load, f, 1e8, 2.5e7, 0.0) == -math.inf
-        with pytest.raises(StabilityViolation):
-            d_delay1_d_phr(1.0, load, f, 1e8, 2.5e7, 0.0)
     assert math.isfinite(hit_derivative(7.9, 1e9, 1e8, 2.5e7, 0.0))
 
 
@@ -223,8 +310,9 @@ def test_processing_delay_branch_selection(two_station_one_app):
     mu0 = 2e9 / 4e8
     mu1 = mu1_of(2e9, 4e8, sc.search_workload, p_hr)
     for yv in (0, 1):
-        sched = SchedulingState(lam, fshare, np.full((1, 2), yv, dtype=np.int8))
-        got = processing_delay(sc, cache, sched, 0, 0)
+        y = np.full((1, 2), yv, dtype=np.int8)
+        res = evaluate_with_rates(sc, hit.total, hit.neighbor, lam, fshare, y=y)
+        got = float(res.station_delays[0, 0])
         if yv == 0:
             want = 1.0 / (mu0 - load)
         else:
@@ -233,12 +321,18 @@ def test_processing_delay_branch_selection(two_station_one_app):
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def response_delays(sc, sched):
+    """evaluate_objective's per-app response times and station delays."""
+    res = evaluate_objective(sc, CacheAssignment.zeros(sc), sched, frozen_y=sched.y)
+    return res.app_delays, res.station_delays
+
+
 def test_response_time_no_redistribution(two_station_one_app):
     sc = two_station_one_app
     lam = sc.arrival_rate_matrix / sc.total_rates[:, None]
     sched = SchedulingState(lam, np.ones((1, 2)), np.zeros((1, 2), dtype=np.int8))
-    delays = np.array([0.2, 0.7])
-    assert response_time(sc, sched, 0, delays) == pytest.approx(float(lam[0] @ delays))
+    app, delays = response_delays(sc, sched)
+    assert app[0] == pytest.approx(float(lam[0] @ delays[0]))
 
 
 def test_response_time_single_station():
@@ -246,17 +340,20 @@ def test_response_time_single_station():
                         [(1.0, 4e8, [(0.2, 1e5)])])
     sched = SchedulingState(np.ones((1, 1)), np.ones((1, 1)),
                             np.zeros((1, 1), dtype=np.int8))
-    assert response_time(sc, sched, 0, np.array([0.33])) == pytest.approx(0.33)
+    app, delays = response_delays(sc, sched)
+    assert app[0] == pytest.approx(float(delays[0, 0]))
 
 
 def test_response_time_redistribution_example(two_station_one_app):
-    # R = (1, 1), lam = (1, 0): station 0 processes everything at 0.2 s and
-    # pays |2-1| 0.01 / 2 + |0-1| 0.02 / 2 = 0.015 s of transfers
+    # R = (1, 1), lam = (1, 0): station 0 processes everything at
+    # 1 / (5 - 2) s and pays |2-1| 0.01 / 2 + |0-1| 0.02 / 2 = 0.015 s of
+    # transfers
     sc = two_station_one_app
     sched = SchedulingState(np.array([[1.0, 0.0]]), np.ones((1, 2)),
                             np.zeros((1, 2), dtype=np.int8))
-    got = response_time(sc, sched, 0, np.array([0.2, 0.7]))
-    assert got == pytest.approx(0.215)
+    app, delays = response_delays(sc, sched)
+    assert delays[0, 0] == pytest.approx(1.0 / 3.0)
+    assert app[0] == pytest.approx(1.0 / 3.0 + 0.015)
 
 
 def test_weighted_objective_single_app_equals_response(two_station_one_app):
@@ -265,8 +362,11 @@ def test_weighted_objective_single_app_equals_response(two_station_one_app):
     sched = SchedulingState(np.array([[0.6, 0.4]]), np.ones((1, 2)),
                             np.zeros((1, 2), dtype=np.int8))
     res = evaluate_objective(sc, cache, sched, frozen_y=sched.y)
-    want = response_time(sc, sched, 0, res.station_delays[0])
-    assert weighted_objective(sc, cache, sched, frozen_y=sched.y) == pytest.approx(want)
+    # routed processing delays plus the transfer imbalance, per unit rate
+    rate = float(sc.total_rates[0])
+    lam, arr, dt = sched.lam[0], sc.arrival_rate_matrix[0], sc.transfer_delays
+    want = float(lam @ res.station_delays[0] + np.abs(lam * rate - arr) @ dt / rate)
+    assert res.objective == pytest.approx(want)
 
 
 def test_weighted_objective_linear_in_weights():
@@ -276,8 +376,10 @@ def test_weighted_objective_linear_in_weights():
     sc1 = build_scenario(*args, apps)
     sc2 = build_scenario(*args, heavy)
     state = uniform_state(sc1)
-    v1 = weighted_objective(sc1, CacheAssignment.zeros(sc1), state, frozen_y=state.y)
-    v2 = weighted_objective(sc2, CacheAssignment.zeros(sc2), state, frozen_y=state.y)
+    v1 = evaluate_objective(sc1, CacheAssignment.zeros(sc1), state,
+                            frozen_y=state.y).objective
+    v2 = evaluate_objective(sc2, CacheAssignment.zeros(sc2), state,
+                            frozen_y=state.y).objective
     assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
 
@@ -285,7 +387,7 @@ def test_weighted_objective_seed42_greedy_regression(default_scenario):
     # pinned on first run; bit-identical under the fixed seed
     from cecreuse import solve_greedy
     rep = solve_greedy(default_scenario)
-    got = weighted_objective(default_scenario, rep.cache, rep.sched)
+    got = evaluate_objective(default_scenario, rep.cache, rep.sched).objective
     assert got == 23.243082099805644
 
 
@@ -310,8 +412,6 @@ def test_evaluate_objective_flags_overload():
                             np.zeros((1, 1), dtype=np.int8))
     res = evaluate_objective(sc, CacheAssignment.zeros(sc), sched)
     assert not res.feasible and res.objective is None
-    with pytest.raises(StabilityViolation):
-        weighted_objective(sc, CacheAssignment.zeros(sc), sched)
 
 
 def test_idle_station_contributes_zero():
@@ -386,5 +486,7 @@ def test_gradient_raises_at_unstable_point():
                         [(1.0, 4e8, [(0.2, 1e5)])])
     sched = SchedulingState(np.ones((1, 1)), np.ones((1, 1)),
                             np.zeros((1, 1), dtype=np.int8))
+    hit = compute_hit_rates(sc, CacheAssignment.zeros(sc))
     with pytest.raises(StabilityViolation):
-        objective_gradient(sc, CacheAssignment.zeros(sc), sched, sched.y)
+        gradient_with_rates(sc, hit.total, hit.neighbor, sched.lam,
+                            sched.fshare, sched.y)

@@ -5,7 +5,7 @@ import pytest
 from cecreuse import (CacheAssignment, DimensionMismatch, MalformedInput,
                       SchedulingState, compute_hit_rates, load_scenario,
                       save_scenario, scenario_from_dict, storage_used,
-                      total_arrival_rate, validate)
+                      validate)
 from cecreuse.solver import greedy_cache, solve_greedy
 
 from conftest import (NON_FINITE_FIELDS, NON_FINITE_IDS, build_scenario,
@@ -15,17 +15,17 @@ from conftest import (NON_FINITE_FIELDS, NON_FINITE_IDS, build_scenario,
 def test_total_arrival_rate_zero_and_identity():
     sc = build_scenario((1e9,), (1e9,), (0.01,), ((0.0,),),
                         [(1.0, 1e8, [(0.1, 1e5)])])
-    assert total_arrival_rate(sc, 0) == 0.0
+    assert sc.total_rates[0] == 0.0
     sc = build_scenario((1e9,), (1e9,), (0.01,), ((1.5,),),
                         [(1.0, 1e8, [(0.1, 1e5)])])
-    assert total_arrival_rate(sc, 0) == 1.5
+    assert sc.total_rates[0] == 1.5
 
 
 def test_total_arrival_rate_sums_over_stations():
     sc = build_scenario((1e9,) * 3, (1e9,) * 3, (0.01,) * 3,
                         ((0.5,), (1.0,), (1.5,)),
                         [(1.0, 1e8, [(0.1, 1e5)])])
-    assert total_arrival_rate(sc, 0) == pytest.approx(3.0)
+    assert sc.total_rates[0] == pytest.approx(3.0)
 
 
 def test_hit_rates_empty_cache(two_station_one_app):

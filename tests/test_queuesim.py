@@ -1,9 +1,11 @@
 """Discrete-event queue against the closed-form means."""
+import math
+
 import numpy as np
 import pytest
 
 from cecreuse import (MalformedInput, QueueSimConfig, UnstableConfig,
-                      analytic_mean, compare_to_analytic, simulate)
+                      analytic_mean, simulate)
 from cecreuse.queuesim import _lindley_waits
 
 
@@ -13,6 +15,12 @@ def cfg(**kw):
                 num_tasks=200_000, rng_seed=7)
     base.update(kw)
     return QueueSimConfig(**base)
+
+
+def compare_to_analytic(c):
+    """|simulated mean - analytic mean| / analytic mean."""
+    analytic = analytic_mean(c)
+    return abs(simulate(c).mean_sojourn - analytic) / analytic
 
 
 def test_single_task_is_exact_service():
@@ -99,3 +107,13 @@ def test_malformed_inputs():
         simulate(cfg(cpu=0.0))
     with pytest.raises(MalformedInput):
         simulate(cfg(warmup_tasks=200_000))
+
+
+@pytest.mark.parametrize("field", ["arrival_rate", "cpu", "app_workload",
+                                   "search_workload"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_rejects_non_finite_or_negative_numbers(field, value):
+    # checked before the stability test: NaN must not slip through as a
+    # NaN mean, -1 tasks/s must not give a "result", inf is not "unstable"
+    with pytest.raises(MalformedInput):
+        simulate(cfg(**{field: value}, mode="with_cache", hit_rate=0.5))

@@ -86,37 +86,34 @@ def scalar_problem(fn, x0, d):
 def test_backtrack_full_step_accepted():
     fn = lambda x: (x - 1.0) ** 2
     objective, point, direction = scalar_problem(fn, 0.0, 1.0)
-    j, lam, _, obj = backtrack(objective, lambda *a: True, point, direction,
-                               fn(0.0), -2.0, PgdParams())
+    j, lam, _, obj = backtrack(objective, point, direction, fn(0.0), -2.0,
+                               PgdParams())
     assert j == 0 and lam[0, 0] == 1.0 and obj == 0.0
 
 
 def test_backtrack_shrinks_overshoot():
     fn = lambda x: (x - 0.2) ** 2
     objective, point, direction = scalar_problem(fn, 0.0, 1.0)
-    j, lam, _, _ = backtrack(objective, lambda *a: True, point, direction,
-                             fn(0.0), -0.4, PgdParams())
+    j, lam, _, _ = backtrack(objective, point, direction, fn(0.0), -0.4,
+                             PgdParams())
     # step 1 and 1/2 fail the sufficient-decrease test, 1/4 passes
     assert j == 2 and lam[0, 0] == pytest.approx(0.25)
 
 
 def test_backtrack_margin_gate_keeps_boundary_distance():
-    fn = lambda x: (x - 1.0) ** 2
+    # points inside the margin evaluate to None, as unstable ones do
+    fn = lambda x: (x - 1.0) ** 2 if x <= 0.6 else None
     objective, point, direction = scalar_problem(fn, 0.0, 1.0)
 
-    def margin(lam, fsh):
-        return lam[0, 0] <= 0.6
-
-    j, lam, _, _ = backtrack(objective, margin, point, direction,
-                             fn(0.0), -2.0, PgdParams())
+    j, lam, _, _ = backtrack(objective, point, direction, fn(0.0), -2.0,
+                             PgdParams())
     assert j == 1 and lam[0, 0] == pytest.approx(0.5) and lam[0, 0] <= 0.6
 
 
 def test_backtrack_exhaustion():
     objective, point, direction = scalar_problem(lambda x: None, 0.0, 1.0)
     with pytest.raises(LineSearchExhausted) as err:
-        backtrack(objective, lambda *a: True, point, direction, 1.0, -1.0,
-                  PgdParams(j_max=10))
+        backtrack(objective, point, direction, 1.0, -1.0, PgdParams(j_max=10))
     assert err.value.tried == 11
 
 
