@@ -19,10 +19,11 @@ import math
 import numpy as np
 
 from .delay import evaluate_objective, evaluate_with_rates, hit_derivative
-from .errors import (BracketError, DegenerateInput, Infeasible, MalformedInput,
-                     StabilityViolation, TooLarge)
-from .model import (BINARY_TOL, CacheAssignment, Scenario, SchedulingState,
-                    storage_used)
+from .errors import (BracketError, DegenerateInput, DimensionMismatch,
+                     Infeasible, MalformedInput, StabilityViolation, TooLarge)
+from .model import (BINARY_TOL, CacheAssignment, HitRateTable, Scenario,
+                    SchedulingState, cached_mass, compute_hit_rates, dot)
+from .model import rows_storage as _rows_storage
 
 # default level-bisection accuracy (efficiency units, s/byte)
 LEVEL_ACCURACY = 1e-9
@@ -36,54 +37,54 @@ class EfficiencyContext:
     Holds the scheduling state, the neighbor partition, the p/s-sorted order
     over exclusive inputs with prefix sums, and the constant efficiencies of
     replicated inputs.  All level queries of the solver go through here.
+
+    ``peer_counts`` gives, per app, how many other stations cache each
+    input, as the caching sweep keeps them; without it they are counted
+    from the cache, whose other rows must then be binary.
     """
 
     def __init__(self, scenario: Scenario, cache: CacheAssignment,
-                 sched: SchedulingState, station: int):
+                 sched: SchedulingState, station: int,
+                 peer_counts: list[np.ndarray] | None = None):
         self.scenario = scenario
         self.station = station
         self.lam = np.ascontiguousarray(sched.lam, dtype=np.float64)
         self.f = np.ascontiguousarray(sched.cpu_speeds(scenario), dtype=np.float64)
         self.yf = np.ascontiguousarray(sched.y, dtype=np.float64)
         self.dt = np.ascontiguousarray(scenario.transfer_delays, dtype=np.float64)
+        if peer_counts is None:
+            peer_counts = []
+            for a, x in enumerate(cache.entries):
+                peers = np.delete(x, station, axis=0)
+                require_binary(peers, a)
+                peer_counts.append(peers.sum(axis=0))
 
         A = scenario.num_apps
         self.exclusive: list[np.ndarray] = []     # sorted by p/s desc, index asc
         self.replicated: list[np.ndarray] = []
         self.exc_p: list[np.ndarray] = []
-        self.exc_s: list[np.ndarray] = []
         self.ratio: list[np.ndarray] = []
         self.prefix_p: list[np.ndarray] = []      # prefix_p[j] = sum of p before j
-        self.prefix_s: list[np.ndarray] = []
         self.base_hit: list[float] = []           # hit mass available from peers
         self.rep_eff: list[np.ndarray] = []
         self.active: list[bool] = []              # any phi lam y > 0 anywhere
 
         for a in range(A):
-            x = cache.entries[a]
-            peers = np.delete(np.arange(scenario.num_stations), station)
-            xp = x[peers]
-            if np.any((xp > BINARY_TOL) & (xp < 1.0 - BINARY_TOL)):
-                raise MalformedInput(f"app {a}: neighbor cache entries not binary")
-            peer_sum = xp.sum(axis=0)
-            rep = np.nonzero(peer_sum > 0.0)[0]
-            exc = np.nonzero(peer_sum <= 0.0)[0]
+            peer = peer_counts[a]
+            order = scenario.density_orders[a]
+            exc = order[peer[order] <= 0.0]
+            rep = np.flatnonzero(peer > 0.0)
             p = scenario.match_probs[a]
-            s = scenario.result_sizes[a]
-            ratio_exc = p[exc] / s[exc]
-            order = np.lexsort((exc, -ratio_exc))
-            exc = exc[order]
+            ratio = scenario.densities[a]
             self.exclusive.append(exc)
             self.replicated.append(rep)
             self.exc_p.append(p[exc])
-            self.exc_s.append(s[exc])
-            self.ratio.append(ratio_exc[order])
+            self.ratio.append(ratio[exc])
             self.prefix_p.append(np.concatenate(([0.0], np.cumsum(p[exc]))))
-            self.prefix_s.append(np.concatenate(([0.0], np.cumsum(s[exc]))))
             self.base_hit.append(float(p[rep].sum()))
             local_c = float(scenario.weights[a] * self.lam[a, station]
                             * self.yf[a, station])
-            self.rep_eff.append(-(p[rep] / s[rep]) * (local_c * self.dt[station]))
+            self.rep_eff.append(-ratio[rep] * (local_c * self.dt[station]))
             self.active.append(bool(np.any(
                 scenario.weights[a] * self.lam[a] * self.yf[a] > 0.0)))
 
@@ -125,24 +126,22 @@ class EfficiencyContext:
 
     def efficiency_floor(self) -> float:
         """Level certainly below every finite efficiency, with 1% margin."""
-        cands = []
+        lo = 0.0
         for a in range(self.scenario.num_apps):
             if not self.active[a]:
                 continue
-            cands.extend(self.rep_eff[a].tolist())
+            if len(self.rep_eff[a]):
+                lo = min(lo, float(self.rep_eff[a].min()))
             if len(self.exclusive[a]):
+                # ratio is sorted descending and nonnegative, so the least of
+                # ratio * g sits at one end
+                r_hi, r_lo = self.ratio[a][0], self.ratio[a][-1]
                 for hit in (self.base_hit[a],
                             self.base_hit[a] + self.prefix_p[a][-1]):
                     g = self.bracket(a, hit)
                     if math.isfinite(g):
-                        vals = self.ratio[a] * g
-                        cands.extend(vals.tolist())
-        if not cands:
-            return 0.0
-        lo = min(cands)
-        if lo >= 0.0:
-            return 0.0
-        return 1.01 * lo
+                        lo = min(lo, float(r_hi * g), float(r_lo * g))
+        return 1.01 * lo if lo < 0.0 else 0.0
 
 
 def solve_inverse_efficiency(ctx: EfficiencyContext, a: int, j: int,
@@ -218,24 +217,19 @@ def g_of_B(ctx: EfficiencyContext, level: float) -> list[np.ndarray]:
     return rows
 
 
-def _rows_storage(scenario: Scenario, rows: list[np.ndarray]) -> float:
-    used = 0.0
-    for a, row in enumerate(rows):
-        used += float(row @ scenario.result_sizes[a])
-    return used
-
-
 def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
                      sched: SchedulingState, station: int,
-                     accuracy: float = LEVEL_ACCURACY
+                     accuracy: float = LEVEL_ACCURACY,
+                     peer_counts: list[np.ndarray] | None = None
                      ) -> tuple[list[np.ndarray], float]:
     """Relaxed cache placement for one station under frozen scheduling.
 
     Bisects the level B on [floor, 0] against the storage constraint and
     returns the station rows together with the level actually used.  Falls
     back to the last certainly-fitting level if the midpoint overshoots.
+    ``peer_counts`` is passed on to EfficiencyContext.
     """
-    ctx = EfficiencyContext(scenario, cache, sched, station)
+    ctx = EfficiencyContext(scenario, cache, sched, station, peer_counts)
     cap = float(scenario.storage_capacities[station])
     floor = ctx.efficiency_floor()
     if floor == 0.0:
@@ -303,6 +297,55 @@ def theorem3_ratio(d_zero: float, d_rounded: float, d_star: float,
     return ratio, bound
 
 
+def require_binary(x: np.ndarray, a: int) -> None:
+    """MalformedInput unless every entry of x is within BINARY_TOL of 0 or 1."""
+    if np.any((x > BINARY_TOL) & (x < 1.0 - BINARY_TOL)):
+        raise MalformedInput(f"app {a}: neighbor cache entries not binary")
+
+
+class SweepState:
+    """A cache with its per-input counts and hit-rate table, kept current
+    through station rewrites.
+
+    ``counts[a]`` is the column sum of app a's matrix and ``hit`` equals
+    compute_hit_rates(scenario, cache) bit for bit: a candidate's table is
+    built in O(A K) from the same reductions, with neighbor = total - local
+    (the rows the sweep writes are binary).
+    """
+
+    def __init__(self, scenario: Scenario, cache: CacheAssignment):
+        self.scenario = scenario
+        self.cache = cache
+        self.counts = [x.sum(axis=0) for x in cache.entries]
+        self.hit = compute_hit_rates(scenario, cache)
+
+    def peer_counts(self, n: int) -> list[np.ndarray]:
+        """Per app, how many stations other than n cache each input."""
+        return [c - x[n] for c, x in zip(self.counts, self.cache.entries)]
+
+    def candidate(self, n: int, rows: list[np.ndarray]
+                  ) -> tuple[list[np.ndarray], HitRateTable]:
+        """Counts and hit table of the cache with station n's rows replaced."""
+        for a, (x, row) in enumerate(zip(self.cache.entries, rows)):
+            if row.shape != (x.shape[1],):
+                raise DimensionMismatch(f"app {a}: station row has wrong length")
+        counts = [c - x[n] + row
+                  for c, x, row in zip(self.counts, self.cache.entries, rows)]
+        probs = self.scenario.match_probs
+        total = np.array([cached_mass(p, c) for p, c in zip(probs, counts)])
+        local = self.hit.local.copy()
+        local[:, n] = [dot(row, p) for row, p in zip(rows, probs)]
+        return counts, HitRateTable(local, total[:, None] - local, total)
+
+    def accept(self, n: int, rows: list[np.ndarray],
+               counts: list[np.ndarray], hit: HitRateTable) -> None:
+        """Write station n's rows into the cache with their candidate tables."""
+        for x, row in zip(self.cache.entries, rows):
+            x[n] = row
+        self.counts = counts
+        self.hit = hit
+
+
 def sweep_all_stations(scenario: Scenario, cache: CacheAssignment,
                        sched: SchedulingState, passes: int,
                        accuracy: float = LEVEL_ACCURACY
@@ -312,11 +355,18 @@ def sweep_all_stations(scenario: Scenario, cache: CacheAssignment,
     Each station solve is rounded and written back only if the objective
     (with search flags refreshed) does not increase, which makes the
     objective non-increasing by construction.  Returns the per-pass
-    objective values; stops early once a full pass changes nothing.
+    objective values; stops early once a full pass changes nothing.  With
+    more than one station every entry must be binary, since each row is
+    some other station's neighbor.
     """
     cache = cache.copy()
     sched = sched.copy()
-    res = evaluate_objective(scenario, cache, sched)
+    if scenario.num_stations > 1:
+        for a, x in enumerate(cache.entries):
+            require_binary(x, a)
+    state = SweepState(scenario, cache)
+    res = evaluate_with_rates(scenario, state.hit.total, state.hit.neighbor,
+                              sched.lam, sched.fshare)
     if not res.feasible:
         raise StabilityViolation("sweep started from an unstable point")
     sched.y = res.y
@@ -325,17 +375,19 @@ def sweep_all_stations(scenario: Scenario, cache: CacheAssignment,
     for _ in range(passes):
         changed = False
         for n in range(scenario.num_stations):
-            rows, _level = solve_caching_bs(scenario, cache, sched, n, accuracy)
+            rows, _level = solve_caching_bs(scenario, cache, sched, n, accuracy,
+                                            state.peer_counts(n))
             rows_bin = round_to_binary(rows)
             if all(np.array_equal(rows_bin[a], cache.entries[a][n])
                    for a in range(scenario.num_apps)):
                 continue
-            cand = cache.with_station(n, rows_bin)
-            if storage_used(scenario, cand, n) > scenario.storage_capacities[n]:
+            if _rows_storage(scenario, rows_bin) > scenario.storage_capacities[n]:
                 continue
-            res2 = evaluate_objective(scenario, cand, sched)
+            counts, hit = state.candidate(n, rows_bin)
+            res2 = evaluate_with_rates(scenario, hit.total, hit.neighbor,
+                                       sched.lam, sched.fshare)
             if res2.feasible and res2.objective <= obj:
-                cache = cand
+                state.accept(n, rows_bin, counts, hit)
                 sched.y = res2.y
                 obj = res2.objective
                 changed = True

@@ -18,7 +18,8 @@ import sys
 
 import numpy as np
 
-from .delay import evaluate_with_rates, gradient_with_rates, selected_stability
+from .delay import (branch_delays, evaluate_with_rates, gradient_with_rates,
+                    selected_stability)
 from .errors import CecReuseError, Infeasible, MalformedInput, UnstableConfig
 from .experiments import (ALGORITHMS, AXES, GeneratorParams, SweepSpec,
                           generate_scenario, run_sweep, save_sweep_csv)
@@ -150,9 +151,9 @@ def cmd_validate_queueing(args) -> int:
     for hit in QUEUE_GRID_HIT:
         mode = "no_cache" if hit == 0.0 else "with_cache"
         for rho in QUEUE_GRID_RHO:
-            mean_srv = (wa / cpu if mode == "no_cache"
-                        else (ws + (1.0 - hit) * wa) / cpu)
-            cfg = QueueSimConfig(arrival_rate=rho / mean_srv, cpu=cpu,
+            srv = wa if mode == "no_cache" else branch_delays(
+                cpu, 0.0, wa, ws, hit).srv1
+            cfg = QueueSimConfig(arrival_rate=rho / (srv / cpu), cpu=cpu,
                                  app_workload=wa, search_workload=ws,
                                  hit_rate=hit, mode=mode,
                                  num_tasks=QUEUE_TASKS,

@@ -173,6 +173,26 @@ class Scenario:
             out.append(v)
         return tuple(out)
 
+    @cached_property
+    def densities(self) -> tuple[np.ndarray, ...]:
+        """Per app, the match probability per byte p/s of every input."""
+        out = []
+        for p, s in zip(self.match_probs, self.result_sizes):
+            v = p / s
+            v.setflags(write=False)
+            out.append(v)
+        return tuple(out)
+
+    @cached_property
+    def density_orders(self) -> tuple[np.ndarray, ...]:
+        """Per app, input indices by density descending, index ascending."""
+        out = []
+        for ratio in self.densities:
+            v = np.argsort(-ratio, kind="stable")
+            v.setflags(write=False)
+            out.append(v)
+        return tuple(out)
+
     def catalog_size(self, a: int) -> int:
         return len(self.apps[a].typical_inputs)
 
@@ -197,7 +217,8 @@ class CacheAssignment:
         for a, x in enumerate(self.entries):
             if x.ndim != 2:
                 raise DimensionMismatch(f"app {a}: cache matrix must be 2-D")
-            if np.any(x < -BINARY_TOL) or np.any(x > 1.0 + BINARY_TOL):
+            # written so that NaN fails it
+            if not np.all((x >= -BINARY_TOL) & (x <= 1.0 + BINARY_TOL)):
                 raise MalformedInput(f"app {a}: cache entries outside [0, 1]")
 
     @classmethod
@@ -239,6 +260,9 @@ class SchedulingState:
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=np.float64)
         self.fshare = np.asarray(self.fshare, dtype=np.float64)
+        if not (np.isfinite(self.lam).all() and np.isfinite(self.fshare).all()
+                and np.isfinite(np.asarray(self.y, dtype=np.float64)).all()):
+            raise MalformedInput("lam, fshare and y must be finite")
         self.y = np.asarray(self.y, dtype=np.int8)
         if not (self.lam.shape == self.fshare.shape == self.y.shape):
             raise DimensionMismatch("lam, fshare and y must share the (A, N) shape")
@@ -266,11 +290,30 @@ class HitRateTable:
     total: np.ndarray
 
 
+def dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u @ v for 1-D arrays, summed in one fixed order.
+
+    BLAS splits a long dot product over its threads, so its last bit
+    depends on the thread count; einsum's own loop does not.
+    """
+    return float(np.einsum("i,i->", u, v))
+
+
+def cached_mass(p: np.ndarray, counts: np.ndarray) -> float:
+    """Match probability of the inputs that some station caches, given the
+    per-input count (column sum) of one app's cache matrix."""
+    return dot(p, (counts > 0.0).astype(np.float64))
+
+
 def compute_hit_rates(scenario: Scenario, cache: CacheAssignment) -> HitRateTable:
     """Local, neighbor and total hit rates for every (app, station).
 
-    With fractional entries the peer indicator applies to the real-valued
-    sum (any positive mass at a peer counts as available there).
+    Each station's local rate is dot(row, p) and the total comes from the
+    column counts through cached_mass; the caching sweep updates its tables
+    with the same two reductions, so both agree bit for bit.  For a binary
+    matrix neighbor = total - local.  With fractional entries the peer
+    indicator applies to the real-valued sum (any positive mass at a peer
+    counts as available there).
     """
     if len(cache.entries) != scenario.num_apps:
         raise DimensionMismatch("cache has wrong number of apps")
@@ -283,24 +326,31 @@ def compute_hit_rates(scenario: Scenario, cache: CacheAssignment) -> HitRateTabl
         if x.shape != (nst, scenario.catalog_size(a)):
             raise DimensionMismatch(f"app {a}: cache matrix shape {x.shape}")
         p = scenario.match_probs[a]
-        local[a, :] = x @ p
-        col_sum = x.sum(axis=0)
-        peer_sum = col_sum[None, :] - x
-        peer_has = (peer_sum > 0.0).astype(np.float64)
-        neighbor[a, :] = ((1.0 - x) * peer_has) @ p
-        total[a] = p @ (col_sum > 0.0).astype(np.float64)
+        counts = x.sum(axis=0)
+        total[a] = cached_mass(p, counts)
+        local[a] = [dot(row, p) for row in x]
+        if np.all((x == 0.0) | (x == 1.0)):
+            neighbor[a] = total[a] - local[a]
+        else:
+            neighbor[a] = [dot((1.0 - row) * (counts - row > 0.0), p) for row in x]
     local.setflags(write=False)
     neighbor.setflags(write=False)
     total.setflags(write=False)
     return HitRateTable(local=local, neighbor=neighbor, total=total)
 
 
+def rows_storage(scenario: Scenario, rows: list[np.ndarray]) -> float:
+    """Bytes one station's rows (one per app) occupy; fractional entries
+    count pro rata."""
+    used = 0.0
+    for a, row in enumerate(rows):
+        used += dot(row, scenario.result_sizes[a])
+    return used
+
+
 def storage_used(scenario: Scenario, cache: CacheAssignment, n: int) -> float:
     """Bytes occupied at station n (fractional entries count pro rata)."""
-    used = 0.0
-    for a in range(scenario.num_apps):
-        used += float(cache.entries[a][n, :] @ scenario.result_sizes[a])
-    return used
+    return rows_storage(scenario, [x[n] for x in cache.entries])
 
 
 # -- feasibility -----------------------------------------------------------

@@ -84,6 +84,10 @@ def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
 
 # a projected target this close to the iterate counts as stationary
 STATIONARY_TOL = 1e-14
+# the repair fills queues to this much less than the load the stability
+# margin allows, so that rounding cannot carry a filled queue past the
+# margin the final check applies
+REPAIR_SHRINK = 1e-12
 
 
 def solve_scheduling(scenario: Scenario, cache: CacheAssignment,
@@ -163,7 +167,7 @@ def initial_feasible_point(scenario: Scenario,
     srv_best = np.minimum(wa * np.ones((A, N)), srv1)
     for _attempt in range(4):
         f = fshare * caps[None, :]
-        cap_load = (1.0 - delta) * f / srv_best
+        cap_load = (1.0 - delta) * (1.0 - REPAIR_SHRINK) * f / srv_best
         load = lam * rates[:, None]
         if np.all(load <= cap_load):
             break

@@ -89,28 +89,22 @@ class SolveReport:
 
 def greedy_cache(scenario: Scenario) -> CacheAssignment:
     """Fill each station in descending p/s order until the next item no
-    longer fits (ties broken by (app, input) index)."""
-    ratios = []
-    for a in range(scenario.num_apps):
-        p = scenario.match_probs[a]
-        s = scenario.result_sizes[a]
-        for k in range(scenario.catalog_size(a)):
-            ratios.append((a, k, p[k] / s[k], s[k]))
-    apps_idx = np.array([r[0] for r in ratios])
-    input_idx = np.array([r[1] for r in ratios])
-    ratio = np.array([r[2] for r in ratios])
-    order = np.lexsort((input_idx, apps_idx, -ratio))
+    longer fits (ties broken by (app, input) index).
 
+    The stations share one order, so each fills a prefix of it: the
+    longest whose running size total stays within its capacity.
+    """
+    order = np.argsort(-np.concatenate(scenario.densities), kind="stable")
+    filled = np.cumsum(np.concatenate(scenario.result_sizes)[order])
+    bounds = np.cumsum([0] + [scenario.catalog_size(a)
+                              for a in range(scenario.num_apps)])
     cache = CacheAssignment.zeros(scenario)
-    for n in range(scenario.num_stations):
-        budget = float(scenario.storage_capacities[n])
-        for pos in order:
-            a, k = int(apps_idx[pos]), int(input_idx[pos])
-            size = scenario.result_sizes[a][k]
-            if size > budget:
-                break
-            cache.entries[a][n, k] = 1.0
-            budget -= size
+    row = np.empty(len(order))
+    for n, cap in enumerate(scenario.storage_capacities):
+        row[:] = 0.0
+        row[order[:np.searchsorted(filled, cap, side="right")]] = 1.0
+        for a, x in enumerate(cache.entries):
+            x[n] = row[bounds[a]:bounds[a + 1]]
     return cache
 
 

@@ -3,12 +3,15 @@ import numpy as np
 import pytest
 
 from cecreuse import (BracketError, CacheAssignment, DegenerateInput,
-                      EfficiencyContext, MalformedInput, SchedulingState,
-                      StabilityViolation, TooLarge, brute_force_cache_oracle,
-                      efficiencies_at_solution, evaluate_objective, g_of_B,
+                      DimensionMismatch, EfficiencyContext, GeneratorParams, MalformedInput,
+                      SchedulingState, StabilityViolation, TooLarge,
+                      alternating_solve, brute_force_cache_oracle,
+                      compute_hit_rates, efficiencies_at_solution,
+                      evaluate_objective, g_of_B, generate_scenario,
                       round_to_binary, solve_caching_bs,
                       solve_inverse_efficiency, storage_used,
                       sweep_all_stations, theorem3_ratio)
+from cecreuse import caching
 from cecreuse.caching import LEVEL_ACCURACY
 
 from conftest import build_scenario, uniform_state
@@ -368,3 +371,50 @@ def test_sweep_rejects_unstable_start():
                         [(1.0, 4e8, [(0.2, 1e5)])])
     with pytest.raises(StabilityViolation):
         sweep_all_stations(sc, CacheAssignment.zeros(sc), uniform_state(sc), 1)
+
+
+def test_sweep_rejects_fractional_neighbor_entry(two_station_one_app):
+    sc = two_station_one_app
+    cache = CacheAssignment([np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0]])],
+                            mode="fractional")
+    with pytest.raises(MalformedInput, match="not binary"):
+        sweep_all_stations(sc, cache, uniform_state(sc), passes=1)
+
+
+def test_sweep_state_rejects_wrong_row_length(two_station_one_app):
+    sc = two_station_one_app
+    state = caching.SweepState(sc, CacheAssignment.zeros(sc))
+    with pytest.raises(DimensionMismatch):
+        state.candidate(0, [np.zeros(2)])
+
+
+def test_sweep_state_matches_hit_rate_oracle(monkeypatch):
+    """The sweep's incremental counts and hit tables equal the dense
+    compute_hit_rates of its cache, bit for bit, after every accepted
+    station rewrite of every pass."""
+    checks = []
+
+    class CheckedSweepState(caching.SweepState):
+        def check(self):
+            oracle = compute_hit_rates(self.scenario, self.cache)
+            for name in ("local", "neighbor", "total"):
+                assert np.array_equal(getattr(self.hit, name),
+                                      getattr(oracle, name)), name
+            for counts, x in zip(self.counts, self.cache.entries):
+                assert np.array_equal(counts, x.sum(axis=0))
+            checks.append(1)
+
+        def __init__(self, scenario, cache):
+            super().__init__(scenario, cache)
+            self.check()
+
+        def accept(self, n, rows, counts, hit):
+            super().accept(n, rows, counts, hit)
+            self.check()
+
+    monkeypatch.setattr(caching, "SweepState", CheckedSweepState)
+    for seed in range(42, 47):
+        sc = generate_scenario(GeneratorParams(seed=seed))
+        before = len(checks)
+        rep = alternating_solve(sc)
+        assert len(checks) > before + rep.rounds_completed  # some rewrites

@@ -1,9 +1,14 @@
 """End-to-end command-line behavior, driven in-process via cli.main."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from cecreuse import cli, load_scenario, save_scenario, solver
+import cecreuse
+from cecreuse import (GeneratorParams, cli, generate_scenario, load_scenario,
+                      save_scenario, solver)
 from cecreuse.delay import gradient_with_rates
 from cecreuse.model import Violation
 
@@ -67,6 +72,30 @@ def test_solve_deterministic_modulo_wall_time(tmp_path, scenario_json):
         rep.pop("wall_time_s")
         outs.append((rep, (out / "trace.csv").read_text()))
     assert outs[0] == outs[1]
+
+
+def test_solve_report_independent_of_blas_threads(tmp_path):
+    # OpenBLAS splits dot products over its threads above 10^4 elements
+    sc = generate_scenario(GeneratorParams(seed=42, num_stations=3, num_apps=2,
+                                           k_scale=1.0))
+    assert min(sc.catalog_size(a) for a in range(sc.num_apps)) > 10 ** 4
+    config = tmp_path / "scenario.json"
+    save_scenario(sc, config)
+    src = os.path.dirname(os.path.dirname(cecreuse.__file__))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        subprocess.run([sys.executable, "-m", "cecreuse.cli", "solve",
+                        "--config", str(config), "--output", str(out),
+                        "--rounds", "1", "--caching-iters", "2",
+                        "--scheduling-iters", "3"],
+                       env=env, check=True, capture_output=True, timeout=600)
+        lines = (out / "report.json").read_text().splitlines()
+        reports.append([ln for ln in lines if '"wall_time_s"' not in ln])
+    assert reports[0] == reports[1]
 
 
 def test_solve_missing_config(tmp_path):

@@ -186,6 +186,25 @@ def test_cache_is_binary_flag(default_scenario):
     assert not frac.is_binary()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_cache_rejects_non_finite_entries(value):
+    with pytest.raises(MalformedInput):
+        CacheAssignment([np.array([[value, 1.0]])])
+    with pytest.raises(MalformedInput):
+        CacheAssignment([np.zeros((2, 2)), np.array([[0.0], [value]])],
+                        mode="fractional")
+
+
+@pytest.mark.parametrize("field", ["lam", "fshare", "y"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_scheduling_state_rejects_non_finite_entries(field, value):
+    arrays = {"lam": np.full((1, 2), 0.5), "fshare": np.ones((1, 2)),
+              "y": np.zeros((1, 2))}
+    arrays[field][0, 1] = value
+    with pytest.raises(MalformedInput):
+        SchedulingState(**arrays)
+
+
 def test_greedy_cache_respects_storage(default_scenario):
     cache = greedy_cache(default_scenario)
     for n in range(default_scenario.num_stations):

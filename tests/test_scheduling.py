@@ -4,9 +4,11 @@ import pytest
 
 from cecreuse import (CacheAssignment, EmptyVector, GeneratorParams, Infeasible,
                       LineSearchExhausted, PgdParams, SchedulingState,
-                      backtrack, evaluate_objective, generate_scenario,
-                      initial_feasible_point, project_decisions, project_simplex,
-                      solve_scheduling, validate)
+                      backtrack, compute_hit_rates, evaluate_objective,
+                      generate_scenario, initial_feasible_point,
+                      project_decisions, project_simplex, solve_scheduling,
+                      validate)
+from cecreuse.delay import selected_stability
 
 from conftest import build_scenario
 
@@ -206,3 +208,17 @@ def test_initial_point_overload_infeasible():
                         [(1.0, 4e8, [(0.2, 1e5)])])
     with pytest.raises(Infeasible):
         initial_feasible_point(sc, CacheAssignment.zeros(sc))
+
+
+def test_initial_point_repair_lands_inside_the_margin():
+    # an overloaded instance whose repair, aimed exactly at the margin,
+    # ended one rounding step outside it and reported Infeasible
+    sc = generate_scenario(GeneratorParams(seed=100, num_stations=6, num_apps=4,
+                                           k_scale=0.002, workload_factor=2.2))
+    cache = CacheAssignment.zeros(sc)
+    state = initial_feasible_point(sc, cache)
+    assert validate(sc, cache, state) == []
+    stable, _ = selected_stability(sc, compute_hit_rates(sc, cache).total,
+                                   state.lam, state.fshare, state.y,
+                                   PgdParams().delta_stab)
+    assert stable.all()

@@ -30,6 +30,63 @@ def caching_phase_shares(report, first_iters=2):
 # -- greedy baseline ----------------------------------------------------------
 
 
+def sequential_greedy_cache(scenario):
+    """Reference for greedy_cache: one item at a time, in descending p/s
+    order (ties by (app, input) index), until the next item no longer fits
+    the remaining budget."""
+    ratios = []
+    for a in range(scenario.num_apps):
+        p = scenario.match_probs[a]
+        s = scenario.result_sizes[a]
+        for k in range(scenario.catalog_size(a)):
+            ratios.append((a, k, p[k] / s[k], s[k]))
+    apps_idx = np.array([r[0] for r in ratios])
+    input_idx = np.array([r[1] for r in ratios])
+    ratio = np.array([r[2] for r in ratios])
+    order = np.lexsort((input_idx, apps_idx, -ratio))
+
+    entries = [np.zeros((scenario.num_stations, scenario.catalog_size(a)))
+               for a in range(scenario.num_apps)]
+    for n in range(scenario.num_stations):
+        budget = float(scenario.storage_capacities[n])
+        for pos in order:
+            a, k = int(apps_idx[pos]), int(input_idx[pos])
+            size = scenario.result_sizes[a][k]
+            if size > budget:
+                break
+            entries[a][n, k] = 1.0
+            budget -= size
+    return entries
+
+
+def assert_same_cache(got, want):
+    assert len(got.entries) == len(want)
+    for x, ref in zip(got.entries, want):
+        assert np.array_equal(x, ref)
+
+
+@pytest.mark.parametrize("seed", range(42, 62))
+def test_greedy_cache_matches_sequential_fill(seed):
+    sc = generate_scenario(GeneratorParams(seed=seed))
+    assert_same_cache(greedy_cache(sc), sequential_greedy_cache(sc))
+
+
+def test_greedy_cache_exact_fill_and_stop():
+    # p/s order: app 0 input 1, app 1 input 0, app 0 input 0, app 1 input 1
+    # (sizes 2e5, 1e5, 3e5, 1e5); station 0 holds the first three exactly,
+    # station 1 is one byte short of that and stops after two, station 2
+    # stops at the third item although the fourth would still fit
+    apps = [(1.0, 4e8, [(0.06, 3e5), (0.1, 2e5)]),
+            (1.0, 4e8, [(0.04, 1e5), (0.001, 1e5)])]
+    sc = build_scenario((2e9,) * 3, (6e5, 6e5 - 1.0, 4e5), (0.02,) * 3,
+                        ((1.0, 1.0),) * 3, apps)
+    cache = greedy_cache(sc)
+    assert cache.entries[0].tolist() == [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
+    assert cache.entries[1].tolist() == [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
+    assert storage_used(sc, cache, 0) == sc.storage_capacities[0]
+    assert_same_cache(cache, sequential_greedy_cache(sc))
+
+
 def test_greedy_cache_empty_when_nothing_fits():
     sc = build_scenario((2e9,), (5e4,), (0.02,), ((2.0,),),
                         [(1.0, 4e8, [(0.2, 1e5), (0.1, 2e5)])])
