@@ -25,10 +25,12 @@ from .model import (BINARY_TOL, CacheAssignment, HitRateTable, Scenario,
                     SchedulingState, cached_mass, compute_hit_rates, dot)
 from .model import rows_storage as _rows_storage
 
-# default level-bisection accuracy (efficiency units, s/byte)
+# level-bisection accuracy (efficiency units, s/byte)
 LEVEL_ACCURACY = 1e-9
 # absolute tolerance of the scalar inverse bisection, in x units
 INVERSE_TOL = 1e-12
+# largest station catalog the exhaustive subset oracle enumerates
+ORACLE_MAX_ITEMS = 22
 
 
 class EfficiencyContext:
@@ -40,7 +42,7 @@ class EfficiencyContext:
 
     ``peer_counts`` gives, per app, how many other stations cache each
     input, as the caching sweep keeps them; without it they are counted
-    from the cache, whose other rows must then be binary.
+    from the cache.
     """
 
     def __init__(self, scenario: Scenario, cache: CacheAssignment,
@@ -53,11 +55,7 @@ class EfficiencyContext:
         self.yf = np.ascontiguousarray(sched.y, dtype=np.float64)
         self.dt = np.ascontiguousarray(scenario.transfer_delays, dtype=np.float64)
         if peer_counts is None:
-            peer_counts = []
-            for a, x in enumerate(cache.entries):
-                peers = np.delete(x, station, axis=0)
-                require_binary(peers, a)
-                peer_counts.append(peers.sum(axis=0))
+            peer_counts = [x.sum(axis=0) - x[station] for x in cache.entries]
 
         A = scenario.num_apps
         self.exclusive: list[np.ndarray] = []     # sorted by p/s desc, index asc
@@ -145,7 +143,7 @@ class EfficiencyContext:
 
 
 def solve_inverse_efficiency(ctx: EfficiencyContext, a: int, j: int,
-                             level: float, tol: float = INVERSE_TOL) -> float:
+                             level: float) -> float:
     """Smallest x in [0, 1] with eps(x) = level, by bisection.
 
     The prefix before sorted position j is fully cached, the suffix empty.
@@ -157,7 +155,7 @@ def solve_inverse_efficiency(ctx: EfficiencyContext, a: int, j: int,
     if e0 >= level:
         return 0.0
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > INVERSE_TOL:
         mid = 0.5 * (lo + hi)
         if ctx.exclusive_eff(a, j, mid) >= level:
             hi = mid
@@ -219,7 +217,6 @@ def g_of_B(ctx: EfficiencyContext, level: float) -> list[np.ndarray]:
 
 def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
                      sched: SchedulingState, station: int,
-                     accuracy: float = LEVEL_ACCURACY,
                      peer_counts: list[np.ndarray] | None = None
                      ) -> tuple[list[np.ndarray], float]:
     """Relaxed cache placement for one station under frozen scheduling.
@@ -236,7 +233,7 @@ def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
         return [np.zeros(scenario.catalog_size(a))
                 for a in range(scenario.num_apps)], 0.0
     b_l, b_r = floor, 0.0
-    while b_r - b_l >= accuracy:
+    while b_r - b_l >= LEVEL_ACCURACY:
         b_m = 0.5 * (b_l + b_r)
         if _rows_storage(scenario, g_of_B(ctx, b_m)) < cap:
             b_l = b_m
@@ -270,17 +267,14 @@ def efficiencies_at_solution(ctx: EfficiencyContext,
     return out
 
 
-def round_to_binary(rows: list[np.ndarray],
-                    atol: float = BINARY_TOL) -> list[np.ndarray]:
+def round_to_binary(rows: list[np.ndarray]) -> list[np.ndarray]:
     """Drop the (at most one per app) fractional entry to 0."""
     out = []
     for a, row in enumerate(rows):
-        r = row.copy()
-        frac = (r > atol) & (r < 1.0 - atol)
+        frac = (row > BINARY_TOL) & (row < 1.0 - BINARY_TOL)
         if frac.sum() > 1:
             raise MalformedInput(f"app {a}: {int(frac.sum())} fractional entries")
-        r[frac] = 0.0
-        out.append(np.where(r > 0.5, 1.0, 0.0))
+        out.append(np.where(row >= 1.0 - BINARY_TOL, 1.0, 0.0))
     return out
 
 
@@ -297,20 +291,13 @@ def theorem3_ratio(d_zero: float, d_rounded: float, d_star: float,
     return ratio, bound
 
 
-def require_binary(x: np.ndarray, a: int) -> None:
-    """MalformedInput unless every entry of x is within BINARY_TOL of 0 or 1."""
-    if np.any((x > BINARY_TOL) & (x < 1.0 - BINARY_TOL)):
-        raise MalformedInput(f"app {a}: neighbor cache entries not binary")
-
-
 class SweepState:
     """A cache with its per-input counts and hit-rate table, kept current
     through station rewrites.
 
     ``counts[a]`` is the column sum of app a's matrix and ``hit`` equals
     compute_hit_rates(scenario, cache) bit for bit: a candidate's table is
-    built in O(A K) from the same reductions, with neighbor = total - local
-    (the rows the sweep writes are binary).
+    built in O(A K) from the same reductions, with neighbor = total - local.
     """
 
     def __init__(self, scenario: Scenario, cache: CacheAssignment):
@@ -347,23 +334,17 @@ class SweepState:
 
 
 def sweep_all_stations(scenario: Scenario, cache: CacheAssignment,
-                       sched: SchedulingState, passes: int,
-                       accuracy: float = LEVEL_ACCURACY
+                       sched: SchedulingState, passes: int
                        ) -> tuple[CacheAssignment, SchedulingState, list[float]]:
     """Station-by-station cache improvement under frozen (lam, fshare).
 
     Each station solve is rounded and written back only if the objective
     (with search flags refreshed) does not increase, which makes the
     objective non-increasing by construction.  Returns the per-pass
-    objective values; stops early once a full pass changes nothing.  With
-    more than one station every entry must be binary, since each row is
-    some other station's neighbor.
+    objective values; stops early once a full pass changes nothing.
     """
     cache = cache.copy()
     sched = sched.copy()
-    if scenario.num_stations > 1:
-        for a, x in enumerate(cache.entries):
-            require_binary(x, a)
     state = SweepState(scenario, cache)
     res = evaluate_with_rates(scenario, state.hit.total, state.hit.neighbor,
                               sched.lam, sched.fshare)
@@ -375,7 +356,7 @@ def sweep_all_stations(scenario: Scenario, cache: CacheAssignment,
     for _ in range(passes):
         changed = False
         for n in range(scenario.num_stations):
-            rows, _level = solve_caching_bs(scenario, cache, sched, n, accuracy,
+            rows, _level = solve_caching_bs(scenario, cache, sched, n,
                                             state.peer_counts(n))
             rows_bin = round_to_binary(rows)
             if all(np.array_equal(rows_bin[a], cache.entries[a][n])
@@ -409,12 +390,12 @@ def relaxed_objective(scenario: Scenario, cache: CacheAssignment,
     whenever the rows are binary.  frozen_y keeps the given search flags
     instead of re-choosing them per branch delay.
     """
-    cand = cache.with_station(station, rows, mode="fractional")
     A = scenario.num_apps
     total = np.zeros(A)
     local = np.zeros((A, scenario.num_stations))
     for a in range(A):
-        x = cand.entries[a]
+        x = cache.entries[a].copy()
+        x[station] = rows[a]
         p = scenario.match_probs[a]
         peer_sum = x.sum(axis=0) - x[station]
         exc = peer_sum <= 0.0
@@ -427,8 +408,7 @@ def relaxed_objective(scenario: Scenario, cache: CacheAssignment,
 
 
 def brute_force_cache_oracle(scenario: Scenario, cache: CacheAssignment,
-                             sched: SchedulingState, station: int,
-                             max_items: int = 22
+                             sched: SchedulingState, station: int
                              ) -> tuple[list[np.ndarray], float]:
     """Exhaustive optimum over binary station rows (small instances only).
 
@@ -439,8 +419,8 @@ def brute_force_cache_oracle(scenario: Scenario, cache: CacheAssignment,
     items = [(a, k) for a in range(scenario.num_apps)
              for k in range(scenario.catalog_size(a))]
     t = len(items)
-    if t > max_items:
-        raise TooLarge(f"{t} items exceeds the enumeration cap {max_items}")
+    if t > ORACLE_MAX_ITEMS:
+        raise TooLarge(f"{t} items exceeds the enumeration cap {ORACLE_MAX_ITEMS}")
     sizes = np.array([scenario.result_sizes[a][k] for a, k in items])
     cap = scenario.storage_capacities[station]
 

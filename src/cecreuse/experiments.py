@@ -258,20 +258,23 @@ def load_sweep_csv(path: str) -> list[dict]:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames) != SWEEP_HEADER:
-            raise MalformedInput(f"unexpected sweep header {reader.fieldnames}")
-        for rec in reader:
-            rows.append({
-                "axis": rec["axis"],
-                "value": float(rec["value"]),
-                "repetition": int(rec["repetition"]),
-                "algorithm": rec["algorithm"],
-                "total_delay_s": (None if rec["total_delay_s"] == ""
-                                  else float(rec["total_delay_s"])),
-                "avg_delay_s": (None if rec["avg_delay_s"] == ""
-                                else float(rec["avg_delay_s"])),
-                "feasible": rec["feasible"] == "true",
-                "rounds": int(rec["rounds"]),
-                "wall_time_s": float(rec["wall_time_s"]),
-            })
+        try:
+            if tuple(reader.fieldnames) != SWEEP_HEADER:
+                raise MalformedInput(f"unexpected sweep header {reader.fieldnames}")
+            for rec in reader:
+                rows.append({
+                    "axis": rec["axis"],
+                    "value": float(rec["value"]),
+                    "repetition": int(rec["repetition"]),
+                    "algorithm": rec["algorithm"],
+                    "total_delay_s": (None if rec["total_delay_s"] == ""
+                                      else float(rec["total_delay_s"])),
+                    "avg_delay_s": (None if rec["avg_delay_s"] == ""
+                                    else float(rec["avg_delay_s"])),
+                    "feasible": rec["feasible"] == "true",
+                    "rounds": int(rec["rounds"]),
+                    "wall_time_s": float(rec["wall_time_s"]),
+                })
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedInput(f"bad sweep file {path}: {exc}") from exc
     return rows

@@ -5,7 +5,7 @@ seconds for time.  A scenario holds N base stations and A applications; each
 application has a catalog of typical inputs whose results can be cached.
 
 Decision variables:
-  cache entries  x[a][n, k] in [0, 1]  result k of app a kept at station n
+  cache entries  x[a][n, k] in {0, 1}  result k of app a kept at station n
   search flags   y[a, n] in {0, 1}     station searches its cache for app a
   load fractions lam[a, n] in [0, 1]   share of app a's tasks sent to n
   cpu shares     fshare[a, n] in [0,1] share of station n's CPU given to a
@@ -23,7 +23,7 @@ from .errors import DimensionMismatch, MalformedInput
 
 # absolute tolerance on the two simplex equality constraints
 EQUALITY_TOL = 1e-9
-# entries closer than this to 0 or 1 count as exactly binary
+# slack on the [0, 1] ranges of lam and fshare, and of relaxed cache rows
 BINARY_TOL = 1e-12
 
 
@@ -201,52 +201,39 @@ class Scenario:
 
 
 class CacheAssignment:
-    """Per-app cache matrices x[a] of shape (N, K_a) with entries in [0, 1].
+    """Per-app cache matrices x[a] of shape (N, K_a) with entries 0 or 1.
 
-    ``mode`` is "binary" or "fractional"; the relaxed per-station solver
-    produces fractional assignments with at most one fractional entry per app.
+    Any other entry, NaN and infinities included, is MalformedInput.
     """
 
-    __slots__ = ("entries", "mode")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries: list[np.ndarray], mode: str = "binary"):
-        if mode not in ("binary", "fractional"):
-            raise MalformedInput(f"unknown cache mode {mode!r}")
+    def __init__(self, entries: list[np.ndarray]):
         self.entries = [np.asarray(x, dtype=np.float64) for x in entries]
-        self.mode = mode
         for a, x in enumerate(self.entries):
             if x.ndim != 2:
                 raise DimensionMismatch(f"app {a}: cache matrix must be 2-D")
             # written so that NaN fails it
-            if not np.all((x >= -BINARY_TOL) & (x <= 1.0 + BINARY_TOL)):
-                raise MalformedInput(f"app {a}: cache entries outside [0, 1]")
+            if not np.all((x == 0.0) | (x == 1.0)):
+                raise MalformedInput(f"app {a}: cache entries not binary")
 
     @classmethod
     def zeros(cls, scenario: Scenario) -> "CacheAssignment":
-        return cls(
-            [np.zeros((scenario.num_stations, scenario.catalog_size(a)))
-             for a in range(scenario.num_apps)],
-            mode="binary",
-        )
+        return cls([np.zeros((scenario.num_stations, scenario.catalog_size(a)))
+                    for a in range(scenario.num_apps)])
 
     def copy(self) -> "CacheAssignment":
-        return CacheAssignment([x.copy() for x in self.entries], mode=self.mode)
+        return CacheAssignment([x.copy() for x in self.entries])
 
-    def with_station(self, n: int, station_rows: list[np.ndarray],
-                     mode: str | None = None) -> "CacheAssignment":
+    def with_station(self, n: int,
+                     station_rows: list[np.ndarray]) -> "CacheAssignment":
         """New assignment with station n's row replaced in every app matrix."""
         new = [x.copy() for x in self.entries]
         for a, row in enumerate(station_rows):
             if row.shape != (new[a].shape[1],):
                 raise DimensionMismatch(f"app {a}: station row has wrong length")
             new[a][n, :] = row
-        return CacheAssignment(new, mode=self.mode if mode is None else mode)
-
-    def is_binary(self, tol: float = BINARY_TOL) -> bool:
-        for x in self.entries:
-            if np.any((x > tol) & (x < 1.0 - tol)):
-                return False
-        return True
+        return CacheAssignment(new)
 
 
 @dataclass
@@ -281,8 +268,8 @@ class HitRateTable:
 
     ``local[a, n]``    probability a task of app a hits station n's own cache
     ``neighbor[a, n]`` probability it misses locally but some peer caches it
-    ``total[a]``       probability the result is cached somewhere; for binary
-                       assignments total = local + neighbor at every station
+    ``total[a]``       probability the result is cached somewhere;
+                       total = local + neighbor at every station
     """
 
     local: np.ndarray
@@ -310,16 +297,13 @@ def compute_hit_rates(scenario: Scenario, cache: CacheAssignment) -> HitRateTabl
 
     Each station's local rate is dot(row, p) and the total comes from the
     column counts through cached_mass; the caching sweep updates its tables
-    with the same two reductions, so both agree bit for bit.  For a binary
-    matrix neighbor = total - local.  With fractional entries the peer
-    indicator applies to the real-valued sum (any positive mass at a peer
-    counts as available there).
+    with the same two reductions, so both agree bit for bit.  Entries are
+    binary, so neighbor = total - local.
     """
     if len(cache.entries) != scenario.num_apps:
         raise DimensionMismatch("cache has wrong number of apps")
     nst = scenario.num_stations
     local = np.zeros((scenario.num_apps, nst))
-    neighbor = np.zeros((scenario.num_apps, nst))
     total = np.zeros(scenario.num_apps)
     for a in range(scenario.num_apps):
         x = cache.entries[a]
@@ -329,10 +313,7 @@ def compute_hit_rates(scenario: Scenario, cache: CacheAssignment) -> HitRateTabl
         counts = x.sum(axis=0)
         total[a] = cached_mass(p, counts)
         local[a] = [dot(row, p) for row in x]
-        if np.all((x == 0.0) | (x == 1.0)):
-            neighbor[a] = total[a] - local[a]
-        else:
-            neighbor[a] = [dot((1.0 - row) * (counts - row > 0.0), p) for row in x]
+    neighbor = total[:, None] - local
     local.setflags(write=False)
     neighbor.setflags(write=False)
     total.setflags(write=False)
@@ -349,7 +330,7 @@ def rows_storage(scenario: Scenario, rows: list[np.ndarray]) -> float:
 
 
 def storage_used(scenario: Scenario, cache: CacheAssignment, n: int) -> float:
-    """Bytes occupied at station n (fractional entries count pro rata)."""
+    """Bytes occupied at station n."""
     return rows_storage(scenario, [x[n] for x in cache.entries])
 
 
@@ -387,9 +368,8 @@ def validate(scenario: Scenario, cache: CacheAssignment,
 
     for a in range(A):
         x = cache.entries[a]
-        bad = (x < -BINARY_TOL) | (x > 1.0 + BINARY_TOL)
-        if cache.mode == "binary":
-            bad |= (x > BINARY_TOL) & (x < 1.0 - BINARY_TOL)
+        # rows written in place after construction are checked again
+        bad = (x != 0.0) & (x != 1.0)
         for n in np.unique(np.nonzero(bad)[0]):
             out.append(Violation("range", a, int(n), float(np.max(np.abs(x[n] - 0.5)))))
 

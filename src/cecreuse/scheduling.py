@@ -22,14 +22,16 @@ from .model import (CacheAssignment, Scenario, SchedulingState,
                     compute_hit_rates)
 
 
+ALPHA = 0.3         # Armijo sufficient-decrease fraction
+BETA = 0.5          # backtracking shrink factor
+J_MAX = 60          # line-search attempts before giving up
+DELTA_STAB = 1e-6   # relative utilization margin below 1
+
+
 @dataclass(frozen=True)
 class PgdParams:
-    """Step schedule and line-search constants."""
+    """Step schedule of the descent."""
     theta0: float = 1.0        # base step size, scaled by 1/sqrt(iteration)
-    alpha: float = 0.3         # Armijo sufficient-decrease fraction
-    beta: float = 0.5          # backtracking shrink factor
-    j_max: int = 60            # line-search attempts before giving up
-    delta_stab: float = 1e-6   # relative utilization margin below 1
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -60,7 +62,7 @@ def project_decisions(lam: np.ndarray, fshare: np.ndarray
 
 def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
               direction: tuple[np.ndarray, np.ndarray], base_obj: float,
-              grad_dot_dir: float, params: PgdParams
+              grad_dot_dir: float
               ) -> tuple[int, np.ndarray, np.ndarray, float]:
     """Smallest j whose step beta^j meets the decrease and margin tests.
 
@@ -68,18 +70,18 @@ def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
     must return None on points that are unstable or inside the stability
     margin.
     """
-    for j in range(params.j_max + 1):
-        step = params.beta ** j
+    for j in range(J_MAX + 1):
+        step = BETA ** j
         lam = point[0] + step * direction[0]
         fsh = point[1] + step * direction[1]
         obj = objective_fn(lam, fsh)
         if obj is None:
             continue
-        if base_obj - obj >= -params.alpha * step * grad_dot_dir:
+        if base_obj - obj >= -ALPHA * step * grad_dot_dir:
             return j, lam, fsh, obj
     raise LineSearchExhausted(
         "no backtracking step met the decrease and margin tests",
-        tried=params.j_max + 1)
+        tried=J_MAX + 1)
 
 
 # a projected target this close to the iterate counts as stationary
@@ -126,15 +128,15 @@ def solve_scheduling(scenario: Scenario, cache: CacheAssignment,
 
         def objective_fn(lam, fsh):
             out = evaluate_with_rates(scenario, hit.total, hit.neighbor,
-                                      lam, fsh, y=y, margin=params.delta_stab)
+                                      lam, fsh, y=y, margin=DELTA_STAB)
             return out.objective if out.feasible else None
 
         try:
             j, new_lam, new_fsh, new_obj = backtrack(
                 objective_fn, (sched.lam, sched.fshare),
-                (d_lam, d_fsh), res.objective, grad_dot, params)
+                (d_lam, d_fsh), res.objective, grad_dot)
         except LineSearchExhausted:
-            trace.append((i, res.objective, params.j_max + 1))
+            trace.append((i, res.objective, J_MAX + 1))
             break
         sched.lam = new_lam
         sched.fshare = new_fsh
@@ -158,7 +160,6 @@ def initial_feasible_point(scenario: Scenario,
     A, N = scenario.num_apps, scenario.num_stations
     caps = scenario.compute_capacities
     rates = scenario.total_rates
-    delta = PgdParams().delta_stab
 
     lam = np.tile(caps / caps.sum(), (A, 1))
     fshare = np.full((A, N), 1.0 / A)
@@ -167,7 +168,7 @@ def initial_feasible_point(scenario: Scenario,
     srv_best = np.minimum(wa * np.ones((A, N)), srv1)
     for _attempt in range(4):
         f = fshare * caps[None, :]
-        cap_load = (1.0 - delta) * (1.0 - REPAIR_SHRINK) * f / srv_best
+        cap_load = (1.0 - DELTA_STAB) * (1.0 - REPAIR_SHRINK) * f / srv_best
         load = lam * rates[:, None]
         if np.all(load <= cap_load):
             break
@@ -202,7 +203,7 @@ def initial_feasible_point(scenario: Scenario,
 
     cheaper = np.broadcast_to(srv1 < wa, (A, N)).astype(np.int8)
     stable, _ = selected_stability(scenario, hit.total, lam, fshare, cheaper,
-                                   delta)
+                                   DELTA_STAB)
     if not stable.all():
         raise Infeasible("no stable routing found for the given capacities")
     y = recompute_search_flags(scenario, hit.total, hit.neighbor, lam, fshare)

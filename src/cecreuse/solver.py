@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .caching import LEVEL_ACCURACY, sweep_all_stations
+from .caching import sweep_all_stations
 from .delay import evaluate_objective
-from .errors import Infeasible
+from .errors import Infeasible, MalformedInput
 from .model import (Application, BaseStation, CacheAssignment, Scenario,
                     SchedulingState, validate)
 from .scheduling import PgdParams, initial_feasible_point, solve_scheduling
@@ -56,8 +56,7 @@ class SolveReport:
             "sched": None,
         }
         if self.cache is not None:
-            d["cache"] = {"mode": self.cache.mode,
-                          "entries": [e.tolist() for e in self.cache.entries]}
+            d["cache"] = {"entries": [e.tolist() for e in self.cache.entries]}
         if self.sched is not None:
             d["sched"] = {"lam": self.sched.lam.tolist(),
                           "fshare": self.sched.fshare.tolist(),
@@ -66,25 +65,27 @@ class SolveReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolveReport":
-        cache = None
-        if d["cache"] is not None:
-            cache = CacheAssignment(
-                entries=[np.array(e, dtype=np.float64) for e in d["cache"]["entries"]],
-                mode=d["cache"]["mode"])
-        sched = None
-        if d["sched"] is not None:
-            sched = SchedulingState(
-                lam=np.array(d["sched"]["lam"], dtype=np.float64),
-                fshare=np.array(d["sched"]["fshare"], dtype=np.float64),
-                y=np.array(d["sched"]["y"], dtype=np.int8))
-        return cls(algorithm=d["algorithm"],
-                   objective_trace=[(int(r), str(p), int(i), float(o))
-                                    for r, p, i, o in d["objective_trace"]],
-                   cache=cache, sched=sched,
-                   final_objective=d["final_objective"],
-                   rounds_completed=int(d["rounds_completed"]),
-                   wall_time_s=float(d["wall_time_s"]),
-                   feasible=bool(d["feasible"]))
+        try:
+            cache = None
+            if d["cache"] is not None:
+                cache = CacheAssignment(
+                    [np.array(e, dtype=np.float64) for e in d["cache"]["entries"]])
+            sched = None
+            if d["sched"] is not None:
+                sched = SchedulingState(
+                    lam=np.array(d["sched"]["lam"], dtype=np.float64),
+                    fshare=np.array(d["sched"]["fshare"], dtype=np.float64),
+                    y=np.array(d["sched"]["y"], dtype=np.int8))
+            return cls(algorithm=d["algorithm"],
+                       objective_trace=[(int(r), str(p), int(i), float(o))
+                                        for r, p, i, o in d["objective_trace"]],
+                       cache=cache, sched=sched,
+                       final_objective=d["final_objective"],
+                       rounds_completed=int(d["rounds_completed"]),
+                       wall_time_s=float(d["wall_time_s"]),
+                       feasible=bool(d["feasible"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedInput(f"bad report document: {exc}") from exc
 
 
 def greedy_cache(scenario: Scenario) -> CacheAssignment:
@@ -132,8 +133,7 @@ def solve_greedy(scenario: Scenario) -> SolveReport:
 
 def alternating_solve(scenario: Scenario, rounds: int = 10,
                       caching_iters: int = 10, scheduling_iters: int = 10,
-                      params: PgdParams = PgdParams(),
-                      accuracy: float = LEVEL_ACCURACY) -> SolveReport:
+                      params: PgdParams = PgdParams()) -> SolveReport:
     """Alternate the caching sweep and the scheduling descent from the
     Greedy state, stopping early once a round improves by less than 1e-6
     relative."""
@@ -144,7 +144,7 @@ def alternating_solve(scenario: Scenario, rounds: int = 10,
     prev = obj
     for r in range(1, rounds + 1):
         cache, sched, pass_objs = sweep_all_stations(
-            scenario, cache, sched, passes=caching_iters, accuracy=accuracy)
+            scenario, cache, sched, passes=caching_iters)
         for i, o in enumerate(pass_objs, start=1):
             trace.append((r, "caching", i, o))
         sched, strace = solve_scheduling(scenario, cache, sched,

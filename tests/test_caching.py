@@ -373,12 +373,10 @@ def test_sweep_rejects_unstable_start():
         sweep_all_stations(sc, CacheAssignment.zeros(sc), uniform_state(sc), 1)
 
 
-def test_sweep_rejects_fractional_neighbor_entry(two_station_one_app):
-    sc = two_station_one_app
-    cache = CacheAssignment([np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0]])],
-                            mode="fractional")
+def test_sweep_rejects_fractional_neighbor_entry():
+    # a neighbor row holding 0.5 cannot reach the sweep: the cache rejects it
     with pytest.raises(MalformedInput, match="not binary"):
-        sweep_all_stations(sc, cache, uniform_state(sc), passes=1)
+        CacheAssignment([np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0]])])
 
 
 def test_sweep_state_rejects_wrong_row_length(two_station_one_app):

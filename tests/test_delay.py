@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cecreuse import (CacheAssignment, EfficiencyContext, PgdParams,
+from cecreuse import (CacheAssignment, EfficiencyContext,
                       QueueSimConfig, SchedulingState, StabilityViolation,
                       analytic_mean,
                       branch_delays, compute_hit_rates, evaluate_objective,
@@ -12,6 +12,7 @@ from cecreuse import (CacheAssignment, EfficiencyContext, PgdParams,
 from cecreuse.delay import (evaluate_with_rates, gradient_with_rates,
                             hit_derivative, selected_stability)
 from cecreuse.queuesim import _draw_services
+from cecreuse.scheduling import DELTA_STAB
 
 from conftest import build_scenario, full_cache, uniform_state
 
@@ -180,7 +181,7 @@ def test_stability_predicate_agrees_everywhere():
     # zero-CPU-with-load and overloaded ones are not, and queues placed at
     # utilisation 1 or 1 - delta agree whichever side rounding puts them
     rng = np.random.Generator(np.random.PCG64(31))
-    delta = PgdParams().delta_stab
+    delta = DELTA_STAB
     kinds = np.array(["normal", "idle", "cpu_no_load", "no_cpu", "overloaded",
                       "boundary", "margin"])
     A, N = 2, 3

@@ -157,3 +157,18 @@ def test_load_sweep_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(MalformedInput):
         load_sweep_csv(str(path))
+
+
+def test_load_sweep_csv_rejects_non_numeric_value(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(SWEEP_HEADER)
+                    + "\nworkload,abc,0,greedy,1.0,0.5,true,0,0.1\n")
+    with pytest.raises(MalformedInput, match="abc"):
+        load_sweep_csv(str(path))
+
+
+def test_load_sweep_csv_rejects_short_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(SWEEP_HEADER) + "\nworkload,0.5,0,greedy\n")
+    with pytest.raises(MalformedInput):
+        load_sweep_csv(str(path))

@@ -6,6 +6,7 @@ from cecreuse import (CacheAssignment, DimensionMismatch, MalformedInput,
                       SchedulingState, compute_hit_rates, load_scenario,
                       save_scenario, scenario_from_dict, storage_used,
                       validate)
+from cecreuse.model import rows_storage
 from cecreuse.solver import greedy_cache, solve_greedy
 
 from conftest import (NON_FINITE_FIELDS, NON_FINITE_IDS, build_scenario,
@@ -98,17 +99,16 @@ def test_storage_used_hand_values():
     assert storage_used(sc, CacheAssignment.zeros(sc), 0) == 0.0
     one = CacheAssignment([np.array([[1.0, 0.0]])])
     assert storage_used(sc, one, 0) == pytest.approx(1e6)
-    frac = CacheAssignment([np.array([[1.0, 0.5]])], mode="fractional")
-    assert storage_used(sc, frac, 0) == pytest.approx(2e6)
+    assert rows_storage(sc, [np.array([1.0, 0.5])]) == pytest.approx(2e6)
 
 
 def test_storage_used_linear_in_x():
     sc = build_scenario((1e9,), (1e9,), (0.01,), ((1.0,),),
                         [(1.0, 1e8, [(0.1, 3e5), (0.1, 7e5)])])
     rng = np.random.Generator(np.random.PCG64(9))
-    x = rng.random((1, 2))
-    used = storage_used(sc, CacheAssignment([x], mode="fractional"), 0)
-    half = storage_used(sc, CacheAssignment([0.5 * x], mode="fractional"), 0)
+    x = rng.random(2)
+    used = rows_storage(sc, [x])
+    half = rows_storage(sc, [0.5 * x])
     assert half == pytest.approx(0.5 * used, rel=1e-12)
 
 
@@ -174,16 +174,17 @@ def test_scenario_from_dict_rejects_non_finite(two_station_one_app, path, value)
 def test_cache_assignment_rejects_out_of_range():
     with pytest.raises(MalformedInput):
         CacheAssignment([np.array([[1.5]])])
-    with pytest.raises(MalformedInput):
-        CacheAssignment([np.array([[0.5]])], mode="half")
+    for value in (0.5, 1.0 - 1e-13):
+        with pytest.raises(MalformedInput):
+            CacheAssignment([np.array([[1.0, value]])])
     with pytest.raises(DimensionMismatch):
         CacheAssignment([np.array([0.5])])
 
 
 def test_cache_is_binary_flag(default_scenario):
-    assert CacheAssignment.zeros(default_scenario).is_binary()
-    frac = CacheAssignment([np.array([[0.4]])], mode="fractional")
-    assert not frac.is_binary()
+    CacheAssignment.zeros(default_scenario)
+    with pytest.raises(MalformedInput):
+        CacheAssignment([np.array([[0.4]])])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -191,8 +192,7 @@ def test_cache_rejects_non_finite_entries(value):
     with pytest.raises(MalformedInput):
         CacheAssignment([np.array([[value, 1.0]])])
     with pytest.raises(MalformedInput):
-        CacheAssignment([np.zeros((2, 2)), np.array([[0.0], [value]])],
-                        mode="fractional")
+        CacheAssignment([np.zeros((2, 2)), np.array([[0.0], [value]])])
 
 
 @pytest.mark.parametrize("field", ["lam", "fshare", "y"])

@@ -9,6 +9,7 @@ from cecreuse import (CacheAssignment, EmptyVector, GeneratorParams, Infeasible,
                       project_decisions, project_simplex, solve_scheduling,
                       validate)
 from cecreuse.delay import selected_stability
+from cecreuse.scheduling import DELTA_STAB, J_MAX
 
 from conftest import build_scenario
 
@@ -88,16 +89,14 @@ def scalar_problem(fn, x0, d):
 def test_backtrack_full_step_accepted():
     fn = lambda x: (x - 1.0) ** 2
     objective, point, direction = scalar_problem(fn, 0.0, 1.0)
-    j, lam, _, obj = backtrack(objective, point, direction, fn(0.0), -2.0,
-                               PgdParams())
+    j, lam, _, obj = backtrack(objective, point, direction, fn(0.0), -2.0)
     assert j == 0 and lam[0, 0] == 1.0 and obj == 0.0
 
 
 def test_backtrack_shrinks_overshoot():
     fn = lambda x: (x - 0.2) ** 2
     objective, point, direction = scalar_problem(fn, 0.0, 1.0)
-    j, lam, _, _ = backtrack(objective, point, direction, fn(0.0), -0.4,
-                             PgdParams())
+    j, lam, _, _ = backtrack(objective, point, direction, fn(0.0), -0.4)
     # step 1 and 1/2 fail the sufficient-decrease test, 1/4 passes
     assert j == 2 and lam[0, 0] == pytest.approx(0.25)
 
@@ -107,16 +106,15 @@ def test_backtrack_margin_gate_keeps_boundary_distance():
     fn = lambda x: (x - 1.0) ** 2 if x <= 0.6 else None
     objective, point, direction = scalar_problem(fn, 0.0, 1.0)
 
-    j, lam, _, _ = backtrack(objective, point, direction, fn(0.0), -2.0,
-                             PgdParams())
+    j, lam, _, _ = backtrack(objective, point, direction, fn(0.0), -2.0)
     assert j == 1 and lam[0, 0] == pytest.approx(0.5) and lam[0, 0] <= 0.6
 
 
 def test_backtrack_exhaustion():
     objective, point, direction = scalar_problem(lambda x: None, 0.0, 1.0)
     with pytest.raises(LineSearchExhausted) as err:
-        backtrack(objective, point, direction, 1.0, -1.0, PgdParams(j_max=10))
-    assert err.value.tried == 11
+        backtrack(objective, point, direction, 1.0, -1.0)
+    assert err.value.tried == J_MAX + 1
 
 
 # -- descent ------------------------------------------------------------------
@@ -220,5 +218,5 @@ def test_initial_point_repair_lands_inside_the_margin():
     assert validate(sc, cache, state) == []
     stable, _ = selected_stability(sc, compute_hit_rates(sc, cache).total,
                                    state.lam, state.fshare, state.y,
-                                   PgdParams().delta_stab)
+                                   DELTA_STAB)
     assert stable.all()

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from cecreuse import (GeneratorParams, Infeasible, SolveReport, alternating_solve,
-                      generate_scenario, greedy_cache, solve_greedy, solve_noc,
-                      solve_nor, storage_used)
+from cecreuse import (GeneratorParams, Infeasible, MalformedInput, SolveReport,
+                      alternating_solve, generate_scenario, greedy_cache,
+                      solve_greedy, solve_noc, solve_nor, storage_used)
 
 from conftest import build_scenario
 
@@ -152,6 +152,22 @@ def test_report_dict_round_trip(default_scenario):
     rep = alternating_solve(default_scenario, rounds=2)
     again = SolveReport.from_dict(rep.to_dict())
     assert again.to_dict() == rep.to_dict()
+    assert "mode" not in rep.to_dict()["cache"]
+
+
+def test_report_from_dict_rejects_missing_key(default_scenario):
+    d = solve_greedy(default_scenario).to_dict()
+    del d["rounds_completed"]
+    with pytest.raises(MalformedInput, match="rounds_completed"):
+        SolveReport.from_dict(d)
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0 - 1e-13, np.nan, np.inf, -np.inf])
+def test_report_from_dict_rejects_non_binary_cache(default_scenario, value):
+    d = solve_greedy(default_scenario).to_dict()
+    d["cache"]["entries"][0][0][0] = value
+    with pytest.raises(MalformedInput):
+        SolveReport.from_dict(d)
 
 
 # -- baselines against the proposed solver --------------------------------------
