@@ -22,7 +22,7 @@ from .model import (Application, BaseStation, CacheAssignment, HitRateTable,
 from .queuesim import QueueSimConfig, SimResult, analytic_mean, simulate
 from .scheduling import (PgdParams, backtrack, initial_feasible_point,
                          project_decisions, project_simplex, solve_scheduling)
-from .solver import (SolveReport, alternating_solve, greedy_cache,
+from .solver import (SolveReport, alternating_solve, greedy_cache, solve,
                      solve_greedy, solve_noc, solve_nor)
 
 __version__ = "0.1.0"
@@ -48,7 +48,7 @@ __all__ = [
     "QueueSimConfig", "SimResult", "simulate", "analytic_mean",
     # solver
     "SolveReport", "greedy_cache", "solve_greedy", "alternating_solve",
-    "solve_nor", "solve_noc",
+    "solve_nor", "solve_noc", "solve",
     # experiments
     "GeneratorParams", "SweepSpec", "generate_scenario", "run_sweep",
     "save_sweep_csv", "load_sweep_csv",

@@ -21,12 +21,12 @@ import numpy as np
 from .delay import (branch_delays, evaluate_with_rates, gradient_with_rates,
                     selected_stability)
 from .errors import CecReuseError, Infeasible, MalformedInput, UnstableConfig
-from .experiments import (ALGORITHMS, AXES, GeneratorParams, SweepSpec,
+from .experiments import (AXES, GeneratorParams, SweepSpec,
                           generate_scenario, run_sweep, save_sweep_csv)
 from .model import compute_hit_rates, load_scenario, save_scenario
 from .queuesim import QueueSimConfig, analytic_mean, simulate
 from .scheduling import PgdParams, initial_feasible_point
-from .solver import alternating_solve, greedy_cache, solve_greedy, solve_noc, solve_nor
+from .solver import ALGORITHMS, ROUND_CAP, greedy_cache, solve
 
 DEFAULT_VALUES = {"workload": "0.5,0.75,1.0,1.25,1.5",
                   "stations": "5,10,15,20",
@@ -47,10 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_solver_flags(sp):
-        sp.add_argument("--rounds", type=int, default=10)
-        sp.add_argument("--caching-iters", type=int, default=10)
-        sp.add_argument("--scheduling-iters", type=int, default=10)
-        sp.add_argument("--theta0", type=float, default=1.0)
+        sp.add_argument("--rounds", type=int, default=ROUND_CAP)
+        sp.add_argument("--theta0", type=float, default=PgdParams().theta0)
 
     sp = sub.add_parser("solve", help="solve one scenario JSON")
     sp.add_argument("--config", required=True)
@@ -93,18 +91,8 @@ def _write_trace_csv(trace, path: str) -> None:
 
 def cmd_solve(args) -> int:
     scenario = load_scenario(args.config)
-    pgd = PgdParams(theta0=args.theta0)
-    if args.algorithm == "proposed":
-        rep = alternating_solve(scenario, args.rounds, args.caching_iters,
-                                args.scheduling_iters, pgd)
-    elif args.algorithm == "greedy":
-        rep = solve_greedy(scenario)
-    elif args.algorithm == "nor":
-        rep = solve_nor(scenario, args.rounds, args.caching_iters,
-                        args.scheduling_iters, pgd)
-    else:
-        rep = solve_noc(scenario, args.rounds, args.caching_iters,
-                        args.scheduling_iters, pgd)
+    rep = solve(scenario, args.algorithm, args.rounds,
+                PgdParams(theta0=args.theta0))
     os.makedirs(args.output, exist_ok=True)
     with open(os.path.join(args.output, "report.json"), "w") as fh:
         json.dump(rep.to_dict(), fh, indent=2, sort_keys=True)
@@ -133,8 +121,6 @@ def cmd_sweep(args) -> int:
             raise MalformedInput(f"unknown algorithm {a!r}")
     spec = SweepSpec(axis=args.axis, values=values, repetitions=args.reps,
                      algorithms=algorithms, rounds=args.rounds,
-                     caching_iters=args.caching_iters,
-                     scheduling_iters=args.scheduling_iters,
                      theta0=args.theta0)
     rows = run_sweep(spec, GeneratorParams(seed=args.seed))
     save_sweep_csv(rows, args.output)

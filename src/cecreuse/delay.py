@@ -90,9 +90,11 @@ def hit_derivative(load: float, f: float, wa: float, ws: float,
                    hit: float) -> float:
     """Derivative of the cache-search sojourn time with respect to the hit rate.
 
-    Arguments as in branch_delays, for one queue.  Returns -inf when the
-    queue is unstable at this hit rate (callers treat that as "unboundedly
-    beneficial to raise the hit rate").
+    One queue: arrival rate ``load`` (tasks/s) first, then CPU speed ``f``
+    (cycles/s), the reverse of branch_delays' (f, load) order; ``wa``,
+    ``ws`` and ``hit`` as there.  Returns -inf when the queue is unstable
+    at this hit rate (callers treat that as "unboundedly beneficial to
+    raise the hit rate").
     """
     if f <= 0.0:
         return -math.inf

@@ -9,30 +9,32 @@ N=10 scenario are exactly the stations of the N=5 scenario, and the
 first 2 apps of an A=5 scenario are the apps of the A=2 scenario.  That
 coupling is what makes the axis sweeps smooth at small repetition counts.
 
-The per-station total arrival mass is drawn as a sum of reference_apps
+The per-station total arrival mass is drawn as a sum of REFERENCE_APPS
 independent rate draws (the same law as summing i.i.d. per-app rates),
 from a stream independent of the actual app count; per-app rates are
 rescaled so each station's total equals its drawn target.  Offered load
 is therefore constant when sweeping the app count.
 
-App weights are the per-app total arrival rates (times the weight knob),
-so the reported objective is the traffic-weighted total delay, i.e. the
-expected number of in-flight tasks.  That total scales additively with
-the station count, which is what makes "total / N" a meaningful average
-when sweeping the number of stations.
+App weights are the per-app total arrival rates, so the reported
+objective is the traffic-weighted total delay, i.e. the expected number
+of in-flight tasks.  That total scales additively with the station
+count, which is what makes "total / N" a meaningful average when
+sweeping the number of stations.
 
 Desk-scale defaults: catalog sizes are scaled down by k_scale with match
 probabilities scaled up by 1/k_scale (expected hit mass preserved) and
 storage capacities scaled by k_scale (storage-to-catalog ratio, hence
 caching pressure, preserved); k_scale=1 reproduces the full-size
-distributions.  load_scale calibrates the unit workload factor to the
-operating point where the qualitative regime contrasts (single-station
-saturation under load growth, reuse-vs-caching crossover) appear within
-the sweep range {0.5 .. 1.5}.
+distributions.  The distribution bounds are module constants: the sweeps
+vary only the seed, the station and app counts, the workload factor and
+k_scale.  At workload factor 1 the qualitative regime contrasts
+(single-station saturation under load growth, reuse-vs-caching crossover)
+appear within the sweep range {0.5 .. 1.5}.
 """
 from __future__ import annotations
 
 import csv
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -42,45 +44,34 @@ import numpy as np
 from .errors import Infeasible, MalformedInput
 from .model import Application, BaseStation, Scenario, TypicalInput
 from .scheduling import PgdParams
-from .solver import alternating_solve, solve_greedy, solve_noc, solve_nor
+from .solver import ALGORITHMS, ROUND_CAP, solve
 
 SWEEP_HEADER = ("axis", "value", "repetition", "algorithm", "total_delay_s",
                 "avg_delay_s", "feasible", "rounds", "wall_time_s")
 
 AXES = ("workload", "stations", "apps")
-ALGORITHMS = ("proposed", "greedy", "nor", "noc")
+
+COMPUTE_LO, COMPUTE_HI = 2e9, 8e9          # cycles/s
+STORAGE_LO, STORAGE_HI = 2e9, 8e9          # bytes, scaled by k_scale
+CATALOG_LO, CATALOG_HI = 10_000, 50_000    # inputs per app, scaled by k_scale
+WORKLOAD_LO, WORKLOAD_HI = 2e8, 6e8        # cycles per task
+SEARCH_WORKLOAD = 25e6                     # cycles
+RATE_LO, RATE_HI = 0.5, 1.5                # tasks/s per (app, station)
+MATCH_LO, MATCH_HI = 1.2e-5, 3.6e-5        # per input, scaled by 1/k_scale
+TRANSFER_LO, TRANSFER_HI = 0.010, 0.030    # seconds
+SIZE_MEAN, SIZE_SD, SIZE_MIN = 1e5, 3e4, 1e4   # result bytes
+REFERENCE_APPS = 5                         # app count anchoring per-station totals
+MAX_MATCH_SUM = 0.95                       # cap on an app's total match probability
 
 
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Distribution bounds with desk-scale and sweep knobs."""
+    """The seed and the sweep knobs; every distribution bound is a constant."""
     seed: int = 42
     num_stations: int = 10
     num_apps: int = 5
-    compute_lo: float = 2e9          # cycles/s
-    compute_hi: float = 8e9
-    storage_lo: float = 2e9          # bytes, scaled by k_scale
-    storage_hi: float = 8e9
-    catalog_lo: int = 10_000         # inputs per app, scaled by k_scale
-    catalog_hi: int = 50_000
-    workload_lo: float = 2e8         # cycles per task
-    workload_hi: float = 6e8
-    search_workload: float = 25e6    # cycles
-    rate_lo: float = 0.5             # tasks/s per (app, station)
-    rate_hi: float = 1.5
-    match_lo: float = 1.2e-5         # per input, scaled by 1/k_scale
-    match_hi: float = 3.6e-5
-    transfer_lo: float = 0.010       # seconds
-    transfer_hi: float = 0.030
-    size_mean: float = 1e5           # bytes
-    size_sd: float = 3e4
-    size_min: float = 1e4
-    weight: float = 1.0              # multiplier on traffic-volume app weights
-    workload_factor: float = 1.0
-    load_scale: float = 1.0          # calibration of the unit workload factor
-    k_scale: float = 0.01
-    reference_apps: int = 5          # app count anchoring per-station totals
-    max_match_sum: float = 0.95
+    workload_factor: float = 1.0     # multiplier on every arrival rate
+    k_scale: float = 0.01            # desk-scale catalog/storage factor
 
 
 @dataclass(frozen=True)
@@ -90,23 +81,17 @@ class SweepSpec:
     values: tuple
     repetitions: int = 3
     algorithms: tuple = ALGORITHMS
-    rounds: int = 10
-    caching_iters: int = 10
-    scheduling_iters: int = 10
-    theta0: float = 1.0
+    rounds: int = ROUND_CAP
+    theta0: float = PgdParams().theta0
 
 
 def _check_params(p: GeneratorParams) -> None:
-    pairs = [(p.compute_lo, p.compute_hi), (p.storage_lo, p.storage_hi),
-             (p.catalog_lo, p.catalog_hi), (p.workload_lo, p.workload_hi),
-             (p.rate_lo, p.rate_hi), (p.match_lo, p.match_hi),
-             (p.transfer_lo, p.transfer_hi)]
-    if any(lo > hi for lo, hi in pairs):
-        raise MalformedInput("distribution bounds out of order")
-    if p.workload_factor <= 0.0 or p.k_scale <= 0.0 or p.load_scale <= 0.0:
-        raise MalformedInput("factors must be positive")
-    if p.num_stations < 1 or p.num_apps < 1 or p.reference_apps < 1:
-        raise MalformedInput("need at least one station and app")
+    # written so that NaN fails every check
+    if not (0.0 < p.workload_factor < math.inf and 0.0 < p.k_scale < math.inf):
+        raise MalformedInput("workload_factor and k_scale must be positive and finite")
+    if not all(isinstance(v, (int, np.integer)) and v >= 1
+               for v in (p.num_stations, p.num_apps)):
+        raise MalformedInput("station and app counts must be integers >= 1")
 
 
 def generate_scenario(params: GeneratorParams) -> Scenario:
@@ -122,13 +107,13 @@ def generate_scenario(params: GeneratorParams) -> Scenario:
     tot_rng = np.random.Generator(np.random.PCG64(tot_ss))
 
     N, A = p.num_stations, p.num_apps
-    compute = cap_rng.uniform(p.compute_lo, p.compute_hi, N)
-    storage = stor_rng.uniform(p.storage_lo, p.storage_hi, N) * p.k_scale
-    transfer = dt_rng.uniform(p.transfer_lo, p.transfer_hi, N)
-    # sum of reference_apps i.i.d. rate draws: the same law as total i.i.d.
+    compute = cap_rng.uniform(COMPUTE_LO, COMPUTE_HI, N)
+    storage = stor_rng.uniform(STORAGE_LO, STORAGE_HI, N) * p.k_scale
+    transfer = dt_rng.uniform(TRANSFER_LO, TRANSFER_HI, N)
+    # sum of REFERENCE_APPS i.i.d. rate draws: the same law as total i.i.d.
     # per-app arrivals, but drawn independently of the actual app count
-    totals = (tot_rng.uniform(p.rate_lo, p.rate_hi, (N, p.reference_apps))
-              .sum(axis=1) * p.workload_factor * p.load_scale)
+    totals = (tot_rng.uniform(RATE_LO, RATE_HI, (N, REFERENCE_APPS))
+              .sum(axis=1) * p.workload_factor)
 
     workloads = np.empty(A)
     rate_rows = np.empty((A, N))
@@ -139,15 +124,15 @@ def generate_scenario(params: GeneratorParams) -> Scenario:
         cat_rng, rate_rng = (np.random.Generator(np.random.PCG64(s))
                              for s in a_ss.spawn(2))
         a = len(inputs)
-        k = max(1, int(round(cat_rng.uniform(p.catalog_lo, p.catalog_hi)
+        k = max(1, int(round(cat_rng.uniform(CATALOG_LO, CATALOG_HI)
                              * p.k_scale)))
-        workloads[a] = cat_rng.uniform(p.workload_lo, p.workload_hi)
-        match = cat_rng.uniform(p.match_lo, p.match_hi, k) / p.k_scale
-        sizes = np.maximum(cat_rng.normal(p.size_mean, p.size_sd, k), p.size_min)
-        rate_rows[a] = rate_rng.uniform(p.rate_lo, p.rate_hi, N)
+        workloads[a] = cat_rng.uniform(WORKLOAD_LO, WORKLOAD_HI)
+        match = cat_rng.uniform(MATCH_LO, MATCH_HI, k) / p.k_scale
+        sizes = np.maximum(cat_rng.normal(SIZE_MEAN, SIZE_SD, k), SIZE_MIN)
+        rate_rows[a] = rate_rng.uniform(RATE_LO, RATE_HI, N)
         total_match = match.sum()
-        if total_match > p.max_match_sum:
-            match = match * (p.max_match_sum / total_match)
+        if total_match > MAX_MATCH_SUM:
+            match = match * (MAX_MATCH_SUM / total_match)
         inputs.append(tuple(TypicalInput(match_prob=float(m),
                                          result_size=float(s))
                             for m, s in zip(match, sizes)))
@@ -164,12 +149,12 @@ def generate_scenario(params: GeneratorParams) -> Scenario:
     # stations, so dividing by N gives a per-station average that is
     # scale-free in the station count.
     apps = tuple(
-        Application(weight=p.weight * float(rate_rows[a].sum()),
+        Application(weight=float(rate_rows[a].sum()),
                     mean_workload=float(workloads[a]),
                     typical_inputs=inputs[a])
         for a in range(A))
     return Scenario(stations=stations, apps=apps,
-                    search_workload=p.search_workload)
+                    search_workload=SEARCH_WORKLOAD)
 
 
 def _cell_params(spec: SweepSpec, params: GeneratorParams, value,
@@ -187,24 +172,12 @@ def _cell_params(spec: SweepSpec, params: GeneratorParams, value,
 def _solve_cell(args) -> dict:
     spec, params, value, rep, algorithm = args
     scenario = generate_scenario(_cell_params(spec, params, value, rep))
-    pgd = PgdParams(theta0=spec.theta0)
     row = {"axis": spec.axis, "value": value, "repetition": rep,
            "algorithm": algorithm, "total_delay_s": None, "avg_delay_s": None,
            "feasible": False, "rounds": 0, "wall_time_s": 0.0}
     try:
-        if algorithm == "proposed":
-            rep_ = alternating_solve(scenario, spec.rounds, spec.caching_iters,
-                                     spec.scheduling_iters, pgd)
-        elif algorithm == "greedy":
-            rep_ = solve_greedy(scenario)
-        elif algorithm == "nor":
-            rep_ = solve_nor(scenario, spec.rounds, spec.caching_iters,
-                             spec.scheduling_iters, pgd)
-        elif algorithm == "noc":
-            rep_ = solve_noc(scenario, spec.rounds, spec.caching_iters,
-                             spec.scheduling_iters, pgd)
-        else:
-            raise MalformedInput(f"unknown algorithm {algorithm!r}")
+        rep_ = solve(scenario, algorithm, spec.rounds,
+                     PgdParams(theta0=spec.theta0))
     except Infeasible:
         return row
     row["total_delay_s"] = rep_.final_objective
@@ -225,6 +198,8 @@ def run_sweep(spec: SweepSpec, params: GeneratorParams) -> list[dict]:
     """
     if not spec.values:
         raise MalformedInput("sweep needs at least one axis value")
+    if not spec.repetitions >= 1:
+        raise MalformedInput("sweep needs at least one repetition")
     cells = [(spec, params, value, rep, alg)
              for value in spec.values
              for rep in range(spec.repetitions)

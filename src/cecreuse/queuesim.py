@@ -35,8 +35,7 @@ class QueueSimConfig:
     search_workload: float       # w^s, cycles
     hit_rate: float              # P_hr
     mode: str                    # "no_cache" | "with_cache"
-    num_tasks: int
-    warmup_tasks: int | None = None   # None -> 10% of num_tasks
+    num_tasks: int               # the first 10% are warm-up, not counted
     rng_seed: int = 0
 
 
@@ -100,9 +99,8 @@ def simulate(cfg: QueueSimConfig) -> SimResult:
 
     if not _branch(cfg)[0]:
         raise UnstableConfig("utilization at or above 1")
-    warmup = cfg.num_tasks // 10 if cfg.warmup_tasks is None else cfg.warmup_tasks
-    if not 0 <= warmup < cfg.num_tasks:
-        raise MalformedInput("need num_tasks > warmup_tasks >= 0")
+    if not cfg.num_tasks >= 1:
+        raise MalformedInput("need at least one task")
 
     n = cfg.num_tasks
     interarrivals = -np.log1p(-rng.random(n)) / cfg.arrival_rate
@@ -110,7 +108,7 @@ def simulate(cfg: QueueSimConfig) -> SimResult:
     sojourns = _lindley_waits(interarrivals, services)
     sojourns += services
 
-    counted = sojourns[warmup:]
+    counted = sojourns[n // 10:]
     mean = float(counted.mean())
     if counted.size < 2:
         return SimResult(mean_sojourn=mean, half_width_95=0.0,

@@ -11,13 +11,15 @@ its stability region by a small margin.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .delay import (branch_tables, evaluate_with_rates, gradient_with_rates,
                     recompute_search_flags, selected_stability)
-from .errors import EmptyVector, Infeasible, LineSearchExhausted, StabilityViolation
+from .errors import (EmptyVector, Infeasible, LineSearchExhausted,
+                     MalformedInput, StabilityViolation)
 from .model import (CacheAssignment, Scenario, SchedulingState,
                     compute_hit_rates)
 
@@ -32,6 +34,12 @@ DELTA_STAB = 1e-6   # relative utilization margin below 1
 class PgdParams:
     """Step schedule of the descent."""
     theta0: float = 1.0        # base step size, scaled by 1/sqrt(iteration)
+
+    def __post_init__(self):
+        # written so that NaN fails the check
+        if not 0.0 < self.theta0 < math.inf:
+            raise MalformedInput(f"theta0 must be positive and finite, "
+                                 f"got {self.theta0!r}")
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:

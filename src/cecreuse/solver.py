@@ -24,6 +24,11 @@ from .scheduling import PgdParams, initial_feasible_point, solve_scheduling
 
 # relative per-round improvement below which alternation stops
 ROUND_IMPROVEMENT_TOL = 1e-6
+ROUND_CAP = 10           # default number of alternation rounds
+CACHING_PASSES = 10      # caching sweeps over all stations per round
+SCHEDULING_ITERS = 10    # descent iterations per round
+
+ALGORITHMS = ("proposed", "greedy", "nor", "noc")
 
 TraceRow = tuple[int, str, int, float]
 
@@ -109,20 +114,23 @@ def greedy_cache(scenario: Scenario) -> CacheAssignment:
     return cache
 
 
-def _greedy_state(scenario: Scenario) -> tuple[CacheAssignment, SchedulingState, float]:
-    cache = greedy_cache(scenario)
+def _feasible_start(scenario: Scenario, cache: CacheAssignment
+                    ) -> tuple[SchedulingState, float]:
+    """The repaired capacity-proportional start for ``cache`` and its
+    objective, with the search flags the branch rule picks."""
     sched = initial_feasible_point(scenario, cache)
     res = evaluate_objective(scenario, cache, sched)
     if not res.feasible:
         raise Infeasible("repaired starting point is still unstable")
     sched.y = res.y
-    return cache, sched, res.objective
+    return sched, res.objective
 
 
 def solve_greedy(scenario: Scenario) -> SolveReport:
     """Ratio-order caching + capacity-proportional routing, no optimization."""
     t0 = time.perf_counter()
-    cache, sched, obj = _greedy_state(scenario)
+    cache = greedy_cache(scenario)
+    sched, obj = _feasible_start(scenario, cache)
     return SolveReport(algorithm="greedy",
                        objective_trace=[(0, "init", 0, obj)],
                        cache=cache, sched=sched, final_objective=obj,
@@ -131,24 +139,24 @@ def solve_greedy(scenario: Scenario) -> SolveReport:
                        feasible=not validate(scenario, cache, sched))
 
 
-def alternating_solve(scenario: Scenario, rounds: int = 10,
-                      caching_iters: int = 10, scheduling_iters: int = 10,
+def alternating_solve(scenario: Scenario, rounds: int = ROUND_CAP,
                       params: PgdParams = PgdParams()) -> SolveReport:
     """Alternate the caching sweep and the scheduling descent from the
     Greedy state, stopping early once a round improves by less than 1e-6
     relative."""
     t0 = time.perf_counter()
-    cache, sched, obj = _greedy_state(scenario)
+    cache = greedy_cache(scenario)
+    sched, obj = _feasible_start(scenario, cache)
     trace: list[TraceRow] = [(0, "init", 0, obj)]
     rounds_completed = 0
     prev = obj
     for r in range(1, rounds + 1):
         cache, sched, pass_objs = sweep_all_stations(
-            scenario, cache, sched, passes=caching_iters)
+            scenario, cache, sched, passes=CACHING_PASSES)
         for i, o in enumerate(pass_objs, start=1):
             trace.append((r, "caching", i, o))
         sched, strace = solve_scheduling(scenario, cache, sched,
-                                         scheduling_iters, params)
+                                         SCHEDULING_ITERS, params)
         for i, o, _j in strace:
             trace.append((r, "scheduling", i, o))
         rounds_completed = r
@@ -163,21 +171,16 @@ def alternating_solve(scenario: Scenario, rounds: int = 10,
                        feasible=not validate(scenario, cache, sched))
 
 
-def solve_nor(scenario: Scenario, rounds: int = 10, caching_iters: int = 10,
-              scheduling_iters: int = 10,
+def solve_nor(scenario: Scenario, rounds: int = ROUND_CAP,
               params: PgdParams = PgdParams()) -> SolveReport:
     """No reuse: empty caches, y forced off by the branch rule, scheduling
     only with the same total iteration budget."""
     t0 = time.perf_counter()
     cache = CacheAssignment.zeros(scenario)
-    sched = initial_feasible_point(scenario, cache)
-    res = evaluate_objective(scenario, cache, sched)
-    if not res.feasible:
-        raise Infeasible("repaired starting point is still unstable")
-    sched.y = res.y
-    trace: list[TraceRow] = [(0, "init", 0, res.objective)]
+    sched, obj = _feasible_start(scenario, cache)
+    trace: list[TraceRow] = [(0, "init", 0, obj)]
     sched, strace = solve_scheduling(scenario, cache, sched,
-                                     rounds * scheduling_iters, params)
+                                     rounds * SCHEDULING_ITERS, params)
     for i, o, _j in strace:
         trace.append((1, "scheduling", i, o))
     return SolveReport(algorithm="nor", objective_trace=trace, cache=cache,
@@ -207,8 +210,7 @@ def _single_station_scenario(scenario: Scenario, n: int,
                     search_workload=scenario.search_workload)
 
 
-def solve_noc(scenario: Scenario, rounds: int = 10, caching_iters: int = 10,
-              scheduling_iters: int = 10,
+def solve_noc(scenario: Scenario, rounds: int = ROUND_CAP,
               params: PgdParams = PgdParams()) -> SolveReport:
     """No collaboration: each station serves its own arrivals in isolation.
 
@@ -220,8 +222,7 @@ def solve_noc(scenario: Scenario, rounds: int = 10, caching_iters: int = 10,
     inspection; it is not a collaborative evaluation.
     """
     if scenario.num_stations == 1:
-        rep = alternating_solve(scenario, rounds, caching_iters,
-                                scheduling_iters, params)
+        rep = alternating_solve(scenario, rounds, params)
         return replace(rep, algorithm="noc")
     t0 = time.perf_counter()
     A, N = scenario.num_apps, scenario.num_stations
@@ -241,8 +242,7 @@ def solve_noc(scenario: Scenario, rounds: int = 10, caching_iters: int = 10,
         if not kept:
             continue
         sub = _single_station_scenario(scenario, n, kept)
-        rep = alternating_solve(sub, rounds, caching_iters,
-                                scheduling_iters, params)
+        rep = alternating_solve(sub, rounds, params)
         init_sum += rep.objective_trace[0][3]
         final_sum += rep.final_objective
         rounds_completed = max(rounds_completed, rep.rounds_completed)
@@ -264,3 +264,24 @@ def solve_noc(scenario: Scenario, rounds: int = 10, caching_iters: int = 10,
                        rounds_completed=rounds_completed,
                        wall_time_s=time.perf_counter() - t0,
                        feasible=feasible)
+
+
+def solve(scenario: Scenario, algorithm: str, rounds: int = ROUND_CAP,
+          params: PgdParams = PgdParams()) -> SolveReport:
+    """Run the solver named by ``algorithm``, one of ALGORITHMS.
+
+    ``rounds`` caps the alternation (NoR: its iteration budget in rounds);
+    Greedy ignores it and ``params``.
+    """
+    if not (isinstance(rounds, (int, np.integer)) and rounds >= 0):
+        raise MalformedInput(f"rounds must be an integer >= 0, got {rounds!r}")
+    if algorithm == "proposed":
+        return alternating_solve(scenario, rounds, params)
+    if algorithm == "greedy":
+        return solve_greedy(scenario)
+    if algorithm == "nor":
+        return solve_nor(scenario, rounds, params)
+    if algorithm == "noc":
+        return solve_noc(scenario, rounds, params)
+    raise MalformedInput(f"unknown algorithm {algorithm!r}; "
+                         f"choose from {', '.join(ALGORITHMS)}")

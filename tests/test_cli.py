@@ -90,8 +90,7 @@ def test_solve_report_independent_of_blas_threads(tmp_path):
                        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
         subprocess.run([sys.executable, "-m", "cecreuse.cli", "solve",
                         "--config", str(config), "--output", str(out),
-                        "--rounds", "1", "--caching-iters", "2",
-                        "--scheduling-iters", "3"],
+                        "--rounds", "1"],
                        env=env, check=True, capture_output=True, timeout=600)
         lines = (out / "report.json").read_text().splitlines()
         reports.append([ln for ln in lines if '"wall_time_s"' not in ln])
@@ -139,6 +138,29 @@ def test_solve_infeasible_scenario(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(path),
                      "--output", str(tmp_path / "out")]) == 1
     assert "infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--theta0", "nan"), ("--theta0", "inf"), ("--theta0", "-1"),
+    ("--theta0", "0"), ("--rounds", "-3"),
+])
+def test_solve_rejects_bad_solver_settings(tmp_path, capsys, flag, value):
+    config = tmp_path / "scenario.json"
+    save_scenario(generate_scenario(GeneratorParams(
+        seed=42, num_stations=3, num_apps=2, k_scale=0.002)), config)
+    assert cli.main(["solve", "--config", str(config),
+                     "--output", str(tmp_path / "out"), flag, value]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rejects_negative_reps(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli.main(["sweep", "--axis", "workload", "--values", "0.5",
+                     "--reps", "-1", "--algorithm", "greedy",
+                     "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_unknown_subcommand_is_usage_error():

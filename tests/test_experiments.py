@@ -1,4 +1,8 @@
 """Scenario generation laws and the sweep driver."""
+import hashlib
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -79,8 +83,6 @@ def test_weights_are_traffic_volumes(default_scenario):
     for a in range(sc.num_apps):
         assert sc.apps[a].weight == pytest.approx(
             float(sc.arrival_rate_matrix[a].sum()), rel=1e-12)
-    double = generate_scenario(GeneratorParams(seed=42, weight=2.0))
-    assert double.weights == pytest.approx(2.0 * sc.weights, rel=1e-12)
 
 
 def test_workload_factor_scales_rates_linearly(default_scenario):
@@ -89,18 +91,31 @@ def test_workload_factor_scales_rates_linearly(default_scenario):
     assert half.arrival_rate_matrix == pytest.approx(
         0.5 * sc.arrival_rate_matrix, rel=1e-12)
     assert np.array_equal(half.workloads, sc.workloads)
-    scaled = generate_scenario(GeneratorParams(seed=42, load_scale=0.5))
-    assert scaled.arrival_rate_matrix == pytest.approx(
-        0.5 * sc.arrival_rate_matrix, rel=1e-12)
 
 
 def test_generator_rejects_bad_params():
-    with pytest.raises(MalformedInput):
-        generate_scenario(GeneratorParams(rate_lo=2.0, rate_hi=1.0))
-    with pytest.raises(MalformedInput):
-        generate_scenario(GeneratorParams(workload_factor=0.0))
-    with pytest.raises(MalformedInput):
-        generate_scenario(GeneratorParams(num_stations=0))
+    for bad in (dict(workload_factor=0.0), dict(workload_factor=math.nan),
+                dict(workload_factor=math.inf), dict(k_scale=-0.01),
+                dict(k_scale=math.nan), dict(k_scale=math.inf),
+                dict(num_stations=0), dict(num_stations=2.5),
+                dict(num_apps=0), dict(num_apps=2.5)):
+        with pytest.raises(MalformedInput):
+            generate_scenario(GeneratorParams(**bad))
+
+
+# SHA-256 of the sorted-key JSON of a scenario: every sweep and the
+# benchmark draw their instances from this generator
+@pytest.mark.parametrize("params,digest", [
+    (GeneratorParams(seed=42),
+     "b6fb2aee175f4679112869432dd6363ae5d2c9ce1a88e5f01692cc2b990e6c22"),
+    (GeneratorParams(seed=42, num_stations=20, num_apps=8, workload_factor=0.5),
+     "f9aadc5e794835de384151768d88afe25f1ecfe799a3944446cbed01dcb04aff"),
+    (SMALL,
+     "e55363460cb8a667e09f809dd53e509a80b10d05021177b8c9aab2924be21a32"),
+], ids=["default", "N20-A8-w0.5", "N3-A2-k0.002"])
+def test_generator_golden_scenarios(params, digest):
+    text = json.dumps(scenario_to_dict(generate_scenario(params)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- sweep driver -------------------------------------------------------------

@@ -94,8 +94,8 @@ def test_unstable_raises():
 def test_default_warmup_drops_ten_percent():
     r = simulate(cfg(num_tasks=50_000))
     assert r.tasks_counted == 50_000 - 5_000
-    r2 = simulate(cfg(num_tasks=50_000, warmup_tasks=123))
-    assert r2.tasks_counted == 50_000 - 123
+    r2 = simulate(cfg(num_tasks=12_345))
+    assert r2.tasks_counted == 12_345 - 12_345 // 10
 
 
 def test_malformed_inputs():
@@ -106,7 +106,7 @@ def test_malformed_inputs():
     with pytest.raises(MalformedInput):
         simulate(cfg(cpu=0.0))
     with pytest.raises(MalformedInput):
-        simulate(cfg(warmup_tasks=200_000))
+        simulate(cfg(num_tasks=0))
 
 
 @pytest.mark.parametrize("field", ["arrival_rate", "cpu", "app_workload",

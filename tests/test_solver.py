@@ -4,7 +4,7 @@ import pytest
 
 from cecreuse import (GeneratorParams, Infeasible, MalformedInput, SolveReport,
                       alternating_solve, generate_scenario, greedy_cache,
-                      solve_greedy, solve_noc, solve_nor, storage_used)
+                      solve, solve_greedy, solve_noc, solve_nor, storage_used)
 
 from conftest import build_scenario
 
@@ -209,6 +209,21 @@ def test_noc_single_station_equals_alternating():
     assert noc.algorithm == "noc"
     assert noc.final_objective == prop.final_objective
     assert noc.objective_trace == prop.objective_trace
+
+
+def test_solve_dispatches_by_name():
+    sc = generate_scenario(GeneratorParams(seed=42, num_stations=3, num_apps=2,
+                                           k_scale=0.002))
+    direct = {"proposed": alternating_solve(sc, 2), "greedy": solve_greedy(sc),
+              "nor": solve_nor(sc, 2), "noc": solve_noc(sc, 2)}
+    for name, rep in direct.items():
+        got = solve(sc, name, rounds=2)
+        assert got.algorithm == name
+        assert got.objective_trace == rep.objective_trace
+    with pytest.raises(MalformedInput):
+        solve(sc, "turbo")
+    with pytest.raises(MalformedInput):
+        solve(sc, "proposed", rounds=-1)
 
 
 def test_noc_infeasible_under_heavy_load():
