@@ -260,7 +260,7 @@ def efficiencies_at_solution(ctx: EfficiencyContext,
         eff = np.zeros(ctx.scenario.catalog_size(a))
         eff[ctx.replicated[a]] = ctx.rep_eff[a]
         if len(ctx.exclusive[a]):
-            hit = ctx.base_hit[a] + float(ctx.exc_p[a] @ rows[a][ctx.exclusive[a]])
+            hit = ctx.base_hit[a] + dot(ctx.exc_p[a], rows[a][ctx.exclusive[a]])
             g = ctx.bracket(a, hit)
             eff[ctx.exclusive[a]] = ctx.ratio[a] * g
         out.append(eff)
@@ -335,13 +335,15 @@ class SweepState:
 
 def sweep_all_stations(scenario: Scenario, cache: CacheAssignment,
                        sched: SchedulingState, passes: int
-                       ) -> tuple[CacheAssignment, SchedulingState, list[float]]:
+                       ) -> tuple[CacheAssignment, SchedulingState, list[float],
+                                  HitRateTable]:
     """Station-by-station cache improvement under frozen (lam, fshare).
 
     Each station solve is rounded and written back only if the objective
     (with search flags refreshed) does not increase, which makes the
     objective non-increasing by construction.  Returns the per-pass
-    objective values; stops early once a full pass changes nothing.
+    objective values and the final hit table; stops early once a full pass
+    changes nothing.
     """
     cache = cache.copy()
     sched = sched.copy()
@@ -375,7 +377,7 @@ def sweep_all_stations(scenario: Scenario, cache: CacheAssignment,
         pass_objs.append(obj)
         if not changed:
             break
-    return cache, sched, pass_objs
+    return cache, sched, pass_objs, state.hit
 
 
 def relaxed_objective(scenario: Scenario, cache: CacheAssignment,
@@ -399,8 +401,8 @@ def relaxed_objective(scenario: Scenario, cache: CacheAssignment,
         p = scenario.match_probs[a]
         peer_sum = x.sum(axis=0) - x[station]
         exc = peer_sum <= 0.0
-        total[a] = p[~exc].sum() + float(p[exc] @ x[station, exc])
-        local[a] = x @ p
+        total[a] = p[~exc].sum() + dot(p[exc], x[station, exc])
+        local[a] = [dot(row, p) for row in x]
     neighbor = np.maximum(total[:, None] - local, 0.0)
     res = evaluate_with_rates(scenario, total, neighbor, sched.lam, sched.fshare,
                               y=frozen_y)

@@ -176,18 +176,16 @@ def _gradient_max_rel_err(seed: int, points: int) -> float:
                              num_apps=2, k_scale=0.002)
         attempt += 1
         scenario = generate_scenario(gp)
-        cache = greedy_cache(scenario)
+        hit = compute_hit_rates(scenario, greedy_cache(scenario))
         try:
-            sched = initial_feasible_point(scenario, cache)
+            sched = initial_feasible_point(scenario, hit)
         except Infeasible:
             continue
         rng = np.random.Generator(np.random.PCG64(seed + attempt))
-        hit = compute_hit_rates(scenario, cache)
 
         def objective(lam, fsh, y):
-            out = evaluate_with_rates(scenario, hit.total, hit.neighbor,
-                                      lam, fsh, y=y)
-            return out.objective if out.feasible else None
+            return evaluate_with_rates(scenario, hit.total, hit.neighbor,
+                                       lam, fsh, y=y).objective
 
         lam = sched.lam + 0.02 * rng.standard_normal(sched.lam.shape)
         lam = np.clip(lam, 0.0, 1.0)
@@ -195,9 +193,9 @@ def _gradient_max_rel_err(seed: int, points: int) -> float:
         y = sched.y
         if objective(lam, fsh, y) is None:
             lam = sched.lam
-        base = objective(lam, fsh, y)
-        grad = gradient_with_rates(scenario, hit.total, hit.neighbor,
-                                   lam, fsh, y)
+        res = evaluate_with_rates(scenario, hit.total, hit.neighbor, lam, fsh, y=y)
+        base = res.objective
+        grad = gradient_with_rates(scenario, res, lam)
         made += 1
 
         # each queue's slack depends on its own (lam, fshare) only, so one

@@ -12,7 +12,8 @@ sojourn.  branch_delays evaluates both in cycle units,
 with srv1 = w^s + (1-P) w^a, which is the same algebra with fewer divisions.
 Every delay in the package, scalar or per (app, station), comes from there,
 and so does every stability decision: a branch is stable when its slack
-f - load E[S] is positive and, given a margin, load E[S] <= (1 - margin) f.
+f - load E[S] is positive.  One table per decision point serves its search
+flags, objective, stability test and gradient.
 """
 from __future__ import annotations
 
@@ -36,13 +37,15 @@ BIG_GRADIENT = 1e12
 class BranchDelays(NamedTuple):
     """Both branch sojourn times plus the terms the gradient reuses.
 
+    ``f``/``load`` are the CPU speed and arrival rate they were computed at;
     ``d0``/``d1`` are the M/M/1 and M/G/1 mean sojourn times (s), 0 where
-    ``ok0``/``ok1`` mark the branch unstable or inside the margin;
-    ``den0``/``den1`` are the stability slacks f - load w (cycles/s),
-    ``srv1`` the mean search-branch cost and ``sq`` its second-moment
-    numerator (cycles^2).
+    ``ok0``/``ok1`` mark the branch unstable; ``den0``/``den1`` are the
+    stability slacks f - load w (cycles/s), ``srv1`` the mean search-branch
+    cost and ``sq`` its second-moment numerator (cycles^2).
     """
 
+    f: np.ndarray
+    load: np.ndarray
     d0: np.ndarray
     ok0: np.ndarray
     d1: np.ndarray
@@ -53,37 +56,29 @@ class BranchDelays(NamedTuple):
     sq: np.ndarray
 
 
-def branch_delays(f, load, wa, ws, hit, margin: float = 0.0) -> BranchDelays:
+def branch_delays(f, load, wa, ws, hit) -> BranchDelays:
     """Both branches at CPU speed f (cycles/s) and arrival rate load (tasks/s).
 
     ``wa`` is the mean workload, ``ws`` the search workload (cycles) and
     ``hit`` the total hit rate; all arguments broadcast, so the same call
     serves one queue and an (app, station) table.  No infinities are stored.
-    A branch is ok when f > 0 and its slack is positive; a positive
-    ``margin`` also demands load E[S] <= (1 - margin) f, utilisation at
-    most 1 - margin (the line search keeps that distance from the boundary).
+    A branch is ok when f > 0 and its slack is positive.
     """
     fpos = f > 0.0
 
-    busy0 = load * wa
-    den0 = f - busy0
+    den0 = f - load * wa
     ok0 = fpos & (den0 > 0.0)
-    if margin:
-        ok0 &= busy0 <= (1.0 - margin) * f
     d0 = np.divide(wa * np.ones_like(f), den0, out=np.zeros_like(f), where=ok0)
 
     srv1 = ws + (1.0 - hit) * wa
-    busy1 = load * srv1
-    den1 = f - busy1
+    den1 = f - load * srv1
     ok1 = fpos & (den1 > 0.0)
-    if margin:
-        ok1 &= busy1 <= (1.0 - margin) * f
     sq = srv1 * srv1 + (1.0 - hit * hit) * wa * wa
     two_f_den1 = 2.0 * f * den1
     d1 = np.divide(srv1 * np.ones_like(f), f, out=np.zeros_like(f), where=fpos)
     d1 += np.divide(load * sq, two_f_den1, out=np.zeros_like(f), where=ok1)
     d1 = np.where(ok1, d1, 0.0)
-    return BranchDelays(d0, ok0, d1, ok1, den0, den1, srv1, sq)
+    return BranchDelays(f, load, d0, ok0, d1, ok1, den0, den1, srv1, sq)
 
 
 def hit_derivative(load: float, f: float, wa: float, ws: float,
@@ -120,29 +115,41 @@ class EvalResult:
 
     ``objective`` is None when some station carries load without a stable
     service branch; delays are per (app, station) with 0 where no traffic is
-    routed and no CPU assigned.
+    routed and no CPU assigned.  ``table`` holds the branch delays the
+    point was evaluated from.
     """
 
     objective: float | None
     app_delays: np.ndarray | None
     station_delays: np.ndarray | None
     y: np.ndarray
-    feasible: bool
+    table: BranchDelays
+
+    @property
+    def feasible(self) -> bool:
+        return self.objective is not None
 
 
 def branch_tables(scenario: Scenario, total_hit: np.ndarray,
-                  lam: np.ndarray, fshare: np.ndarray, margin: float = 0.0):
-    """CPU speeds and loads (A, N) followed by their branch_delays fields."""
+                  lam: np.ndarray, fshare: np.ndarray) -> BranchDelays:
+    """branch_delays over every (app, station) queue of a decision point."""
     f = fshare * scenario.compute_capacities[None, :]
     load = lam * scenario.total_rates[:, None]
-    return (f, load, *branch_delays(f, load, scenario.workloads[:, None],
-                                    scenario.search_workload, total_hit[:, None],
-                                    margin))
+    return branch_delays(f, load, scenario.workloads[:, None],
+                         scenario.search_workload, total_hit[:, None])
 
 
-def _stable(y, f, load, ok0, ok1) -> np.ndarray:
-    """Where the branch y selects is ok, or the queue is idle (no load, no CPU)."""
-    return np.where(y == 1, ok1, ok0) | ((load == 0.0) & (f == 0.0))
+def _stable(t: BranchDelays, y, wa, margin: float = 0.0) -> np.ndarray:
+    """Where the branch y selects is ok, or the queue is idle (no load, no CPU).
+
+    A positive ``margin`` also caps the utilisation load E[S] / f at
+    1 - margin, with E[S] = ``wa`` on branch 0 (the line search's margin).
+    """
+    search = y == 1
+    ok = np.where(search, t.ok1, t.ok0)
+    if margin:
+        ok &= t.load * np.where(search, t.srv1, wa) <= (1.0 - margin) * t.f
+    return ok | ((t.load == 0.0) & (t.f == 0.0))
 
 
 def selected_stability(scenario: Scenario, total_hit: np.ndarray,
@@ -154,9 +161,9 @@ def selected_stability(scenario: Scenario, total_hit: np.ndarray,
     ``slack`` is f - load E[S] of the selected branch (cycles/s), negative
     on an overloaded queue.
     """
-    f, load, _, ok0, _, ok1, den0, den1, *_ = branch_tables(
-        scenario, total_hit, lam, fshare, margin)
-    return _stable(y, f, load, ok0, ok1), np.where(y == 1, den1, den0)
+    t = branch_tables(scenario, total_hit, lam, fshare)
+    stable = _stable(t, y, scenario.workloads[:, None], margin)
+    return stable, np.where(y == 1, t.den1, t.den0)
 
 
 def recompute_search_flags(scenario: Scenario, total_hit: np.ndarray,
@@ -166,11 +173,7 @@ def recompute_search_flags(scenario: Scenario, total_hit: np.ndarray,
 
     An unstable branch counts as infinitely slow; ties keep y = 0.
     """
-    _, _, d0, ok0, d1, ok1, *_ = branch_tables(scenario, total_hit, lam, fshare)
-    dt = scenario.transfer_delays[None, :]
-    cand0 = np.where(ok0, d0, np.inf)
-    cand1 = np.where(ok1, d1 + neighbor_hit * dt, np.inf)
-    return (cand0 > cand1).astype(np.int8)
+    return evaluate_with_rates(scenario, total_hit, neighbor_hit, lam, fshare).y
 
 
 def evaluate_with_rates(scenario: Scenario, total_hit: np.ndarray,
@@ -182,27 +185,28 @@ def evaluate_with_rates(scenario: Scenario, total_hit: np.ndarray,
     A point whose selected branches are not stable at ``margin`` evaluates
     as infeasible.
     """
-    if y is None:
-        y = recompute_search_flags(scenario, total_hit, neighbor_hit, lam, fshare)
-    f, load, d0, ok0, d1, ok1, *_ = branch_tables(scenario, total_hit, lam,
-                                                  fshare, margin)
+    t = branch_tables(scenario, total_hit, lam, fshare)
     dt = scenario.transfer_delays[None, :]
-    if not np.all(_stable(y, f, load, ok0, ok1)):
-        return EvalResult(None, None, None, y, False)
+    d1_remote = t.d1 + neighbor_hit * dt
+    if y is None:  # the faster branch; an unstable one is infinitely slow
+        y = (np.where(t.ok0, t.d0, np.inf)
+             > np.where(t.ok1, d1_remote, np.inf)).astype(np.int8)
+    if not np.all(_stable(t, y, scenario.workloads[:, None], margin)):
+        return EvalResult(None, None, None, y, t)
 
-    idle = (load == 0.0) & (f == 0.0)
-    station_delays = np.where(y == 1, d1 + neighbor_hit * dt, d0)
+    idle = (t.load == 0.0) & (t.f == 0.0)
+    station_delays = np.where(y == 1, d1_remote, t.d0)
     station_delays = np.where(idle, 0.0, station_delays)
 
     rates = scenario.total_rates
     carried = rates > 0.0
     arr = scenario.arrival_rate_matrix
     with np.errstate(divide="ignore", invalid="ignore"):
-        trans = np.abs(load - arr) * dt / rates[:, None]
+        trans = np.abs(t.load - arr) * dt / rates[:, None]
     trans = np.where(carried[:, None], trans, 0.0)
     app_delays = np.where(carried, (lam * station_delays).sum(axis=1) + trans.sum(axis=1), 0.0)
     objective = float(scenario.weights @ app_delays)
-    return EvalResult(objective, app_delays, station_delays, y, True)
+    return EvalResult(objective, app_delays, station_delays, y, t)
 
 
 def evaluate_objective(scenario: Scenario, cache: CacheAssignment,
@@ -224,33 +228,33 @@ class ObjectiveGradient:
     dfshare: np.ndarray  # seconds per unit CPU share, (A, N)
 
 
-def gradient_with_rates(scenario: Scenario, total_hit: np.ndarray,
-                        neighbor_hit: np.ndarray, lam: np.ndarray,
-                        fshare: np.ndarray, y: np.ndarray) -> ObjectiveGradient:
-    """Exact partials of the y-frozen objective w.r.t. lam and fshare."""
-    f, load, d0, ok0, d1, ok1, den0, den1, srv1, sq = branch_tables(
-        scenario, total_hit, lam, fshare)
+def gradient_with_rates(scenario: Scenario, res: EvalResult,
+                        lam: np.ndarray) -> ObjectiveGradient:
+    """Exact partials of the y-frozen objective w.r.t. lam and fshare at
+    the point ``res`` evaluated (margin 0) from routing ``lam``."""
+    if not res.feasible:
+        raise StabilityViolation("gradient requested at an unstable point")
+    t = res.table
     wa = scenario.workloads[:, None]
     dt = scenario.transfer_delays[None, :]
     phi = scenario.weights[:, None]
-    if not np.all(_stable(y, f, load, ok0, ok1)):
-        raise StabilityViolation("gradient requested at an unstable point")
-    ysel = y == 1
-    idle = (load == 0.0) & (f == 0.0)
+    ysel = res.y == 1
+    idle = (t.load == 0.0) & (t.f == 0.0)
 
-    # d(lam * D)/dlam per branch; load = lam * R throughout
-    g0 = d0 + np.divide(load * wa * wa, den0 * den0,
-                        out=np.zeros_like(f), where=ok0)
-    g1 = (d1 + neighbor_hit * dt) + np.divide(load * sq, 2.0 * den1 * den1,
-                                              out=np.zeros_like(f), where=ok1)
-    sign = np.where(load - scenario.arrival_rate_matrix >= 0.0, 1.0, -1.0)
-    dlam = phi * (np.where(ysel, g1, g0) + sign * dt)
+    # d(lam * D)/dlam = D + load dD/dload on the selected branch; load = lam * R
+    g0 = np.divide(t.load * wa * wa, t.den0 * t.den0,
+                   out=np.zeros_like(t.f), where=t.ok0)
+    g1 = np.divide(t.load * t.sq, 2.0 * t.den1 * t.den1,
+                   out=np.zeros_like(t.f), where=t.ok1)
+    sign = np.where(t.load - scenario.arrival_rate_matrix >= 0.0, 1.0, -1.0)
+    dlam = phi * ((res.station_delays + np.where(ysel, g1, g0)) + sign * dt)
 
     # d(lam * D)/df per branch, then chain rule df/dfshare = C_n
-    h0 = -np.divide(lam * wa, den0 * den0, out=np.zeros_like(f), where=ok0)
-    h1 = -np.divide(lam * srv1, f * f, out=np.zeros_like(f), where=ok1)
-    h1 -= np.divide(lam * load * sq * (den1 + f), 2.0 * f * f * den1 * den1,
-                    out=np.zeros_like(f), where=ok1)
+    h0 = -np.divide(lam * wa, t.den0 * t.den0, out=np.zeros_like(t.f), where=t.ok0)
+    h1 = -np.divide(lam * t.srv1, t.f * t.f, out=np.zeros_like(t.f), where=t.ok1)
+    h1 -= np.divide(lam * t.load * t.sq * (t.den1 + t.f),
+                    2.0 * t.f * t.f * t.den1 * t.den1,
+                    out=np.zeros_like(t.f), where=t.ok1)
     dfshare = phi * np.where(ysel, h1, h0) * scenario.compute_capacities[None, :]
 
     # zero-CPU, zero-load coordinates: routing load there is ruinous, adding

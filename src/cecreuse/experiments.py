@@ -62,6 +62,7 @@ TRANSFER_LO, TRANSFER_HI = 0.010, 0.030    # seconds
 SIZE_MEAN, SIZE_SD, SIZE_MIN = 1e5, 3e4, 1e4   # result bytes
 REFERENCE_APPS = 5                         # app count anchoring per-station totals
 MAX_MATCH_SUM = 0.95                       # cap on an app's total match probability
+MAX_CATALOG = 1_000_000                    # largest per-app catalog, 20x paper scale
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,9 @@ def _check_params(p: GeneratorParams) -> None:
     # written so that NaN fails every check
     if not (0.0 < p.workload_factor < math.inf and 0.0 < p.k_scale < math.inf):
         raise MalformedInput("workload_factor and k_scale must be positive and finite")
+    if CATALOG_HI * p.k_scale > MAX_CATALOG:
+        raise MalformedInput(f"k_scale {p.k_scale!r} allows catalogs above "
+                             f"{MAX_CATALOG} inputs per app")
     if not all(isinstance(v, (int, np.integer)) and v >= 1
                for v in (p.num_stations, p.num_apps)):
         raise MalformedInput("station and app counts must be integers >= 1")
@@ -200,6 +204,8 @@ def run_sweep(spec: SweepSpec, params: GeneratorParams) -> list[dict]:
         raise MalformedInput("sweep needs at least one axis value")
     if not spec.repetitions >= 1:
         raise MalformedInput("sweep needs at least one repetition")
+    if not spec.algorithms:
+        raise MalformedInput("sweep needs at least one algorithm")
     cells = [(spec, params, value, rep, alg)
              for value in spec.values
              for rep in range(spec.repetitions)

@@ -20,8 +20,7 @@ from .delay import (branch_tables, evaluate_with_rates, gradient_with_rates,
                     recompute_search_flags, selected_stability)
 from .errors import (EmptyVector, Infeasible, LineSearchExhausted,
                      MalformedInput, StabilityViolation)
-from .model import (CacheAssignment, Scenario, SchedulingState,
-                    compute_hit_rates)
+from .model import HitRateTable, Scenario, SchedulingState
 
 
 ALPHA = 0.3         # Armijo sufficient-decrease fraction
@@ -100,11 +99,11 @@ STATIONARY_TOL = 1e-14
 REPAIR_SHRINK = 1e-12
 
 
-def solve_scheduling(scenario: Scenario, cache: CacheAssignment,
+def solve_scheduling(scenario: Scenario, hit: HitRateTable,
                      sched: SchedulingState, iters: int,
                      params: PgdParams = PgdParams()
                      ) -> tuple[SchedulingState, list[tuple[int, float, int]]]:
-    """Improve (lam, fshare) under a frozen cache.
+    """Improve (lam, fshare) under a frozen cache with hit table ``hit``.
 
     Search flags are re-chosen from the branch delays at the start of every
     iteration and held fixed through its gradient and line search.  The
@@ -113,17 +112,13 @@ def solve_scheduling(scenario: Scenario, cache: CacheAssignment,
     or when the line search is exhausted, keeping the current point.
     """
     sched = sched.copy()
-    hit = compute_hit_rates(scenario, cache)
     trace: list[tuple[int, float, int]] = []
     for i in range(1, iters + 1):
-        y = recompute_search_flags(scenario, hit.total, hit.neighbor,
-                                   sched.lam, sched.fshare)
         res = evaluate_with_rates(scenario, hit.total, hit.neighbor,
-                                  sched.lam, sched.fshare, y=y)
+                                  sched.lam, sched.fshare)
         if not res.feasible:
             raise StabilityViolation("scheduling started from an unstable point")
-        grad = gradient_with_rates(scenario, hit.total, hit.neighbor,
-                                   sched.lam, sched.fshare, y)
+        grad = gradient_with_rates(scenario, res, sched.lam)
         theta = params.theta0 / np.sqrt(i)
         target = project_decisions(sched.lam - theta * grad.dlam,
                                    sched.fshare - theta * grad.dfshare)
@@ -135,9 +130,8 @@ def solve_scheduling(scenario: Scenario, cache: CacheAssignment,
         grad_dot = float(np.sum(grad.dlam * d_lam) + np.sum(grad.dfshare * d_fsh))
 
         def objective_fn(lam, fsh):
-            out = evaluate_with_rates(scenario, hit.total, hit.neighbor,
-                                      lam, fsh, y=y, margin=DELTA_STAB)
-            return out.objective if out.feasible else None
+            return evaluate_with_rates(scenario, hit.total, hit.neighbor, lam,
+                                       fsh, y=res.y, margin=DELTA_STAB).objective
 
         try:
             j, new_lam, new_fsh, new_obj = backtrack(
@@ -155,7 +149,7 @@ def solve_scheduling(scenario: Scenario, cache: CacheAssignment,
 
 
 def initial_feasible_point(scenario: Scenario,
-                           cache: CacheAssignment) -> SchedulingState:
+                           hit: HitRateTable) -> SchedulingState:
     """Capacity-proportional routing, uniform CPU split, repaired to stability.
 
     lam rows start proportional to compute capacity and fshare uniform.  If
@@ -164,7 +158,6 @@ def initial_feasible_point(scenario: Scenario,
     fshare is rebalanced proportionally to the demanded cycle rates and the
     shift is retried.  Raises Infeasible when no stable point is found.
     """
-    hit = compute_hit_rates(scenario, cache)
     A, N = scenario.num_apps, scenario.num_stations
     caps = scenario.compute_capacities
     rates = scenario.total_rates
@@ -172,7 +165,7 @@ def initial_feasible_point(scenario: Scenario,
     lam = np.tile(caps / caps.sum(), (A, 1))
     fshare = np.full((A, N), 1.0 / A)
     wa = scenario.workloads[:, None]
-    *_, srv1, _ = branch_tables(scenario, hit.total, lam, fshare)
+    srv1 = branch_tables(scenario, hit.total, lam, fshare).srv1
     srv_best = np.minimum(wa * np.ones((A, N)), srv1)
     for _attempt in range(4):
         f = fshare * caps[None, :]

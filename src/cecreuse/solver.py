@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .caching import sweep_all_stations
-from .delay import evaluate_objective
+from .delay import evaluate_with_rates
 from .errors import Infeasible, MalformedInput
-from .model import (Application, BaseStation, CacheAssignment, Scenario,
-                    SchedulingState, validate)
+from .model import (Application, BaseStation, CacheAssignment, HitRateTable,
+                    Scenario, SchedulingState, compute_hit_rates, validate)
 from .scheduling import PgdParams, initial_feasible_point, solve_scheduling
 
 # relative per-round improvement below which alternation stops
@@ -115,22 +115,23 @@ def greedy_cache(scenario: Scenario) -> CacheAssignment:
 
 
 def _feasible_start(scenario: Scenario, cache: CacheAssignment
-                    ) -> tuple[SchedulingState, float]:
-    """The repaired capacity-proportional start for ``cache`` and its
-    objective, with the search flags the branch rule picks."""
-    sched = initial_feasible_point(scenario, cache)
-    res = evaluate_objective(scenario, cache, sched)
+                    ) -> tuple[SchedulingState, float, HitRateTable]:
+    """The repaired capacity-proportional start for ``cache``, its
+    objective and the cache's hit table."""
+    hit = compute_hit_rates(scenario, cache)
+    sched = initial_feasible_point(scenario, hit)
+    res = evaluate_with_rates(scenario, hit.total, hit.neighbor, sched.lam,
+                              sched.fshare, y=sched.y)
     if not res.feasible:
         raise Infeasible("repaired starting point is still unstable")
-    sched.y = res.y
-    return sched, res.objective
+    return sched, res.objective, hit
 
 
 def solve_greedy(scenario: Scenario) -> SolveReport:
     """Ratio-order caching + capacity-proportional routing, no optimization."""
     t0 = time.perf_counter()
     cache = greedy_cache(scenario)
-    sched, obj = _feasible_start(scenario, cache)
+    sched, obj, _ = _feasible_start(scenario, cache)
     return SolveReport(algorithm="greedy",
                        objective_trace=[(0, "init", 0, obj)],
                        cache=cache, sched=sched, final_objective=obj,
@@ -146,16 +147,16 @@ def alternating_solve(scenario: Scenario, rounds: int = ROUND_CAP,
     relative."""
     t0 = time.perf_counter()
     cache = greedy_cache(scenario)
-    sched, obj = _feasible_start(scenario, cache)
+    sched, obj, _ = _feasible_start(scenario, cache)
     trace: list[TraceRow] = [(0, "init", 0, obj)]
     rounds_completed = 0
     prev = obj
     for r in range(1, rounds + 1):
-        cache, sched, pass_objs = sweep_all_stations(
+        cache, sched, pass_objs, hit = sweep_all_stations(
             scenario, cache, sched, passes=CACHING_PASSES)
         for i, o in enumerate(pass_objs, start=1):
             trace.append((r, "caching", i, o))
-        sched, strace = solve_scheduling(scenario, cache, sched,
+        sched, strace = solve_scheduling(scenario, hit, sched,
                                          SCHEDULING_ITERS, params)
         for i, o, _j in strace:
             trace.append((r, "scheduling", i, o))
@@ -177,9 +178,9 @@ def solve_nor(scenario: Scenario, rounds: int = ROUND_CAP,
     only with the same total iteration budget."""
     t0 = time.perf_counter()
     cache = CacheAssignment.zeros(scenario)
-    sched, obj = _feasible_start(scenario, cache)
+    sched, obj, hit = _feasible_start(scenario, cache)
     trace: list[TraceRow] = [(0, "init", 0, obj)]
-    sched, strace = solve_scheduling(scenario, cache, sched,
+    sched, strace = solve_scheduling(scenario, hit, sched,
                                      rounds * SCHEDULING_ITERS, params)
     for i, o, _j in strace:
         trace.append((1, "scheduling", i, o))

@@ -325,7 +325,7 @@ def test_oracle_never_beaten_by_rounded_solver():
 def test_sweep_zero_passes(two_station_one_app):
     sc = two_station_one_app
     cache = CacheAssignment.zeros(sc)
-    out, _, objs = sweep_all_stations(sc, cache, uniform_state(sc), passes=0)
+    out, _, objs, _ = sweep_all_stations(sc, cache, uniform_state(sc), passes=0)
     assert objs == []
     assert all(np.array_equal(out.entries[a], cache.entries[a])
                for a in range(sc.num_apps))
@@ -335,7 +335,7 @@ def test_sweep_single_station_matches_one_solve():
     sc, *_ = knapsack_scenario(seed=9)
     cache = CacheAssignment.zeros(sc)
     start = uniform_state(sc)
-    swept, _, _ = sweep_all_stations(sc, cache, start, passes=1)
+    swept, _, _, _ = sweep_all_stations(sc, cache, start, passes=1)
 
     sched = start.copy()
     sched.y = evaluate_objective(sc, cache, sched).y
@@ -356,12 +356,12 @@ def test_sweep_more_passes_never_worse():
                         ((1.0, 0.6), (0.8, 1.2)), apps, search_workload=2e5)
     cache = CacheAssignment.zeros(sc)
     start = uniform_state(sc)
-    _, _, one = sweep_all_stations(sc, cache, start, passes=1)
-    _, _, two = sweep_all_stations(sc, cache, start, passes=2)
+    _, _, one, _ = sweep_all_stations(sc, cache, start, passes=1)
+    _, _, two, _ = sweep_all_stations(sc, cache, start, passes=2)
     assert two[-1] <= one[-1] + 1e-15
     assert all(b <= a + 1e-15 for a, b in zip(two, two[1:]))
     # storage feasible throughout
-    swept, _, _ = sweep_all_stations(sc, cache, start, passes=2)
+    swept, _, _, _ = sweep_all_stations(sc, cache, start, passes=2)
     for n in range(sc.num_stations):
         assert storage_used(sc, swept, n) <= sc.storage_capacities[n] + 1e-6
 

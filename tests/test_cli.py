@@ -74,6 +74,15 @@ def test_solve_deterministic_modulo_wall_time(tmp_path, scenario_json):
     assert outs[0] == outs[1]
 
 
+def blas_env(threads):
+    """The environment with OpenBLAS pinned to ``threads`` and this package
+    first on the import path."""
+    src = os.path.dirname(os.path.dirname(cecreuse.__file__))
+    return dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(
+                    [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
 def test_solve_report_independent_of_blas_threads(tmp_path):
     # OpenBLAS splits dot products over its threads above 10^4 elements
     sc = generate_scenario(GeneratorParams(seed=42, num_stations=3, num_apps=2,
@@ -81,20 +90,45 @@ def test_solve_report_independent_of_blas_threads(tmp_path):
     assert min(sc.catalog_size(a) for a in range(sc.num_apps)) > 10 ** 4
     config = tmp_path / "scenario.json"
     save_scenario(sc, config)
-    src = os.path.dirname(os.path.dirname(cecreuse.__file__))
     reports = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
         subprocess.run([sys.executable, "-m", "cecreuse.cli", "solve",
                         "--config", str(config), "--output", str(out),
                         "--rounds", "1"],
-                       env=env, check=True, capture_output=True, timeout=600)
+                       env=blas_env(threads), check=True, capture_output=True,
+                       timeout=600)
         lines = (out / "report.json").read_text().splitlines()
         reports.append([ln for ln in lines if '"wall_time_s"' not in ln])
     assert reports[0] == reports[1]
+
+
+# the relaxed objective and the efficiencies criterion 3 checks, with the
+# empty cache so that every input is exclusive and each dot product spans
+# a whole catalog of more than 10^4 inputs
+ORACLE_SCRIPT = """
+import numpy as np
+from cecreuse import (CacheAssignment, EfficiencyContext, GeneratorParams,
+                      efficiencies_at_solution, generate_scenario, solve_greedy)
+from cecreuse.caching import relaxed_objective
+sc = generate_scenario(GeneratorParams(seed=42, num_stations=3, num_apps=2,
+                                       k_scale=1.0))
+sched = solve_greedy(sc).sched
+zeros = CacheAssignment.zeros(sc)
+rng = np.random.Generator(np.random.PCG64(0))
+rows = [rng.uniform(0.0, 1.0, sc.catalog_size(a)) for a in range(sc.num_apps)]
+eff = efficiencies_at_solution(EfficiencyContext(sc, zeros, sched, 0), rows)
+print(repr(relaxed_objective(sc, zeros, sched, 0, rows)))
+print([e.tobytes().hex() for e in eff])
+"""
+
+
+def test_oracles_independent_of_blas_threads():
+    outputs = [subprocess.run([sys.executable, "-c", ORACLE_SCRIPT],
+                              env=blas_env(threads), check=True,
+                              capture_output=True, text=True, timeout=600).stdout
+               for threads in ("1", "2")]
+    assert outputs[0] == outputs[1]
 
 
 def test_solve_missing_config(tmp_path):
@@ -159,6 +193,14 @@ def test_sweep_rejects_negative_reps(tmp_path, capsys):
     assert cli.main(["sweep", "--axis", "workload", "--values", "0.5",
                      "--reps", "-1", "--algorithm", "greedy",
                      "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_sweep_rejects_empty_algorithm_list(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert cli.main(["sweep", "--axis", "workload", "--values", "0.5",
+                     "--algorithm", ",", "--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
 

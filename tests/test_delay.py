@@ -429,10 +429,9 @@ def test_idle_station_contributes_zero():
 # -- gradient -----------------------------------------------------------------
 
 
-def feasible_point(sc, cache, lam, fshare):
+def evaluated_point(sc, cache, lam, fshare):
     hit = compute_hit_rates(sc, cache)
-    y = recompute_search_flags(sc, hit.total, hit.neighbor, lam, fshare)
-    return hit, y
+    return hit, evaluate_with_rates(sc, hit.total, hit.neighbor, lam, fshare)
 
 
 def test_gradient_matches_finite_differences(two_station_one_app):
@@ -440,12 +439,12 @@ def test_gradient_matches_finite_differences(two_station_one_app):
     cache = CacheAssignment([np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])])
     lam = np.array([[0.6, 0.4]])
     fshare = np.ones((1, 2))
-    hit, y = feasible_point(sc, cache, lam, fshare)
-    grad = gradient_with_rates(sc, hit.total, hit.neighbor, lam, fshare, y)
+    hit, res = evaluated_point(sc, cache, lam, fshare)
+    grad = gradient_with_rates(sc, res, lam)
     h = 1e-7
 
     def obj(lm, fs):
-        return evaluate_with_rates(sc, hit.total, hit.neighbor, lm, fs, y=y).objective
+        return evaluate_with_rates(sc, hit.total, hit.neighbor, lm, fs, y=res.y).objective
 
     for a in range(1):
         for n in range(2):
@@ -466,8 +465,8 @@ def test_gradient_cpu_share_strictly_negative(two_station_one_app):
     cache = CacheAssignment.zeros(sc)
     lam = np.array([[0.6, 0.4]])
     fshare = np.ones((1, 2))
-    hit, y = feasible_point(sc, cache, lam, fshare)
-    grad = gradient_with_rates(sc, hit.total, hit.neighbor, lam, fshare, y)
+    _, res = evaluated_point(sc, cache, lam, fshare)
+    grad = gradient_with_rates(sc, res, lam)
     assert (grad.dfshare < 0.0).all()
 
 
@@ -476,8 +475,8 @@ def test_gradient_symmetric_network(two_station_one_app):
                         [(1.0, 4e8, [(0.2, 1e5), (0.3, 1e5), (0.1, 1e5)])])
     cache = full_cache(sc)
     state = uniform_state(sc)
-    hit, y = feasible_point(sc, cache, state.lam, state.fshare)
-    grad = gradient_with_rates(sc, hit.total, hit.neighbor, state.lam, state.fshare, y)
+    _, res = evaluated_point(sc, cache, state.lam, state.fshare)
+    grad = gradient_with_rates(sc, res, state.lam)
     assert grad.dlam[0, 0] == pytest.approx(grad.dlam[0, 1], rel=1e-12)
     assert grad.dfshare[0, 0] == pytest.approx(grad.dfshare[0, 1], rel=1e-12)
 
@@ -488,6 +487,7 @@ def test_gradient_raises_at_unstable_point():
     sched = SchedulingState(np.ones((1, 1)), np.ones((1, 1)),
                             np.zeros((1, 1), dtype=np.int8))
     hit = compute_hit_rates(sc, CacheAssignment.zeros(sc))
+    res = evaluate_with_rates(sc, hit.total, hit.neighbor, sched.lam,
+                              sched.fshare, y=sched.y)
     with pytest.raises(StabilityViolation):
-        gradient_with_rates(sc, hit.total, hit.neighbor, sched.lam,
-                            sched.fshare, sched.y)
+        gradient_with_rates(sc, res, sched.lam)

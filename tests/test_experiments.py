@@ -10,6 +10,7 @@ from cecreuse import (GeneratorParams, MalformedInput, SweepSpec,
                       generate_scenario, load_sweep_csv, run_sweep,
                       save_sweep_csv, scenario_to_dict)
 from cecreuse.experiments import SWEEP_HEADER
+from cecreuse.solver import ROUND_CAP, solve
 
 SMALL = GeneratorParams(seed=42, num_stations=3, num_apps=2, k_scale=0.002)
 
@@ -98,7 +99,10 @@ def test_generator_rejects_bad_params():
                 dict(workload_factor=math.inf), dict(k_scale=-0.01),
                 dict(k_scale=math.nan), dict(k_scale=math.inf),
                 dict(num_stations=0), dict(num_stations=2.5),
-                dict(num_apps=0), dict(num_apps=2.5)):
+                dict(num_apps=0), dict(num_apps=2.5),
+                # a catalog no machine holds: rejected before any draw
+                dict(num_stations=1, num_apps=1, k_scale=1e12),
+                dict(k_scale=20.001)):
         with pytest.raises(MalformedInput):
             generate_scenario(GeneratorParams(**bad))
 
@@ -116,6 +120,36 @@ def test_generator_rejects_bad_params():
 def test_generator_golden_scenarios(params, digest):
     text = json.dumps(scenario_to_dict(generate_scenario(params)), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _report_digest(rep):
+    """SHA-256 over the trace rows and the cache, lam, fshare and y bytes."""
+    h = hashlib.sha256(repr(rep.objective_trace).encode())
+    for arr in (*rep.cache.entries, rep.sched.lam, rep.sched.fshare, rep.sched.y):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# exact solver output per cell: a refactor that claims to keep every
+# operation and its order must reproduce these bit for bit
+@pytest.mark.parametrize("params,algorithm,rounds,objective,digest", [
+    (SMALL, "proposed", ROUND_CAP, "1.3358575562343393",
+     "7fa1d49f88c8bd1afa2a7858ef8226f52313c196c68ad4cee36ecf923ebf9d06"),
+    (SMALL, "greedy", ROUND_CAP, "1.3529917260591666",
+     "1c5e8f06621c605c91eb89858c62873041dde03aa12d80ce621c3f56818b2b69"),
+    (SMALL, "nor", ROUND_CAP, "4.198015421778337",
+     "b2cfe4621b6224debfd614c82403d5187b4d7262b85f0dfc2e927929103c2795"),
+    (SMALL, "noc", ROUND_CAP, "1.5088780566795246",
+     "b1a2b67c976ce9815a6f6a8b28d475ea1285d87949857382596b0cb21065827b"),
+    (GeneratorParams(seed=42), "proposed", 2, "8.802650261658783",
+     "78f7c6e2edd52894657d32e72e694f141eda03811b377f97a8c42d474b3f37c7"),
+], ids=["N3-A2-proposed", "N3-A2-greedy", "N3-A2-nor", "N3-A2-noc",
+        "default-proposed-r2"])
+def test_solver_golden_cells(params, algorithm, rounds, objective, digest):
+    rep = solve(generate_scenario(params), algorithm, rounds)
+    assert rep.feasible
+    assert repr(rep.final_objective) == objective
+    assert _report_digest(rep) == digest
 
 
 # -- sweep driver -------------------------------------------------------------

@@ -8,6 +8,7 @@ from cecreuse import (CacheAssignment, EmptyVector, GeneratorParams, Infeasible,
                       generate_scenario, initial_feasible_point,
                       project_decisions, project_simplex, solve_scheduling,
                       validate)
+from cecreuse import delay, scheduling
 from cecreuse.delay import selected_stability
 from cecreuse.scheduling import DELTA_STAB, J_MAX
 
@@ -124,7 +125,7 @@ def test_solve_scheduling_zero_iterations(symmetric_pair):
     sc, cache = symmetric_pair
     start = SchedulingState(np.array([[0.72, 0.28]]), np.ones((1, 2)),
                             np.zeros((1, 2), dtype=np.int8))
-    out, trace = solve_scheduling(sc, cache, start, iters=0)
+    out, trace = solve_scheduling(sc, compute_hit_rates(sc, cache), start, iters=0)
     assert trace == []
     assert np.array_equal(out.lam, start.lam)
     assert np.array_equal(out.fshare, start.fshare)
@@ -134,7 +135,8 @@ def test_solve_scheduling_symmetric_optimum(symmetric_pair):
     sc, cache = symmetric_pair
     start = SchedulingState(np.array([[0.72, 0.28]]), np.ones((1, 2)),
                             np.zeros((1, 2), dtype=np.int8))
-    out, trace = solve_scheduling(sc, cache, start, iters=200)
+    out, trace = solve_scheduling(sc, compute_hit_rates(sc, cache), start,
+                                  iters=200)
     assert out.lam[0] == pytest.approx([0.5, 0.5], abs=1e-4)
 
     objs = [t[1] for t in trace]
@@ -156,9 +158,10 @@ def test_solve_scheduling_beats_greedy_start():
         sc = generate_scenario(GeneratorParams(seed=seed, num_stations=3,
                                                num_apps=2, k_scale=0.002))
         cache = CacheAssignment.zeros(sc)
-        start = initial_feasible_point(sc, cache)
+        hit = compute_hit_rates(sc, cache)
+        start = initial_feasible_point(sc, hit)
         base = evaluate_objective(sc, cache, start).objective
-        _, trace = solve_scheduling(sc, cache, start, iters=10)
+        _, trace = solve_scheduling(sc, hit, start, iters=10)
         assert trace[-1][1] <= base + 1e-15
 
 
@@ -166,8 +169,34 @@ def test_solve_scheduling_final_state_feasible():
     sc = generate_scenario(GeneratorParams(seed=42, num_stations=3,
                                            num_apps=2, k_scale=0.002))
     cache = CacheAssignment.zeros(sc)
-    out, _ = solve_scheduling(sc, cache, initial_feasible_point(sc, cache), 25)
+    hit = compute_hit_rates(sc, cache)
+    out, _ = solve_scheduling(sc, hit, initial_feasible_point(sc, hit), 25)
     assert validate(sc, cache, out) == []
+
+
+def test_solve_scheduling_builds_one_table_per_point(monkeypatch):
+    # one branch table per iterate and per line-search probe, plus one for
+    # the flags of the final point
+    sc = generate_scenario(GeneratorParams(seed=42, num_stations=3,
+                                           num_apps=2, k_scale=0.002))
+    hit = compute_hit_rates(sc, CacheAssignment.zeros(sc))
+    start = initial_feasible_point(sc, hit)
+    tables, probes = [], []
+    branch_delays, evaluate = delay.branch_delays, scheduling.evaluate_with_rates
+
+    def counted_table(*args):
+        tables.append(args)
+        return branch_delays(*args)
+
+    def counted_eval(*args, **kwargs):
+        probes.append(kwargs.get("margin") == DELTA_STAB)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(delay, "branch_delays", counted_table)
+    monkeypatch.setattr(scheduling, "evaluate_with_rates", counted_eval)
+    _, trace = solve_scheduling(sc, hit, start, iters=10)
+    assert len(trace) == 10 and sum(probes) > len(trace)
+    assert len(tables) == len(trace) + sum(probes) + 1
 
 
 def test_solve_scheduling_stationary_fixed_point(symmetric_pair):
@@ -175,8 +204,9 @@ def test_solve_scheduling_stationary_fixed_point(symmetric_pair):
     sc, cache = symmetric_pair
     start = SchedulingState(np.array([[0.72, 0.28]]), np.ones((1, 2)),
                             np.zeros((1, 2), dtype=np.int8))
-    out, _ = solve_scheduling(sc, cache, start, iters=300)
-    again, _ = solve_scheduling(sc, cache, out, iters=5,
+    hit = compute_hit_rates(sc, cache)
+    out, _ = solve_scheduling(sc, hit, start, iters=300)
+    again, _ = solve_scheduling(sc, hit, out, iters=5,
                                 params=PgdParams(theta0=1e-9))
     assert np.abs(again.lam - out.lam).max() < 1e-6
     assert np.abs(again.fshare - out.fshare).max() < 1e-6
@@ -187,7 +217,7 @@ def test_solve_scheduling_stationary_fixed_point(symmetric_pair):
 
 def test_initial_point_homogeneous_uniform(symmetric_pair):
     sc, cache = symmetric_pair
-    state = initial_feasible_point(sc, cache)
+    state = initial_feasible_point(sc, compute_hit_rates(sc, cache))
     assert state.lam[0] == pytest.approx([0.5, 0.5])
     assert validate(sc, cache, state) == []
 
@@ -195,7 +225,7 @@ def test_initial_point_homogeneous_uniform(symmetric_pair):
 def test_initial_point_capacity_proportional():
     sc = build_scenario((6e9, 2e9), (4e9, 4e9), (0.015, 0.015), ((1.0,), (1.0,)),
                         [(1.0, 4e8, [(0.2, 1e5)])])
-    state = initial_feasible_point(sc, CacheAssignment.zeros(sc))
+    state = initial_feasible_point(sc, compute_hit_rates(sc, CacheAssignment.zeros(sc)))
     assert state.lam[0] == pytest.approx([0.75, 0.25])
 
 
@@ -205,7 +235,7 @@ def test_initial_point_overload_infeasible():
                         ((20.0,), (20.0,)),
                         [(1.0, 4e8, [(0.2, 1e5)])])
     with pytest.raises(Infeasible):
-        initial_feasible_point(sc, CacheAssignment.zeros(sc))
+        initial_feasible_point(sc, compute_hit_rates(sc, CacheAssignment.zeros(sc)))
 
 
 def test_initial_point_repair_lands_inside_the_margin():
@@ -214,9 +244,10 @@ def test_initial_point_repair_lands_inside_the_margin():
     sc = generate_scenario(GeneratorParams(seed=100, num_stations=6, num_apps=4,
                                            k_scale=0.002, workload_factor=2.2))
     cache = CacheAssignment.zeros(sc)
-    state = initial_feasible_point(sc, cache)
+    hit = compute_hit_rates(sc, cache)
+    state = initial_feasible_point(sc, hit)
     assert validate(sc, cache, state) == []
-    stable, _ = selected_stability(sc, compute_hit_rates(sc, cache).total,
+    stable, _ = selected_stability(sc, hit.total,
                                    state.lam, state.fshare, state.y,
                                    DELTA_STAB)
     assert stable.all()

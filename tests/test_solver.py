@@ -5,6 +5,7 @@ import pytest
 from cecreuse import (GeneratorParams, Infeasible, MalformedInput, SolveReport,
                       alternating_solve, generate_scenario, greedy_cache,
                       solve, solve_greedy, solve_noc, solve_nor, storage_used)
+from cecreuse import caching, model, solver
 
 from conftest import build_scenario
 
@@ -138,6 +139,25 @@ def test_caching_phases_converge_fast():
     rep = alternating_solve(sc)
     shares = caching_phase_shares(rep)
     assert shares and all(s >= 0.8 for s in shares)
+
+
+def test_one_hit_table_per_round(monkeypatch):
+    # the start, each round's caching sweep and the final validation each
+    # build the hit table once; the descent takes the sweep's table
+    calls = []
+    compute = model.compute_hit_rates
+
+    def counted(*args):
+        calls.append(args)
+        return compute(*args)
+
+    for module in (model, caching, solver):
+        monkeypatch.setattr(module, "compute_hit_rates", counted)
+    sc = generate_scenario(GeneratorParams(seed=42, num_stations=3, num_apps=2,
+                                           k_scale=0.002))
+    rep = alternating_solve(sc)
+    assert rep.rounds_completed >= 2
+    assert len(calls) == rep.rounds_completed + 2
 
 
 def test_determinism_modulo_wall_time(default_scenario):
