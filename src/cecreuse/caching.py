@@ -18,7 +18,8 @@ import math
 
 import numpy as np
 
-from .delay import evaluate_objective, evaluate_with_rates, hit_derivative
+from .delay import (evaluate_objective, evaluate_with_rates, hit_derivative_at,
+                    hit_factors)
 from .errors import (BracketError, DegenerateInput, DimensionMismatch,
                      Infeasible, MalformedInput, StabilityViolation, TooLarge)
 from .model import (BINARY_TOL, CacheAssignment, HitRateTable, Scenario,
@@ -66,6 +67,8 @@ class EfficiencyContext:
         self.base_hit: list[float] = []           # hit mass available from peers
         self.rep_eff: list[np.ndarray] = []
         self.active: list[bool] = []              # any phi lam y > 0 anywhere
+        self._terms: list[list[tuple] | None] = [None] * A
+        self._eff: dict[tuple[int, int, float], float] = {}
 
         for a in range(A):
             peer = peer_counts[a]
@@ -86,6 +89,26 @@ class EfficiencyContext:
             self.active.append(bool(np.any(
                 scenario.weights[a] * self.lam[a] * self.yf[a] > 0.0)))
 
+    def _searching(self, a: int) -> list[tuple]:
+        """(c, dt or None at the own station, hit_factors) per station where
+        app a searches, in station order; built on first use."""
+        terms = self._terms[a]
+        if terms is None:
+            sc = self.scenario
+            rate = float(sc.total_rates[a])
+            wa = float(sc.workloads[a])
+            weight = float(sc.weights[a])
+            terms = []
+            for j, (lam, y, f, dt) in enumerate(zip(
+                    self.lam[a].tolist(), self.yf[a].tolist(),
+                    self.f[a].tolist(), self.dt.tolist())):
+                c = weight * lam * y
+                if c != 0.0:
+                    terms.append((c, None if j == self.station else dt,
+                                  hit_factors(lam * rate, f, wa)))
+            self._terms[a] = terms
+        return terms
+
     def bracket(self, a: int, hit: float) -> float:
         """G(P_hr): hit-rate sensitivity summed over stations, -inf if unstable.
 
@@ -93,34 +116,37 @@ class EfficiencyContext:
         transfer its remote hits pay; the station being optimized pays no
         transfer on its own hits.
         """
-        sc = self.scenario
-        lam, yf, f, dt = self.lam[a], self.yf[a], self.f[a], self.dt
-        rate = float(sc.total_rates[a])
-        wa = float(sc.workloads[a])
-        ws = sc.search_workload
-        weight = float(sc.weights[a])
+        wa = float(self.scenario.workloads[a])
+        ws = self.scenario.search_workload
+        hit = float(hit)
         total = 0.0
-        for j in range(lam.shape[0]):
-            c = weight * lam[j] * yf[j]
-            if c == 0.0:
-                continue
-            d = hit_derivative(lam[j] * rate, f[j], wa, ws, hit)
+        for c, dt, k in self._searching(a):
+            if k is None:
+                return -math.inf
+            d = hit_derivative_at(k, wa, ws, hit)
             if d == -math.inf:
                 return -math.inf
-            if j == self.station:
-                total = total + c * d
-            else:
-                total = total + c * (d + dt[j])
+            total = total + (c * d if dt is None else c * (d + dt))
         return total
 
     def exclusive_eff(self, a: int, j: int, xv: float) -> float:
         """eps of the j-th sorted exclusive input with the prefix before it
-        fully cached, the suffix after it empty, and its own value xv."""
-        r = self.ratio[a][j]
-        if r == 0.0:
-            return 0.0
-        hit = self.base_hit[a] + self.prefix_p[a][j] + self.exc_p[a][j] * xv
-        return r * self.bracket(a, hit)
+        fully cached, the suffix after it empty, and its own value xv.
+
+        Memoised per (a, j, xv): the level search asks for the same
+        endpoints many times.
+        """
+        key = (a, j, xv)
+        eff = self._eff.get(key)
+        if eff is None:
+            r = self.ratio[a][j]
+            if r == 0.0:
+                eff = 0.0
+            else:
+                hit = self.base_hit[a] + self.prefix_p[a][j] + self.exc_p[a][j] * xv
+                eff = r * self.bracket(a, hit)
+            self._eff[key] = eff
+        return eff
 
     def efficiency_floor(self) -> float:
         """Level certainly below every finite efficiency, with 1% margin."""

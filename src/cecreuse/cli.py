@@ -178,7 +178,7 @@ def _gradient_max_rel_err(seed: int, points: int) -> float:
         scenario = generate_scenario(gp)
         hit = compute_hit_rates(scenario, greedy_cache(scenario))
         try:
-            sched = initial_feasible_point(scenario, hit)
+            sched, _ = initial_feasible_point(scenario, hit)
         except Infeasible:
             continue
         rng = np.random.Generator(np.random.PCG64(seed + attempt))

@@ -81,6 +81,50 @@ def branch_delays(f, load, wa, ws, hit) -> BranchDelays:
     return BranchDelays(f, load, d0, ok0, d1, ok1, den0, den1, srv1, sq)
 
 
+class HitFactors(NamedTuple):
+    """The hit-rate-free factors of one queue's hit_derivative.
+
+    ``f`` and ``load`` as in branch_delays; the other fields are the
+    products that formula forms before the hit rate enters, so evaluating
+    from them repeats its arithmetic operation for operation.
+    """
+
+    f: float
+    load: float
+    wa_f: float        # wa / f
+    llwa: float        # load * load * wa
+    two_f: float       # 2 f
+    fll: float         # f * load * load
+    two_mu0sq: float   # 2 (f / wa)^2
+    fl: float          # f * load
+    mu0sq: float       # (f / wa)^2
+    lwa: float         # load * wa
+
+
+def hit_factors(load: float, f: float, wa: float) -> HitFactors | None:
+    """hit_derivative's factors of one queue, or None when f <= 0 (the
+    derivative is then -inf at every hit rate)."""
+    if f <= 0.0:
+        return None
+    mu0sq = (f / wa) * (f / wa)
+    return HitFactors(f, load, wa / f, load * load * wa, 2.0 * f,
+                      f * load * load, 2.0 * mu0sq, f * load, mu0sq, load * wa)
+
+
+def hit_derivative_at(k: HitFactors, wa: float, ws: float, hit: float) -> float:
+    """hit_derivative at hit rate ``hit`` from the queue's factors ``k``."""
+    f, load, wa_f, llwa, two_f, fll, two_mu0sq, fl, mu0sq, lwa = k
+    W = (1.0 - hit) * wa + ws
+    den = f - load * W
+    if den <= 0.0:
+        return -math.inf
+    t2 = llwa * W * W / (two_f * den * den)
+    t3 = fll * (1.0 - hit) * (1.0 + hit) * wa / (two_mu0sq * den * den)
+    t4 = fl * hit / (mu0sq * den)
+    t5 = lwa * W / (f * den)
+    return -(wa_f + t2 + t3 + t4 + t5)
+
+
 def hit_derivative(load: float, f: float, wa: float, ws: float,
                    hit: float) -> float:
     """Derivative of the cache-search sojourn time with respect to the hit rate.
@@ -89,21 +133,13 @@ def hit_derivative(load: float, f: float, wa: float, ws: float,
     (cycles/s), the reverse of branch_delays' (f, load) order; ``wa``,
     ``ws`` and ``hit`` as there.  Returns -inf when the queue is unstable
     at this hit rate (callers treat that as "unboundedly beneficial to
-    raise the hit rate").
+    raise the hit rate").  Callers probing one queue at many hit rates
+    build its hit_factors once and evaluate with hit_derivative_at.
     """
-    if f <= 0.0:
+    k = hit_factors(load, f, wa)
+    if k is None:
         return -math.inf
-    W = (1.0 - hit) * wa + ws
-    den = f - load * W
-    if den <= 0.0:
-        return -math.inf
-    mu0sq = (f / wa) * (f / wa)
-    t1 = wa / f
-    t2 = load * load * wa * W * W / (2.0 * f * den * den)
-    t3 = f * load * load * (1.0 - hit) * (1.0 + hit) * wa / (2.0 * mu0sq * den * den)
-    t4 = f * load * hit / (mu0sq * den)
-    t5 = load * wa * W / (f * den)
-    return -(t1 + t2 + t3 + t4 + t5)
+    return hit_derivative_at(k, wa, ws, hit)
 
 
 # -- vectorized objective ----------------------------------------------------
@@ -154,14 +190,15 @@ def _stable(t: BranchDelays, y, wa, margin: float = 0.0) -> np.ndarray:
 
 def selected_stability(scenario: Scenario, total_hit: np.ndarray,
                        lam: np.ndarray, fshare: np.ndarray, y: np.ndarray,
-                       margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+                       margin: float = 0.0, table: BranchDelays | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """(stable, slack) per (app, station) for the service branch y selects.
 
     ``stable`` is the test evaluate_with_rates applies at ``margin``;
     ``slack`` is f - load E[S] of the selected branch (cycles/s), negative
-    on an overloaded queue.
+    on an overloaded queue.  ``table`` as in evaluate_with_rates.
     """
-    t = branch_tables(scenario, total_hit, lam, fshare)
+    t = branch_tables(scenario, total_hit, lam, fshare) if table is None else table
     stable = _stable(t, y, scenario.workloads[:, None], margin)
     return stable, np.where(y == 1, t.den1, t.den0)
 
@@ -179,13 +216,15 @@ def recompute_search_flags(scenario: Scenario, total_hit: np.ndarray,
 def evaluate_with_rates(scenario: Scenario, total_hit: np.ndarray,
                         neighbor_hit: np.ndarray, lam: np.ndarray,
                         fshare: np.ndarray, y: np.ndarray | None = None,
-                        margin: float = 0.0) -> EvalResult:
+                        margin: float = 0.0,
+                        table: BranchDelays | None = None) -> EvalResult:
     """Weighted objective from precomputed hit rates; y recomputed if None.
 
     A point whose selected branches are not stable at ``margin`` evaluates
-    as infeasible.
+    as infeasible.  ``table``, when given, is this point's branch_tables
+    (from an earlier evaluation of it) and is not built again.
     """
-    t = branch_tables(scenario, total_hit, lam, fshare)
+    t = branch_tables(scenario, total_hit, lam, fshare) if table is None else table
     dt = scenario.transfer_delays[None, :]
     d1_remote = t.d1 + neighbor_hit * dt
     if y is None:  # the faster branch; an unstable one is infinitely slow

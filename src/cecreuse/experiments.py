@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import Infeasible, MalformedInput
+from .errors import CecReuseError, MalformedInput
 from .model import Application, BaseStation, Scenario, TypicalInput
 from .scheduling import PgdParams
 from .solver import ALGORITHMS, ROUND_CAP, solve
@@ -182,7 +182,11 @@ def _solve_cell(args) -> dict:
     try:
         rep_ = solve(scenario, algorithm, spec.rounds,
                      PgdParams(theta0=spec.theta0))
-    except Infeasible:
+    except MalformedInput:
+        raise
+    except CecReuseError:
+        # a solver failure in one cell (infeasible, unstable, line search
+        # or bracket) leaves that cell infeasible, not the sweep aborted
         return row
     row["total_delay_s"] = rep_.final_objective
     row["avg_delay_s"] = rep_.final_objective / scenario.num_stations
@@ -195,8 +199,10 @@ def _solve_cell(args) -> dict:
 def run_sweep(spec: SweepSpec, params: GeneratorParams) -> list[dict]:
     """All cells of a sweep, ordered by (value, repetition, algorithm).
 
-    Infeasible cells come back tagged (feasible False, empty delays) rather
-    than failing the sweep; a solve whose decision fails model.validate
+    Cells whose solve raises a solver error (Infeasible, StabilityViolation,
+    LineSearchExhausted, BracketError, ...) come back tagged (feasible
+    False, empty delays) rather than failing the sweep; MalformedInput
+    still propagates.  A solve whose decision fails model.validate
     keeps its delays with feasible False.  CEC_REUSE_THREADS > 1 runs cells in worker
     processes; the row order does not depend on it.
     """

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay import (branch_tables, evaluate_with_rates, gradient_with_rates,
-                    recompute_search_flags, selected_stability)
+from .delay import (EvalResult, branch_tables, evaluate_with_rates,
+                    gradient_with_rates, selected_stability)
 from .errors import (EmptyVector, Infeasible, LineSearchExhausted,
                      MalformedInput, StabilityViolation)
 from .model import HitRateTable, Scenario, SchedulingState
@@ -41,51 +41,63 @@ class PgdParams:
                                  f"got {self.theta0!r}")
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {w : w >= 0, sum w = 1}.
+def project_rows(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row of v onto {w : w >= 0, sum w = 1}.
 
-    Sorts v in decreasing order and finds the largest j such that
-    u_j + (1 - sum_{i<=j} u_i) / j > 0; that prefix determines the shift.
+    Sorts each row in decreasing order and finds the largest j such that
+    u_j + (1 - sum_{i<=j} u_i) / j > 0; that prefix determines the row's
+    shift.  All rows share one sort and one cumulative sum.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
+    if v.shape[1] == 0:
         raise EmptyVector("cannot project an empty vector")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    idx = np.arange(1, v.shape[1] + 1)
     cond = u + (1.0 - css) / idx > 0.0
-    rho = idx[cond][-1]
-    tau = (1.0 - css[rho - 1]) / rho
-    return np.maximum(v + tau, 0.0)
+    # j = 1 holds in exact arithmetic; no j holds only in a row with a NaN
+    # or with entries too large for 1 - u_1 to be resolved
+    if not cond.any(axis=1).all():
+        raise MalformedInput("cannot project a vector with NaN or huge entries")
+    rho = v.shape[1] - np.argmax(cond[:, ::-1], axis=1)   # last j that holds
+    tau = (1.0 - css[np.arange(v.shape[0]), rho - 1]) / rho
+    return np.maximum(v + tau[:, None], 0.0)
+
+
+def project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of one vector onto {w : w >= 0, sum w = 1}."""
+    return project_rows(np.atleast_2d(v))[0]
 
 
 def project_decisions(lam: np.ndarray, fshare: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Project lam rows and fshare columns onto their simplices."""
-    lam_p = np.vstack([project_simplex(row) for row in lam])
-    fsh_p = np.column_stack([project_simplex(col) for col in fshare.T])
-    return lam_p, fsh_p
+    """Project lam rows and fshare columns onto their simplices.
+
+    Both come back C-ordered, like the iterates, so that sums over them
+    reduce in the same order."""
+    return (np.ascontiguousarray(project_rows(lam)),
+            np.ascontiguousarray(project_rows(fshare.T).T))
 
 
 def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
               direction: tuple[np.ndarray, np.ndarray], base_obj: float,
               grad_dot_dir: float
-              ) -> tuple[int, np.ndarray, np.ndarray, float]:
+              ) -> tuple[int, np.ndarray, np.ndarray, EvalResult]:
     """Smallest j whose step beta^j meets the decrease and margin tests.
 
-    Returns (j, lam, fshare, objective) of the accepted point.  objective_fn
-    must return None on points that are unstable or inside the stability
-    margin.
+    objective_fn returns an evaluation whose ``objective`` is None on points
+    that are unstable or inside the stability margin.  Returns (j, lam,
+    fshare, evaluation) of the accepted point.
     """
     for j in range(J_MAX + 1):
         step = BETA ** j
         lam = point[0] + step * direction[0]
         fsh = point[1] + step * direction[1]
-        obj = objective_fn(lam, fsh)
-        if obj is None:
+        res = objective_fn(lam, fsh)
+        if res.objective is None:
             continue
-        if base_obj - obj >= -ALPHA * step * grad_dot_dir:
-            return j, lam, fsh, obj
+        if base_obj - res.objective >= -ALPHA * step * grad_dot_dir:
+            return j, lam, fsh, res
     raise LineSearchExhausted(
         "no backtracking step met the decrease and margin tests",
         tried=J_MAX + 1)
@@ -109,15 +121,19 @@ def solve_scheduling(scenario: Scenario, hit: HitRateTable,
     iteration and held fixed through its gradient and line search.  The
     trace rows are (iteration, objective, backtrack_count); the objective
     column is non-increasing.  Stops early at a stationary projected target
-    or when the line search is exhausted, keeping the current point.
+    or when the line search is exhausted, keeping the current point.  The
+    accepted line-search probe hands its branch table on, so every point is
+    tabled once.
     """
     sched = sched.copy()
     trace: list[tuple[int, float, int]] = []
+    table = None  # branch table of the current point, once built
     for i in range(1, iters + 1):
         res = evaluate_with_rates(scenario, hit.total, hit.neighbor,
-                                  sched.lam, sched.fshare)
+                                  sched.lam, sched.fshare, table=table)
         if not res.feasible:
             raise StabilityViolation("scheduling started from an unstable point")
+        table = res.table
         grad = gradient_with_rates(scenario, res, sched.lam)
         theta = params.theta0 / np.sqrt(i)
         target = project_decisions(sched.lam - theta * grad.dlam,
@@ -131,10 +147,10 @@ def solve_scheduling(scenario: Scenario, hit: HitRateTable,
 
         def objective_fn(lam, fsh):
             return evaluate_with_rates(scenario, hit.total, hit.neighbor, lam,
-                                       fsh, y=res.y, margin=DELTA_STAB).objective
+                                       fsh, y=res.y, margin=DELTA_STAB)
 
         try:
-            j, new_lam, new_fsh, new_obj = backtrack(
+            j, new_lam, new_fsh, accepted = backtrack(
                 objective_fn, (sched.lam, sched.fshare),
                 (d_lam, d_fsh), res.objective, grad_dot)
         except LineSearchExhausted:
@@ -142,21 +158,24 @@ def solve_scheduling(scenario: Scenario, hit: HitRateTable,
             break
         sched.lam = new_lam
         sched.fshare = new_fsh
-        trace.append((i, new_obj, j))
-    sched.y = recompute_search_flags(scenario, hit.total, hit.neighbor,
-                                     sched.lam, sched.fshare)
+        table = accepted.table
+        trace.append((i, accepted.objective, j))
+    sched.y = evaluate_with_rates(scenario, hit.total, hit.neighbor, sched.lam,
+                                  sched.fshare, table=table).y
     return sched, trace
 
 
-def initial_feasible_point(scenario: Scenario,
-                           hit: HitRateTable) -> SchedulingState:
+def initial_feasible_point(scenario: Scenario, hit: HitRateTable
+                           ) -> tuple[SchedulingState, EvalResult]:
     """Capacity-proportional routing, uniform CPU split, repaired to stability.
 
     lam rows start proportional to compute capacity and fshare uniform.  If
     some queue is overloaded, each app's excess load moves to its
     largest-slack stations; if a row cannot fit under the current split,
     fshare is rebalanced proportionally to the demanded cycle rates and the
-    shift is retried.  Raises Infeasible when no stable point is found.
+    shift is retried.  Returns the point with its evaluation (search flags
+    re-chosen, margin 0), tabled once unless the repair moved it.  Raises
+    Infeasible when no stable point is found.
     """
     A, N = scenario.num_apps, scenario.num_stations
     caps = scenario.compute_capacities
@@ -165,14 +184,16 @@ def initial_feasible_point(scenario: Scenario,
     lam = np.tile(caps / caps.sum(), (A, 1))
     fshare = np.full((A, N), 1.0 / A)
     wa = scenario.workloads[:, None]
-    srv1 = branch_tables(scenario, hit.total, lam, fshare).srv1
-    srv_best = np.minimum(wa * np.ones((A, N)), srv1)
+    table = branch_tables(scenario, hit.total, lam, fshare)
+    srv_best = np.minimum(wa * np.ones((A, N)), table.srv1)
+    moved = False
     for _attempt in range(4):
         f = fshare * caps[None, :]
         cap_load = (1.0 - DELTA_STAB) * (1.0 - REPAIR_SHRINK) * f / srv_best
         load = lam * rates[:, None]
         if np.all(load <= cap_load):
             break
+        moved = True
         stuck = False
         for a in range(A):
             if rates[a] == 0.0:
@@ -202,10 +223,13 @@ def initial_feasible_point(scenario: Scenario,
                           1.0 / A)
         fshare = fshare / fshare.sum(axis=0, keepdims=True)
 
-    cheaper = np.broadcast_to(srv1 < wa, (A, N)).astype(np.int8)
+    if moved:
+        table = branch_tables(scenario, hit.total, lam, fshare)
+    cheaper = np.broadcast_to(table.srv1 < wa, (A, N)).astype(np.int8)
     stable, _ = selected_stability(scenario, hit.total, lam, fshare, cheaper,
-                                   DELTA_STAB)
+                                   DELTA_STAB, table=table)
     if not stable.all():
         raise Infeasible("no stable routing found for the given capacities")
-    y = recompute_search_flags(scenario, hit.total, hit.neighbor, lam, fshare)
-    return SchedulingState(lam=lam, fshare=fshare, y=y)
+    res = evaluate_with_rates(scenario, hit.total, hit.neighbor, lam, fshare,
+                              table=table)
+    return SchedulingState(lam=lam, fshare=fshare, y=res.y), res

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .caching import sweep_all_stations
-from .delay import evaluate_with_rates
 from .errors import Infeasible, MalformedInput
 from .model import (Application, BaseStation, CacheAssignment, HitRateTable,
                     Scenario, SchedulingState, compute_hit_rates, validate)
@@ -119,9 +118,7 @@ def _feasible_start(scenario: Scenario, cache: CacheAssignment
     """The repaired capacity-proportional start for ``cache``, its
     objective and the cache's hit table."""
     hit = compute_hit_rates(scenario, cache)
-    sched = initial_feasible_point(scenario, hit)
-    res = evaluate_with_rates(scenario, hit.total, hit.neighbor, sched.lam,
-                              sched.fshare, y=sched.y)
+    sched, res = initial_feasible_point(scenario, hit)
     if not res.feasible:
         raise Infeasible("repaired starting point is still unstable")
     return sched, res.objective, hit

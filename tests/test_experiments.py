@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from cecreuse import (GeneratorParams, MalformedInput, SweepSpec,
-                      generate_scenario, load_sweep_csv, run_sweep,
-                      save_sweep_csv, scenario_to_dict)
+from cecreuse import (BracketError, GeneratorParams, Infeasible,
+                      LineSearchExhausted, MalformedInput, StabilityViolation,
+                      SweepSpec, experiments, generate_scenario, load_sweep_csv,
+                      run_sweep, save_sweep_csv, scenario_to_dict)
 from cecreuse.experiments import SWEEP_HEADER
 from cecreuse.solver import ROUND_CAP, solve
 
@@ -183,6 +184,33 @@ def test_run_sweep_tags_infeasible_cells():
     row, = run_sweep(spec, GeneratorParams(seed=42))
     assert row["feasible"] is False
     assert row["total_delay_s"] is None and row["avg_delay_s"] is None
+
+
+@pytest.mark.parametrize("error", [Infeasible, StabilityViolation,
+                                   LineSearchExhausted, BracketError])
+def test_run_sweep_tags_failing_cells(monkeypatch, error):
+    # one failing cell is tagged infeasible; the other cells still solve
+    def failing(scenario, algorithm, *args):
+        if algorithm == "nor":
+            raise error("solver failed in this cell")
+        return solve(scenario, algorithm, *args)
+
+    monkeypatch.setenv("CEC_REUSE_THREADS", "1")
+    monkeypatch.setattr(experiments, "solve", failing)
+    greedy, nor = run_sweep(tiny_spec(values=(1.0,), repetitions=1), SMALL)
+    assert greedy["feasible"] is True and greedy["total_delay_s"] is not None
+    assert nor["feasible"] is False
+    assert nor["total_delay_s"] is None and nor["avg_delay_s"] is None
+
+
+def test_run_sweep_propagates_malformed_input(monkeypatch):
+    def malformed(*args):
+        raise MalformedInput("bad cell")
+
+    monkeypatch.setenv("CEC_REUSE_THREADS", "1")
+    monkeypatch.setattr(experiments, "solve", malformed)
+    with pytest.raises(MalformedInput):
+        run_sweep(tiny_spec(values=(1.0,), repetitions=1), SMALL)
 
 
 def test_sweep_csv_round_trip(tmp_path):

@@ -1,13 +1,15 @@
 """Projected gradient descent: projections, line search, descent, feasibility."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from cecreuse import (CacheAssignment, EmptyVector, GeneratorParams, Infeasible,
-                      LineSearchExhausted, PgdParams, SchedulingState,
-                      backtrack, compute_hit_rates, evaluate_objective,
-                      generate_scenario, initial_feasible_point,
-                      project_decisions, project_simplex, solve_scheduling,
-                      validate)
+                      LineSearchExhausted, MalformedInput, PgdParams,
+                      SchedulingState, backtrack, compute_hit_rates,
+                      evaluate_objective, generate_scenario, greedy_cache,
+                      initial_feasible_point, project_decisions,
+                      project_simplex, solve_scheduling, validate)
 from cecreuse import delay, scheduling
 from cecreuse.delay import selected_stability
 from cecreuse.scheduling import DELTA_STAB, J_MAX
@@ -51,6 +53,17 @@ def test_project_simplex_examples():
         project_simplex(np.array([]))
 
 
+@pytest.mark.parametrize("v", [[np.nan, 0.5], [1e20], [1e20, 3.0]])
+def test_project_simplex_rejects_unresolvable_rows(v):
+    # no prefix passes the test in floating point: an error, not a point
+    # off the simplex
+    with pytest.raises(MalformedInput):
+        project_simplex(np.array(v))
+    lam = np.vstack([np.full(len(v), 1.0 / len(v)), v])
+    with pytest.raises(MalformedInput):
+        project_decisions(lam, np.full(lam.shape, 0.5))
+
+
 def test_project_simplex_against_qp_oracle():
     rng = np.random.Generator(np.random.PCG64(21))
     for _ in range(1000):
@@ -82,7 +95,7 @@ def scalar_problem(fn, x0, d):
     direction = (np.array([[d]]), np.zeros((1, 1)))
 
     def objective(lam, fsh):
-        return fn(float(lam[0, 0]))
+        return SimpleNamespace(objective=fn(float(lam[0, 0])))
 
     return objective, point, direction
 
@@ -90,8 +103,8 @@ def scalar_problem(fn, x0, d):
 def test_backtrack_full_step_accepted():
     fn = lambda x: (x - 1.0) ** 2
     objective, point, direction = scalar_problem(fn, 0.0, 1.0)
-    j, lam, _, obj = backtrack(objective, point, direction, fn(0.0), -2.0)
-    assert j == 0 and lam[0, 0] == 1.0 and obj == 0.0
+    j, lam, _, res = backtrack(objective, point, direction, fn(0.0), -2.0)
+    assert j == 0 and lam[0, 0] == 1.0 and res.objective == 0.0
 
 
 def test_backtrack_shrinks_overshoot():
@@ -159,7 +172,7 @@ def test_solve_scheduling_beats_greedy_start():
                                                num_apps=2, k_scale=0.002))
         cache = CacheAssignment.zeros(sc)
         hit = compute_hit_rates(sc, cache)
-        start = initial_feasible_point(sc, hit)
+        start, _ = initial_feasible_point(sc, hit)
         base = evaluate_objective(sc, cache, start).objective
         _, trace = solve_scheduling(sc, hit, start, iters=10)
         assert trace[-1][1] <= base + 1e-15
@@ -170,17 +183,18 @@ def test_solve_scheduling_final_state_feasible():
                                            num_apps=2, k_scale=0.002))
     cache = CacheAssignment.zeros(sc)
     hit = compute_hit_rates(sc, cache)
-    out, _ = solve_scheduling(sc, hit, initial_feasible_point(sc, hit), 25)
+    out, _ = solve_scheduling(sc, hit, initial_feasible_point(sc, hit)[0], 25)
     assert validate(sc, cache, out) == []
 
 
 def test_solve_scheduling_builds_one_table_per_point(monkeypatch):
-    # one branch table per iterate and per line-search probe, plus one for
-    # the flags of the final point
+    # one branch table per line-search probe plus one for the start; each
+    # later iterate, and the flags of the final point, reuse the accepted
+    # probe's table
     sc = generate_scenario(GeneratorParams(seed=42, num_stations=3,
                                            num_apps=2, k_scale=0.002))
     hit = compute_hit_rates(sc, CacheAssignment.zeros(sc))
-    start = initial_feasible_point(sc, hit)
+    start, _ = initial_feasible_point(sc, hit)
     tables, probes = [], []
     branch_delays, evaluate = delay.branch_delays, scheduling.evaluate_with_rates
 
@@ -196,7 +210,28 @@ def test_solve_scheduling_builds_one_table_per_point(monkeypatch):
     monkeypatch.setattr(scheduling, "evaluate_with_rates", counted_eval)
     _, trace = solve_scheduling(sc, hit, start, iters=10)
     assert len(trace) == 10 and sum(probes) > len(trace)
-    assert len(tables) == len(trace) + sum(probes) + 1
+    assert len(tables) == sum(probes) + 1
+
+
+def test_descent_tables_each_point_once(monkeypatch):
+    # the default 10-iteration descent from the greedy start: every table
+    # is of a new (f, load) point, one per line-search probe plus the start
+    sc = generate_scenario(GeneratorParams(seed=42))
+    cache = greedy_cache(sc)
+    hit = compute_hit_rates(sc, cache)
+    start, _ = initial_feasible_point(sc, hit)
+    points = []
+    branch_tables = delay.branch_tables
+
+    def counted(sc_, total_hit, lam, fshare):
+        t = branch_tables(sc_, total_hit, lam, fshare)
+        points.append((t.f.tobytes(), t.load.tobytes()))
+        return t
+
+    monkeypatch.setattr(delay, "branch_tables", counted)
+    _, trace = solve_scheduling(sc, hit, start, iters=10)
+    assert len(trace) == 10
+    assert len(points) == len(set(points)) == 1 + sum(j + 1 for _, _, j in trace)
 
 
 def test_solve_scheduling_stationary_fixed_point(symmetric_pair):
@@ -217,7 +252,7 @@ def test_solve_scheduling_stationary_fixed_point(symmetric_pair):
 
 def test_initial_point_homogeneous_uniform(symmetric_pair):
     sc, cache = symmetric_pair
-    state = initial_feasible_point(sc, compute_hit_rates(sc, cache))
+    state, _ = initial_feasible_point(sc, compute_hit_rates(sc, cache))
     assert state.lam[0] == pytest.approx([0.5, 0.5])
     assert validate(sc, cache, state) == []
 
@@ -225,7 +260,7 @@ def test_initial_point_homogeneous_uniform(symmetric_pair):
 def test_initial_point_capacity_proportional():
     sc = build_scenario((6e9, 2e9), (4e9, 4e9), (0.015, 0.015), ((1.0,), (1.0,)),
                         [(1.0, 4e8, [(0.2, 1e5)])])
-    state = initial_feasible_point(sc, compute_hit_rates(sc, CacheAssignment.zeros(sc)))
+    state, _ = initial_feasible_point(sc, compute_hit_rates(sc, CacheAssignment.zeros(sc)))
     assert state.lam[0] == pytest.approx([0.75, 0.25])
 
 
@@ -245,7 +280,7 @@ def test_initial_point_repair_lands_inside_the_margin():
                                            k_scale=0.002, workload_factor=2.2))
     cache = CacheAssignment.zeros(sc)
     hit = compute_hit_rates(sc, cache)
-    state = initial_feasible_point(sc, hit)
+    state, _ = initial_feasible_point(sc, hit)
     assert validate(sc, cache, state) == []
     stable, _ = selected_stability(sc, hit.total,
                                    state.lam, state.fshare, state.y,

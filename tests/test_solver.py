@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from cecreuse import (GeneratorParams, Infeasible, MalformedInput, SolveReport,
-                      alternating_solve, generate_scenario, greedy_cache,
+from cecreuse import (CacheAssignment, GeneratorParams, Infeasible,
+                      MalformedInput, SolveReport, alternating_solve,
+                      evaluate_objective, generate_scenario, greedy_cache,
                       solve, solve_greedy, solve_noc, solve_nor, storage_used)
-from cecreuse import caching, model, solver
+from cecreuse import caching, delay, model, solver
 
 from conftest import build_scenario
 
@@ -158,6 +159,30 @@ def test_one_hit_table_per_round(monkeypatch):
     rep = alternating_solve(sc)
     assert rep.rounds_completed >= 2
     assert len(calls) == rep.rounds_completed + 2
+
+
+@pytest.mark.parametrize("params,make_cache,tables", [
+    # the capacity-proportional start is already stable: one point
+    (GeneratorParams(seed=42), greedy_cache, 1),
+    # an overloaded start that the repair moves: two points
+    (GeneratorParams(seed=100, num_stations=6, num_apps=4, k_scale=0.002,
+                     workload_factor=2.2), CacheAssignment.zeros, 2),
+], ids=["default", "repaired"])
+def test_start_point_is_tabled_once_per_point(monkeypatch, params, make_cache,
+                                              tables):
+    calls = []
+    branch_delays = delay.branch_delays
+
+    def counted(*args):
+        calls.append(args)
+        return branch_delays(*args)
+
+    sc = generate_scenario(params)
+    cache = make_cache(sc)
+    monkeypatch.setattr(delay, "branch_delays", counted)
+    sched, obj, _ = solver._feasible_start(sc, cache)
+    assert len(calls) == tables
+    assert obj == evaluate_objective(sc, cache, sched, frozen_y=sched.y).objective
 
 
 def test_determinism_modulo_wall_time(default_scenario):
