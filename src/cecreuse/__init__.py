@@ -7,7 +7,7 @@ from .caching import (EfficiencyContext, brute_force_cache_oracle,
                       solve_caching_bs, solve_inverse_efficiency,
                       sweep_all_stations, theorem3_ratio)
 from .delay import (EvalResult, ObjectiveGradient, branch_delays,
-                    evaluate_objective, recompute_search_flags)
+                    evaluate_objective)
 from .errors import (BracketError, CecReuseError, DegenerateInput,
                      DimensionMismatch, EmptyVector, Infeasible,
                      LineSearchExhausted, MalformedInput, StabilityViolation,
@@ -36,7 +36,6 @@ __all__ = [
     "scenario_to_dict", "scenario_from_dict", "save_scenario", "load_scenario",
     # delay
     "EvalResult", "ObjectiveGradient", "branch_delays", "evaluate_objective",
-    "recompute_search_flags",
     # caching
     "EfficiencyContext", "solve_inverse_efficiency", "g_of_B", "solve_caching_bs",
     "round_to_binary", "theorem3_ratio", "sweep_all_stations",

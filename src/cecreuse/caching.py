@@ -18,8 +18,7 @@ import math
 
 import numpy as np
 
-from .delay import (evaluate_objective, evaluate_with_rates, hit_derivative_at,
-                    hit_factors)
+from .delay import evaluate_objective, evaluate_with_rates, hit_derivative
 from .errors import (BracketError, DegenerateInput, DimensionMismatch,
                      Infeasible, MalformedInput, StabilityViolation, TooLarge)
 from .model import (BINARY_TOL, CacheAssignment, HitRateTable, Scenario,
@@ -89,14 +88,14 @@ class EfficiencyContext:
             self.active.append(bool(np.any(
                 scenario.weights[a] * self.lam[a] * self.yf[a] > 0.0)))
 
-    def _searching(self, a: int) -> list[tuple]:
-        """(c, dt or None at the own station, hit_factors) per station where
-        app a searches, in station order; built on first use."""
+    def _searching(self, a: int) -> list[tuple[float, float, float, float]]:
+        """(c, dt, load, f) per station where app a searches, in station
+        order, with dt = 0 at the station being optimized; built on first
+        use."""
         terms = self._terms[a]
         if terms is None:
             sc = self.scenario
             rate = float(sc.total_rates[a])
-            wa = float(sc.workloads[a])
             weight = float(sc.weights[a])
             terms = []
             for j, (lam, y, f, dt) in enumerate(zip(
@@ -104,8 +103,8 @@ class EfficiencyContext:
                     self.f[a].tolist(), self.dt.tolist())):
                 c = weight * lam * y
                 if c != 0.0:
-                    terms.append((c, None if j == self.station else dt,
-                                  hit_factors(lam * rate, f, wa)))
+                    terms.append((c, 0.0 if j == self.station else dt,
+                                  lam * rate, f))
             self._terms[a] = terms
         return terms
 
@@ -120,13 +119,11 @@ class EfficiencyContext:
         ws = self.scenario.search_workload
         hit = float(hit)
         total = 0.0
-        for c, dt, k in self._searching(a):
-            if k is None:
-                return -math.inf
-            d = hit_derivative_at(k, wa, ws, hit)
+        for c, dt, load, f in self._searching(a):
+            d = hit_derivative(load, f, wa, ws, hit)
             if d == -math.inf:
                 return -math.inf
-            total = total + (c * d if dt is None else c * (d + dt))
+            total = total + c * (d + dt)
         return total
 
     def exclusive_eff(self, a: int, j: int, xv: float) -> float:

@@ -53,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="solve one scenario JSON")
     sp.add_argument("--config", required=True)
     sp.add_argument("--output", default=".")
-    sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--algorithm", choices=ALGORITHMS, default="proposed")
     add_solver_flags(sp)
 

@@ -13,7 +13,9 @@ with srv1 = w^s + (1-P) w^a, which is the same algebra with fewer divisions.
 Every delay in the package, scalar or per (app, station), comes from there,
 and so does every stability decision: a branch is stable when its slack
 f - load E[S] is positive.  One table per decision point serves its search
-flags, objective, stability test and gradient.
+flags, objective, stability test and gradient.  One queue's dD1/dP is
+hit_derivative, a scalar formula the caching level search sums over the
+searching stations at every probe.
 """
 from __future__ import annotations
 
@@ -81,50 +83,6 @@ def branch_delays(f, load, wa, ws, hit) -> BranchDelays:
     return BranchDelays(f, load, d0, ok0, d1, ok1, den0, den1, srv1, sq)
 
 
-class HitFactors(NamedTuple):
-    """The hit-rate-free factors of one queue's hit_derivative.
-
-    ``f`` and ``load`` as in branch_delays; the other fields are the
-    products that formula forms before the hit rate enters, so evaluating
-    from them repeats its arithmetic operation for operation.
-    """
-
-    f: float
-    load: float
-    wa_f: float        # wa / f
-    llwa: float        # load * load * wa
-    two_f: float       # 2 f
-    fll: float         # f * load * load
-    two_mu0sq: float   # 2 (f / wa)^2
-    fl: float          # f * load
-    mu0sq: float       # (f / wa)^2
-    lwa: float         # load * wa
-
-
-def hit_factors(load: float, f: float, wa: float) -> HitFactors | None:
-    """hit_derivative's factors of one queue, or None when f <= 0 (the
-    derivative is then -inf at every hit rate)."""
-    if f <= 0.0:
-        return None
-    mu0sq = (f / wa) * (f / wa)
-    return HitFactors(f, load, wa / f, load * load * wa, 2.0 * f,
-                      f * load * load, 2.0 * mu0sq, f * load, mu0sq, load * wa)
-
-
-def hit_derivative_at(k: HitFactors, wa: float, ws: float, hit: float) -> float:
-    """hit_derivative at hit rate ``hit`` from the queue's factors ``k``."""
-    f, load, wa_f, llwa, two_f, fll, two_mu0sq, fl, mu0sq, lwa = k
-    W = (1.0 - hit) * wa + ws
-    den = f - load * W
-    if den <= 0.0:
-        return -math.inf
-    t2 = llwa * W * W / (two_f * den * den)
-    t3 = fll * (1.0 - hit) * (1.0 + hit) * wa / (two_mu0sq * den * den)
-    t4 = fl * hit / (mu0sq * den)
-    t5 = lwa * W / (f * den)
-    return -(wa_f + t2 + t3 + t4 + t5)
-
-
 def hit_derivative(load: float, f: float, wa: float, ws: float,
                    hit: float) -> float:
     """Derivative of the cache-search sojourn time with respect to the hit rate.
@@ -133,13 +91,21 @@ def hit_derivative(load: float, f: float, wa: float, ws: float,
     (cycles/s), the reverse of branch_delays' (f, load) order; ``wa``,
     ``ws`` and ``hit`` as there.  Returns -inf when the queue is unstable
     at this hit rate (callers treat that as "unboundedly beneficial to
-    raise the hit rate").  Callers probing one queue at many hit rates
-    build its hit_factors once and evaluate with hit_derivative_at.
+    raise the hit rate").
     """
-    k = hit_factors(load, f, wa)
-    if k is None:
+    if f <= 0.0:
         return -math.inf
-    return hit_derivative_at(k, wa, ws, hit)
+    W = (1.0 - hit) * wa + ws
+    den = f - load * W
+    if den <= 0.0:
+        return -math.inf
+    mu0sq = (f / wa) * (f / wa)
+    t1 = wa / f
+    t2 = load * load * wa * W * W / (2.0 * f * den * den)
+    t3 = f * load * load * (1.0 - hit) * (1.0 + hit) * wa / (2.0 * mu0sq * den * den)
+    t4 = f * load * hit / (mu0sq * den)
+    t5 = load * wa * W / (f * den)
+    return -(t1 + t2 + t3 + t4 + t5)
 
 
 # -- vectorized objective ----------------------------------------------------
@@ -203,22 +169,13 @@ def selected_stability(scenario: Scenario, total_hit: np.ndarray,
     return stable, np.where(y == 1, t.den1, t.den0)
 
 
-def recompute_search_flags(scenario: Scenario, total_hit: np.ndarray,
-                           neighbor_hit: np.ndarray, lam: np.ndarray,
-                           fshare: np.ndarray) -> np.ndarray:
-    """Per-(app, station) search flags minimizing the processing delay.
-
-    An unstable branch counts as infinitely slow; ties keep y = 0.
-    """
-    return evaluate_with_rates(scenario, total_hit, neighbor_hit, lam, fshare).y
-
-
 def evaluate_with_rates(scenario: Scenario, total_hit: np.ndarray,
                         neighbor_hit: np.ndarray, lam: np.ndarray,
                         fshare: np.ndarray, y: np.ndarray | None = None,
                         margin: float = 0.0,
                         table: BranchDelays | None = None) -> EvalResult:
-    """Weighted objective from precomputed hit rates; y recomputed if None.
+    """Weighted objective from precomputed hit rates; y recomputed if None,
+    as the faster branch per queue (ties keep y = 0).
 
     A point whose selected branches are not stable at ``margin`` evaluates
     as infeasible.  ``table``, when given, is this point's branch_tables

@@ -188,6 +188,16 @@ def test_solve_rejects_bad_solver_settings(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_solve_has_no_seed_flag(tmp_path):
+    # solve reads its scenario from --config; a seed would set nothing
+    config = tmp_path / "scenario.json"
+    save_scenario(generate_scenario(GeneratorParams(
+        seed=42, num_stations=3, num_apps=2, k_scale=0.002)), config)
+    assert cli.main(["solve", "--config", str(config), "--seed", "7",
+                     "--output", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rejects_negative_reps(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert cli.main(["sweep", "--axis", "workload", "--values", "0.5",

@@ -8,7 +8,7 @@ from cecreuse import (CacheAssignment, EfficiencyContext,
                       QueueSimConfig, SchedulingState, StabilityViolation,
                       analytic_mean,
                       branch_delays, compute_hit_rates, evaluate_objective,
-                      recompute_search_flags, validate)
+                      validate)
 from cecreuse.delay import (evaluate_with_rates, gradient_with_rates,
                             hit_derivative, selected_stability)
 from cecreuse.queuesim import _draw_services
@@ -145,11 +145,12 @@ def test_service_time_cdf():
 
 
 def search_flag(f, load, hit, neighbor, ws=2.5e7, dt=0.02):
-    """recompute_search_flags on one queue: f cycles/s, load tasks/s, wa=1e8."""
+    """The search flag evaluate_with_rates picks on one queue: f cycles/s,
+    load tasks/s, wa=1e8."""
     sc = build_scenario((f,), (1e9,), (dt,), ((load,),),
                         [(1.0, 1e8, [(hit, 1e5)])], search_workload=ws)
-    y = recompute_search_flags(sc, np.array([hit]), np.array([[neighbor]]),
-                               np.ones((1, 1)), np.ones((1, 1)))
+    y = evaluate_with_rates(sc, np.array([hit]), np.array([[neighbor]]),
+                            np.ones((1, 1)), np.ones((1, 1))).y
     return int(y[0, 0])
 
 
@@ -167,11 +168,12 @@ def test_choose_cache_search_rule():
     assert search_flag(1e9, 3.0, 0.0, 0.0) == 0
 
 
-def test_recompute_search_flags_zero_hits(two_station_one_app):
+def test_search_flags_zero_hits(two_station_one_app):
     sc = two_station_one_app
     hit = compute_hit_rates(sc, CacheAssignment.zeros(sc))
     state = uniform_state(sc)
-    y = recompute_search_flags(sc, hit.total, hit.neighbor, state.lam, state.fshare)
+    y = evaluate_with_rates(sc, hit.total, hit.neighbor, state.lam,
+                            state.fshare).y
     assert not y.any()
 
 

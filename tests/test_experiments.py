@@ -144,8 +144,12 @@ def _report_digest(rep):
      "b1a2b67c976ce9815a6f6a8b28d475ea1285d87949857382596b0cb21065827b"),
     (GeneratorParams(seed=42), "proposed", 2, "8.802650261658783",
      "78f7c6e2edd52894657d32e72e694f141eda03811b377f97a8c42d474b3f37c7"),
+    # twenty searching stations: the longest level-search bracket sums
+    (GeneratorParams(seed=42, num_stations=20, num_apps=8, workload_factor=0.5),
+     "proposed", 2, "6.529895200555686",
+     "b086314d1c24692e8ed34032854d664aa0318b81c29283371849f9ffdc65d73b"),
 ], ids=["N3-A2-proposed", "N3-A2-greedy", "N3-A2-nor", "N3-A2-noc",
-        "default-proposed-r2"])
+        "default-proposed-r2", "N20-A8-w0.5-proposed-r2"])
 def test_solver_golden_cells(params, algorithm, rounds, objective, digest):
     rep = solve(generate_scenario(params), algorithm, rounds)
     assert rep.feasible
