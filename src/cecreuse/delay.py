@@ -13,7 +13,8 @@ with srv1 = w^s + (1-P) w^a, which is the same algebra with fewer divisions.
 Every delay in the package, scalar or per (app, station), comes from there,
 and so does every stability decision: a branch is stable when its slack
 f - load E[S] is positive.  One table per decision point serves its search
-flags, objective, stability test and gradient.  One queue's dD1/dP is
+flags, objective, stability test and gradient; the line search tables a
+block of points in one broadcast over a leading axis.  One queue's dD1/dP is
 hit_derivative, a scalar formula the caching level search sums over the
 searching stations at every probe.
 """
@@ -113,12 +114,15 @@ def hit_derivative(load: float, f: float, wa: float, ws: float,
 
 @dataclass
 class EvalResult:
-    """Objective evaluation at one decision point.
+    """Objective evaluation at one decision point, or at a block of points
+    stacked on a leading axis of lam and fshare.
 
     ``objective`` is None when some station carries load without a stable
-    service branch; delays are per (app, station) with 0 where no traffic is
-    routed and no CPU assigned.  ``table`` holds the branch delays the
-    point was evaluated from.
+    service branch, and on a block, whose k-th point is ``point(k)``;
+    ``stable`` holds that test per point.  Delays are per (app, station)
+    with 0 where no traffic is routed and no CPU assigned, and None when no
+    point is stable.  ``table`` holds the branch delays the points were
+    evaluated from; ``weights`` are the apps' objective weights.
     """
 
     objective: float | None
@@ -126,15 +130,40 @@ class EvalResult:
     station_delays: np.ndarray | None
     y: np.ndarray
     table: BranchDelays
+    stable: np.ndarray
+    weights: np.ndarray
 
     @property
     def feasible(self) -> bool:
         return self.objective is not None
 
+    def point(self, k: int) -> EvalResult:
+        """The k-th point of a block, as evaluating it alone would give.
+
+        Arrays with the block's leading axis are sliced; ``srv1``, ``sq``
+        and flags given for the whole block are shared.
+        """
+        lead = self.table.f.ndim
+        table = BranchDelays(*(x[k] if x.ndim == lead else x
+                               for x in self.table))
+        y = self.y[k] if self.y.ndim == lead else self.y
+        if not self.stable[k]:
+            return EvalResult(None, None, None, y, table, self.stable[k],
+                              self.weights)
+        app_delays = self.app_delays[k]
+        return EvalResult(float(self.weights @ app_delays), app_delays,
+                          self.station_delays[k], y, table, self.stable[k],
+                          self.weights)
+
 
 def branch_tables(scenario: Scenario, total_hit: np.ndarray,
                   lam: np.ndarray, fshare: np.ndarray) -> BranchDelays:
-    """branch_delays over every (app, station) queue of a decision point."""
+    """branch_delays over every (app, station) queue of a decision point.
+
+    ``lam`` and ``fshare`` may carry leading axes (a block of points); every
+    field then has them too, except ``srv1`` and ``sq``, which depend on the
+    app alone.
+    """
     f = fshare * scenario.compute_capacities[None, :]
     load = lam * scenario.total_rates[:, None]
     return branch_delays(f, load, scenario.workloads[:, None],
@@ -146,6 +175,7 @@ def _stable(t: BranchDelays, y, wa, margin: float = 0.0) -> np.ndarray:
 
     A positive ``margin`` also caps the utilisation load E[S] / f at
     1 - margin, with E[S] = ``wa`` on branch 0 (the line search's margin).
+    Elementwise, so a table with leading axes gives a test with them.
     """
     search = y == 1
     ok = np.where(search, t.ok1, t.ok0)
@@ -180,6 +210,11 @@ def evaluate_with_rates(scenario: Scenario, total_hit: np.ndarray,
     A point whose selected branches are not stable at ``margin`` evaluates
     as infeasible.  ``table``, when given, is this point's branch_tables
     (from an earlier evaluation of it) and is not built again.
+
+    ``lam`` and ``fshare`` may carry a leading axis, a block of points
+    evaluated in one broadcast; every elementwise operation and every
+    per-point sum is then the one a single point takes, and each point's
+    objective is left to ``point(k)``.
     """
     t = branch_tables(scenario, total_hit, lam, fshare) if table is None else table
     dt = scenario.transfer_delays[None, :]
@@ -187,8 +222,11 @@ def evaluate_with_rates(scenario: Scenario, total_hit: np.ndarray,
     if y is None:  # the faster branch; an unstable one is infinitely slow
         y = (np.where(t.ok0, t.d0, np.inf)
              > np.where(t.ok1, d1_remote, np.inf)).astype(np.int8)
-    if not np.all(_stable(t, y, scenario.workloads[:, None], margin)):
-        return EvalResult(None, None, None, y, t)
+    weights = scenario.weights
+    stable = np.all(_stable(t, y, scenario.workloads[:, None], margin),
+                    axis=(-2, -1))
+    if not stable.any():
+        return EvalResult(None, None, None, y, t, stable, weights)
 
     idle = (t.load == 0.0) & (t.f == 0.0)
     station_delays = np.where(y == 1, d1_remote, t.d0)
@@ -200,9 +238,11 @@ def evaluate_with_rates(scenario: Scenario, total_hit: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         trans = np.abs(t.load - arr) * dt / rates[:, None]
     trans = np.where(carried[:, None], trans, 0.0)
-    app_delays = np.where(carried, (lam * station_delays).sum(axis=1) + trans.sum(axis=1), 0.0)
-    objective = float(scenario.weights @ app_delays)
-    return EvalResult(objective, app_delays, station_delays, y, t)
+    app_delays = np.where(carried, (lam * station_delays).sum(axis=-1)
+                          + trans.sum(axis=-1), 0.0)
+    objective = float(weights @ app_delays) if app_delays.ndim == 1 else None
+    return EvalResult(objective, app_delays, station_delays, y, t, stable,
+                      weights)
 
 
 def evaluate_objective(scenario: Scenario, cache: CacheAssignment,

@@ -7,7 +7,10 @@ projections are separable, so the euclidean projection of the whole block is
 row/column-wise sort-based simplex projection.  Steps follow a diminishing
 schedule theta0 / sqrt(i) toward the projected target, with an Armijo
 backtracking line search that additionally keeps every queue strictly inside
-its stability region by a small margin.
+its stability region by a small margin.  The line search tables its
+candidate steps STEP_BLOCK at a time, one broadcast evaluation per block,
+and hands the accepted step's table on, so the next iterate is not tabled
+again.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from .model import HitRateTable, Scenario, SchedulingState
 ALPHA = 0.3         # Armijo sufficient-decrease fraction
 BETA = 0.5          # backtracking shrink factor
 J_MAX = 60          # line-search attempts before giving up
+STEP_BLOCK = 8      # line-search steps tabled in one broadcast
 DELTA_STAB = 1e-6   # relative utilization margin below 1
 
 
@@ -85,19 +89,28 @@ def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
               ) -> tuple[int, np.ndarray, np.ndarray, EvalResult]:
     """Smallest j whose step beta^j meets the decrease and margin tests.
 
-    objective_fn returns an evaluation whose ``objective`` is None on points
-    that are unstable or inside the stability margin.  Returns (j, lam,
-    fshare, evaluation) of the accepted point.
+    A step passes when its objective is no higher than ``base_obj`` and
+    meets the Armijo test.  The steps are tabled STEP_BLOCK at a time:
+    objective_fn takes lam and fshare with a leading step axis and returns
+    an evaluation whose ``point(k)`` is the block's k-th point, with
+    ``objective`` None on points that are unstable or inside the stability
+    margin.  Within a block the steps are tested in order, so the result is
+    the one a step-by-step search gives.  Returns (j, lam, fshare,
+    evaluation) of the accepted point.
     """
-    for j in range(J_MAX + 1):
-        step = BETA ** j
-        lam = point[0] + step * direction[0]
-        fsh = point[1] + step * direction[1]
-        res = objective_fn(lam, fsh)
-        if res.objective is None:
-            continue
-        if base_obj - res.objective >= -ALPHA * step * grad_dot_dir:
-            return j, lam, fsh, res
+    for first in range(0, J_MAX + 1, STEP_BLOCK):
+        js = range(first, min(first + STEP_BLOCK, J_MAX + 1))
+        steps = np.array([BETA ** j for j in js])[:, None, None]
+        lam = point[0] + steps * direction[0]
+        fsh = point[1] + steps * direction[1]
+        block = objective_fn(lam, fsh)
+        for k, j in enumerate(js):
+            res = block.point(k)
+            if res.objective is None:
+                continue
+            if (res.objective <= base_obj and base_obj - res.objective
+                    >= -ALPHA * BETA ** j * grad_dot_dir):
+                return j, lam[k], fsh[k], res
     raise LineSearchExhausted(
         "no backtracking step met the decrease and margin tests",
         tried=J_MAX + 1)
@@ -121,9 +134,10 @@ def solve_scheduling(scenario: Scenario, hit: HitRateTable,
     iteration and held fixed through its gradient and line search.  The
     trace rows are (iteration, objective, backtrack_count); the objective
     column is non-increasing.  Stops early at a stationary projected target
-    or when the line search is exhausted, keeping the current point.  The
-    accepted line-search probe hands its branch table on, so every point is
-    tabled once.
+    or when the line search is exhausted, keeping the current point.  Each
+    block of line-search steps is tabled once, and the accepted step's
+    slice of its table is handed on to the next iteration and the final
+    flags, so no point is tabled twice.
     """
     sched = sched.copy()
     trace: list[tuple[int, float, int]] = []

@@ -1,5 +1,6 @@
 """Property tests: the binary cache type, hit-rate identities, the level
-search's probes, the batched projection, report JSON."""
+search's probes, the batched projection, the blocked line search, report
+JSON."""
 import json
 import math
 
@@ -9,11 +10,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cecreuse import (CacheAssignment, GeneratorParams, Infeasible,
-                      MalformedInput, SchedulingState, SolveReport,
-                      compute_hit_rates, generate_scenario, project_decisions,
-                      solver)
+                      LineSearchExhausted, MalformedInput, SchedulingState,
+                      SolveReport, backtrack, compute_hit_rates,
+                      generate_scenario, initial_feasible_point,
+                      project_decisions, solver)
 from cecreuse.caching import EfficiencyContext, SweepState
-from cecreuse.delay import hit_derivative
+from cecreuse.delay import (BranchDelays, evaluate_with_rates,
+                            gradient_with_rates, hit_derivative)
+from cecreuse.scheduling import ALPHA, BETA, DELTA_STAB, J_MAX, STEP_BLOCK
 from cecreuse.model import dot
 
 from conftest import build_scenario
@@ -208,6 +212,121 @@ def test_batched_projection_equals_the_per_row_loop(apps, stations, data):
     assert np.array_equal(fsh_p, np.column_stack([project_simplex_per_row(c)
                                                   for c in fshare.T]))
     assert lam_p.flags.c_contiguous and fsh_p.flags.c_contiguous
+
+
+def per_step_backtrack(objective_fn, point, direction, base_obj, grad_dot_dir):
+    """The line search one step at a time, each step evaluated alone, with
+    the same acceptance test; None when no step passes."""
+    for j in range(J_MAX + 1):
+        step = BETA ** j
+        lam = point[0] + step * direction[0]
+        fsh = point[1] + step * direction[1]
+        res = objective_fn(lam, fsh)
+        if res.objective is None:
+            continue
+        if (res.objective <= base_obj
+                and base_obj - res.objective >= -ALPHA * step * grad_dot_dir):
+            return j, lam, fsh, res
+    return None
+
+
+def make_search(seed, stations, apps, projected, scale_exp, base_shift,
+                margin):
+    """A line search from the start point of a generated scenario.
+
+    The direction is the projected-gradient one or a random one, scaled by
+    2^scale_exp so that the long steps leave the stable region; the base
+    objective is lowered by ``base_shift`` of itself, so that 1.0 leaves
+    no step to accept.  Returns (objective_fn, point, direction, base_obj,
+    grad_dot, evaluate at margin 0).
+    """
+    sc = generate_scenario(GeneratorParams(seed=seed, num_stations=stations,
+                                           num_apps=apps, k_scale=0.002))
+    hit = compute_hit_rates(sc, CacheAssignment.zeros(sc))
+    start, res = initial_feasible_point(sc, hit)
+    grad = gradient_with_rates(sc, res, start.lam)
+    if projected:
+        target = project_decisions(start.lam - grad.dlam,
+                                   start.fshare - grad.dfshare)
+        direction = (target[0] - start.lam, target[1] - start.fshare)
+    else:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        direction = (rng.normal(size=start.lam.shape),
+                     rng.normal(size=start.lam.shape))
+    direction = tuple(2.0 ** scale_exp * d for d in direction)
+    grad_dot = float(np.sum(grad.dlam * direction[0])
+                     + np.sum(grad.dfshare * direction[1]))
+
+    def evaluate(lam, fsh, margin=margin):
+        return evaluate_with_rates(sc, hit.total, hit.neighbor, lam, fsh,
+                                   y=res.y, margin=margin)
+
+    return (evaluate, (start.lam, start.fshare), direction,
+            res.objective * (1.0 - base_shift), grad_dot,
+            lambda lam, fsh: evaluate(lam, fsh, 0.0))
+
+
+def same_bits(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+def search_both_ways(objective_fn, point, direction, base_obj, grad_dot,
+                     unmargined):
+    """Assert that the blocked search returns what the per-step loop does,
+    bit for bit, or that both exhaust; return what the per-step loop met:
+    "unstable" and "margin" steps, "later block" or "exhausted"."""
+    kinds = set()
+
+    def watched(lam, fsh):
+        res = objective_fn(lam, fsh)
+        if res.objective is None:
+            kinds.add("margin" if unmargined(lam, fsh).feasible else "unstable")
+        return res
+
+    want = per_step_backtrack(watched, point, direction, base_obj, grad_dot)
+    if want is None:
+        with pytest.raises(LineSearchExhausted) as err:
+            backtrack(objective_fn, point, direction, base_obj, grad_dot)
+        assert err.value.tried == J_MAX + 1
+        return kinds | {"exhausted"}
+    got = backtrack(objective_fn, point, direction, base_obj, grad_dot)
+    assert got[0] == want[0]
+    assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
+    assert repr(got[3].objective) == repr(want[3].objective)
+    for name in ("app_delays", "station_delays", "y"):
+        assert same_bits(getattr(got[3], name), getattr(want[3], name)), name
+    for name, a, b in zip(BranchDelays._fields, got[3].table, want[3].table):
+        assert same_bits(a, b), name
+    return kinds | ({"later block"} if want[0] >= STEP_BLOCK else set())
+
+
+@PROPERTY
+@given(seed=st.integers(0, 10_000), stations=st.integers(1, 5),
+       apps=st.integers(1, 4), projected=st.booleans(),
+       scale_exp=st.integers(0, 24),
+       base_shift=st.sampled_from([0.0, 1e-9, 1.0]),
+       margin=st.sampled_from([0.0, DELTA_STAB, 0.1, 0.5]))
+def test_blocked_line_search_equals_the_per_step_loop(
+        seed, stations, apps, projected, scale_exp, base_shift, margin):
+    try:
+        search = make_search(seed, stations, apps, projected, scale_exp,
+                             base_shift, margin)
+    except Infeasible:
+        assume(False)
+    search_both_ways(*search)
+
+
+# (seed, stations, apps, projected, scale_exp, base_shift, margin) -> a kind
+# of step or outcome the per-step loop meets on that search
+@pytest.mark.parametrize("case,kind", [
+    ((42, 3, 2, True, 12, 0.0, DELTA_STAB), "unstable"),
+    ((42, 3, 2, True, 12, 0.0, DELTA_STAB), "later block"),
+    ((42, 3, 2, True, 0, 0.0, 0.5), "margin"),
+    ((42, 3, 2, False, 0, 1.0, DELTA_STAB), "exhausted"),
+])
+def test_blocked_line_search_cases(case, kind):
+    assert kind in search_both_ways(*make_search(*case))
 
 
 @pytest.mark.parametrize("algorithm", ["alternating_solve", "solve_greedy",

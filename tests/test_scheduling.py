@@ -1,4 +1,5 @@
 """Projected gradient descent: projections, line search, descent, feasibility."""
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from cecreuse import (CacheAssignment, EmptyVector, GeneratorParams, Infeasible,
                       project_simplex, solve_scheduling, validate)
 from cecreuse import delay, scheduling
 from cecreuse.delay import selected_stability
-from cecreuse.scheduling import DELTA_STAB, J_MAX
+from cecreuse.scheduling import ALPHA, DELTA_STAB, J_MAX, STEP_BLOCK
 
 from conftest import build_scenario
 
@@ -89,13 +90,20 @@ def test_project_decisions_rows_and_columns():
 # -- line search --------------------------------------------------------------
 
 
-def scalar_problem(fn, x0, d):
-    """Wrap a scalar objective into the (lam, fshare) tuple interface."""
+def scalar_problem(fn, x0, d, blocks=None):
+    """Wrap a scalar objective into the batched (lam, fshare) interface: a
+    block of steps comes in on a leading axis, and the evaluation's
+    point(k) holds the k-th step's objective.  ``blocks``, when given,
+    collects each block's steps."""
     point = (np.array([[x0]]), np.zeros((1, 1)))
     direction = (np.array([[d]]), np.zeros((1, 1)))
 
     def objective(lam, fsh):
-        return SimpleNamespace(objective=fn(float(lam[0, 0])))
+        xs = [float(x) for x in lam[:, 0, 0]]
+        if blocks is not None:
+            blocks.append(xs)
+        return SimpleNamespace(
+            point=lambda k: SimpleNamespace(objective=fn(xs[k])))
 
     return objective, point, direction
 
@@ -125,10 +133,26 @@ def test_backtrack_margin_gate_keeps_boundary_distance():
 
 
 def test_backtrack_exhaustion():
-    objective, point, direction = scalar_problem(lambda x: None, 0.0, 1.0)
+    blocks = []
+    objective, point, direction = scalar_problem(lambda x: None, 0.0, 1.0,
+                                                 blocks)
     with pytest.raises(LineSearchExhausted) as err:
         backtrack(objective, point, direction, 1.0, -1.0)
     assert err.value.tried == J_MAX + 1
+    # every step 2^-j, j = 0..J_MAX, tabled once, STEP_BLOCK at a time
+    assert [len(b) for b in blocks] == [STEP_BLOCK] * 7 + [5]
+    assert [x for b in blocks for x in b] == [2.0 ** -j for j in range(J_MAX + 1)]
+
+
+def test_backtrack_never_accepts_an_increase():
+    # an ascent direction (grad_dot > 0) makes Armijo's bound negative, so
+    # the first steps' small increases would pass it; only the first step
+    # that does not raise the objective is taken
+    fn = lambda x: 0.1 * x if x > 0.1 else 0.0
+    objective, point, direction = scalar_problem(fn, 0.0, 1.0)
+    j, lam, _, res = backtrack(objective, point, direction, fn(0.0), 1.0)
+    assert fn(1.0) - fn(0.0) < ALPHA * 1.0 * 1.0   # step 1 passes Armijo
+    assert j == 4 and lam[0, 0] == 0.0625 and res.objective == 0.0
 
 
 # -- descent ------------------------------------------------------------------
@@ -187,15 +211,21 @@ def test_solve_scheduling_final_state_feasible():
     assert validate(sc, cache, out) == []
 
 
+def steps_tabled(j):
+    """Line-search steps tabled by an iteration whose trace row reads j
+    (J_MAX + 1 when the search was exhausted): every block up to j's."""
+    return min(STEP_BLOCK * math.ceil((j + 1) / STEP_BLOCK), J_MAX + 1)
+
+
 def test_solve_scheduling_builds_one_table_per_point(monkeypatch):
-    # one branch table per line-search probe plus one for the start; each
-    # later iterate, and the flags of the final point, reuse the accepted
-    # probe's table
+    # one branch table per block of line-search steps plus one for the
+    # start; each later iterate, and the flags of the final point, reuse
+    # the accepted step's slice of its block's table
     sc = generate_scenario(GeneratorParams(seed=42, num_stations=3,
                                            num_apps=2, k_scale=0.002))
     hit = compute_hit_rates(sc, CacheAssignment.zeros(sc))
     start, _ = initial_feasible_point(sc, hit)
-    tables, probes = [], []
+    tables, blocks = [], []
     branch_delays, evaluate = delay.branch_delays, scheduling.evaluate_with_rates
 
     def counted_table(*args):
@@ -203,35 +233,43 @@ def test_solve_scheduling_builds_one_table_per_point(monkeypatch):
         return branch_delays(*args)
 
     def counted_eval(*args, **kwargs):
-        probes.append(kwargs.get("margin") == DELTA_STAB)
+        if kwargs.get("margin") == DELTA_STAB:
+            blocks.append(len(args[3]))   # steps on lam's leading axis
         return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(delay, "branch_delays", counted_table)
     monkeypatch.setattr(scheduling, "evaluate_with_rates", counted_eval)
     _, trace = solve_scheduling(sc, hit, start, iters=10)
-    assert len(trace) == 10 and sum(probes) > len(trace)
-    assert len(tables) == sum(probes) + 1
+    assert len(trace) == 10
+    assert len(tables) == len(blocks) + 1
+    assert sum(blocks) == sum(steps_tabled(j) for _, _, j in trace)
 
 
 def test_descent_tables_each_point_once(monkeypatch):
-    # the default 10-iteration descent from the greedy start: every table
-    # is of a new (f, load) point, one per line-search probe plus the start
+    # the default 10-iteration descent from the greedy start: every tabled
+    # (f, load) point is new, the start's table is the only unbatched one,
+    # and an iteration that accepts step j tables every block up to j's
     sc = generate_scenario(GeneratorParams(seed=42))
     cache = greedy_cache(sc)
     hit = compute_hit_rates(sc, cache)
     start, _ = initial_feasible_point(sc, hit)
-    points = []
+    calls, points = [], []
     branch_tables = delay.branch_tables
 
     def counted(sc_, total_hit, lam, fshare):
         t = branch_tables(sc_, total_hit, lam, fshare)
-        points.append((t.f.tobytes(), t.load.tobytes()))
+        calls.append(t.f.ndim)
+        block = (t.f, t.load) if t.f.ndim == 3 else ([t.f], [t.load])
+        points.extend((f.tobytes(), load.tobytes()) for f, load in zip(*block))
         return t
 
     monkeypatch.setattr(delay, "branch_tables", counted)
     _, trace = solve_scheduling(sc, hit, start, iters=10)
     assert len(trace) == 10
-    assert len(points) == len(set(points)) == 1 + sum(j + 1 for _, _, j in trace)
+    blocks = sum(math.ceil(steps_tabled(j) / STEP_BLOCK) for _, _, j in trace)
+    assert calls == [2] + [3] * blocks
+    assert len(points) == len(set(points)) == 1 + sum(
+        steps_tabled(j) for _, _, j in trace)
 
 
 def test_solve_scheduling_stationary_fixed_point(symmetric_pair):
