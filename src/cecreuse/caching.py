@@ -367,6 +367,17 @@ def sweep_all_stations(scenario: Scenario, cache: CacheAssignment,
     objective non-increasing by construction.  Returns the per-pass
     objective values and the final hit table; stops early once a full pass
     changes nothing.
+
+    A station is solved again only when its subproblem changed.  The
+    subproblem reads the station's peer counts, lam, fshare and y, never
+    the station's own rows, and lam and fshare are frozen here.  ``epoch``
+    counts accepted rewrites; each station records the (epoch, y) it was
+    last solved under and is skipped while both are unchanged.  The skip is
+    exact: with no acceptance since, the cache, counts, hit table and
+    objective are unchanged too, so the solve would repeat its rows and its
+    verdict.  A station's own acceptance leaves its peer counts as they
+    were, so its record takes the new epoch with the y its rows were solved
+    under; it is solved again only if that acceptance moved y.
     """
     cache = cache.copy()
     sched = sched.copy()
@@ -378,9 +389,16 @@ def sweep_all_stations(scenario: Scenario, cache: CacheAssignment,
     sched.y = res.y
     obj = res.objective
     pass_objs: list[float] = []
+    epoch = 0
+    solved_under: list[tuple | None] = [None] * scenario.num_stations
     for _ in range(passes):
         changed = False
         for n in range(scenario.num_stations):
+            y = sched.y
+            last = solved_under[n]
+            if last is not None and last[0] == epoch and np.array_equal(last[1], y):
+                continue
+            solved_under[n] = (epoch, y)
             rows, _level = solve_caching_bs(scenario, cache, sched, n,
                                             state.peer_counts(n))
             rows_bin = round_to_binary(rows)
@@ -397,6 +415,8 @@ def sweep_all_stations(scenario: Scenario, cache: CacheAssignment,
                 sched.y = res2.y
                 obj = res2.objective
                 changed = True
+                epoch += 1
+                solved_under[n] = (epoch, y)
         pass_objs.append(obj)
         if not changed:
             break

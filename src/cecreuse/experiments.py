@@ -203,8 +203,9 @@ def run_sweep(spec: SweepSpec, params: GeneratorParams) -> list[dict]:
     LineSearchExhausted, BracketError, ...) come back tagged (feasible
     False, empty delays) rather than failing the sweep; MalformedInput
     still propagates.  A solve whose decision fails model.validate
-    keeps its delays with feasible False.  CEC_REUSE_THREADS > 1 runs cells in worker
-    processes; the row order does not depend on it.
+    keeps its delays with feasible False.  CEC_REUSE_THREADS (an integer,
+    at least 1) sets the number of worker processes the cells run in; the
+    row order does not depend on it.
     """
     if not spec.values:
         raise MalformedInput("sweep needs at least one axis value")
@@ -219,8 +220,10 @@ def run_sweep(spec: SweepSpec, params: GeneratorParams) -> list[dict]:
     threads = os.environ.get("CEC_REUSE_THREADS", "1")
     try:
         workers = int(threads)
-    except ValueError as exc:
-        raise MalformedInput(f"CEC_REUSE_THREADS={threads!r} is not an integer") from exc
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise MalformedInput(f"CEC_REUSE_THREADS={threads!r} is not an integer >= 1")
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_solve_cell, cells))

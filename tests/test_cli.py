@@ -242,7 +242,10 @@ def test_sweep_rejects_unknown_algorithm(tmp_path):
     ("workload", "abc", "1"),
     ("stations", "2.5", "1"),
     ("workload", "0.5", "two"),
-], ids=["workload=abc", "stations=2.5", "threads=two"])
+    ("workload", "0.5", "0"),
+    ("workload", "0.5", "-2"),
+], ids=["workload=abc", "stations=2.5", "threads=two", "threads=0",
+        "threads=-2"])
 def test_sweep_rejects_bad_input(tmp_path, monkeypatch, capsys, axis, values,
                                  threads):
     monkeypatch.setenv("CEC_REUSE_THREADS", threads)

@@ -1,12 +1,12 @@
-"""Property tests: the binary cache type, hit-rate identities, the level
-search's probes, the batched projection, the blocked line search, report
-JSON."""
+"""Property tests: the binary cache type, hit-rate identities, the caching
+sweep's station skip, the level search's probes, the batched projection,
+the blocked line search, report JSON."""
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cecreuse import (CacheAssignment, GeneratorParams, Infeasible,
@@ -14,11 +14,13 @@ from cecreuse import (CacheAssignment, GeneratorParams, Infeasible,
                       SolveReport, backtrack, compute_hit_rates,
                       generate_scenario, initial_feasible_point,
                       project_decisions, solver)
-from cecreuse.caching import EfficiencyContext, SweepState
+from cecreuse.caching import (EfficiencyContext, SweepState, round_to_binary,
+                              solve_caching_bs, sweep_all_stations)
 from cecreuse.delay import (BranchDelays, evaluate_with_rates,
                             gradient_with_rates, hit_derivative)
-from cecreuse.scheduling import ALPHA, BETA, DELTA_STAB, J_MAX, STEP_BLOCK
-from cecreuse.model import dot
+from cecreuse.scheduling import (ALPHA, BETA, DELTA_STAB, J_MAX, STEP_BLOCK,
+                                 solve_scheduling)
+from cecreuse.model import dot, rows_storage
 
 from conftest import build_scenario
 
@@ -95,6 +97,86 @@ def test_sweep_candidate_equals_the_dense_oracle(case):
         assert np.array_equal(getattr(hit, field), getattr(want, field))
     for c, x in zip(counts, rewritten.entries):
         assert np.array_equal(c, x.sum(axis=0))
+
+
+def sweep_solving_every_station(scenario, cache, sched, passes):
+    """The caching sweep as it was before stations were skipped: every
+    station is solved on every visit."""
+    cache = cache.copy()
+    sched = sched.copy()
+    state = SweepState(scenario, cache)
+    res = evaluate_with_rates(scenario, state.hit.total, state.hit.neighbor,
+                              sched.lam, sched.fshare)
+    sched.y = res.y
+    obj = res.objective
+    pass_objs = []
+    for _ in range(passes):
+        changed = False
+        for n in range(scenario.num_stations):
+            rows, _level = solve_caching_bs(scenario, cache, sched, n,
+                                            state.peer_counts(n))
+            rows_bin = round_to_binary(rows)
+            if all(np.array_equal(rows_bin[a], cache.entries[a][n])
+                   for a in range(scenario.num_apps)):
+                continue
+            if rows_storage(scenario, rows_bin) > scenario.storage_capacities[n]:
+                continue
+            counts, hit = state.candidate(n, rows_bin)
+            res2 = evaluate_with_rates(scenario, hit.total, hit.neighbor,
+                                       sched.lam, sched.fshare)
+            if res2.feasible and res2.objective <= obj:
+                state.accept(n, rows_bin, counts, hit)
+                sched.y = res2.y
+                obj = res2.objective
+                changed = True
+        pass_objs.append(obj)
+        if not changed:
+            break
+    return cache, sched, pass_objs, state.hit
+
+
+# One station, several apps, greedy start: the first rewrite stops an app
+# with a small cached set from searching, and the station solved again under
+# the new y gives that storage to the others.  Random draws meet this in
+# about one case in twenty, so two instances are pinned.
+@PROPERTY
+@example(seed=10, stations=1, apps=3, load=0.5, start="greedy", descent=0,
+         passes=3)
+@example(seed=51, stations=1, apps=2, load=1.0, start="greedy", descent=3,
+         passes=3)
+@given(seed=st.integers(0, 10_000), stations=st.integers(1, 4),
+       apps=st.integers(1, 3), load=st.sampled_from([0.5, 1.0, 1.5]),
+       start=st.sampled_from(["empty", "greedy", "random"]),
+       descent=st.integers(0, 3), passes=st.integers(1, 6))
+def test_skipping_sweep_equals_solving_every_station(
+        seed, stations, apps, load, start, descent, passes):
+    sc = generate_scenario(GeneratorParams(
+        seed=seed, num_stations=stations, num_apps=apps,
+        workload_factor=load, k_scale=0.002))
+    if start == "greedy":
+        cache = solver.greedy_cache(sc)
+    else:
+        cache = CacheAssignment.zeros(sc)
+        if start == "random":
+            rng = np.random.default_rng(seed)
+            for x in cache.entries:
+                x[:] = rng.integers(0, 2, x.shape)
+    hit = compute_hit_rates(sc, cache)
+    try:
+        sched, _ = initial_feasible_point(sc, hit)
+    except Infeasible:
+        assume(False)
+    # a few descent steps move routing off the proportional start
+    sched, _ = solve_scheduling(sc, hit, sched, descent)
+    got = sweep_all_stations(sc, cache, sched, passes)
+    want = sweep_solving_every_station(sc, cache, sched, passes)
+    assert got[2] == want[2]
+    assert all(np.array_equal(a, b)
+               for a, b in zip(got[0].entries, want[0].entries))
+    for field in ("lam", "fshare", "y"):
+        assert np.array_equal(getattr(got[1], field), getattr(want[1], field))
+    for field in ("local", "neighbor", "total"):
+        assert np.array_equal(getattr(got[3], field), getattr(want[3], field))
 
 
 @st.composite

@@ -215,6 +215,41 @@ def test_report_from_dict_rejects_non_binary_cache(default_scenario, value):
         SolveReport.from_dict(d)
 
 
+@pytest.mark.parametrize("path,value", [
+    ("final_objective", "abc"),
+    ("final_objective", [1, 2]),
+    ("final_objective", {}),
+    ("final_objective", True),
+    ("final_objective", float("nan")),
+    ("final_objective", float("inf")),
+    ("final_objective", 10 ** 400),
+    ("rounds_completed", float("inf")),
+    ("rounds_completed", 2.7),
+    ("rounds_completed", -1),
+    ("feasible", "no"),
+    ("algorithm", 5),
+    ("y", 300),
+    ("y", 0.5),
+    ("y", -1),
+], ids=["obj=abc", "obj=list", "obj=dict", "obj=true", "obj=nan", "obj=inf",
+        "obj=huge-int", "rounds=inf", "rounds=2.7", "rounds=-1",
+        "feasible=no", "algorithm=5", "y=300", "y=0.5", "y=-1"])
+def test_report_from_dict_rejects_bad_values(default_scenario, path, value):
+    d = solve_greedy(default_scenario).to_dict()
+    if path == "y":
+        d["sched"]["y"][0][0] = value
+    else:
+        d[path] = value
+    with pytest.raises(MalformedInput):
+        SolveReport.from_dict(d)
+
+
+def test_report_from_dict_keeps_a_missing_objective(default_scenario):
+    d = solve_greedy(default_scenario).to_dict()
+    d["final_objective"] = None
+    assert SolveReport.from_dict(d).final_objective is None
+
+
 # -- baselines against the proposed solver --------------------------------------
 
 
