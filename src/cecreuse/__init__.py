@@ -4,16 +4,15 @@ response time under M/G/1 queueing."""
 
 from .caching import (EfficiencyContext, brute_force_cache_oracle,
                       efficiencies_at_solution, g_of_B, round_to_binary,
-                      solve_caching_bs, solve_inverse_efficiency,
-                      sweep_all_stations, theorem3_ratio)
+                      solve_caching_bs, sweep_all_stations, theorem3_ratio)
 from .delay import (EvalResult, ObjectiveGradient, branch_delays,
                     evaluate_objective)
-from .errors import (BracketError, CecReuseError, DegenerateInput,
-                     DimensionMismatch, EmptyVector, Infeasible,
-                     LineSearchExhausted, MalformedInput, StabilityViolation,
-                     TooLarge, UnstableConfig)
+from .errors import (CecReuseError, DegenerateInput, DimensionMismatch,
+                     EmptyVector, Infeasible, LineSearchExhausted,
+                     MalformedInput, StabilityViolation, TooLarge,
+                     UnstableConfig)
 from .experiments import (GeneratorParams, SweepSpec, generate_scenario,
-                          load_sweep_csv, run_sweep, save_sweep_csv)
+                          run_sweep, save_sweep_csv)
 from .model import (Application, BaseStation, CacheAssignment, HitRateTable,
                     Scenario, SchedulingState, TypicalInput,
                     compute_hit_rates, load_scenario, save_scenario,
@@ -37,7 +36,7 @@ __all__ = [
     # delay
     "EvalResult", "ObjectiveGradient", "branch_delays", "evaluate_objective",
     # caching
-    "EfficiencyContext", "solve_inverse_efficiency", "g_of_B", "solve_caching_bs",
+    "EfficiencyContext", "g_of_B", "solve_caching_bs",
     "round_to_binary", "theorem3_ratio", "sweep_all_stations",
     "brute_force_cache_oracle", "efficiencies_at_solution",
     # scheduling
@@ -50,9 +49,9 @@ __all__ = [
     "solve_nor", "solve_noc", "solve",
     # experiments
     "GeneratorParams", "SweepSpec", "generate_scenario", "run_sweep",
-    "save_sweep_csv", "load_sweep_csv",
+    "save_sweep_csv",
     # errors
     "CecReuseError", "MalformedInput", "DimensionMismatch",
-    "StabilityViolation", "Infeasible", "BracketError", "DegenerateInput",
+    "StabilityViolation", "Infeasible", "DegenerateInput",
     "TooLarge", "UnstableConfig", "LineSearchExhausted", "EmptyVector",
 ]

@@ -19,15 +19,15 @@ import math
 import numpy as np
 
 from .delay import evaluate_objective, evaluate_with_rates, hit_derivative
-from .errors import (BracketError, DegenerateInput, DimensionMismatch,
-                     Infeasible, MalformedInput, StabilityViolation, TooLarge)
+from .errors import (DegenerateInput, DimensionMismatch, Infeasible,
+                     MalformedInput, StabilityViolation, TooLarge)
 from .model import (BINARY_TOL, CacheAssignment, HitRateTable, Scenario,
                     SchedulingState, cached_mass, compute_hit_rates, dot)
 from .model import rows_storage as _rows_storage
 
 # level-bisection accuracy (efficiency units, s/byte)
 LEVEL_ACCURACY = 1e-9
-# absolute tolerance of the scalar inverse bisection, in x units
+# absolute tolerance of the boundary entry's bisection, in x units
 INVERSE_TOL = 1e-12
 # largest station catalog the exhaustive subset oracle enumerates
 ORACLE_MAX_ITEMS = 22
@@ -165,34 +165,13 @@ class EfficiencyContext:
         return 1.01 * lo if lo < 0.0 else 0.0
 
 
-def solve_inverse_efficiency(ctx: EfficiencyContext, a: int, j: int,
-                             level: float) -> float:
-    """Smallest x in [0, 1] with eps(x) = level, by bisection.
-
-    The prefix before sorted position j is fully cached, the suffix empty.
-    """
-    e0 = ctx.exclusive_eff(a, j, 0.0)
-    e1 = ctx.exclusive_eff(a, j, 1.0)
-    if e0 > level or e1 < level:
-        raise BracketError(f"level {level} outside [{e0}, {e1}]")
-    if e0 >= level:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > INVERSE_TOL:
-        mid = 0.5 * (lo + hi)
-        if ctx.exclusive_eff(a, j, mid) >= level:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _locate_level(ctx: EfficiencyContext, a: int, level: float) -> tuple[int, float]:
     """(m, xm): sorted positions < m get 1, position m gets xm, rest 0.
 
-    m = K0 means the whole exclusive class is cached.  Relies on the
-    interleaved efficiency sequence eps_0(0) <= eps_0(1) <= eps_1(0) <= ...
-    being non-decreasing wherever it is negative.
+    xm is the smallest x in [0, 1] with eps_m(x) = level, bisected to
+    INVERSE_TOL.  m = K0 means the whole exclusive class is cached.  Relies
+    on the interleaved efficiency sequence eps_0(0) <= eps_0(1) <= eps_1(0)
+    <= ... being non-decreasing wherever it is negative.
     """
     k0 = len(ctx.exclusive[a])
     if ctx.exclusive_eff(a, 0, 0.0) > level:
@@ -209,7 +188,17 @@ def _locate_level(ctx: EfficiencyContext, a: int, level: float) -> tuple[int, fl
             hi = mid - 1
     if ctx.exclusive_eff(a, lo, 1.0) < level:
         return lo + 1, 0.0
-    return lo, solve_inverse_efficiency(ctx, a, lo, level)
+    # here eps(lo, 0) <= level <= eps(lo, 1)
+    if ctx.exclusive_eff(a, lo, 0.0) >= level:
+        return lo, 0.0
+    x_lo, x_hi = 0.0, 1.0
+    while x_hi - x_lo > INVERSE_TOL:
+        x_mid = 0.5 * (x_lo + x_hi)
+        if ctx.exclusive_eff(a, lo, x_mid) >= level:
+            x_hi = x_mid
+        else:
+            x_lo = x_mid
+    return lo, x_hi
 
 
 def g_of_B(ctx: EfficiencyContext, level: float) -> list[np.ndarray]:
@@ -247,11 +236,16 @@ def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
     Bisects the level B on [floor, 0] against the storage constraint and
     returns the station rows together with the level actually used.  Falls
     back to the last certainly-fitting level if the midpoint overshoots.
-    ``peer_counts`` is passed on to EfficiencyContext.
+    ``peer_counts`` is passed on to EfficiencyContext.  A floor that is not
+    finite (an overflowed p/s or transfer cost) would never let the bisection
+    end, so it is MalformedInput.
     """
     ctx = EfficiencyContext(scenario, cache, sched, station, peer_counts)
     cap = float(scenario.storage_capacities[station])
     floor = ctx.efficiency_floor()
+    if not math.isfinite(floor):
+        raise MalformedInput(f"station {station}: efficiency floor {floor} "
+                             "is not finite")
     if floor == 0.0:
         return [np.zeros(scenario.catalog_size(a))
                 for a in range(scenario.num_apps)], 0.0

@@ -39,6 +39,14 @@ GRADIENT_POINTS = 100
 GRADIENT_TOL = 1e-5
 
 
+def _seed_arg(text: str) -> int:
+    """The --seed type: an integer >= 0, as numpy's SeedSequence needs."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cecreuse",
@@ -58,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="run an axis sweep to CSV")
     sp.add_argument("--output", default="sweep.csv")
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--seed", type=_seed_arg, default=42)
     sp.add_argument("--axis", choices=AXES, required=True)
     sp.add_argument("--values", default=None,
                     help="comma-separated axis values")
@@ -69,15 +77,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate-queueing",
                         help="simulator vs analytic delay on a fixed grid")
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--seed", type=_seed_arg, default=42)
 
     sp = sub.add_parser("gradient-check",
                         help="analytic gradient vs central differences")
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--seed", type=_seed_arg, default=42)
 
     sp = sub.add_parser("generate", help="write a seeded scenario JSON")
     sp.add_argument("--output", default="scenario.json")
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--seed", type=_seed_arg, default=42)
     return p
 
 

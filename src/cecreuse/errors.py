@@ -21,10 +21,6 @@ class Infeasible(CecReuseError):
     """No feasible decision exists (or none was found by the repair steps)."""
 
 
-class BracketError(CecReuseError):
-    """Root bracketing precondition failed for a scalar bisection."""
-
-
 class DegenerateInput(CecReuseError):
     """A ratio or bound is undefined for this input (zero denominator)."""
 

@@ -96,6 +96,8 @@ def _check_params(p: GeneratorParams) -> None:
     if not all(isinstance(v, (int, np.integer)) and v >= 1
                for v in (p.num_stations, p.num_apps)):
         raise MalformedInput("station and app counts must be integers >= 1")
+    if not (isinstance(p.seed, (int, np.integer)) and p.seed >= 0):
+        raise MalformedInput(f"seed must be an integer >= 0, got {p.seed!r}")
 
 
 def generate_scenario(params: GeneratorParams) -> Scenario:
@@ -185,8 +187,8 @@ def _solve_cell(args) -> dict:
     except MalformedInput:
         raise
     except CecReuseError:
-        # a solver failure in one cell (infeasible, unstable, line search
-        # or bracket) leaves that cell infeasible, not the sweep aborted
+        # a solver failure in one cell (infeasible, unstable or line
+        # search) leaves that cell infeasible, not the sweep aborted
         return row
     row["total_delay_s"] = rep_.final_objective
     row["avg_delay_s"] = rep_.final_objective / scenario.num_stations
@@ -200,10 +202,10 @@ def run_sweep(spec: SweepSpec, params: GeneratorParams) -> list[dict]:
     """All cells of a sweep, ordered by (value, repetition, algorithm).
 
     Cells whose solve raises a solver error (Infeasible, StabilityViolation,
-    LineSearchExhausted, BracketError, ...) come back tagged (feasible
-    False, empty delays) rather than failing the sweep; MalformedInput
-    still propagates.  A solve whose decision fails model.validate
-    keeps its delays with feasible False.  CEC_REUSE_THREADS (an integer,
+    LineSearchExhausted, ...) come back tagged (feasible False, empty
+    delays) rather than failing the sweep; MalformedInput still propagates.
+    A solve whose decision fails model.validate keeps its delays with
+    feasible False.  CEC_REUSE_THREADS (an integer,
     at least 1) sets the number of worker processes the cells run in; the
     row order does not depend on it.
     """
@@ -242,29 +244,3 @@ def save_sweep_csv(rows: list[dict], path: str) -> None:
                 "true" if row["feasible"] else "false",
                 row["rounds"], repr(row["wall_time_s"]),
             ])
-
-
-def load_sweep_csv(path: str) -> list[dict]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            if tuple(reader.fieldnames) != SWEEP_HEADER:
-                raise MalformedInput(f"unexpected sweep header {reader.fieldnames}")
-            for rec in reader:
-                rows.append({
-                    "axis": rec["axis"],
-                    "value": float(rec["value"]),
-                    "repetition": int(rec["repetition"]),
-                    "algorithm": rec["algorithm"],
-                    "total_delay_s": (None if rec["total_delay_s"] == ""
-                                      else float(rec["total_delay_s"])),
-                    "avg_delay_s": (None if rec["avg_delay_s"] == ""
-                                    else float(rec["avg_delay_s"])),
-                    "feasible": rec["feasible"] == "true",
-                    "rounds": int(rec["rounds"]),
-                    "wall_time_s": float(rec["wall_time_s"]),
-                })
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"bad sweep file {path}: {exc}") from exc
-    return rows

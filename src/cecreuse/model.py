@@ -464,7 +464,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             apps=apps,
             search_workload=float(data["search_workload_cycles"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad scenario document: {exc}") from exc
 
 

@@ -10,7 +10,6 @@ its own single-station problem on its local arrivals).
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 
@@ -35,7 +34,7 @@ TraceRow = tuple[int, str, int, float]
 
 @dataclass
 class SolveReport:
-    """Everything a solve produced, JSON round-trippable.
+    """Everything a solve produced; ``to_dict`` gives it as a JSON document.
 
     ``feasible`` says whether the returned decision passes model.validate
     (for NoC, whether every per-station decision does).
@@ -67,46 +66,6 @@ class SolveReport:
                           "fshare": self.sched.fshare.tolist(),
                           "y": self.sched.y.tolist()}
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolveReport":
-        try:
-            cache = None
-            if d["cache"] is not None:
-                cache = CacheAssignment(
-                    [np.array(e, dtype=np.float64) for e in d["cache"]["entries"]])
-            sched = None
-            if d["sched"] is not None:
-                y = np.array(d["sched"]["y"], dtype=np.float64)
-                if not np.all((y == 0) | (y == 1)):
-                    raise ValueError("search flags must be 0 or 1")
-                sched = SchedulingState(
-                    lam=np.array(d["sched"]["lam"], dtype=np.float64),
-                    fshare=np.array(d["sched"]["fshare"], dtype=np.float64),
-                    y=y.astype(np.int8))
-            obj = d["final_objective"]
-            if obj is not None:
-                if (isinstance(obj, bool) or not isinstance(obj, (int, float))
-                        or not math.isfinite(obj)):
-                    raise ValueError(f"final_objective {obj!r} is not a finite number")
-                obj = float(obj)
-            if d["algorithm"] not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {d['algorithm']!r}")
-            rounds = d["rounds_completed"]
-            if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 0:
-                raise ValueError(f"rounds_completed {rounds!r} is not a count")
-            if not isinstance(d["feasible"], bool):
-                raise ValueError(f"feasible {d['feasible']!r} is not true or false")
-            return cls(algorithm=d["algorithm"],
-                       objective_trace=[(int(r), str(p), int(i), float(o))
-                                        for r, p, i, o in d["objective_trace"]],
-                       cache=cache, sched=sched,
-                       final_objective=obj,
-                       rounds_completed=rounds,
-                       wall_time_s=float(d["wall_time_s"]),
-                       feasible=d["feasible"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise MalformedInput(f"bad report document: {exc}") from exc
 
 
 def greedy_cache(scenario: Scenario) -> CacheAssignment:

@@ -33,7 +33,21 @@ NON_FINITE_FIELDS = [
     (("apps", 0, "typical_inputs", 2, "result_size_bytes"), math.nan),
     (("apps", 0, "typical_inputs", 2, "result_size_bytes"), math.inf),
 ]
-NON_FINITE_IDS = ["/".join(map(str, path)) + f"={value}"
+# an integer too large for a float, in each of the nine numeric fields
+HUGE_INT = 10 ** 400
+NON_FINITE_FIELDS += [(path, HUGE_INT) for path in (
+    ("search_workload_cycles",),
+    ("stations", 0, "compute_capacity_hz"),
+    ("stations", 1, "storage_capacity_bytes"),
+    ("stations", 0, "transfer_delay_s"),
+    ("stations", 1, "arrival_rates", 0),
+    ("apps", 0, "weight"),
+    ("apps", 0, "mean_workload_cycles"),
+    ("apps", 0, "typical_inputs", 1, "match_prob"),
+    ("apps", 0, "typical_inputs", 2, "result_size_bytes"),
+)]
+NON_FINITE_IDS = ["/".join(map(str, path))
+                  + ("=10**400" if value == HUGE_INT else f"={value}")
                   for path, value in NON_FINITE_FIELDS]
 
 

@@ -2,17 +2,16 @@
 import numpy as np
 import pytest
 
-from cecreuse import (BracketError, CacheAssignment, DegenerateInput,
+from cecreuse import (CacheAssignment, DegenerateInput,
                       DimensionMismatch, EfficiencyContext, GeneratorParams, MalformedInput,
                       SchedulingState, StabilityViolation, TooLarge,
                       alternating_solve, brute_force_cache_oracle,
                       compute_hit_rates, efficiencies_at_solution,
                       evaluate_objective, g_of_B, generate_scenario,
-                      round_to_binary, solve_caching_bs,
-                      solve_inverse_efficiency, storage_used,
+                      round_to_binary, solve_caching_bs, storage_used,
                       sweep_all_stations, theorem3_ratio)
 from cecreuse import caching
-from cecreuse.caching import LEVEL_ACCURACY
+from cecreuse.caching import LEVEL_ACCURACY, _locate_level
 
 from conftest import build_scenario, uniform_state
 
@@ -166,10 +165,9 @@ def test_solve_inverse_endpoints(ratio_two_ctx):
     ctx = ratio_two_ctx
     lo = ctx.exclusive_eff(0, 1, 0.0)
     hi = ctx.exclusive_eff(0, 1, 1.0)
-    assert solve_inverse_efficiency(ctx, 0, 1, lo) == 0.0
-    assert solve_inverse_efficiency(ctx, 0, 1, hi) == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(BracketError):
-        solve_inverse_efficiency(ctx, 0, 1, hi + abs(hi))
+    assert _locate_level(ctx, 0, lo) == (1, 0.0)
+    m, x = _locate_level(ctx, 0, hi)
+    assert m == 1 and x == pytest.approx(1.0, abs=1e-9)
 
 
 def test_solve_inverse_matches_grid_scan(ratio_two_ctx):
@@ -177,7 +175,8 @@ def test_solve_inverse_matches_grid_scan(ratio_two_ctx):
     lo = ctx.exclusive_eff(0, 1, 0.0)
     hi = ctx.exclusive_eff(0, 1, 1.0)
     level = 0.5 * (lo + hi)
-    x = solve_inverse_efficiency(ctx, 0, 1, level)
+    m, x = _locate_level(ctx, 0, level)
+    assert m == 1
     # two-stage grid scan at 1e-6 resolution
     coarse = np.linspace(0.0, 1.0, 1001)
     vals = np.array([ctx.exclusive_eff(0, 1, float(g)) for g in coarse])

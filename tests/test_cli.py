@@ -7,8 +7,8 @@ import sys
 import pytest
 
 import cecreuse
-from cecreuse import (GeneratorParams, cli, generate_scenario, load_scenario,
-                      save_scenario, solver)
+from cecreuse import (GeneratorParams, MalformedInput, cli, generate_scenario,
+                      load_scenario, save_scenario, scenario_from_dict, solver)
 from cecreuse.delay import gradient_with_rates
 from cecreuse.model import Violation
 
@@ -153,6 +153,25 @@ def test_solve_rejects_non_finite_config(tmp_path, capsys, two_station_one_app,
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("path,value", [
+    (("apps", 0, "typical_inputs", 0, "result_size_bytes"), 5e-324),
+    (("stations", 0, "transfer_delay_s"), 1e308),
+], ids=["result_size=5e-324", "transfer_delay=1e308"])
+def test_solve_rejects_an_infinite_efficiency_floor(tmp_path, capsys, path,
+                                                    value):
+    # a valid scenario whose p/s or transfer cost overflows: the floor is
+    # -inf and the level bisection between it and 0 would never end
+    sc = scenario_from_dict(mutated_document(generate_scenario(GeneratorParams(
+        seed=42, num_stations=3, num_apps=2, k_scale=0.002)), path, value))
+    with pytest.raises(MalformedInput, match="efficiency floor"):
+        solver.alternating_solve(sc)
+    config = tmp_path / "scenario.json"
+    save_scenario(sc, config)
+    assert cli.main(["solve", "--config", str(config),
+                     "--output", str(tmp_path / "out")]) == 2
+    assert "efficiency floor" in capsys.readouterr().err
+
+
 def test_solve_exits_1_when_decision_violates_constraints(tmp_path, scenario_json,
                                                           monkeypatch, capsys):
     monkeypatch.setattr(solver, "validate",
@@ -213,6 +232,19 @@ def test_sweep_rejects_empty_algorithm_list(tmp_path, capsys):
                      "--algorithm", ",", "--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--seed", "-1"],
+    ["sweep", "--axis", "workload", "--seed", "-5"],
+    ["validate-queueing", "--seed", "-1"],
+    ["gradient-check", "--seed", "-5000"],
+], ids=["generate", "sweep", "validate-queueing", "gradient-check"])
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -1,4 +1,5 @@
 """Scenario generation laws and the sweep driver."""
+import csv
 import hashlib
 import json
 import math
@@ -6,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from cecreuse import (BracketError, GeneratorParams, Infeasible,
-                      LineSearchExhausted, MalformedInput, StabilityViolation,
-                      SweepSpec, experiments, generate_scenario, load_sweep_csv,
-                      run_sweep, save_sweep_csv, scenario_to_dict)
+from cecreuse import (GeneratorParams, Infeasible, LineSearchExhausted,
+                      MalformedInput, StabilityViolation, SweepSpec,
+                      experiments, generate_scenario, run_sweep,
+                      save_sweep_csv, scenario_to_dict)
 from cecreuse.experiments import SWEEP_HEADER
 from cecreuse.solver import ROUND_CAP, solve
 
@@ -103,7 +104,9 @@ def test_generator_rejects_bad_params():
                 dict(num_apps=0), dict(num_apps=2.5),
                 # a catalog no machine holds: rejected before any draw
                 dict(num_stations=1, num_apps=1, k_scale=1e12),
-                dict(k_scale=20.001)):
+                dict(k_scale=20.001),
+                # numpy's SeedSequence takes no negative or fractional seed
+                dict(seed=-1), dict(seed=1.5)):
         with pytest.raises(MalformedInput):
             generate_scenario(GeneratorParams(**bad))
 
@@ -191,7 +194,7 @@ def test_run_sweep_tags_infeasible_cells():
 
 
 @pytest.mark.parametrize("error", [Infeasible, StabilityViolation,
-                                   LineSearchExhausted, BracketError])
+                                   LineSearchExhausted])
 def test_run_sweep_tags_failing_cells(monkeypatch, error):
     # one failing cell is tagged infeasible; the other cells still solve
     def failing(scenario, algorithm, *args):
@@ -225,31 +228,18 @@ def test_sweep_csv_round_trip(tmp_path):
     save_sweep_csv(rows, str(path))
     first = path.read_text().splitlines()[0]
     assert first == ",".join(SWEEP_HEADER)
-    back = load_sweep_csv(str(path))
-    for orig, loaded in zip(rows, back):
-        assert loaded["value"] == float(orig["value"])
-        for k in ("axis", "repetition", "algorithm", "total_delay_s",
-                  "avg_delay_s", "feasible", "rounds", "wall_time_s"):
-            assert loaded[k] == orig[k]
-
-
-def test_load_sweep_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(MalformedInput):
-        load_sweep_csv(str(path))
-
-
-def test_load_sweep_csv_rejects_non_numeric_value(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text(",".join(SWEEP_HEADER)
-                    + "\nworkload,abc,0,greedy,1.0,0.5,true,0,0.1\n")
-    with pytest.raises(MalformedInput, match="abc"):
-        load_sweep_csv(str(path))
-
-
-def test_load_sweep_csv_rejects_short_row(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text(",".join(SWEEP_HEADER) + "\nworkload,0.5,0,greedy\n")
-    with pytest.raises(MalformedInput):
-        load_sweep_csv(str(path))
+    with open(path, newline="") as fh:
+        back = list(csv.DictReader(fh))
+    assert len(back) == len(rows)
+    # every field parses back to the value written: the floats keep
+    # their repr precision
+    for orig, rec in zip(rows, back):
+        assert rec["axis"] == orig["axis"]
+        assert float(rec["value"]) == orig["value"]
+        assert int(rec["repetition"]) == orig["repetition"]
+        assert rec["algorithm"] == orig["algorithm"]
+        for k in ("total_delay_s", "avg_delay_s"):
+            assert (None if rec[k] == "" else float(rec[k])) == orig[k]
+        assert rec["feasible"] == ("true" if orig["feasible"] else "false")
+        assert int(rec["rounds"]) == orig["rounds"]
+        assert float(rec["wall_time_s"]) == orig["wall_time_s"]
