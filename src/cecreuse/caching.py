@@ -11,6 +11,18 @@ hits would incur.  eps is non-decreasing in x, so for any level B the set
 the storage used is monotone in B.  Bisecting B until the used storage meets
 the capacity solves the relaxed per-station subproblem; rounding the single
 fractional entry per app to 0 restores a binary assignment.
+
+Each bisection probe asks whether the rows at level B use less than the
+capacity.  The rows are found in two steps: a position search that gives
+each app's prefix length m and says whether entry m is fractional
+("pending"), and a bisection for that fraction.  A probe first sums the
+storage with every pending entry at 0: at or above the capacity, B does
+not fit.  Otherwise it sums it again with them at 1: below the capacity,
+B fits.  Only when the two totals straddle the capacity are the fractions
+solved and the exact storage compared.  The verdict is always the exact
+one: every term is size * x with size > 0 and x in [0, 1], and a
+fixed-order floating-point sum of non-negative products is monotone in
+each term, so lower <= exact <= upper.
 """
 from __future__ import annotations
 
@@ -59,21 +71,25 @@ class EfficiencyContext:
 
         A = scenario.num_apps
         self.exclusive: list[np.ndarray] = []     # sorted by p/s desc, index asc
-        self.replicated: list[np.ndarray] = []
+        self.replicated: list[np.ndarray] = []    # in the same order
         self.exc_p: list[np.ndarray] = []
         self.ratio: list[np.ndarray] = []
         self.prefix_p: list[np.ndarray] = []      # prefix_p[j] = sum of p before j
         self.base_hit: list[float] = []           # hit mass available from peers
         self.rep_eff: list[np.ndarray] = []
-        self.active: list[bool] = []              # any phi lam y > 0 anywhere
+        self.rep_neg_eff: list[np.ndarray] = []   # its negative prefix
+        # phi lam y per (app, station); an app is active if any is > 0
+        c = scenario.weights[:, None] * self.lam * self.yf
+        self.active: list[bool] = np.any(c > 0.0, axis=1).tolist()
         self._terms: list[list[tuple] | None] = [None] * A
         self._eff: dict[tuple[int, int, float], float] = {}
 
         for a in range(A):
             peer = peer_counts[a]
             order = scenario.density_orders[a]
-            exc = order[peer[order] <= 0.0]
-            rep = np.flatnonzero(peer > 0.0)
+            cached_by_peer = peer[order] > 0.0
+            exc = order[~cached_by_peer]
+            rep = order[cached_by_peer]
             p = scenario.match_probs[a]
             ratio = scenario.densities[a]
             self.exclusive.append(exc)
@@ -81,12 +97,12 @@ class EfficiencyContext:
             self.exc_p.append(p[exc])
             self.ratio.append(ratio[exc])
             self.prefix_p.append(np.concatenate(([0.0], np.cumsum(p[exc]))))
-            self.base_hit.append(float(p[rep].sum()))
-            local_c = float(scenario.weights[a] * self.lam[a, station]
-                            * self.yf[a, station])
-            self.rep_eff.append(-ratio[rep] * (local_c * self.dt[station]))
-            self.active.append(bool(np.any(
-                scenario.weights[a] * self.lam[a] * self.yf[a] > 0.0)))
+            self.base_hit.append(float(p[peer > 0.0].sum()))
+            # p/s does not rise along rep and the factor is >= 0, so rep_eff
+            # does not fall: the inputs cached at any level are a prefix
+            rep_eff = -ratio[rep] * (float(c[a, station]) * self.dt[station])
+            self.rep_eff.append(rep_eff)
+            self.rep_neg_eff.append(rep_eff[:rep_eff.searchsorted(0.0)])
 
     def _searching(self, a: int) -> list[tuple[float, float, float, float]]:
         """(c, dt, load, f) per station where app a searches, in station
@@ -165,19 +181,21 @@ class EfficiencyContext:
         return 1.01 * lo if lo < 0.0 else 0.0
 
 
-def _locate_level(ctx: EfficiencyContext, a: int, level: float) -> tuple[int, float]:
-    """(m, xm): sorted positions < m get 1, position m gets xm, rest 0.
+def _locate_level(ctx: EfficiencyContext, a: int, level: float) -> tuple[int, bool]:
+    """(m, pending): sorted positions < m get 1, position m is fractional
+    if pending, the rest get 0.
 
-    xm is the smallest x in [0, 1] with eps_m(x) = level, bisected to
-    INVERSE_TOL.  m = K0 means the whole exclusive class is cached.  Relies
-    on the interleaved efficiency sequence eps_0(0) <= eps_0(1) <= eps_1(0)
-    <= ... being non-decreasing wherever it is negative.
+    The position search only; a pending fraction is the smallest x in
+    [0, 1] with eps_m(x) = level, found by _solve_fraction.  m = K0 means
+    the whole exclusive class is cached.  Relies on the interleaved
+    efficiency sequence eps_0(0) <= eps_0(1) <= eps_1(0) <= ... being
+    non-decreasing wherever it is negative.
     """
     k0 = len(ctx.exclusive[a])
     if ctx.exclusive_eff(a, 0, 0.0) > level:
-        return 0, 0.0
+        return 0, False
     if ctx.exclusive_eff(a, k0 - 1, 1.0) < level:
-        return k0, 0.0
+        return k0, False
     lo, hi = 0, k0 - 1
     # largest position whose empty-value efficiency is still <= level
     while lo < hi:
@@ -187,44 +205,91 @@ def _locate_level(ctx: EfficiencyContext, a: int, level: float) -> tuple[int, fl
         else:
             hi = mid - 1
     if ctx.exclusive_eff(a, lo, 1.0) < level:
-        return lo + 1, 0.0
+        return lo + 1, False
     # here eps(lo, 0) <= level <= eps(lo, 1)
     if ctx.exclusive_eff(a, lo, 0.0) >= level:
-        return lo, 0.0
+        return lo, False
+    return lo, True
+
+
+def _solve_fraction(ctx: EfficiencyContext, a: int, m: int,
+                    level: float) -> float:
+    """Smallest x in (0, 1] with eps_m(x) >= level, bisected to INVERSE_TOL;
+    only asked where eps_m(0) < level <= eps_m(1)."""
     x_lo, x_hi = 0.0, 1.0
     while x_hi - x_lo > INVERSE_TOL:
         x_mid = 0.5 * (x_lo + x_hi)
-        if ctx.exclusive_eff(a, lo, x_mid) >= level:
+        if ctx.exclusive_eff(a, m, x_mid) >= level:
             x_hi = x_mid
         else:
             x_lo = x_mid
-    return lo, x_hi
+    return x_hi
 
 
-def g_of_B(ctx: EfficiencyContext, level: float) -> list[np.ndarray]:
-    """Station rows (one per app) attaining efficiency level `level`.
+def _level_rows(ctx: EfficiencyContext, level: float
+                ) -> tuple[list[np.ndarray], list[tuple[int, int]]]:
+    """Station rows at `level` with every pending fractional entry left at
+    0, and the pending (app, sorted position) pairs.
 
     Replicated inputs are cached iff their constant efficiency is <= level
-    and strictly negative; over the sorted exclusive class a boundary
-    position is located by bisection and solved for its fractional value.
-    Zero-benefit inputs are never cached.
+    and strictly negative, a prefix of their order found by binary search;
+    over the sorted exclusive class the boundary position comes from
+    _locate_level.  Zero-benefit inputs are never cached.
     """
-    rows = []
+    rows, pending = [], []
     for a in range(ctx.scenario.num_apps):
         x = np.zeros(ctx.scenario.catalog_size(a))
         if not ctx.active[a]:
             rows.append(x)
             continue
-        re = ctx.rep_eff[a]
-        chosen = ctx.replicated[a][(re <= level) & (re < 0.0)]
-        x[chosen] = 1.0
+        x[ctx.replicated[a][:ctx.rep_neg_eff[a].searchsorted(level, "right")]] = 1.0
         if len(ctx.exclusive[a]):
-            m, xm = _locate_level(ctx, a, level)
+            m, frac = _locate_level(ctx, a, level)
             x[ctx.exclusive[a][:m]] = 1.0
-            if m < len(ctx.exclusive[a]) and xm > 0.0:
-                x[ctx.exclusive[a][m]] = xm
+            if frac:
+                pending.append((a, m))
         rows.append(x)
+    return rows, pending
+
+
+def _fill_fractions(ctx: EfficiencyContext, rows: list[np.ndarray],
+                    pending: list[tuple[int, int]], level: float) -> None:
+    """Write each pending entry's solved fraction into ``rows``."""
+    for a, m in pending:
+        rows[a][ctx.exclusive[a][m]] = _solve_fraction(ctx, a, m, level)
+
+
+def g_of_B(ctx: EfficiencyContext, level: float) -> list[np.ndarray]:
+    """Station rows (one per app) attaining efficiency level `level`, every
+    boundary fraction solved.
+
+    The bisection's probes skip the fraction solve where storage bounds
+    decide them (module docstring); the rows returned here are always the
+    exact ones.
+    """
+    rows, pending = _level_rows(ctx, level)
+    _fill_fractions(ctx, rows, pending, level)
     return rows
+
+
+def _fits(ctx: EfficiencyContext, level: float, cap: float) -> bool:
+    """Whether the rows at `level` use less than ``cap`` bytes: the
+    storage bounds first, the fractions only on a straddle (module
+    docstring).  The rows are written in place, so the bounds and the
+    exact total sum the same entries in the same order.
+    """
+    scenario = ctx.scenario
+    rows, pending = _level_rows(ctx, level)
+    if _rows_storage(scenario, rows) >= cap:
+        return False
+    if not pending:
+        return True
+    for a, m in pending:
+        rows[a][ctx.exclusive[a][m]] = 1.0
+    if _rows_storage(scenario, rows) < cap:
+        return True
+    _fill_fractions(ctx, rows, pending, level)
+    return _rows_storage(scenario, rows) < cap
 
 
 def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
@@ -239,6 +304,11 @@ def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
     ``peer_counts`` is passed on to EfficiencyContext.  A floor that is not
     finite (an overflowed p/s or transfer cost) would never let the bisection
     end, so it is MalformedInput.
+
+    Each probe (_fits) gives the verdict of
+    ``_rows_storage(scenario, g_of_B(ctx, B)) < cap`` but solves the
+    boundary fractions only when the storage bounds straddle the capacity;
+    the module docstring states the rule and why it is exact.
     """
     ctx = EfficiencyContext(scenario, cache, sched, station, peer_counts)
     cap = float(scenario.storage_capacities[station])
@@ -252,7 +322,7 @@ def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
     b_l, b_r = floor, 0.0
     while b_r - b_l >= LEVEL_ACCURACY:
         b_m = 0.5 * (b_l + b_r)
-        if _rows_storage(scenario, g_of_B(ctx, b_m)) < cap:
+        if _fits(ctx, b_m, cap):
             b_l = b_m
         else:
             b_r = b_m

@@ -10,6 +10,7 @@ its own single-station problem on its local arrivals).
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -92,11 +93,19 @@ def greedy_cache(scenario: Scenario) -> CacheAssignment:
 def _feasible_start(scenario: Scenario, cache: CacheAssignment
                     ) -> tuple[SchedulingState, float, HitRateTable]:
     """The repaired capacity-proportional start for ``cache``, its
-    objective and the cache's hit table."""
+    objective and the cache's hit table.
+
+    A start objective that is not finite (an input, such as a transfer
+    delay, so large that a delay overflows) is MalformedInput: no descent
+    can improve on it, and a report of it would not be valid JSON.
+    """
     hit = compute_hit_rates(scenario, cache)
     sched, res = initial_feasible_point(scenario, hit)
     if not res.feasible:
         raise Infeasible("repaired starting point is still unstable")
+    if not math.isfinite(res.objective):
+        raise MalformedInput(f"start objective {res.objective} is not finite: "
+                             "the scenario's delays overflow")
     return sched, res.objective, hit
 
 

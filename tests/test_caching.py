@@ -8,10 +8,10 @@ from cecreuse import (CacheAssignment, DegenerateInput,
                       alternating_solve, brute_force_cache_oracle,
                       compute_hit_rates, efficiencies_at_solution,
                       evaluate_objective, g_of_B, generate_scenario,
-                      round_to_binary, solve_caching_bs, storage_used,
-                      sweep_all_stations, theorem3_ratio)
+                      round_to_binary, solve_caching_bs, solve_noc,
+                      storage_used, sweep_all_stations, theorem3_ratio)
 from cecreuse import caching
-from cecreuse.caching import LEVEL_ACCURACY, _locate_level
+from cecreuse.caching import LEVEL_ACCURACY, _locate_level, _solve_fraction
 
 from conftest import build_scenario, uniform_state
 
@@ -165,9 +165,9 @@ def test_solve_inverse_endpoints(ratio_two_ctx):
     ctx = ratio_two_ctx
     lo = ctx.exclusive_eff(0, 1, 0.0)
     hi = ctx.exclusive_eff(0, 1, 1.0)
-    assert _locate_level(ctx, 0, lo) == (1, 0.0)
-    m, x = _locate_level(ctx, 0, hi)
-    assert m == 1 and x == pytest.approx(1.0, abs=1e-9)
+    assert _locate_level(ctx, 0, lo) == (1, False)
+    assert _locate_level(ctx, 0, hi) == (1, True)
+    assert _solve_fraction(ctx, 0, 1, hi) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_solve_inverse_matches_grid_scan(ratio_two_ctx):
@@ -175,8 +175,8 @@ def test_solve_inverse_matches_grid_scan(ratio_two_ctx):
     lo = ctx.exclusive_eff(0, 1, 0.0)
     hi = ctx.exclusive_eff(0, 1, 1.0)
     level = 0.5 * (lo + hi)
-    m, x = _locate_level(ctx, 0, level)
-    assert m == 1
+    assert _locate_level(ctx, 0, level) == (1, True)
+    x = _solve_fraction(ctx, 0, 1, level)
     # two-stage grid scan at 1e-6 resolution
     coarse = np.linspace(0.0, 1.0, 1001)
     vals = np.array([ctx.exclusive_eff(0, 1, float(g)) for g in coarse])
@@ -239,6 +239,58 @@ def test_solve_caching_matches_fractional_knapsack():
     assert (eff[x <= 1e-12] >= level - 1e-9).all()
     if frac.any():
         assert abs(float(eff[frac][0]) - level) <= 2e-9
+
+
+def test_fraction_solve_runs_only_where_storage_bounds_straddle(monkeypatch):
+    """A level probe whose storage bounds decide it solves no fraction; every
+    fraction solve comes from a straddling probe or a final g_of_B.  NoC's
+    single-station solves of the default scenario meet both kinds."""
+    solves = {"outside": 0, "probe": 0, "final": 0}
+    seen = {"decided_pending": 0, "straddle": 0}
+    where = ["outside"]
+    solve_fraction, fits, g_of_b = (caching._solve_fraction, caching._fits,
+                                    caching.g_of_B)
+
+    def counted_solve_fraction(*args):
+        solves[where[-1]] += 1
+        return solve_fraction(*args)
+
+    def checked_fits(ctx, level, cap):
+        rows, pending = caching._level_rows(ctx, level)
+        lower = caching._rows_storage(ctx.scenario, rows)
+        for a, m in pending:
+            rows[a][ctx.exclusive[a][m]] = 1.0
+        upper = caching._rows_storage(ctx.scenario, rows)
+        before = solves["probe"]
+        where.append("probe")
+        try:
+            verdict = fits(ctx, level, cap)
+        finally:
+            where.pop()
+        solved = solves["probe"] - before
+        if lower >= cap or upper < cap:
+            assert solved == 0
+            seen["decided_pending"] += bool(pending)
+        else:
+            assert solved == len(pending) > 0
+            seen["straddle"] += 1
+        return verdict
+
+    def final_g_of_b(ctx, level):
+        # the probes never build their rows through g_of_B
+        assert where == ["outside"]
+        where.append("final")
+        try:
+            return g_of_b(ctx, level)
+        finally:
+            where.pop()
+
+    monkeypatch.setattr(caching, "_solve_fraction", counted_solve_fraction)
+    monkeypatch.setattr(caching, "_fits", checked_fits)
+    monkeypatch.setattr(caching, "g_of_B", final_g_of_b)
+    solve_noc(generate_scenario(GeneratorParams(seed=42)))
+    assert seen["decided_pending"] > 0 and seen["straddle"] > 0
+    assert solves["outside"] == 0 and solves["final"] > 0
 
 
 # -- rounding and its guarantee --------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 
 import cecreuse
 from cecreuse import (GeneratorParams, MalformedInput, cli, generate_scenario,
-                      load_scenario, save_scenario, scenario_from_dict, solver)
+                      load_scenario, save_scenario, scenario_from_dict,
+                      scenario_to_dict, solver)
 from cecreuse.delay import gradient_with_rates
 from cecreuse.model import Violation
 
@@ -170,6 +171,30 @@ def test_solve_rejects_an_infinite_efficiency_floor(tmp_path, capsys, path,
     assert cli.main(["solve", "--config", str(config),
                      "--output", str(tmp_path / "out")]) == 2
     assert "efficiency floor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", solver.ALGORITHMS)
+def test_solve_rejects_an_overflowing_start_objective(tmp_path, capsys,
+                                                      algorithm):
+    # every transfer delay 1.7e308 s: the file is valid, but routing any
+    # load away from its arrival station overflows the start objective to
+    # inf, which no descent can improve and strict JSON cannot hold
+    doc = scenario_to_dict(generate_scenario(GeneratorParams(
+        seed=42, num_stations=3, num_apps=2, k_scale=0.002)))
+    for station in doc["stations"]:
+        station["transfer_delay_s"] = 1.7e308
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(config), "--output", str(out),
+                     "--algorithm", algorithm]) == 2
+    assert not (out / "report.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if algorithm != "noc":
+        # NoC solves each station alone, where no transfer is paid, so its
+        # start is finite; it stops at the first descent step instead
+        assert "start objective inf is not finite" in err
 
 
 def test_solve_exits_1_when_decision_violates_constraints(tmp_path, scenario_json,

@@ -14,8 +14,10 @@ from cecreuse import (CacheAssignment, GeneratorParams, Infeasible,
                       backtrack, compute_hit_rates,
                       generate_scenario, initial_feasible_point,
                       project_decisions, solver)
-from cecreuse.caching import (EfficiencyContext, SweepState, round_to_binary,
-                              solve_caching_bs, sweep_all_stations)
+from cecreuse.caching import (LEVEL_ACCURACY, EfficiencyContext, SweepState,
+                              _level_rows, _locate_level, _solve_fraction,
+                              g_of_B, round_to_binary, solve_caching_bs,
+                              sweep_all_stations)
 from cecreuse.delay import (BranchDelays, evaluate_with_rates,
                             gradient_with_rates, hit_derivative)
 from cecreuse.scheduling import (ALPHA, BETA, DELTA_STAB, J_MAX, STEP_BLOCK,
@@ -177,6 +179,100 @@ def test_skipping_sweep_equals_solving_every_station(
         assert np.array_equal(getattr(got[1], field), getattr(want[1], field))
     for field in ("local", "neighbor", "total"):
         assert np.array_equal(getattr(got[3], field), getattr(want[3], field))
+
+
+def eager_g_of_B(ctx, level):
+    """g_of_B as it was: replicated inputs chosen by a mask over their
+    efficiencies, and every boundary fraction solved with its position."""
+    rows = []
+    for a in range(ctx.scenario.num_apps):
+        x = np.zeros(ctx.scenario.catalog_size(a))
+        if ctx.active[a]:
+            re = ctx.rep_eff[a]
+            x[ctx.replicated[a][(re <= level) & (re < 0.0)]] = 1.0
+            if len(ctx.exclusive[a]):
+                m, pending = _locate_level(ctx, a, level)
+                x[ctx.exclusive[a][:m]] = 1.0
+                if pending:
+                    x[ctx.exclusive[a][m]] = _solve_fraction(ctx, a, m, level)
+        rows.append(x)
+    return rows
+
+
+def eager_solve_caching_bs(scenario, cache, sched, station):
+    """The station solve as it was before probes were decided from storage
+    bounds: every probe solves its fractions and compares the exact
+    storage.  Also returns each probe's outcome under the bounds rule."""
+    ctx = EfficiencyContext(scenario, cache, sched, station)
+    cap = float(scenario.storage_capacities[station])
+    floor = ctx.efficiency_floor()
+    if floor == 0.0:
+        return [np.zeros(scenario.catalog_size(a))
+                for a in range(scenario.num_apps)], 0.0, []
+    outcomes = []
+    b_l, b_r = floor, 0.0
+    while b_r - b_l >= LEVEL_ACCURACY:
+        b_m = 0.5 * (b_l + b_r)
+        rows, pending = _level_rows(ctx, b_m)
+        lower = rows_storage(scenario, rows)
+        for a, m in pending:
+            rows[a][ctx.exclusive[a][m]] = 1.0
+        upper = rows_storage(scenario, rows)
+        outcomes.append("lower >= cap" if lower >= cap else
+                        "upper < cap" if upper < cap else "straddle")
+        if rows_storage(scenario, eager_g_of_B(ctx, b_m)) < cap:
+            b_l = b_m
+        else:
+            b_r = b_m
+    level = 0.5 * (b_l + b_r)
+    rows = eager_g_of_B(ctx, level)
+    if rows_storage(scenario, rows) > cap:
+        level = b_l
+        rows = eager_g_of_B(ctx, level)
+    return rows, level, outcomes
+
+
+# Each probe outcome pinned once: random draws rarely meet a straddle.  In
+# the first example the first probe is decided by the lower bound; in the
+# second storage never binds, so every probe is decided by the upper bound;
+# in the third five probes straddle the capacity and solve their fractions.
+@PROPERTY
+@example(seed=10, stations=2, apps=3, start="greedy", station=0,
+         outcome="lower >= cap")
+@example(seed=0, stations=1, apps=1, start="greedy", station=0,
+         outcome="upper < cap")
+@example(seed=14, stations=1, apps=1, start="greedy", station=0,
+         outcome="straddle")
+@given(seed=st.integers(0, 10_000), stations=st.integers(1, 4),
+       apps=st.integers(1, 3), start=st.sampled_from(["empty", "greedy", "random"]),
+       station=st.integers(0, 3), outcome=st.none())
+def test_bounded_probes_equal_the_eager_probes(seed, stations, apps, start,
+                                               station, outcome):
+    sc = generate_scenario(GeneratorParams(
+        seed=seed, num_stations=stations, num_apps=apps, k_scale=0.002))
+    if start == "greedy":
+        cache = solver.greedy_cache(sc)
+    else:
+        cache = CacheAssignment.zeros(sc)
+        if start == "random":
+            rng = np.random.default_rng(seed)
+            for x in cache.entries:
+                x[:] = rng.integers(0, 2, x.shape)
+    try:
+        sched, _ = initial_feasible_point(sc, compute_hit_rates(sc, cache))
+    except Infeasible:
+        assume(False)
+    station %= stations
+    rows, level = solve_caching_bs(sc, cache, sched, station)
+    want_rows, want_level, outcomes = eager_solve_caching_bs(sc, cache, sched,
+                                                             station)
+    assert level == want_level
+    assert [r.tobytes() for r in rows] == [r.tobytes() for r in want_rows]
+    ctx = EfficiencyContext(sc, cache, sched, station)
+    for b in (0.0, ctx.efficiency_floor()):
+        assert ([r.tobytes() for r in g_of_B(ctx, b)]
+                == [r.tobytes() for r in eager_g_of_B(ctx, b)])
+    assert outcome is None or outcome in outcomes
 
 
 @st.composite
