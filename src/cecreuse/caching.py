@@ -378,33 +378,34 @@ def theorem3_ratio(d_zero: float, d_rounded: float, d_star: float,
     return ratio, bound
 
 
-class SweepState:
-    """A cache with its per-input counts and hit-rate table, kept current
-    through station rewrites.
+class SweepState(CacheAssignment):
+    """A cache that keeps its per-input counts and hit-rate table current
+    through the station rewrites ``accept`` writes into it in place.
 
     ``counts[a]`` is the column sum of app a's matrix and ``hit`` equals
-    compute_hit_rates(scenario, cache) bit for bit: a candidate's table is
+    compute_hit_rates(scenario, self) bit for bit: a candidate's table is
     built in O(A K) from the same reductions, with neighbor = total - local.
+    It takes over the matrices of the checked cache it is built from.
     """
 
     def __init__(self, scenario: Scenario, cache: CacheAssignment):
+        self.entries = cache.entries
         self.scenario = scenario
-        self.cache = cache
-        self.counts = [x.sum(axis=0) for x in cache.entries]
-        self.hit = compute_hit_rates(scenario, cache)
+        self.counts = [x.sum(axis=0) for x in self.entries]
+        self.hit = compute_hit_rates(scenario, self)
 
     def peer_counts(self, n: int) -> list[np.ndarray]:
         """Per app, how many stations other than n cache each input."""
-        return [c - x[n] for c, x in zip(self.counts, self.cache.entries)]
+        return [c - x[n] for c, x in zip(self.counts, self.entries)]
 
     def candidate(self, n: int, rows: list[np.ndarray]
                   ) -> tuple[list[np.ndarray], HitRateTable]:
         """Counts and hit table of the cache with station n's rows replaced."""
-        for a, (x, row) in enumerate(zip(self.cache.entries, rows)):
+        for a, (x, row) in enumerate(zip(self.entries, rows)):
             if row.shape != (x.shape[1],):
                 raise DimensionMismatch(f"app {a}: station row has wrong length")
         counts = [c - x[n] + row
-                  for c, x, row in zip(self.counts, self.cache.entries, rows)]
+                  for c, x, row in zip(self.counts, self.entries, rows)]
         probs = self.scenario.match_probs
         total = np.array([cached_mass(p, c) for p, c in zip(probs, counts)])
         local = self.hit.local.copy()
@@ -413,24 +414,23 @@ class SweepState:
 
     def accept(self, n: int, rows: list[np.ndarray],
                counts: list[np.ndarray], hit: HitRateTable) -> None:
-        """Write station n's rows into the cache with their candidate tables."""
-        for x, row in zip(self.cache.entries, rows):
+        """Write station n's rows in place with their candidate tables."""
+        for x, row in zip(self.entries, rows):
             x[n] = row
         self.counts = counts
         self.hit = hit
 
 
-def sweep_all_stations(scenario: Scenario, cache: CacheAssignment,
+def sweep_all_stations(scenario: Scenario, cache: SweepState,
                        sched: SchedulingState, passes: int
-                       ) -> tuple[CacheAssignment, SchedulingState, list[float],
-                                  HitRateTable]:
+                       ) -> tuple[SweepState, SchedulingState, list[float]]:
     """Station-by-station cache improvement under frozen (lam, fshare).
 
     Each station solve is rounded and written back only if the objective
     (with search flags refreshed) does not increase, which makes the
-    objective non-increasing by construction.  Returns the per-pass
-    objective values and the final hit table; stops early once a full pass
-    changes nothing.
+    objective non-increasing by construction.  Updates ``cache`` in place
+    and returns it with the refreshed scheduling state and the per-pass
+    objective values; stops early once a full pass changes nothing.
 
     A station is solved again only when its subproblem changed.  The
     subproblem reads the station's peer counts, lam, fshare and y, never
@@ -443,10 +443,8 @@ def sweep_all_stations(scenario: Scenario, cache: CacheAssignment,
     were, so its record takes the new epoch with the y its rows were solved
     under; it is solved again only if that acceptance moved y.
     """
-    cache = cache.copy()
     sched = sched.copy()
-    state = SweepState(scenario, cache)
-    res = evaluate_with_rates(scenario, state.hit.total, state.hit.neighbor,
+    res = evaluate_with_rates(scenario, cache.hit.total, cache.hit.neighbor,
                               sched.lam, sched.fshare)
     if not res.feasible:
         raise StabilityViolation("sweep started from an unstable point")
@@ -464,18 +462,18 @@ def sweep_all_stations(scenario: Scenario, cache: CacheAssignment,
                 continue
             solved_under[n] = (epoch, y)
             rows, _level = solve_caching_bs(scenario, cache, sched, n,
-                                            state.peer_counts(n))
+                                            cache.peer_counts(n))
             rows_bin = round_to_binary(rows)
             if all(np.array_equal(rows_bin[a], cache.entries[a][n])
                    for a in range(scenario.num_apps)):
                 continue
             if _rows_storage(scenario, rows_bin) > scenario.storage_capacities[n]:
                 continue
-            counts, hit = state.candidate(n, rows_bin)
+            counts, hit = cache.candidate(n, rows_bin)
             res2 = evaluate_with_rates(scenario, hit.total, hit.neighbor,
                                        sched.lam, sched.fshare)
             if res2.feasible and res2.objective <= obj:
-                state.accept(n, rows_bin, counts, hit)
+                cache.accept(n, rows_bin, counts, hit)
                 sched.y = res2.y
                 obj = res2.objective
                 changed = True
@@ -484,7 +482,7 @@ def sweep_all_stations(scenario: Scenario, cache: CacheAssignment,
         pass_objs.append(obj)
         if not changed:
             break
-    return cache, sched, pass_objs, state.hit
+    return cache, sched, pass_objs
 
 
 def relaxed_objective(scenario: Scenario, cache: CacheAssignment,

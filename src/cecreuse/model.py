@@ -222,9 +222,6 @@ class CacheAssignment:
         return cls([np.zeros((scenario.num_stations, scenario.catalog_size(a)))
                     for a in range(scenario.num_apps)])
 
-    def copy(self) -> "CacheAssignment":
-        return CacheAssignment([x.copy() for x in self.entries])
-
     def with_station(self, n: int,
                      station_rows: list[np.ndarray]) -> "CacheAssignment":
         """New assignment with station n's row replaced in every app matrix."""

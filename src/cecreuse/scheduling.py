@@ -134,10 +134,11 @@ def solve_scheduling(scenario: Scenario, hit: HitRateTable,
     iteration and held fixed through its gradient and line search.  The
     trace rows are (iteration, objective, backtrack_count); the objective
     column is non-increasing.  Stops early at a stationary projected target
-    or when the line search is exhausted, keeping the current point.  Each
-    block of line-search steps is tabled once, and the accepted step's
-    slice of its table is handed on to the next iteration and the final
-    flags, so no point is tabled twice.
+    or when the line search is exhausted, keeping the current point; a
+    gradient that overflows is MalformedInput.  Each block of line-search
+    steps is tabled once, and the accepted step's slice of its table is
+    handed on to the next iteration and the final flags, so no point is
+    tabled twice.
     """
     sched = sched.copy()
     trace: list[tuple[int, float, int]] = []
@@ -149,6 +150,9 @@ def solve_scheduling(scenario: Scenario, hit: HitRateTable,
             raise StabilityViolation("scheduling started from an unstable point")
         table = res.table
         grad = gradient_with_rates(scenario, res, sched.lam)
+        if not (np.isfinite(grad.dlam).all() and np.isfinite(grad.dfshare).all()):
+            raise MalformedInput("the objective's gradient overflows: the "
+                                 "scenario's delays or capacities are too large")
         theta = params.theta0 / np.sqrt(i)
         target = project_decisions(sched.lam - theta * grad.dlam,
                                    sched.fshare - theta * grad.dfshare)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .caching import sweep_all_stations
+from .caching import SweepState, sweep_all_stations
 from .errors import Infeasible, MalformedInput
 from .model import (Application, BaseStation, CacheAssignment, HitRateTable,
                     Scenario, SchedulingState, compute_hit_rates, validate)
@@ -90,30 +90,29 @@ def greedy_cache(scenario: Scenario) -> CacheAssignment:
     return cache
 
 
-def _feasible_start(scenario: Scenario, cache: CacheAssignment
-                    ) -> tuple[SchedulingState, float, HitRateTable]:
-    """The repaired capacity-proportional start for ``cache``, its
-    objective and the cache's hit table.
+def _feasible_start(scenario: Scenario, hit: HitRateTable
+                    ) -> tuple[SchedulingState, float]:
+    """The repaired capacity-proportional start under a cache with hit
+    table ``hit``, and its objective.
 
     A start objective that is not finite (an input, such as a transfer
     delay, so large that a delay overflows) is MalformedInput: no descent
     can improve on it, and a report of it would not be valid JSON.
     """
-    hit = compute_hit_rates(scenario, cache)
     sched, res = initial_feasible_point(scenario, hit)
     if not res.feasible:
         raise Infeasible("repaired starting point is still unstable")
     if not math.isfinite(res.objective):
         raise MalformedInput(f"start objective {res.objective} is not finite: "
                              "the scenario's delays overflow")
-    return sched, res.objective, hit
+    return sched, res.objective
 
 
 def solve_greedy(scenario: Scenario) -> SolveReport:
     """Ratio-order caching + capacity-proportional routing, no optimization."""
     t0 = time.perf_counter()
     cache = greedy_cache(scenario)
-    sched, obj, _ = _feasible_start(scenario, cache)
+    sched, obj = _feasible_start(scenario, compute_hit_rates(scenario, cache))
     return SolveReport(algorithm="greedy",
                        objective_trace=[(0, "init", 0, obj)],
                        cache=cache, sched=sched, final_objective=obj,
@@ -126,19 +125,19 @@ def alternating_solve(scenario: Scenario, rounds: int = ROUND_CAP,
                       params: PgdParams = PgdParams()) -> SolveReport:
     """Alternate the caching sweep and the scheduling descent from the
     Greedy state, stopping early once a round improves by less than 1e-6
-    relative."""
+    relative.  The cache is one SweepState, which the sweeps rewrite."""
     t0 = time.perf_counter()
-    cache = greedy_cache(scenario)
-    sched, obj, _ = _feasible_start(scenario, cache)
+    cache = SweepState(scenario, greedy_cache(scenario))
+    sched, obj = _feasible_start(scenario, cache.hit)
     trace: list[TraceRow] = [(0, "init", 0, obj)]
     rounds_completed = 0
     prev = obj
     for r in range(1, rounds + 1):
-        cache, sched, pass_objs, hit = sweep_all_stations(
+        cache, sched, pass_objs = sweep_all_stations(
             scenario, cache, sched, passes=CACHING_PASSES)
         for i, o in enumerate(pass_objs, start=1):
             trace.append((r, "caching", i, o))
-        sched, strace = solve_scheduling(scenario, hit, sched,
+        sched, strace = solve_scheduling(scenario, cache.hit, sched,
                                          SCHEDULING_ITERS, params)
         for i, o, _j in strace:
             trace.append((r, "scheduling", i, o))
@@ -160,7 +159,8 @@ def solve_nor(scenario: Scenario, rounds: int = ROUND_CAP,
     only with the same total iteration budget."""
     t0 = time.perf_counter()
     cache = CacheAssignment.zeros(scenario)
-    sched, obj, hit = _feasible_start(scenario, cache)
+    hit = compute_hit_rates(scenario, cache)
+    sched, obj = _feasible_start(scenario, hit)
     trace: list[TraceRow] = [(0, "init", 0, obj)]
     sched, strace = solve_scheduling(scenario, hit, sched,
                                      rounds * SCHEDULING_ITERS, params)

@@ -10,7 +10,7 @@ from cecreuse import (CacheAssignment, DegenerateInput,
                       evaluate_objective, g_of_B, generate_scenario,
                       round_to_binary, solve_caching_bs, solve_noc,
                       storage_used, sweep_all_stations, theorem3_ratio)
-from cecreuse import caching
+from cecreuse import caching, solver
 from cecreuse.caching import LEVEL_ACCURACY, _locate_level, _solve_fraction
 
 from conftest import build_scenario, uniform_state
@@ -373,20 +373,25 @@ def test_oracle_never_beaten_by_rounded_solver():
 # -- alternating sweep -------------------------------------------------------------
 
 
+def fresh_state(sc):
+    """A sweep state over an empty cache of its own."""
+    return caching.SweepState(sc, CacheAssignment.zeros(sc))
+
+
 def test_sweep_zero_passes(two_station_one_app):
     sc = two_station_one_app
-    cache = CacheAssignment.zeros(sc)
-    out, _, objs, _ = sweep_all_stations(sc, cache, uniform_state(sc), passes=0)
+    state = fresh_state(sc)
+    out, _, objs = sweep_all_stations(sc, state, uniform_state(sc), passes=0)
     assert objs == []
-    assert all(np.array_equal(out.entries[a], cache.entries[a])
-               for a in range(sc.num_apps))
+    assert out is state
+    assert not any(x.any() for x in out.entries)
 
 
 def test_sweep_single_station_matches_one_solve():
     sc, *_ = knapsack_scenario(seed=9)
     cache = CacheAssignment.zeros(sc)
     start = uniform_state(sc)
-    swept, _, _, _ = sweep_all_stations(sc, cache, start, passes=1)
+    swept, _, _ = sweep_all_stations(sc, fresh_state(sc), start, passes=1)
 
     sched = start.copy()
     sched.y = evaluate_objective(sc, cache, sched).y
@@ -405,14 +410,12 @@ def test_sweep_more_passes_never_worse():
         apps.append((1.0, 4e8, list(zip(p.tolist(), s.tolist()))))
     sc = build_scenario((2e9, 3e9), (6e5, 6e5), (0.01, 0.02),
                         ((1.0, 0.6), (0.8, 1.2)), apps, search_workload=2e5)
-    cache = CacheAssignment.zeros(sc)
     start = uniform_state(sc)
-    _, _, one, _ = sweep_all_stations(sc, cache, start, passes=1)
-    _, _, two, _ = sweep_all_stations(sc, cache, start, passes=2)
+    _, _, one = sweep_all_stations(sc, fresh_state(sc), start, passes=1)
+    swept, _, two = sweep_all_stations(sc, fresh_state(sc), start, passes=2)
     assert two[-1] <= one[-1] + 1e-15
     assert all(b <= a + 1e-15 for a, b in zip(two, two[1:]))
     # storage feasible throughout
-    swept, _, _, _ = sweep_all_stations(sc, cache, start, passes=2)
     for n in range(sc.num_stations):
         assert storage_used(sc, swept, n) <= sc.storage_capacities[n] + 1e-6
 
@@ -421,7 +424,7 @@ def test_sweep_rejects_unstable_start():
     sc = build_scenario((2e9,), (4e9,), (0.02,), ((20.0,),),
                         [(1.0, 4e8, [(0.2, 1e5)])])
     with pytest.raises(StabilityViolation):
-        sweep_all_stations(sc, CacheAssignment.zeros(sc), uniform_state(sc), 1)
+        sweep_all_stations(sc, fresh_state(sc), uniform_state(sc), 1)
 
 
 def test_sweep_rejects_fractional_neighbor_entry():
@@ -432,38 +435,51 @@ def test_sweep_rejects_fractional_neighbor_entry():
 
 def test_sweep_state_rejects_wrong_row_length(two_station_one_app):
     sc = two_station_one_app
-    state = caching.SweepState(sc, CacheAssignment.zeros(sc))
     with pytest.raises(DimensionMismatch):
-        state.candidate(0, [np.zeros(2)])
+        fresh_state(sc).candidate(0, [np.zeros(2)])
 
 
 def test_sweep_state_matches_hit_rate_oracle(monkeypatch):
-    """The sweep's incremental counts and hit tables equal the dense
-    compute_hit_rates of its cache, bit for bit, after every accepted
-    station rewrite of every pass."""
-    checks = []
+    """A solve builds one SweepState.  Its counts and hit table equal the
+    column sums and the dense compute_hit_rates of its own matrices, bit
+    for bit: when it is built, after every accepted station rewrite of
+    every round, and at the start of every round."""
+    states, accepts, round_starts = [], [], []
+
+    def check(state):
+        oracle = compute_hit_rates(state.scenario, state)
+        for name in ("local", "neighbor", "total"):
+            assert np.array_equal(getattr(state.hit, name),
+                                  getattr(oracle, name)), name
+        for counts, x in zip(state.counts, state.entries):
+            assert np.array_equal(counts, x.sum(axis=0))
 
     class CheckedSweepState(caching.SweepState):
-        def check(self):
-            oracle = compute_hit_rates(self.scenario, self.cache)
-            for name in ("local", "neighbor", "total"):
-                assert np.array_equal(getattr(self.hit, name),
-                                      getattr(oracle, name)), name
-            for counts, x in zip(self.counts, self.cache.entries):
-                assert np.array_equal(counts, x.sum(axis=0))
-            checks.append(1)
-
         def __init__(self, scenario, cache):
             super().__init__(scenario, cache)
-            self.check()
+            states.append(self)
+            check(self)
 
         def accept(self, n, rows, counts, hit):
             super().accept(n, rows, counts, hit)
-            self.check()
+            accepts.append(n)
+            check(self)
 
-    monkeypatch.setattr(caching, "SweepState", CheckedSweepState)
+    sweep = solver.sweep_all_stations
+
+    def checked_sweep(scenario, cache, sched, passes):
+        assert cache is states[-1]
+        check(cache)
+        round_starts.append(cache)
+        return sweep(scenario, cache, sched, passes)
+
+    monkeypatch.setattr(solver, "SweepState", CheckedSweepState)
+    monkeypatch.setattr(solver, "sweep_all_stations", checked_sweep)
     for seed in range(42, 47):
         sc = generate_scenario(GeneratorParams(seed=seed))
-        before = len(checks)
+        built, accepted, started = len(states), len(accepts), len(round_starts)
         rep = alternating_solve(sc)
-        assert len(checks) > before + rep.rounds_completed  # some rewrites
+        assert len(states) == built + 1
+        assert rep.cache is states[-1]
+        assert len(round_starts) == started + rep.rounds_completed
+        assert len(accepts) > accepted  # some rewrites

@@ -173,6 +173,10 @@ def test_solve_rejects_an_infinite_efficiency_floor(tmp_path, capsys, path,
     assert "efficiency floor" in capsys.readouterr().err
 
 
+GRADIENT_OVERFLOW = ("error: the objective's gradient overflows: the "
+                     "scenario's delays or capacities are too large")
+
+
 @pytest.mark.parametrize("algorithm", solver.ALGORITHMS)
 def test_solve_rejects_an_overflowing_start_objective(tmp_path, capsys,
                                                       algorithm):
@@ -191,10 +195,31 @@ def test_solve_rejects_an_overflowing_start_objective(tmp_path, capsys,
     assert not (out / "report.json").exists()
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert "Traceback" not in err
     if algorithm != "noc":
-        # NoC solves each station alone, where no transfer is paid, so its
-        # start is finite; it stops at the first descent step instead
         assert "start objective inf is not finite" in err
+    else:
+        # NoC solves each station alone, where no transfer is paid, so its
+        # start is finite; its first descent step's gradient overflows
+        # instead, and the projection of that step would fail
+        assert err.startswith(GRADIENT_OVERFLOW)
+
+
+def test_noc_rejects_an_overflowing_gradient(tmp_path, capsys):
+    # station 0's capacity of 1e308 cycles/s overflows the gradient of its
+    # single-station descent
+    doc = scenario_to_dict(generate_scenario(GeneratorParams(
+        seed=42, num_stations=3, num_apps=2, k_scale=0.002)))
+    doc["stations"][0]["compute_capacity_hz"] = 1e308
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(config), "--output", str(out),
+                     "--algorithm", "noc"]) == 2
+    assert not (out / "report.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith(GRADIENT_OVERFLOW)
+    assert "Traceback" not in err
 
 
 def test_solve_exits_1_when_decision_violates_constraints(tmp_path, scenario_json,

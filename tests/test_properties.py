@@ -1,6 +1,6 @@
 """Property tests: the binary cache type, hit-rate identities, the caching
-sweep's station skip, the level search's probes, the batched projection,
-the blocked line search, report JSON."""
+sweep's station skip, the solve's one sweep state, the level search's
+probes, the batched projection, the blocked line search, report JSON."""
 import json
 import math
 
@@ -101,13 +101,16 @@ def test_sweep_candidate_equals_the_dense_oracle(case):
         assert np.array_equal(c, x.sum(axis=0))
 
 
+def copied(cache):
+    """A cache with matrices of its own."""
+    return CacheAssignment([x.copy() for x in cache.entries])
+
+
 def sweep_solving_every_station(scenario, cache, sched, passes):
     """The caching sweep as it was before stations were skipped: every
     station is solved on every visit."""
-    cache = cache.copy()
     sched = sched.copy()
-    state = SweepState(scenario, cache)
-    res = evaluate_with_rates(scenario, state.hit.total, state.hit.neighbor,
+    res = evaluate_with_rates(scenario, cache.hit.total, cache.hit.neighbor,
                               sched.lam, sched.fshare)
     sched.y = res.y
     obj = res.objective
@@ -116,25 +119,25 @@ def sweep_solving_every_station(scenario, cache, sched, passes):
         changed = False
         for n in range(scenario.num_stations):
             rows, _level = solve_caching_bs(scenario, cache, sched, n,
-                                            state.peer_counts(n))
+                                            cache.peer_counts(n))
             rows_bin = round_to_binary(rows)
             if all(np.array_equal(rows_bin[a], cache.entries[a][n])
                    for a in range(scenario.num_apps)):
                 continue
             if rows_storage(scenario, rows_bin) > scenario.storage_capacities[n]:
                 continue
-            counts, hit = state.candidate(n, rows_bin)
+            counts, hit = cache.candidate(n, rows_bin)
             res2 = evaluate_with_rates(scenario, hit.total, hit.neighbor,
                                        sched.lam, sched.fshare)
             if res2.feasible and res2.objective <= obj:
-                state.accept(n, rows_bin, counts, hit)
+                cache.accept(n, rows_bin, counts, hit)
                 sched.y = res2.y
                 obj = res2.objective
                 changed = True
         pass_objs.append(obj)
         if not changed:
             break
-    return cache, sched, pass_objs, state.hit
+    return cache, sched, pass_objs
 
 
 # One station, several apps, greedy start: the first rewrite stops an app
@@ -170,15 +173,64 @@ def test_skipping_sweep_equals_solving_every_station(
         assume(False)
     # a few descent steps move routing off the proportional start
     sched, _ = solve_scheduling(sc, hit, sched, descent)
-    got = sweep_all_stations(sc, cache, sched, passes)
-    want = sweep_solving_every_station(sc, cache, sched, passes)
+    got = sweep_all_stations(sc, SweepState(sc, copied(cache)), sched, passes)
+    want = sweep_solving_every_station(sc, SweepState(sc, copied(cache)),
+                                       sched, passes)
     assert got[2] == want[2]
     assert all(np.array_equal(a, b)
                for a, b in zip(got[0].entries, want[0].entries))
+    assert all(np.array_equal(a, b)
+               for a, b in zip(got[0].counts, want[0].counts))
     for field in ("lam", "fshare", "y"):
         assert np.array_equal(getattr(got[1], field), getattr(want[1], field))
     for field in ("local", "neighbor", "total"):
-        assert np.array_equal(getattr(got[3], field), getattr(want[3], field))
+        assert np.array_equal(getattr(got[0].hit, field),
+                              getattr(want[0].hit, field))
+
+
+def solve_rebuilding_state_each_round(scenario, rounds):
+    """alternating_solve's round loop as it was: each round's sweep starts
+    from a fresh copy of the cache and a fresh SweepState, and the descent
+    takes the hit table the sweep ends with."""
+    cache = solver.greedy_cache(scenario)
+    sched, res = initial_feasible_point(scenario,
+                                        compute_hit_rates(scenario, cache))
+    trace = [(0, "init", 0, res.objective)]
+    prev = res.objective
+    for r in range(1, rounds + 1):
+        state = SweepState(scenario, copied(cache))
+        cache, sched, pass_objs = sweep_all_stations(
+            scenario, state, sched, solver.CACHING_PASSES)
+        trace += [(r, "caching", i, o) for i, o in enumerate(pass_objs, 1)]
+        sched, strace = solve_scheduling(scenario, state.hit, sched,
+                                         solver.SCHEDULING_ITERS)
+        trace += [(r, "scheduling", i, o) for i, o, _j in strace]
+        cur = trace[-1][3]
+        if prev - cur < solver.ROUND_IMPROVEMENT_TOL * max(abs(prev), 1e-300):
+            break
+        prev = cur
+    return trace, cache, sched
+
+
+@PROPERTY
+@given(seed=st.integers(0, 10_000), stations=st.integers(1, 4),
+       apps=st.integers(1, 3), load=st.sampled_from([0.5, 1.0, 1.5]),
+       rounds=st.integers(0, 6))
+def test_one_state_per_solve_equals_a_fresh_state_per_round(
+        seed, stations, apps, load, rounds):
+    sc = generate_scenario(GeneratorParams(
+        seed=seed, num_stations=stations, num_apps=apps,
+        workload_factor=load, k_scale=0.002))
+    try:
+        trace, cache, sched = solve_rebuilding_state_each_round(sc, rounds)
+    except Infeasible:
+        assume(False)
+    rep = solver.alternating_solve(sc, rounds)
+    assert rep.objective_trace == trace
+    assert all(np.array_equal(a, b)
+               for a, b in zip(rep.cache.entries, cache.entries))
+    for field in ("lam", "fshare", "y"):
+        assert np.array_equal(getattr(rep.sched, field), getattr(sched, field))
 
 
 def eager_g_of_B(ctx, level):

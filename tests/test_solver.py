@@ -145,8 +145,9 @@ def test_caching_phases_converge_fast():
 
 
 def test_one_hit_table_per_round(monkeypatch):
-    # the start, each round's caching sweep and the final validation each
-    # build the hit table once; the descent takes the sweep's table
+    # the solve's one SweepState builds the hit table for the start; the
+    # sweeps keep it current and the descent reads it, so only the final
+    # validation builds another, whatever the number of rounds
     calls = []
     compute = model.compute_hit_rates
 
@@ -154,13 +155,17 @@ def test_one_hit_table_per_round(monkeypatch):
         calls.append(args)
         return compute(*args)
 
-    for module in (model, caching, solver):
+    for module in (model, caching, solver, delay):
         monkeypatch.setattr(module, "compute_hit_rates", counted)
     sc = generate_scenario(GeneratorParams(seed=42, num_stations=3, num_apps=2,
                                            k_scale=0.002))
-    rep = alternating_solve(sc)
-    assert rep.rounds_completed >= 2
-    assert len(calls) == rep.rounds_completed + 2
+    completed = []
+    for rounds in (0, 1, 2, solver.ROUND_CAP):
+        calls.clear()
+        completed.append(alternating_solve(sc, rounds).rounds_completed)
+        assert len(calls) == 2
+    # this scenario stops on the round tolerance after three rounds
+    assert completed == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("params,make_cache,tables", [
@@ -181,8 +186,9 @@ def test_start_point_is_tabled_once_per_point(monkeypatch, params, make_cache,
 
     sc = generate_scenario(params)
     cache = make_cache(sc)
+    hit = model.compute_hit_rates(sc, cache)
     monkeypatch.setattr(delay, "branch_delays", counted)
-    sched, obj, _ = solver._feasible_start(sc, cache)
+    sched, obj = solver._feasible_start(sc, hit)
     assert len(calls) == tables
     assert obj == evaluate_objective(sc, cache, sched, frozen_y=sched.y).objective
 
