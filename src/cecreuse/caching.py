@@ -322,6 +322,8 @@ def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
     b_l, b_r = floor, 0.0
     while b_r - b_l >= LEVEL_ACCURACY:
         b_m = 0.5 * (b_l + b_r)
+        if b_m == b_l or b_m == b_r:
+            break  # adjacent doubles: no level lies between them
         if _fits(ctx, b_m, cap):
             b_l = b_m
         else:

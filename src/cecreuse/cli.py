@@ -116,7 +116,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values_text = args.values or DEFAULT_VALUES[args.axis]
+    values_text = (DEFAULT_VALUES[args.axis] if args.values is None
+                   else args.values)
     parse = float if args.axis == "workload" else int
     try:
         values = tuple(parse(v) for v in values_text.split(","))

@@ -473,4 +473,8 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from exc
+    return scenario_from_dict(doc)

@@ -4,10 +4,9 @@ Arrivals are Poisson; service times follow the two-branch model: without
 cache searching the service is an exponential workload over the CPU speed
 (M/M/1), with searching every task pays the deterministic search workload
 and with probability P_hr skips computation entirely (M/G/1 with an atom at
-w^s / f).  Waits follow the Lindley recursion; the mean sojourn over the
-post-warmup tasks carries a batch-means 95% confidence interval.  The
-analytic means and the stability check come from delay.branch_delays, the
-formula the solver uses.
+w^s / f).  Waits follow the Lindley recursion, and the mean sojourn is
+taken over the post-warmup tasks.  The analytic means and the stability
+check come from delay.branch_delays, the formula the solver uses.
 
 RNG: numpy PCG64 seeded through SeedSequence, exponentials via inverse CDF,
 draws in the fixed order interarrivals, hit indicators, workloads.
@@ -18,12 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .delay import branch_delays
 from .errors import MalformedInput, StabilityViolation, UnstableConfig
-
-NUM_BATCHES = 32
 
 
 @dataclass(frozen=True)
@@ -42,7 +38,6 @@ class QueueSimConfig:
 @dataclass(frozen=True)
 class SimResult:
     mean_sojourn: float
-    half_width_95: float
     tasks_counted: int
 
 
@@ -76,7 +71,7 @@ def _lindley_waits(interarrivals: np.ndarray, services: np.ndarray) -> np.ndarra
 
 
 def simulate(cfg: QueueSimConfig) -> SimResult:
-    """Mean sojourn time with a batch-means 95% half width.
+    """Mean sojourn time over the tasks after the warm-up.
 
     A zero arrival rate injects a single task whose sojourn is exactly its
     service time (no queueing).
@@ -95,7 +90,7 @@ def simulate(cfg: QueueSimConfig) -> SimResult:
 
     if cfg.arrival_rate == 0.0:
         service = float(_draw_services(cfg, rng, 1)[0])
-        return SimResult(mean_sojourn=service, half_width_95=0.0, tasks_counted=1)
+        return SimResult(mean_sojourn=service, tasks_counted=1)
 
     if not _branch(cfg)[0]:
         raise UnstableConfig("utilization at or above 1")
@@ -109,15 +104,7 @@ def simulate(cfg: QueueSimConfig) -> SimResult:
     sojourns += services
 
     counted = sojourns[n // 10:]
-    mean = float(counted.mean())
-    if counted.size < 2:
-        return SimResult(mean_sojourn=mean, half_width_95=0.0,
-                         tasks_counted=int(counted.size))
-    batches = min(NUM_BATCHES, counted.size)
-    size = counted.size // batches
-    bm = counted[:batches * size].reshape(batches, size).mean(axis=1)
-    hw = float(stats.t.ppf(0.975, batches - 1) * bm.std(ddof=1) / np.sqrt(batches))
-    return SimResult(mean_sojourn=mean, half_width_95=hw,
+    return SimResult(mean_sojourn=float(counted.mean()),
                      tasks_counted=int(counted.size))
 
 

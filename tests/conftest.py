@@ -4,10 +4,12 @@ Hand-built networks keep the worked examples readable; the seeded default
 scenario exercises everything at the scale the solvers are tuned for.
 """
 import math
+import os
 
 import numpy as np
 import pytest
 
+import cecreuse
 from cecreuse import (Application, BaseStation, CacheAssignment, GeneratorParams,
                       Scenario, SchedulingState, TypicalInput, generate_scenario,
                       scenario_to_dict)
@@ -49,6 +51,14 @@ NON_FINITE_FIELDS += [(path, HUGE_INT) for path in (
 NON_FINITE_IDS = ["/".join(map(str, path))
                   + ("=10**400" if value == HUGE_INT else f"={value}")
                   for path, value in NON_FINITE_FIELDS]
+
+
+def package_env(**overrides):
+    """The environment with this package first on the import path and
+    ``overrides`` set, for tests that start a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(cecreuse.__file__))
+    return dict(os.environ, **overrides, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
 
 
 def mutated_document(scenario, path, value):

@@ -209,6 +209,19 @@ def test_solve_caching_zero_capacity():
     assert rows[0].tolist() == [0.0, 0.0]
 
 
+def test_solve_caching_ends_at_float_resolution():
+    # a weight of 1e300 puts the levels near -1e293, where adjacent doubles
+    # lie farther apart than LEVEL_ACCURACY: the bisection must still end
+    sc = build_scenario((2e9,), (1.5e5,), (0.02,), ((2.0,),),
+                        [(1e300, 4e8, [(0.3, 1e5), (0.2, 1e5), (0.1, 1e5)])])
+    rows, level = solve_caching_bs(sc, CacheAssignment.zeros(sc),
+                                   single_y1_sched(1, 1), 0)
+    x = rows[0]
+    assert float(x @ np.full(3, 1e5)) <= 1.5e5
+    assert ((x > 0.0) & (x < 1.0)).sum() <= 1
+    assert -np.inf < level < 0.0
+
+
 def test_solve_caching_matches_fractional_knapsack():
     sc, p, s, cap = knapsack_scenario()
     sched = single_y1_sched(1, 1)

@@ -1,12 +1,10 @@
 """End-to-end command-line behavior, driven in-process via cli.main."""
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import cecreuse
 from cecreuse import (GeneratorParams, MalformedInput, cli, generate_scenario,
                       load_scenario, save_scenario, scenario_from_dict,
                       scenario_to_dict, solver)
@@ -14,7 +12,7 @@ from cecreuse.delay import gradient_with_rates
 from cecreuse.model import Violation
 
 from conftest import (NON_FINITE_FIELDS, NON_FINITE_IDS, build_scenario,
-                      mutated_document)
+                      mutated_document, package_env)
 
 
 @pytest.fixture
@@ -75,15 +73,6 @@ def test_solve_deterministic_modulo_wall_time(tmp_path, scenario_json):
     assert outs[0] == outs[1]
 
 
-def blas_env(threads):
-    """The environment with OpenBLAS pinned to ``threads`` and this package
-    first on the import path."""
-    src = os.path.dirname(os.path.dirname(cecreuse.__file__))
-    return dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                PYTHONPATH=os.pathsep.join(
-                    [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-
-
 def test_solve_report_independent_of_blas_threads(tmp_path):
     # OpenBLAS splits dot products over its threads above 10^4 elements
     sc = generate_scenario(GeneratorParams(seed=42, num_stations=3, num_apps=2,
@@ -97,7 +86,7 @@ def test_solve_report_independent_of_blas_threads(tmp_path):
         subprocess.run([sys.executable, "-m", "cecreuse.cli", "solve",
                         "--config", str(config), "--output", str(out),
                         "--rounds", "1"],
-                       env=blas_env(threads), check=True, capture_output=True,
+                       env=package_env(OPENBLAS_NUM_THREADS=threads), check=True, capture_output=True,
                        timeout=600)
         lines = (out / "report.json").read_text().splitlines()
         reports.append([ln for ln in lines if '"wall_time_s"' not in ln])
@@ -126,7 +115,7 @@ print([e.tobytes().hex() for e in eff])
 
 def test_oracles_independent_of_blas_threads():
     outputs = [subprocess.run([sys.executable, "-c", ORACLE_SCRIPT],
-                              env=blas_env(threads), check=True,
+                              env=package_env(OPENBLAS_NUM_THREADS=threads), check=True,
                               capture_output=True, text=True, timeout=600).stdout
                for threads in ("1", "2")]
     assert outputs[0] == outputs[1]
@@ -140,6 +129,15 @@ def test_solve_malformed_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["solve", "--config", str(bad)]) == 2
+
+
+def test_solve_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00x")
+    assert cli.main(["solve", "--config", str(bad),
+                     "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("path,value", NON_FINITE_FIELDS, ids=NON_FINITE_IDS)
@@ -323,11 +321,13 @@ def test_sweep_rejects_unknown_algorithm(tmp_path):
 @pytest.mark.parametrize("axis,values,threads", [
     ("workload", "abc", "1"),
     ("stations", "2.5", "1"),
+    # only an absent --values falls back to the axis defaults
+    ("apps", "", "1"),
     ("workload", "0.5", "two"),
     ("workload", "0.5", "0"),
     ("workload", "0.5", "-2"),
-], ids=["workload=abc", "stations=2.5", "threads=two", "threads=0",
-        "threads=-2"])
+], ids=["workload=abc", "stations=2.5", "apps=empty", "threads=two",
+        "threads=0", "threads=-2"])
 def test_sweep_rejects_bad_input(tmp_path, monkeypatch, capsys, axis, values,
                                  threads):
     monkeypatch.setenv("CEC_REUSE_THREADS", threads)
@@ -335,6 +335,7 @@ def test_sweep_rejects_bad_input(tmp_path, monkeypatch, capsys, axis, values,
                      "--reps", "1", "--algorithm", "greedy",
                      "--output", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_validate_queueing_shrunk_grid(monkeypatch, capsys):

@@ -28,7 +28,7 @@ def test_single_task_is_exact_service():
     r = simulate(cfg(arrival_rate=0.0, mode="with_cache", hit_rate=1.0,
                      search_workload=5e7))
     assert r.mean_sojourn == 5e7 / 2e9
-    assert r.half_width_95 == 0.0 and r.tasks_counted == 1
+    assert r.tasks_counted == 1
 
 
 def test_closed_form_waits_match_lindley_recursion():
@@ -50,15 +50,13 @@ def test_closed_form_waits_match_lindley_recursion():
 def test_single_queued_task():
     assert _lindley_waits(np.array([0.7]), np.array([0.3])).tolist() == [0.0]
     r = simulate(cfg(num_tasks=1))
-    assert r.tasks_counted == 1 and r.half_width_95 == 0.0
+    assert r.tasks_counted == 1
     assert r.mean_sojourn > 0.0
 
 
 def test_mm1_matches_analytic():
     c = cfg()  # mu0 = 10/s, arrival 5/s -> sojourn 0.2 s
     assert analytic_mean(c) == pytest.approx(0.2)
-    r = simulate(c)
-    assert abs(r.mean_sojourn - 0.2) <= 2.0 * r.half_width_95
     assert compare_to_analytic(c) < 0.025
 
 
@@ -66,8 +64,6 @@ def test_md1_all_hits_matches_analytic():
     c = cfg(arrival_rate=20.0, mode="with_cache", hit_rate=1.0,
             search_workload=5e7, rng_seed=11)
     assert analytic_mean(c) == pytest.approx(0.0375)
-    r = simulate(c)
-    assert abs(r.mean_sojourn - 0.0375) <= 2.0 * r.half_width_95
     assert compare_to_analytic(c) < 0.01
 
 
