@@ -14,9 +14,11 @@ Every delay in the package, scalar or per (app, station), comes from there,
 and so does every stability decision: a branch is stable when its slack
 f - load E[S] is positive.  One table per decision point serves its search
 flags, objective, stability test and gradient; the line search tables a
-block of points in one broadcast over a leading axis.  One queue's dD1/dP is
-hit_derivative, a scalar formula the caching level search sums over the
-searching stations at every probe.
+block of points in one broadcast over a leading axis.  A ScenarioStack
+passes for a scenario: its arrays carry a leading problem axis, and the
+same formulas evaluate every problem of the stack in one broadcast.  One
+queue's dD1/dP is hit_derivative, a scalar formula the caching level search
+sums over the searching stations at every probe.
 """
 from __future__ import annotations
 
@@ -118,11 +120,14 @@ class EvalResult:
     stacked on a leading axis of lam and fshare.
 
     ``objective`` is None when some station carries load without a stable
-    service branch, and on a block, whose k-th point is ``point(k)``;
-    ``stable`` holds that test per point.  Delays are per (app, station)
-    with 0 where no traffic is routed and no CPU assigned, and None when no
-    point is stable.  ``table`` holds the branch delays the points were
-    evaluated from; ``weights`` are the apps' objective weights.
+    service branch, and on a block, whose k-th point is ``point(k)`` and
+    whose ``objectives()`` are its points'; ``stable`` holds that test per
+    point.  On a ScenarioStack a point is one
+    decision per problem of the stack: ``objective`` then holds one value
+    per problem, NaN where that problem is unstable.  Delays are per (app,
+    station) with 0 where no traffic is routed and no CPU assigned, and None
+    when no point is stable.  ``table`` holds the branch delays the points
+    were evaluated from; ``weights`` are the apps' objective weights.
     """
 
     objective: float | None
@@ -135,7 +140,15 @@ class EvalResult:
 
     @property
     def feasible(self) -> bool:
-        return self.objective is not None
+        """Whether this point, or every problem of a stacked point, is stable."""
+        return self.objective is not None and bool(self.stable.all())
+
+    def objectives(self) -> np.ndarray:
+        """Every point's objective, over the block's and the stack's axes,
+        NaN where the point is unstable."""
+        if self.app_delays is None:
+            return np.full(self.stable.shape, np.nan)
+        return np.asarray(_weighted(self.weights, self.app_delays, self.stable))
 
     def point(self, k: int) -> EvalResult:
         """The k-th point of a block, as evaluating it alone would give.
@@ -147,13 +160,26 @@ class EvalResult:
         table = BranchDelays(*(x[k] if x.ndim == lead else x
                                for x in self.table))
         y = self.y[k] if self.y.ndim == lead else self.y
-        if not self.stable[k]:
-            return EvalResult(None, None, None, y, table, self.stable[k],
-                              self.weights)
+        stable = self.stable[k]
+        if not stable.any():
+            return EvalResult(None, None, None, y, table, stable, self.weights)
         app_delays = self.app_delays[k]
-        return EvalResult(float(self.weights @ app_delays), app_delays,
-                          self.station_delays[k], y, table, self.stable[k],
+        return EvalResult(_weighted(self.weights, app_delays, stable),
+                          app_delays, self.station_delays[k], y, table, stable,
                           self.weights)
+
+
+def _weighted(weights: np.ndarray, app_delays: np.ndarray, stable: np.ndarray):
+    """The objective weights @ app_delays: a float for one point, and for
+    points on leading axes an array of them, NaN where unstable.
+
+    matmul computes a row-times-column product with the BLAS dot that
+    ``weights @ app_delays`` calls for one point, once per point of the
+    leading axes, so every point's value is the one it has alone."""
+    if app_delays.ndim == 1:
+        return float(weights @ app_delays)
+    values = np.matmul(weights[..., None, :], app_delays[..., :, None])
+    return np.where(stable, values[..., 0, 0], np.nan)
 
 
 def branch_tables(scenario: Scenario, total_hit: np.ndarray,
@@ -162,12 +188,12 @@ def branch_tables(scenario: Scenario, total_hit: np.ndarray,
 
     ``lam`` and ``fshare`` may carry leading axes (a block of points); every
     field then has them too, except ``srv1`` and ``sq``, which depend on the
-    app alone.
+    app (and on a stack, the problem) alone.
     """
-    f = fshare * scenario.compute_capacities[None, :]
-    load = lam * scenario.total_rates[:, None]
+    f = fshare * scenario.compute_capacities[..., None, :]
+    load = lam * scenario.total_rates[..., :, None]
     return branch_delays(f, load, scenario.workloads[:, None],
-                         scenario.search_workload, total_hit[:, None])
+                         scenario.search_workload, total_hit[..., :, None])
 
 
 def _stable(t: BranchDelays, y, wa, margin: float = 0.0) -> np.ndarray:
@@ -213,11 +239,13 @@ def evaluate_with_rates(scenario: Scenario, total_hit: np.ndarray,
 
     ``lam`` and ``fshare`` may carry a leading axis, a block of points
     evaluated in one broadcast; every elementwise operation and every
-    per-point sum is then the one a single point takes, and each point's
-    objective is left to ``point(k)``.
+    per-point sum is then the one a single point takes, and the points'
+    objectives are left to ``objectives()`` and ``point(k)``.  On a
+    ScenarioStack the hit rates, ``lam``, ``fshare`` and ``y`` carry its
+    problem axis, after any block axis.
     """
     t = branch_tables(scenario, total_hit, lam, fshare) if table is None else table
-    dt = scenario.transfer_delays[None, :]
+    dt = scenario.transfer_delays[..., None, :]
     d1_remote = t.d1 + neighbor_hit * dt
     if y is None:  # the faster branch; an unstable one is infinitely slow
         y = (np.where(t.ok0, t.d0, np.inf)
@@ -236,11 +264,12 @@ def evaluate_with_rates(scenario: Scenario, total_hit: np.ndarray,
     carried = rates > 0.0
     arr = scenario.arrival_rate_matrix
     with np.errstate(divide="ignore", invalid="ignore"):
-        trans = np.abs(t.load - arr) * dt / rates[:, None]
-    trans = np.where(carried[:, None], trans, 0.0)
+        trans = np.abs(t.load - arr) * dt / rates[..., :, None]
+    trans = np.where(carried[..., :, None], trans, 0.0)
     app_delays = np.where(carried, (lam * station_delays).sum(axis=-1)
                           + trans.sum(axis=-1), 0.0)
-    objective = float(weights @ app_delays) if app_delays.ndim == 1 else None
+    objective = (_weighted(weights, app_delays, stable)
+                 if app_delays.ndim == weights.ndim else None)
     return EvalResult(objective, app_delays, station_delays, y, t, stable,
                       weights)
 
@@ -267,13 +296,14 @@ class ObjectiveGradient:
 def gradient_with_rates(scenario: Scenario, res: EvalResult,
                         lam: np.ndarray) -> ObjectiveGradient:
     """Exact partials of the y-frozen objective w.r.t. lam and fshare at
-    the point ``res`` evaluated (margin 0) from routing ``lam``."""
-    if not res.feasible:
+    the point ``res`` evaluated (margin 0) from routing ``lam``; on a
+    ScenarioStack, at every problem's point, all of which must be stable."""
+    if not res.stable.all():
         raise StabilityViolation("gradient requested at an unstable point")
     t = res.table
     wa = scenario.workloads[:, None]
-    dt = scenario.transfer_delays[None, :]
-    phi = scenario.weights[:, None]
+    dt = scenario.transfer_delays[..., None, :]
+    phi = scenario.weights[..., :, None]
     ysel = res.y == 1
     idle = (t.load == 0.0) & (t.f == 0.0)
 
@@ -291,7 +321,8 @@ def gradient_with_rates(scenario: Scenario, res: EvalResult,
     h1 -= np.divide(lam * t.load * t.sq * (t.den1 + t.f),
                     2.0 * t.f * t.f * t.den1 * t.den1,
                     out=np.zeros_like(t.f), where=t.ok1)
-    dfshare = phi * np.where(ysel, h1, h0) * scenario.compute_capacities[None, :]
+    dfshare = (phi * np.where(ysel, h1, h0)
+               * scenario.compute_capacities[..., None, :])
 
     # zero-CPU, zero-load coordinates: routing load there is ruinous, adding
     # CPU there changes nothing
@@ -299,7 +330,7 @@ def gradient_with_rates(scenario: Scenario, res: EvalResult,
     dfshare = np.where(idle, 0.0, dfshare)
 
     # apps with no traffic contribute nothing anywhere
-    quiet = scenario.total_rates == 0.0
-    dlam = np.where(quiet[:, None], 0.0, dlam)
-    dfshare = np.where(quiet[:, None], 0.0, dfshare)
+    quiet = scenario.total_rates[..., :, None] == 0.0
+    dlam = np.where(quiet, 0.0, dlam)
+    dfshare = np.where(quiet, 0.0, dfshare)
     return ObjectiveGradient(dlam=dlam, dfshare=dfshare)

@@ -196,6 +196,63 @@ class Scenario:
     def catalog_size(self, a: int) -> int:
         return len(self.apps[a].typical_inputs)
 
+    def share_catalogs(self, source: "Scenario", apps: list[int]) -> None:
+        """Take the per-input arrays of this scenario's apps from the apps
+        ``apps`` of ``source``, whose typical inputs they hold, so that the
+        two scenarios keep one copy of them."""
+        if len(apps) != self.num_apps or any(
+                mine.typical_inputs is not source.apps[a].typical_inputs
+                for mine, a in zip(self.apps, apps)):
+            raise DimensionMismatch("the apps do not hold the source's inputs")
+        for name in ("match_probs", "result_sizes", "densities",
+                     "density_orders"):
+            self.__dict__[name] = tuple(getattr(source, name)[a] for a in apps)
+
+
+@dataclass(frozen=True, eq=False)
+class ScenarioStack:
+    """Scenarios that share their apps' workloads, the search workload and
+    their station count, stacked on a leading problem axis.
+
+    It carries the array views the delay formulas read, each with the
+    problem axis first, and shares the rest.  The formulas index these with
+    ``[..., None, :]``-style broadcasts, so a stack passes where a scenario
+    does and evaluates each problem as that problem evaluates alone.
+    """
+
+    compute_capacities: np.ndarray    # (S, N)
+    transfer_delays: np.ndarray       # (S, N)
+    arrival_rate_matrix: np.ndarray   # (S, A, N)
+    total_rates: np.ndarray           # (S, A)
+    weights: np.ndarray               # (S, A)
+    workloads: np.ndarray             # (A,), shared
+    search_workload: float            # shared
+
+    @classmethod
+    def of(cls, scenarios: list[Scenario]) -> "ScenarioStack":
+        first = scenarios[0]
+        for sc in scenarios:
+            if not (sc.num_stations == first.num_stations
+                    and np.array_equal(sc.workloads, first.workloads)
+                    and sc.search_workload == first.search_workload):
+                raise DimensionMismatch("stacked scenarios must share their "
+                                        "workloads and station count")
+        return cls(*(np.stack([getattr(sc, name) for sc in scenarios])
+                     for name in _STACKED),
+                   first.workloads, first.search_workload)
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def take(self, idx) -> "ScenarioStack":
+        """The stack of the problems at positions ``idx``."""
+        return ScenarioStack(*(getattr(self, name)[idx] for name in _STACKED),
+                             self.workloads, self.search_workload)
+
+
+_STACKED = ("compute_capacities", "transfer_delays", "arrival_rate_matrix",
+            "total_rates", "weights")
+
 
 # -- decision containers ---------------------------------------------------
 

@@ -10,20 +10,24 @@ backtracking line search that additionally keeps every queue strictly inside
 its stability region by a small margin.  The line search tables its
 candidate steps STEP_BLOCK at a time, one broadcast evaluation per block,
 and hands the accepted step's table on, so the next iterate is not tabled
-again.
+again.  Independent problems of the same shape descend together as a
+ScenarioStack: one block per iteration for every problem still running,
+each with its own steps, tests and stopping, as it would descend alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .delay import (EvalResult, branch_tables, evaluate_with_rates,
-                    gradient_with_rates, selected_stability)
+from .delay import (BranchDelays, EvalResult, branch_tables,
+                    evaluate_with_rates, gradient_with_rates,
+                    selected_stability)
 from .errors import (EmptyVector, Infeasible, LineSearchExhausted,
                      MalformedInput, StabilityViolation)
-from .model import HitRateTable, Scenario, SchedulingState
+from .model import HitRateTable, Scenario, ScenarioStack, SchedulingState
 
 
 ALPHA = 0.3         # Armijo sufficient-decrease fraction
@@ -77,43 +81,95 @@ def project_decisions(lam: np.ndarray, fshare: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Project lam rows and fshare columns onto their simplices.
 
-    Both come back C-ordered, like the iterates, so that sums over them
-    reduce in the same order."""
-    return (np.ascontiguousarray(project_rows(lam)),
-            np.ascontiguousarray(project_rows(fshare.T).T))
+    Both may carry a leading problem axis; every row and column is then
+    projected as it is alone.  Both come back C-ordered, like the iterates,
+    so that sums over them reduce in the same order."""
+    rows = project_rows(lam.reshape(-1, lam.shape[-1])).reshape(lam.shape)
+    cols = np.swapaxes(fshare, -1, -2)
+    cols = project_rows(cols.reshape(-1, cols.shape[-1])).reshape(cols.shape)
+    return (np.ascontiguousarray(rows),
+            np.ascontiguousarray(np.swapaxes(cols, -1, -2)))
+
+
+class StackStep(NamedTuple):
+    """The step each problem of a stack took in one line search."""
+    steps: np.ndarray            # accepted j, J_MAX + 1 where exhausted
+    objective: np.ndarray        # at the accepted point, NaN where exhausted
+    table: BranchDelays | None   # of the accepted points; None if none was
 
 
 def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
-              direction: tuple[np.ndarray, np.ndarray], base_obj: float,
-              grad_dot_dir: float
-              ) -> tuple[int, np.ndarray, np.ndarray, EvalResult]:
+              direction: tuple[np.ndarray, np.ndarray], base_obj, grad_dot_dir):
     """Smallest j whose step beta^j meets the decrease and margin tests.
 
     A step passes when its objective is no higher than ``base_obj`` and
     meets the Armijo test.  The steps are tabled STEP_BLOCK at a time:
     objective_fn takes lam and fshare with a leading step axis and returns
-    an evaluation whose ``point(k)`` is the block's k-th point, with
-    ``objective`` None on points that are unstable or inside the stability
-    margin.  Within a block the steps are tested in order, so the result is
-    the one a step-by-step search gives.  Returns (j, lam, fshare,
-    evaluation) of the accepted point.
+    an evaluation of the block, whose ``objectives()`` holds each step's
+    objective, NaN on points that are unstable or inside the stability
+    margin, and whose ``point(k)`` is its k-th point.  A block is tested at
+    once and its first passing step wins, so the result is the one a
+    step-by-step search gives.  Returns (j, lam, fshare, evaluation) of the
+    accepted point.
+
+    On a stack of problems, ``point`` carries the problem axis and
+    ``base_obj`` and ``grad_dot_dir`` hold one value per problem.  The test
+    runs per (step, problem): each problem takes its first passing step,
+    and blocks are tabled while some problem has none.  Returns
+    (backtracks, lam, fshare, StackStep), where backtracks sums the
+    accepted steps' j; a problem whose search is exhausted keeps its point
+    and raises nothing.
     """
+    base = np.asarray(base_obj)
+    steps = np.full(base.shape, J_MAX + 1)   # per problem; J_MAX + 1: none yet
+    taken = None    # the accepted points, once some problems have one
+    lead = (slice(None),) + (None,) * point[0].ndim   # the step axis
     for first in range(0, J_MAX + 1, STEP_BLOCK):
-        js = range(first, min(first + STEP_BLOCK, J_MAX + 1))
-        steps = np.array([BETA ** j for j in js])[:, None, None]
-        lam = point[0] + steps * direction[0]
-        fsh = point[1] + steps * direction[1]
+        sizes = np.array([BETA ** j for j in
+                          range(first, min(first + STEP_BLOCK, J_MAX + 1))])
+        lam = point[0] + sizes[lead] * direction[0]
+        fsh = point[1] + sizes[lead] * direction[1]
         block = objective_fn(lam, fsh)
-        for k, j in enumerate(js):
-            res = block.point(k)
-            if res.objective is None:
-                continue
-            if (res.objective <= base_obj and base_obj - res.objective
-                    >= -ALPHA * BETA ** j * grad_dot_dir):
-                return j, lam[k], fsh[k], res
-    raise LineSearchExhausted(
-        "no backtracking step met the decrease and margin tests",
-        tried=J_MAX + 1)
+        obj = block.objectives()
+        bound = (-ALPHA * sizes)[lead[:1 + base.ndim]] * grad_dot_dir
+        passed = (obj <= base) & (base - obj >= bound)
+        if taken is not None:
+            passed &= steps > J_MAX
+        if not passed.any():
+            continue
+        k = passed.argmax(axis=0)   # each problem's first passing step
+        if not base.ndim:
+            return first + int(k), lam[k], fsh[k], block.point(k)
+        new = passed.any(axis=0)
+        if taken is None and new.all() and (k == k[0]).all():
+            # every problem takes the same step: the block's slice of it
+            k = int(k[0])
+            return ((first + k) * len(new), lam[k], fsh[k], StackStep(
+                np.full(base.shape, first + k), obj[k],
+                BranchDelays(*(x[k] if x.ndim == lam.ndim else x
+                               for x in block.table))))
+        steps[new] = first + k[new]
+        if taken is None:
+            taken = (point[0].copy(), point[1].copy(),
+                     np.full(base.shape, np.nan),
+                     [(x[0] if x.ndim == lam.ndim else x).copy()
+                      for x in block.table])
+        at = (k[new], np.flatnonzero(new))
+        for mine, x in zip(taken[:3], (lam, fsh, obj)):
+            mine[new] = x[at]
+        for mine, x in zip(taken[3], block.table):
+            mine[new] = x[at] if x.ndim == lam.ndim else x[new]
+        if (steps <= J_MAX).all():
+            break
+    if not base.ndim:
+        raise LineSearchExhausted(
+            "no backtracking step met the decrease and margin tests",
+            tried=J_MAX + 1)
+    if taken is None:
+        return 0, point[0], point[1], StackStep(
+            steps, np.full(base.shape, np.nan), None)
+    return (int(steps[steps <= J_MAX].sum()), taken[0], taken[1],
+            StackStep(steps, taken[2], BranchDelays(*taken[3])))
 
 
 # a projected target this close to the iterate counts as stationary
@@ -124,10 +180,10 @@ STATIONARY_TOL = 1e-14
 REPAIR_SHRINK = 1e-12
 
 
-def solve_scheduling(scenario: Scenario, hit: HitRateTable,
+def solve_scheduling(scenario: Scenario | ScenarioStack, hit: HitRateTable,
                      sched: SchedulingState, iters: int,
                      params: PgdParams = PgdParams()
-                     ) -> tuple[SchedulingState, list[tuple[int, float, int]]]:
+                     ) -> tuple[SchedulingState, list]:
     """Improve (lam, fshare) under a frozen cache with hit table ``hit``.
 
     Search flags are re-chosen from the branch delays at the start of every
@@ -139,48 +195,111 @@ def solve_scheduling(scenario: Scenario, hit: HitRateTable,
     steps is tabled once, and the accepted step's slice of its table is
     handed on to the next iteration and the final flags, so no point is
     tabled twice.
+
+    A ScenarioStack descends all of its problems together: ``hit`` and
+    ``sched`` carry its problem axis, and the trace comes back as one list
+    per problem.  Each iteration tables, differentiates, projects and
+    line-searches every problem still running in one block; each problem
+    keeps its own step, stationary test and line search, and one that
+    stops keeps its point and leaves the block, so each ends where it would
+    alone.  A failing problem raises, but not necessarily the first to
+    fail: a caller that needs that one runs the problems alone.  A scenario
+    descends as a stack of one.
     """
-    sched = sched.copy()
-    trace: list[tuple[int, float, int]] = []
-    table = None  # branch table of the current point, once built
+    out = sched.copy()
+    if isinstance(scenario, ScenarioStack):
+        out.lam, out.fshare, out.y, traces = _descend(
+            scenario, hit.total, hit.neighbor, sched.lam, sched.fshare,
+            iters, params)
+        return out, traces
+    lam, fshare, y, traces = _descend(
+        ScenarioStack.of([scenario]), hit.total[None], hit.neighbor[None],
+        sched.lam[None], sched.fshare[None], iters, params)
+    out.lam, out.fshare, out.y = lam[0], fshare[0], y[0]
+    return out, traces[0]
+
+
+def _descend(stack: ScenarioStack, total: np.ndarray, neighbor: np.ndarray,
+             lam: np.ndarray, fshare: np.ndarray, iters: int,
+             params: PgdParams):
+    """solve_scheduling over ``stack`` from (lam, fshare); returns the final
+    (lam, fshare, y) and the per-problem traces.
+
+    The working arrays hold the problems still running, ``run`` their
+    positions in the stack; a problem that stops writes its final point to
+    the outputs and leaves them.
+    """
+    out_lam, out_fsh = lam.copy(), fshare.copy()
+    out_y = np.empty(lam.shape, dtype=np.int8)
+    traces: list[list[tuple[int, float, int]]] = [[] for _ in range(len(stack))]
+    run = np.arange(len(stack))
+    table = None  # branch table of the current points, once built
+
+    def stop(gone, lam, fshare, y):
+        """Write out the final points of the running problems ``gone``
+        marks, and return the positions of the others."""
+        out_lam[run[gone]], out_fsh[run[gone]] = lam[gone], fshare[gone]
+        out_y[run[gone]] = y[gone]
+        return np.flatnonzero(~gone)
+
     for i in range(1, iters + 1):
-        res = evaluate_with_rates(scenario, hit.total, hit.neighbor,
-                                  sched.lam, sched.fshare, table=table)
-        if not res.feasible:
+        res = evaluate_with_rates(stack, total, neighbor, lam, fshare,
+                                  table=table)
+        if not res.stable.all():
             raise StabilityViolation("scheduling started from an unstable point")
-        table = res.table
-        grad = gradient_with_rates(scenario, res, sched.lam)
+        grad = gradient_with_rates(stack, res, lam)
         if not (np.isfinite(grad.dlam).all() and np.isfinite(grad.dfshare).all()):
             raise MalformedInput("the objective's gradient overflows: the "
                                  "scenario's delays or capacities are too large")
         theta = params.theta0 / np.sqrt(i)
-        target = project_decisions(sched.lam - theta * grad.dlam,
-                                   sched.fshare - theta * grad.dfshare)
-        d_lam = target[0] - sched.lam
-        d_fsh = target[1] - sched.fshare
-        if max(np.abs(d_lam).max(), np.abs(d_fsh).max()) < STATIONARY_TOL:
-            trace.append((i, res.objective, 0))
-            break
-        grad_dot = float(np.sum(grad.dlam * d_lam) + np.sum(grad.dfshare * d_fsh))
+        target = project_decisions(lam - theta * grad.dlam,
+                                   fshare - theta * grad.dfshare)
+        d_lam = target[0] - lam
+        d_fsh = target[1] - fshare
+        lam_move = np.abs(d_lam).max(axis=(-2, -1))
+        fsh_move = np.abs(d_fsh).max(axis=(-2, -1))
+        # stationary: Python's max(lam_move, fsh_move) below the tolerance
+        still = (np.where(fsh_move > lam_move, fsh_move, lam_move)
+                 < STATIONARY_TOL)
+        base, y = res.objective, res.y
+        grad_dot = ((grad.dlam * d_lam).sum(axis=(-2, -1))
+                    + (grad.dfshare * d_fsh).sum(axis=(-2, -1)))
+        if still.any():
+            for p in np.flatnonzero(still):
+                traces[run[p]].append((i, float(base[p]), 0))
+            keep = stop(still, lam, fshare, y)
+            run = run[keep]
+            if not run.size:
+                break
+            stack = stack.take(keep)
+            total, neighbor, lam, fshare, d_lam, d_fsh, base, y, grad_dot = (
+                x[keep] for x in (total, neighbor, lam, fshare, d_lam, d_fsh,
+                                  base, y, grad_dot))
 
-        def objective_fn(lam, fsh):
-            return evaluate_with_rates(scenario, hit.total, hit.neighbor, lam,
-                                       fsh, y=res.y, margin=DELTA_STAB)
+        def objective_fn(lam_k, fsh_k):
+            return evaluate_with_rates(stack, total, neighbor, lam_k, fsh_k,
+                                       y=y, margin=DELTA_STAB)
 
-        try:
-            j, new_lam, new_fsh, accepted = backtrack(
-                objective_fn, (sched.lam, sched.fshare),
-                (d_lam, d_fsh), res.objective, grad_dot)
-        except LineSearchExhausted:
-            trace.append((i, res.objective, J_MAX + 1))
-            break
-        sched.lam = new_lam
-        sched.fshare = new_fsh
-        table = accepted.table
-        trace.append((i, accepted.objective, j))
-    sched.y = evaluate_with_rates(scenario, hit.total, hit.neighbor, sched.lam,
-                                  sched.fshare, table=table).y
-    return sched, trace
+        _, lam, fshare, step = backtrack(objective_fn, (lam, fshare),
+                                         (d_lam, d_fsh), base, grad_dot)
+        table = step.table
+        steps, objs = step.steps.tolist(), step.objective.tolist()
+        for p, (j, obj, start) in enumerate(zip(steps, objs, base.tolist())):
+            traces[run[p]].append((i, start if j > J_MAX else obj, j))
+        if max(steps) > J_MAX:   # exhausted line searches keep their points
+            keep = stop(step.steps > J_MAX, lam, fshare, y)
+            run = run[keep]
+            if not run.size:
+                break
+            stack = stack.take(keep)
+            total, neighbor, lam, fshare = (x[keep] for x in
+                                            (total, neighbor, lam, fshare))
+            table = BranchDelays(*(x[keep] for x in table))
+    if run.size:
+        out_lam[run], out_fsh[run] = lam, fshare
+        out_y[run] = evaluate_with_rates(stack, total, neighbor, lam, fshare,
+                                         table=table).y
+    return out_lam, out_fsh, out_y, traces
 
 
 def initial_feasible_point(scenario: Scenario, hit: HitRateTable

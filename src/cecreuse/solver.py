@@ -6,7 +6,8 @@ solvers are non-increasing in the objective, so the concatenated trace is
 non-increasing as well.  Baselines: Greedy (ratio-order caching with
 capacity-proportional routing, no optimization), NoR (no reuse: empty
 caches, scheduling only) and NoC (no collaboration: every station solves
-its own single-station problem on its local arrivals).
+its own single-station problem on its local arrivals, the stations'
+scheduling descents stacked into one per round).
 """
 from __future__ import annotations
 
@@ -17,9 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .caching import SweepState, sweep_all_stations
-from .errors import Infeasible, MalformedInput
+from .errors import CecReuseError, Infeasible, MalformedInput
 from .model import (Application, BaseStation, CacheAssignment, HitRateTable,
-                    Scenario, SchedulingState, compute_hit_rates, validate)
+                    Scenario, ScenarioStack, SchedulingState,
+                    compute_hit_rates, validate)
 from .scheduling import PgdParams, initial_feasible_point, solve_scheduling
 
 # relative per-round improvement below which alternation stops
@@ -175,7 +177,8 @@ def solve_nor(scenario: Scenario, rounds: int = ROUND_CAP,
 
 def _single_station_scenario(scenario: Scenario, n: int,
                              kept: list[int]) -> Scenario:
-    """Station n in isolation, kept apps reweighted by their local share."""
+    """Station n in isolation, kept apps reweighted by their local share;
+    it reads its catalogs' arrays from ``scenario``'s."""
     rates = scenario.arrival_rate_matrix
     apps = []
     for a in kept:
@@ -189,8 +192,66 @@ def _single_station_scenario(scenario: Scenario, n: int,
                           storage_capacity=st.storage_capacity,
                           transfer_delay=st.transfer_delay,
                           arrival_rates=tuple(float(rates[a, n]) for a in kept))
-    return Scenario(stations=(station,), apps=tuple(apps),
-                    search_workload=scenario.search_workload)
+    sub = Scenario(stations=(station,), apps=tuple(apps),
+                   search_workload=scenario.search_workload)
+    sub.share_catalogs(scenario, kept)
+    return sub
+
+
+@dataclass
+class _Lone:
+    """One station's single-station solve inside solve_noc: the state that
+    alternating_solve keeps for it from round to round."""
+    station: int
+    kept: tuple[int, ...]        # the apps with arrivals at the station
+    sub: Scenario
+    cache: SweepState
+    sched: SchedulingState
+    start: float                 # objective at the repaired start
+    objective: float             # after the latest round
+    rounds: int = 0
+    done: bool = False           # stopped by the round test
+    feasible: bool = False
+
+    def end_round(self, cur: float) -> None:
+        """alternating_solve's round test, after a round that ended at
+        ``cur``."""
+        self.rounds += 1
+        prev = self.objective
+        self.done = prev - cur < ROUND_IMPROVEMENT_TOL * max(abs(prev), 1e-300)
+        self.objective = cur
+
+
+def _descend_together(lones: list[_Lone], stack: ScenarioStack,
+                      params: PgdParams, fail) -> None:
+    """One round's scheduling descent of every station in ``lones``, as one
+    stack.  If the stack fails, the stations descend alone in index order
+    and the first that fails goes to ``fail``; those before it keep their
+    descents, which are the ones the stack would have given them."""
+    hit = HitRateTable(*(np.stack([getattr(lone.cache.hit, name)
+                                   for lone in lones])
+                         for name in ("local", "neighbor", "total")))
+    sched = SchedulingState(*(np.stack([getattr(lone.sched, name)
+                                        for lone in lones])
+                              for name in ("lam", "fshare", "y")))
+    try:
+        out, traces = solve_scheduling(stack, hit, sched, SCHEDULING_ITERS,
+                                       params)
+    except CecReuseError:
+        for lone in lones:
+            try:
+                lone.sched, trace = solve_scheduling(
+                    lone.sub, lone.cache.hit, lone.sched, SCHEDULING_ITERS,
+                    params)
+            except CecReuseError as exc:
+                fail(lone.station, exc)
+                return
+            lone.end_round(trace[-1][1])
+        return
+    for s, lone in enumerate(lones):
+        lone.sched.lam, lone.sched.fshare = out.lam[s], out.fshare[s]
+        lone.sched.y = out.y[s]
+        lone.end_round(traces[s][-1][1])
 
 
 def solve_noc(scenario: Scenario, rounds: int = ROUND_CAP,
@@ -198,11 +259,18 @@ def solve_noc(scenario: Scenario, rounds: int = ROUND_CAP,
     """No collaboration: each station serves its own arrivals in isolation.
 
     Every station becomes a single-station scenario (apps reweighted by
-    their local arrival share, zero-arrival apps dropped) solved with the
-    full machinery; routing is then trivial and the descent only moves the
-    CPU split.  The reported objective is the sum of the per-station
-    objectives.  The assembled cache/sched is a per-station patchwork for
-    inspection; it is not a collaborative evaluation.
+    their local arrival share, zero-arrival apps dropped) and runs
+    alternating_solve's rounds on it; routing is then trivial and the
+    descent only moves the CPU split.  Stations that keep the same apps run
+    as one group: each round, every station of it still running sweeps its
+    own cache, and then all of them descend as one ScenarioStack, so that a
+    round's descent costs one block per iteration, not one per station.
+    Each station reaches the rounds and the decision it reaches alone, and
+    the first station, in index order, whose solve fails raises its error,
+    as a station-by-station loop would.  The reported objective is the sum
+    of the per-station objectives.  The assembled cache/sched is a
+    per-station patchwork for inspection; it is not a collaborative
+    evaluation.
     """
     if scenario.num_stations == 1:
         rep = alternating_solve(scenario, rounds, params)
@@ -211,6 +279,63 @@ def solve_noc(scenario: Scenario, rounds: int = ROUND_CAP,
     A, N = scenario.num_apps, scenario.num_stations
     caps = scenario.compute_capacities
     rates = scenario.arrival_rate_matrix
+
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for n in range(N):
+        kept = tuple(a for a in range(A) if rates[a, n] > 0.0)
+        if kept:
+            groups.setdefault(kept, []).append(n)
+    solves: dict[int, _Lone] = {}
+    failure: tuple[int, CecReuseError] | None = None
+
+    def alive(n: int) -> bool:
+        # a failing station drops the stations after it, not those before
+        return failure is None or n < failure[0]
+
+    def fail(n: int, exc: CecReuseError) -> None:
+        nonlocal failure
+        if alive(n):
+            failure = (n, exc)
+
+    for kept, members in groups.items():
+        group: list[_Lone] = []
+        for n in members:
+            if not alive(n):
+                break
+            try:
+                sub = _single_station_scenario(scenario, n, list(kept))
+                cache = SweepState(sub, greedy_cache(sub))
+                sched, obj = _feasible_start(sub, cache.hit)
+            except CecReuseError as exc:
+                fail(n, exc)
+                break
+            group.append(_Lone(n, kept, sub, cache, sched, obj, obj))
+        if group:
+            stack = ScenarioStack.of([lone.sub for lone in group])
+        for _r in range(rounds):
+            running = []
+            for pos, lone in enumerate(group):
+                if lone.done or not alive(lone.station):
+                    continue
+                try:
+                    lone.cache, lone.sched, _ = sweep_all_stations(
+                        lone.sub, lone.cache, lone.sched, passes=CACHING_PASSES)
+                except CecReuseError as exc:
+                    fail(lone.station, exc)
+                    break
+                running.append(pos)
+            running = [pos for pos in running if alive(group[pos].station)]
+            if not running:
+                break
+            _descend_together([group[pos] for pos in running],
+                              stack.take(running), params, fail)
+        for lone in group:
+            if not alive(lone.station):
+                break
+            lone.feasible = not validate(lone.sub, lone.cache, lone.sched)
+            solves[lone.station] = lone
+    if failure is not None:
+        raise failure[1]
 
     cache = CacheAssignment.zeros(scenario)
     lam = np.tile(caps / caps.sum(), (A, 1))
@@ -221,21 +346,19 @@ def solve_noc(scenario: Scenario, rounds: int = ROUND_CAP,
     rounds_completed = 0
     feasible = True
     for n in range(N):
-        kept = [a for a in range(A) if rates[a, n] > 0.0]
-        if not kept:
+        lone = solves.get(n)
+        if lone is None:
             continue
-        sub = _single_station_scenario(scenario, n, kept)
-        rep = alternating_solve(sub, rounds, params)
-        init_sum += rep.objective_trace[0][3]
-        final_sum += rep.final_objective
-        rounds_completed = max(rounds_completed, rep.rounds_completed)
-        feasible = feasible and rep.feasible
-        for idx, a in enumerate(kept):
-            cache.entries[a][n] = rep.cache.entries[idx][0]
-            fshare[a, n] = rep.sched.fshare[idx, 0]
-            y[a, n] = rep.sched.y[idx, 0]
+        init_sum += lone.start
+        final_sum += lone.objective
+        rounds_completed = max(rounds_completed, lone.rounds)
+        feasible = feasible and lone.feasible
+        for idx, a in enumerate(lone.kept):
+            cache.entries[a][n] = lone.cache.entries[idx][0]
+            fshare[a, n] = lone.sched.fshare[idx, 0]
+            y[a, n] = lone.sched.y[idx, 0]
         for a in range(A):
-            if a not in kept:
+            if a not in lone.kept:
                 fshare[a, n] = 0.0
     for a in range(A):
         if scenario.total_rates[a] > 0.0:

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from cecreuse import (GeneratorParams, Infeasible, LineSearchExhausted,
                       MalformedInput, StabilityViolation, SweepSpec,
                       experiments, generate_scenario, run_sweep,
-                      save_sweep_csv, scenario_to_dict)
+                      save_sweep_csv, scenario_to_dict, validate)
 from cecreuse.experiments import SWEEP_HEADER
 from cecreuse.solver import ROUND_CAP, solve
 
@@ -151,13 +152,39 @@ def _report_digest(rep):
     (GeneratorParams(seed=42, num_stations=20, num_apps=8, workload_factor=0.5),
      "proposed", 2, "6.529895200555686",
      "b086314d1c24692e8ed34032854d664aa0318b81c29283371849f9ffdc65d73b"),
+    # NoC's stations descend as one stack: ten and twenty at a time, each
+    # stopping at its own round
+    (GeneratorParams(seed=42), "noc", ROUND_CAP, "35.857474177417465",
+     "4f70c51385ee9ab930ed6cdf20a053ddede38ef912a54a7f01b7789392bd4aca"),
+    (GeneratorParams(seed=42, num_stations=20, num_apps=8, workload_factor=0.5),
+     "noc", ROUND_CAP, "38.35106599083215",
+     "71f9adf7d38295f7e6352fbc202f1e3068913cf39de85c4ba6065efea0513cf7"),
 ], ids=["N3-A2-proposed", "N3-A2-greedy", "N3-A2-nor", "N3-A2-noc",
-        "default-proposed-r2", "N20-A8-w0.5-proposed-r2"])
+        "default-proposed-r2", "N20-A8-w0.5-proposed-r2", "default-noc",
+        "N20-A8-w0.5-noc"])
 def test_solver_golden_cells(params, algorithm, rounds, objective, digest):
     rep = solve(generate_scenario(params), algorithm, rounds)
     assert rep.feasible
     assert repr(rep.final_objective) == objective
     assert _report_digest(rep) == digest
+
+
+def test_noc_golden_with_different_app_sets():
+    # app 0 has no arrivals at stations 1 and 3: those two keep apps 1 and
+    # 2 and descend in a stack of their own, apart from stations 0 and 2
+    sc = generate_scenario(GeneratorParams(seed=42, num_stations=4,
+                                           num_apps=3, k_scale=0.002))
+    stations = list(sc.stations)
+    for n in (1, 3):
+        rates = (0.0,) + stations[n].arrival_rates[1:]
+        stations[n] = replace(stations[n], arrival_rates=rates)
+    sc = replace(sc, stations=tuple(stations))
+    rep = solve(sc, "noc", ROUND_CAP)
+    assert repr(rep.final_objective) == "3.8226112861197836"
+    assert _report_digest(rep) == (
+        "797f6cccadac4d0a8b7fd06a4d021df92db20d8c4b8231572bfa7962b7361e63")
+    assert rep.sched.fshare[0, [1, 3]].tolist() == [0.0, 0.0]
+    assert rep.feasible and not validate(sc, rep.cache, rep.sched)
 
 
 # -- sweep driver -------------------------------------------------------------

@@ -3,6 +3,7 @@ sweep's station skip, the solve's one sweep state, the level search's
 probes, the batched projection, the blocked line search, report JSON."""
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -557,6 +558,75 @@ def test_blocked_line_search_equals_the_per_step_loop(
 ])
 def test_blocked_line_search_cases(case, kind):
     assert kind in search_both_ways(*make_search(*case))
+
+
+def per_station_noc(scenario):
+    """NoC as a station-by-station loop: alternating_solve on each station's
+    single-station scenario in index order, its objectives summed in that
+    order, its decisions patched in.  The first failure raises."""
+    A, N = scenario.num_apps, scenario.num_stations
+    rates = scenario.arrival_rate_matrix
+    cache = CacheAssignment.zeros(scenario)
+    fshare = np.full((A, N), 1.0 / A)
+    y = np.zeros((A, N), dtype=np.int8)
+    init = final = 0.0
+    rounds = 0
+    for n in range(N):
+        kept = [a for a in range(A) if rates[a, n] > 0.0]
+        if not kept:
+            continue
+        rep = solver.alternating_solve(
+            solver._single_station_scenario(scenario, n, kept))
+        init += rep.objective_trace[0][3]
+        final += rep.final_objective
+        rounds = max(rounds, rep.rounds_completed)
+        fshare[:, n] = 0.0
+        for idx, a in enumerate(kept):
+            cache.entries[a][n] = rep.cache.entries[idx][0]
+            fshare[a, n] = rep.sched.fshare[idx, 0]
+            y[a, n] = rep.sched.y[idx, 0]
+    lam = np.tile(scenario.compute_capacities / scenario.compute_capacities.sum(),
+                  (A, 1))
+    for a in range(A):
+        if scenario.total_rates[a] > 0.0:
+            lam[a] = rates[a] / scenario.total_rates[a]
+    trace = [(0, "init", 0, init), (1, "noc", 1, final)]
+    return trace, rounds, cache, SchedulingState(lam, fshare, y)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 10_000), stations=st.integers(2, 4),
+       apps=st.integers(1, 3), load=st.sampled_from([0.5, 1.0, 3.0]),
+       silent=st.sets(st.tuples(st.integers(0, 2), st.integers(0, 3))))
+def test_stacked_noc_equals_the_per_station_loop(seed, stations, apps, load,
+                                                 silent):
+    # the stations descend as stacks grouped by their apps; every station
+    # must end where its own single-station solve ends, bit for bit, and a
+    # failure must be the one the loop meets first.  ``silent`` zeroes
+    # some (app, station) arrival rates, so stations keep different apps
+    sc = generate_scenario(GeneratorParams(seed=seed, num_stations=stations,
+                                           num_apps=apps, workload_factor=load,
+                                           k_scale=0.002))
+    sc = replace(sc, stations=tuple(
+        replace(station, arrival_rates=tuple(
+            0.0 if (a, n) in silent else r
+            for a, r in enumerate(station.arrival_rates)))
+        for n, station in enumerate(sc.stations)))
+    try:
+        want = per_station_noc(sc)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            solver.solve_noc(sc)
+        assert str(got.value) == str(exc)
+        return
+    rep = solver.solve_noc(sc)
+    trace, rounds, cache, sched = want
+    assert repr(rep.objective_trace) == repr(trace)
+    assert rep.rounds_completed == rounds
+    for got, ref in zip(rep.cache.entries, cache.entries):
+        assert same_bits(got, ref)
+    for name in ("lam", "fshare", "y"):
+        assert same_bits(getattr(rep.sched, name), getattr(sched, name)), name
 
 
 @pytest.mark.parametrize("algorithm", ["alternating_solve", "solve_greedy",

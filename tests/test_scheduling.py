@@ -92,9 +92,10 @@ def test_project_decisions_rows_and_columns():
 
 def scalar_problem(fn, x0, d, blocks=None):
     """Wrap a scalar objective into the batched (lam, fshare) interface: a
-    block of steps comes in on a leading axis, and the evaluation's
-    point(k) holds the k-th step's objective.  ``blocks``, when given,
-    collects each block's steps."""
+    block of steps comes in on a leading axis, the evaluation's
+    objectives() holds every step's objective (NaN where ``fn`` gives None)
+    and its point(k) the k-th step's.  ``blocks``, when given, collects
+    each block's steps."""
     point = (np.array([[x0]]), np.zeros((1, 1)))
     direction = (np.array([[d]]), np.zeros((1, 1)))
 
@@ -102,8 +103,11 @@ def scalar_problem(fn, x0, d, blocks=None):
         xs = [float(x) for x in lam[:, 0, 0]]
         if blocks is not None:
             blocks.append(xs)
+        values = [fn(x) for x in xs]
         return SimpleNamespace(
-            point=lambda k: SimpleNamespace(objective=fn(xs[k])))
+            objectives=lambda: np.array([np.nan if v is None else v
+                                         for v in values]),
+            point=lambda k: SimpleNamespace(objective=values[k]))
 
     return objective, point, direction
 
@@ -248,7 +252,9 @@ def test_solve_scheduling_builds_one_table_per_point(monkeypatch):
 def test_descent_tables_each_point_once(monkeypatch):
     # the default 10-iteration descent from the greedy start: every tabled
     # (f, load) point is new, the start's table is the only unbatched one,
-    # and an iteration that accepts step j tables every block up to j's
+    # and an iteration that accepts step j tables every block up to j's.
+    # A scenario descends as a stack of one problem, so every table has
+    # the problem axis and a block's has the step axis before it
     sc = generate_scenario(GeneratorParams(seed=42))
     cache = greedy_cache(sc)
     hit = compute_hit_rates(sc, cache)
@@ -259,15 +265,15 @@ def test_descent_tables_each_point_once(monkeypatch):
     def counted(sc_, total_hit, lam, fshare):
         t = branch_tables(sc_, total_hit, lam, fshare)
         calls.append(t.f.ndim)
-        block = (t.f, t.load) if t.f.ndim == 3 else ([t.f], [t.load])
-        points.extend((f.tobytes(), load.tobytes()) for f, load in zip(*block))
+        points.extend((f.tobytes(), load.tobytes())
+                      for f, load in zip(t.f, t.load))
         return t
 
     monkeypatch.setattr(delay, "branch_tables", counted)
     _, trace = solve_scheduling(sc, hit, start, iters=10)
     assert len(trace) == 10
     blocks = sum(math.ceil(steps_tabled(j) / STEP_BLOCK) for _, _, j in trace)
-    assert calls == [2] + [3] * blocks
+    assert calls == [3] + [4] * blocks
     assert len(points) == len(set(points)) == 1 + sum(
         steps_tabled(j) for _, _, j in trace)
 

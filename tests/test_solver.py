@@ -1,5 +1,6 @@
 """Alternating minimization and the three baselines."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,3 +268,25 @@ def test_noc_infeasible_under_heavy_load():
     sc = generate_scenario(GeneratorParams(seed=42, workload_factor=1.5))
     with pytest.raises(Infeasible):
         solve_noc(sc)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("capacity,error,message", [
+    (1e308, MalformedInput, "the objective's gradient overflows"),
+    (None, Infeasible, "no stable routing found"),
+])
+def test_noc_raises_the_first_failing_stations_error(capacity, error, message):
+    # station 2 cannot be stabilised at its start; with a capacity of
+    # 1e308, station 0's gradient overflows later, at its first descent.
+    # Station by station, station 0 fails first: the stack must not raise
+    # station 2's error because it met it earlier
+    sc = generate_scenario(GeneratorParams(seed=42, num_stations=3, num_apps=2,
+                                           k_scale=0.002))
+    stations = list(sc.stations)
+    if capacity is not None:
+        stations[0] = replace(stations[0], compute_capacity=capacity)
+    stations[2] = replace(stations[2], arrival_rates=tuple(
+        1e4 * r for r in stations[2].arrival_rates))
+    with pytest.raises(error, match=message):
+        solve_noc(replace(sc, stations=tuple(stations)))
