@@ -27,6 +27,7 @@ each term, so lower <= exact <= upper.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,19 @@ INVERSE_TOL = 1e-12
 ORACLE_MAX_ITEMS = 22
 
 
+class Peers(NamedTuple):
+    """Per app, how many other stations cache each input, and the peer hit
+    mass peer_hit_mass(p, counts)."""
+
+    counts: list[np.ndarray]
+    hit: list[float]
+
+
+def peer_hit_mass(p: np.ndarray, counts: np.ndarray) -> float:
+    """Match probability of the inputs whose peer count is positive."""
+    return float(p[counts > 0.0].sum())
+
+
 class EfficiencyContext:
     """Frozen view of one station's caching subproblem.
 
@@ -52,22 +66,24 @@ class EfficiencyContext:
     over exclusive inputs with prefix sums, and the constant efficiencies of
     replicated inputs.  All level queries of the solver go through here.
 
-    ``peer_counts`` gives, per app, how many other stations cache each
-    input, as the caching sweep keeps them; without it they are counted
-    from the cache.
+    ``peers`` gives the other stations' caches as the caching sweep keeps
+    them (SweepState.peers); without it they are counted from the cache.
+    They enter the subproblem only through which inputs some peer caches.
     """
 
     def __init__(self, scenario: Scenario, cache: CacheAssignment,
                  sched: SchedulingState, station: int,
-                 peer_counts: list[np.ndarray] | None = None):
+                 peers: Peers | None = None):
         self.scenario = scenario
         self.station = station
         self.lam = np.ascontiguousarray(sched.lam, dtype=np.float64)
         self.f = np.ascontiguousarray(sched.cpu_speeds(scenario), dtype=np.float64)
         self.yf = np.ascontiguousarray(sched.y, dtype=np.float64)
         self.dt = np.ascontiguousarray(scenario.transfer_delays, dtype=np.float64)
-        if peer_counts is None:
-            peer_counts = [x.sum(axis=0) - x[station] for x in cache.entries]
+        if peers is None:
+            counts = [x.sum(axis=0) - x[station] for x in cache.entries]
+            peers = Peers(counts, [peer_hit_mass(p, c) for p, c in
+                                   zip(scenario.match_probs, counts)])
 
         A = scenario.num_apps
         self.exclusive: list[np.ndarray] = []     # sorted by p/s desc, index asc
@@ -75,7 +91,7 @@ class EfficiencyContext:
         self.exc_p: list[np.ndarray] = []
         self.ratio: list[np.ndarray] = []
         self.prefix_p: list[np.ndarray] = []      # prefix_p[j] = sum of p before j
-        self.base_hit: list[float] = []           # hit mass available from peers
+        self.base_hit = peers.hit                 # hit mass available from peers
         self.rep_eff: list[np.ndarray] = []
         self.rep_neg_eff: list[np.ndarray] = []   # its negative prefix
         # phi lam y per (app, station); an app is active if any is > 0
@@ -85,9 +101,8 @@ class EfficiencyContext:
         self._eff: dict[tuple[int, int, float], float] = {}
 
         for a in range(A):
-            peer = peer_counts[a]
             order = scenario.density_orders[a]
-            cached_by_peer = peer[order] > 0.0
+            cached_by_peer = peers.counts[a][order] > 0.0
             exc = order[~cached_by_peer]
             rep = order[cached_by_peer]
             p = scenario.match_probs[a]
@@ -97,7 +112,6 @@ class EfficiencyContext:
             self.exc_p.append(p[exc])
             self.ratio.append(ratio[exc])
             self.prefix_p.append(np.concatenate(([0.0], np.cumsum(p[exc]))))
-            self.base_hit.append(float(p[peer > 0.0].sum()))
             # p/s does not rise along rep and the factor is >= 0, so rep_eff
             # does not fall: the inputs cached at any level are a prefix
             rep_eff = -ratio[rep] * (float(c[a, station]) * self.dt[station])
@@ -259,6 +273,15 @@ def _fill_fractions(ctx: EfficiencyContext, rows: list[np.ndarray],
         rows[a][ctx.exclusive[a][m]] = _solve_fraction(ctx, a, m, level)
 
 
+def _exact_rows(ctx: EfficiencyContext, level: float
+                ) -> tuple[list[np.ndarray], list[tuple[int, int]]]:
+    """g_of_B's rows, and their boundary entries as (app, input) pairs:
+    every other entry is exactly 0 or 1."""
+    rows, pending = _level_rows(ctx, level)
+    _fill_fractions(ctx, rows, pending, level)
+    return rows, [(a, int(ctx.exclusive[a][m])) for a, m in pending]
+
+
 def g_of_B(ctx: EfficiencyContext, level: float) -> list[np.ndarray]:
     """Station rows (one per app) attaining efficiency level `level`, every
     boundary fraction solved.
@@ -267,9 +290,7 @@ def g_of_B(ctx: EfficiencyContext, level: float) -> list[np.ndarray]:
     decide them (module docstring); the rows returned here are always the
     exact ones.
     """
-    rows, pending = _level_rows(ctx, level)
-    _fill_fractions(ctx, rows, pending, level)
-    return rows
+    return _exact_rows(ctx, level)[0]
 
 
 def _fits(ctx: EfficiencyContext, level: float, cap: float) -> bool:
@@ -294,14 +315,14 @@ def _fits(ctx: EfficiencyContext, level: float, cap: float) -> bool:
 
 def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
                      sched: SchedulingState, station: int,
-                     peer_counts: list[np.ndarray] | None = None
+                     peers: Peers | None = None
                      ) -> tuple[list[np.ndarray], float]:
     """Relaxed cache placement for one station under frozen scheduling.
 
     Bisects the level B on [floor, 0] against the storage constraint and
     returns the station rows together with the level actually used.  Falls
     back to the last certainly-fitting level if the midpoint overshoots.
-    ``peer_counts`` is passed on to EfficiencyContext.  A floor that is not
+    ``peers`` is passed on to EfficiencyContext.  A floor that is not
     finite (an overflowed p/s or transfer cost) would never let the bisection
     end, so it is MalformedInput.
 
@@ -310,7 +331,16 @@ def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
     boundary fractions only when the storage bounds straddle the capacity;
     the module docstring states the rule and why it is exact.
     """
-    ctx = EfficiencyContext(scenario, cache, sched, station, peer_counts)
+    ctx = EfficiencyContext(scenario, cache, sched, station, peers)
+    rows, _boundary, level = _level_search(ctx)
+    return rows, level
+
+
+def _level_search(ctx: EfficiencyContext
+                  ) -> tuple[list[np.ndarray], list[tuple[int, int]], float]:
+    """solve_caching_bs on a built context: the rows, their boundary
+    (app, input) entries (_exact_rows) and the level."""
+    scenario, station = ctx.scenario, ctx.station
     cap = float(scenario.storage_capacities[station])
     floor = ctx.efficiency_floor()
     if not math.isfinite(floor):
@@ -318,7 +348,7 @@ def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
                              "is not finite")
     if floor == 0.0:
         return [np.zeros(scenario.catalog_size(a))
-                for a in range(scenario.num_apps)], 0.0
+                for a in range(scenario.num_apps)], [], 0.0
     b_l, b_r = floor, 0.0
     while b_r - b_l >= LEVEL_ACCURACY:
         b_m = 0.5 * (b_l + b_r)
@@ -329,11 +359,11 @@ def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
         else:
             b_r = b_m
     level = 0.5 * (b_l + b_r)
-    rows = g_of_B(ctx, level)
+    rows, boundary = _exact_rows(ctx, level)
     if _rows_storage(scenario, rows) > cap:
         level = b_l
-        rows = g_of_B(ctx, level)
-    return rows, level
+        rows, boundary = _exact_rows(ctx, level)
+    return rows, boundary, level
 
 
 def efficiencies_at_solution(ctx: EfficiencyContext,
@@ -388,6 +418,11 @@ class SweepState(CacheAssignment):
     compute_hit_rates(scenario, self) bit for bit: a candidate's table is
     built in O(A K) from the same reductions, with neighbor = total - local.
     It takes over the matrices of the checked cache it is built from.
+
+    ``versions[j]`` numbers station j's peer mask, the inputs some other
+    station caches: ``accept`` bumps it exactly when that mask flips, so
+    what depends on the mask alone holds while the version does.  ``peers``
+    keeps each station's peer hit mass keyed by it.
     """
 
     def __init__(self, scenario: Scenario, cache: CacheAssignment):
@@ -395,10 +430,22 @@ class SweepState(CacheAssignment):
         self.scenario = scenario
         self.counts = [x.sum(axis=0) for x in self.entries]
         self.hit = compute_hit_rates(scenario, self)
+        self.versions = np.zeros(scenario.num_stations, dtype=np.int64)
+        # per station: (version, peer hit mass per app), or None
+        self._peer_hit: list[tuple[int, list[float]] | None] = (
+            [None] * scenario.num_stations)
 
-    def peer_counts(self, n: int) -> list[np.ndarray]:
-        """Per app, how many stations other than n cache each input."""
-        return [c - x[n] for c, x in zip(self.counts, self.entries)]
+    def peers(self, n: int) -> Peers:
+        """Station n's peer counts and peer hit masses (EfficiencyContext);
+        the masses are reduced again only when n's version has moved."""
+        counts = [c - x[n] for c, x in zip(self.counts, self.entries)]
+        kept = self._peer_hit[n]
+        if kept is None or kept[0] != self.versions[n]:
+            kept = (int(self.versions[n]),
+                    [peer_hit_mass(p, c)
+                     for p, c in zip(self.scenario.match_probs, counts)])
+            self._peer_hit[n] = kept
+        return Peers(counts, kept[1])
 
     def candidate(self, n: int, rows: list[np.ndarray]
                   ) -> tuple[list[np.ndarray], HitRateTable]:
@@ -416,11 +463,34 @@ class SweepState(CacheAssignment):
 
     def accept(self, n: int, rows: list[np.ndarray],
                counts: list[np.ndarray], hit: HitRateTable) -> None:
-        """Write station n's rows in place with their candidate tables."""
-        for x, row in zip(self.entries, rows):
+        """Write station n's rows in place with their candidate tables, and
+        bump the version of each other station j whose peer mask
+        (counts - x[j]) > 0 flips.  A rewritten input's count moves between
+        lo and lo + 1, so j's mask flips there iff x[j] == lo, which needs
+        lo < 2.  Station n's own mask does not read its rows.
+        """
+        flipped = np.zeros(len(self.versions), dtype=bool)
+        for x, row, old, new in zip(self.entries, rows, self.counts, counts):
+            k = np.flatnonzero(old != new)
+            lo = np.minimum(old[k], new[k])
+            low = lo < 2.0
+            flipped |= (x[:, k[low]] == lo[low]).any(axis=1)
             x[n] = row
+        flipped[n] = False
+        self.versions += flipped
         self.counts = counts
         self.hit = hit
+
+
+class _Solved(NamedTuple):
+    """A station's last solve in a sweep: its peer-mask version and y, its
+    rounded rows as bool (None if equal to its own or over capacity) and
+    the count of accepted rewrites at their last verdict."""
+
+    version: int
+    y: np.ndarray
+    rows: list[np.ndarray] | None
+    tested: int
 
 
 def sweep_all_stations(scenario: Scenario, cache: SweepState,
@@ -432,18 +502,20 @@ def sweep_all_stations(scenario: Scenario, cache: SweepState,
     (with search flags refreshed) does not increase, which makes the
     objective non-increasing by construction.  Updates ``cache`` in place
     and returns it with the refreshed scheduling state and the per-pass
-    objective values; stops early once a full pass changes nothing.
+    objectives; stops early once a full pass changes nothing.
 
-    A station is solved again only when its subproblem changed.  The
-    subproblem reads the station's peer counts, lam, fshare and y, never
-    the station's own rows, and lam and fshare are frozen here.  ``epoch``
-    counts accepted rewrites; each station records the (epoch, y) it was
-    last solved under and is skipped while both are unchanged.  The skip is
-    exact: with no acceptance since, the cache, counts, hit table and
-    objective are unchanged too, so the solve would repeat its rows and its
-    verdict.  A station's own acceptance leaves its peer counts as they
-    were, so its record takes the new epoch with the y its rows were solved
-    under; it is solved again only if that acceptance moved y.
+    A station's subproblem reads its peer mask (which inputs some other
+    station caches), lam, fshare and y, never the station's own rows, and
+    lam and fshare are frozen here.  So a station is solved again only when
+    its peer-mask version (SweepState.versions) or y has moved since its
+    last solve; otherwise it keeps that solve's rounded rows, which a solve
+    would repeat bit for bit, and goes straight to the accept test.  The
+    test is skipped too when those rows are the station's own (or over its
+    capacity), or when no rewrite was accepted since their last verdict:
+    the cache, its tables, y and the objective are then as they were, so
+    the verdict would repeat.  A station's own acceptance leaves its
+    version as it was, so it is solved again only if that acceptance moved
+    y.  The solve's boundary entries are known, so only they are rounded.
     """
     sched = sched.copy()
     res = evaluate_with_rates(scenario, cache.hit.total, cache.hit.neighbor,
@@ -453,36 +525,44 @@ def sweep_all_stations(scenario: Scenario, cache: SweepState,
     sched.y = res.y
     obj = res.objective
     pass_objs: list[float] = []
-    epoch = 0
-    solved_under: list[tuple | None] = [None] * scenario.num_stations
+    accepted = 0
+    last: list[_Solved | None] = [None] * scenario.num_stations
     for _ in range(passes):
-        changed = False
+        accepted_before = accepted
         for n in range(scenario.num_stations):
             y = sched.y
-            last = solved_under[n]
-            if last is not None and last[0] == epoch and np.array_equal(last[1], y):
-                continue
-            solved_under[n] = (epoch, y)
-            rows, _level = solve_caching_bs(scenario, cache, sched, n,
-                                            cache.peer_counts(n))
-            rows_bin = round_to_binary(rows)
-            if all(np.array_equal(rows_bin[a], cache.entries[a][n])
-                   for a in range(scenario.num_apps)):
-                continue
-            if _rows_storage(scenario, rows_bin) > scenario.storage_capacities[n]:
-                continue
-            counts, hit = cache.candidate(n, rows_bin)
+            version = int(cache.versions[n])
+            prev = last[n]
+            if (prev is not None and prev.version == version
+                    and np.array_equal(prev.y, y)):
+                if prev.rows is None or prev.tested == accepted:
+                    continue
+                rows = [r.astype(np.float64) for r in prev.rows]
+                last[n] = prev._replace(tested=accepted)
+            else:
+                rows, boundary, _level = _level_search(EfficiencyContext(
+                    scenario, cache, sched, n, cache.peers(n)))
+                for a, k in boundary:
+                    rows[a][k] = 1.0 if rows[a][k] >= 1.0 - BINARY_TOL else 0.0
+                if (all(np.array_equal(row, x[n])
+                        for row, x in zip(rows, cache.entries))
+                        or _rows_storage(scenario, rows)
+                        > scenario.storage_capacities[n]):
+                    last[n] = _Solved(version, y, None, accepted)
+                    continue
+                last[n] = _Solved(version, y, [r.astype(bool) for r in rows],
+                                  accepted)
+            counts, hit = cache.candidate(n, rows)
             res2 = evaluate_with_rates(scenario, hit.total, hit.neighbor,
                                        sched.lam, sched.fshare)
             if res2.feasible and res2.objective <= obj:
-                cache.accept(n, rows_bin, counts, hit)
+                cache.accept(n, rows, counts, hit)
                 sched.y = res2.y
                 obj = res2.objective
-                changed = True
-                epoch += 1
-                solved_under[n] = (epoch, y)
+                accepted += 1
+                last[n] = _Solved(version, y, None, accepted)
         pass_objs.append(obj)
-        if not changed:
+        if accepted == accepted_before:
             break
     return cache, sched, pass_objs
 

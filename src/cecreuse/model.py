@@ -83,11 +83,17 @@ class Scenario:
             if not all(0.0 <= r < math.inf for r in st.arrival_rates):
                 raise MalformedInput(
                     f"station {n}: arrival rates must be finite and nonnegative")
+        max_capacity = max(st.compute_capacity for st in self.stations)
         for a, app in enumerate(self.apps):
             if not 0.0 <= app.weight < math.inf:
                 raise MalformedInput(f"app {a}: weight must be finite and nonnegative")
             if not 0.0 < app.mean_workload < math.inf:
                 raise MalformedInput(f"app {a}: mean workload must be finite and positive")
+            # the solver divides capacities by workloads to get service rates
+            if not math.isfinite(max_capacity / app.mean_workload):
+                raise MalformedInput(
+                    f"app {a}: mean_workload_cycles {app.mean_workload!r} is "
+                    "too small: the largest compute capacity over it overflows")
             total_p = 0.0
             for k, ti in enumerate(app.typical_inputs):
                 if not 0.0 <= ti.match_prob <= 1.0:

@@ -256,13 +256,14 @@ def test_solve_caching_matches_fractional_knapsack():
 
 def test_fraction_solve_runs_only_where_storage_bounds_straddle(monkeypatch):
     """A level probe whose storage bounds decide it solves no fraction; every
-    fraction solve comes from a straddling probe or a final g_of_B.  NoC's
+    fraction solve comes from a straddling probe or a solve's final rows
+    (_exact_rows, which g_of_B and the caching sweep call).  NoC's
     single-station solves of the default scenario meet both kinds."""
     solves = {"outside": 0, "probe": 0, "final": 0}
     seen = {"decided_pending": 0, "straddle": 0}
     where = ["outside"]
-    solve_fraction, fits, g_of_b = (caching._solve_fraction, caching._fits,
-                                    caching.g_of_B)
+    solve_fraction, fits, exact_rows = (caching._solve_fraction,
+                                        caching._fits, caching._exact_rows)
 
     def counted_solve_fraction(*args):
         solves[where[-1]] += 1
@@ -289,18 +290,18 @@ def test_fraction_solve_runs_only_where_storage_bounds_straddle(monkeypatch):
             seen["straddle"] += 1
         return verdict
 
-    def final_g_of_b(ctx, level):
-        # the probes never build their rows through g_of_B
+    def final_rows(ctx, level):
+        # the probes never build their rows through _exact_rows
         assert where == ["outside"]
         where.append("final")
         try:
-            return g_of_b(ctx, level)
+            return exact_rows(ctx, level)
         finally:
             where.pop()
 
     monkeypatch.setattr(caching, "_solve_fraction", counted_solve_fraction)
     monkeypatch.setattr(caching, "_fits", checked_fits)
-    monkeypatch.setattr(caching, "g_of_B", final_g_of_b)
+    monkeypatch.setattr(caching, "_exact_rows", final_rows)
     solve_noc(generate_scenario(GeneratorParams(seed=42)))
     assert seen["decided_pending"] > 0 and seen["straddle"] > 0
     assert solves["outside"] == 0 and solves["final"] > 0

@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -217,6 +218,28 @@ def test_noc_rejects_an_overflowing_gradient(tmp_path, capsys):
     assert not (out / "report.json").exists()
     err = capsys.readouterr().err
     assert err.startswith(GRADIENT_OVERFLOW)
+    assert "Traceback" not in err
+
+
+def test_solve_rejects_a_workload_whose_service_rate_overflows(tmp_path,
+                                                              capsys):
+    # capacity / workload of 1e9 / 1e-300 overflows: the start's load
+    # repair would divide by it, so the scenario is malformed and the solve
+    # exits 2 before any numpy warning
+    doc = scenario_to_dict(generate_scenario(GeneratorParams(seed=1)))
+    doc["apps"][0]["mean_workload_cycles"] = 1e-300
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = cli.main(["solve", "--config", str(config), "--output",
+                           str(out), "--rounds", "1"])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert status == 2
+    assert not (out / "report.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: app 0: mean_workload_cycles 1e-300")
     assert "Traceback" not in err
 
 

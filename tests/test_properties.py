@@ -1,6 +1,7 @@
-"""Property tests: the binary cache type, hit-rate identities, the caching
-sweep's station skip, the solve's one sweep state, the level search's
-probes, the batched projection, the blocked line search, report JSON."""
+"""Property tests: the binary cache type, hit-rate identities, peer-mask
+versions, the caching sweep's station skip, the solve's one sweep state,
+the level search's probes, the batched projection, the blocked line
+search, report JSON."""
 import json
 import math
 from dataclasses import replace
@@ -17,8 +18,8 @@ from cecreuse import (CacheAssignment, GeneratorParams, Infeasible,
                       project_decisions, solver)
 from cecreuse.caching import (LEVEL_ACCURACY, EfficiencyContext, SweepState,
                               _level_rows, _locate_level, _solve_fraction,
-                              g_of_B, round_to_binary, solve_caching_bs,
-                              sweep_all_stations)
+                              g_of_B, peer_hit_mass, round_to_binary,
+                              solve_caching_bs, sweep_all_stations)
 from cecreuse.delay import (BranchDelays, evaluate_with_rates,
                             gradient_with_rates, hit_derivative)
 from cecreuse.scheduling import (ALPHA, BETA, DELTA_STAB, J_MAX, STEP_BLOCK,
@@ -107,9 +108,55 @@ def copied(cache):
     return CacheAssignment([x.copy() for x in cache.entries])
 
 
+@st.composite
+def rewrite_sequences(draw):
+    """A scenarios_with_cache case with up to five more binary station
+    rewrites after its own."""
+    sc, cache, n, rows = draw(scenarios_with_cache())
+    bits = st.sampled_from([0.0, 1.0])
+    rewrites = [(n, rows)]
+    for _ in range(draw(st.integers(0, 5))):
+        rewrites.append((draw(st.integers(0, sc.num_stations - 1)), [
+            np.array(draw(st.lists(bits, min_size=k, max_size=k)))
+            for k in map(sc.catalog_size, range(sc.num_apps))]))
+    return sc, cache, rewrites
+
+
+def peer_masks(cache):
+    """Per station, per app: the inputs some other station caches."""
+    return [[x.sum(axis=0) - x[j] > 0.0 for x in cache.entries]
+            for j in range(cache.entries[0].shape[0])]
+
+
+@PROPERTY
+@given(rewrite_sequences())
+def test_accept_bumps_exactly_the_versions_whose_peer_mask_flips(case):
+    """After each accepted rewrite, the versions that moved are those of
+    the stations whose peer mask changed, each by one; the rewriting
+    station's own mask never changes.  The peers every station then gets
+    equal the ones counted from its matrices."""
+    sc, cache, rewrites = case
+    state = SweepState(sc, copied(cache))
+    for n, rows in rewrites:
+        before, versions = peer_masks(state), state.versions.copy()
+        state.accept(n, rows, *state.candidate(n, rows))
+        after = peer_masks(state)
+        flipped = [any(not np.array_equal(b, a) for b, a in zip(bj, aj))
+                   for bj, aj in zip(before, after)]
+        assert not flipped[n]
+        assert (state.versions - versions).tolist() == list(map(int, flipped))
+        for j in range(sc.num_stations):
+            counts = [x.sum(axis=0) - x[j] for x in state.entries]
+            peers = state.peers(j)
+            assert all(np.array_equal(a, b) for a, b in zip(peers.counts, counts))
+            assert peers.hit == [peer_hit_mass(p, c)
+                                 for p, c in zip(sc.match_probs, counts)]
+
+
 def sweep_solving_every_station(scenario, cache, sched, passes):
     """The caching sweep as it was before stations were skipped: every
-    station is solved on every visit."""
+    station is solved on every visit, with its peers counted from the
+    cache rather than kept by the SweepState."""
     sched = sched.copy()
     res = evaluate_with_rates(scenario, cache.hit.total, cache.hit.neighbor,
                               sched.lam, sched.fshare)
@@ -119,8 +166,7 @@ def sweep_solving_every_station(scenario, cache, sched, passes):
     for _ in range(passes):
         changed = False
         for n in range(scenario.num_stations):
-            rows, _level = solve_caching_bs(scenario, cache, sched, n,
-                                            cache.peer_counts(n))
+            rows, _level = solve_caching_bs(scenario, cache, sched, n)
             rows_bin = round_to_binary(rows)
             if all(np.array_equal(rows_bin[a], cache.entries[a][n])
                    for a in range(scenario.num_apps)):
@@ -144,11 +190,15 @@ def sweep_solving_every_station(scenario, cache, sched, passes):
 # One station, several apps, greedy start: the first rewrite stops an app
 # with a small cached set from searching, and the station solved again under
 # the new y gives that storage to the others.  Random draws meet this in
-# about one case in twenty, so two instances are pinned.
+# about one case in twenty, so two instances are pinned.  In the third, two
+# stations' kept rows are tested again, unsolved, after a peer's accepted
+# rewrite that left their peer masks and y as they were.
 @PROPERTY
 @example(seed=10, stations=1, apps=3, load=0.5, start="greedy", descent=0,
          passes=3)
 @example(seed=51, stations=1, apps=2, load=1.0, start="greedy", descent=3,
+         passes=3)
+@example(seed=0, stations=4, apps=2, load=1.5, start="greedy", descent=3,
          passes=3)
 @given(seed=st.integers(0, 10_000), stations=st.integers(1, 4),
        apps=st.integers(1, 3), load=st.sampled_from([0.5, 1.0, 1.5]),
