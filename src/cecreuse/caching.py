@@ -23,11 +23,22 @@ solved and the exact storage compared.  The verdict is always the exact
 one: every term is size * x with size > 0 and x in [0, 1], and a
 fixed-order floating-point sum of non-negative products is monotone in
 each term, so lower <= exact <= upper.
+
+A station's subproblem depends on the other stations' caches only through
+its peer mask, which splits each app's inputs into the two classes.  The
+split is kept in compact form (Partition): the exclusive class as int32
+positions in the app's density order, with the prefix sums of their match
+probabilities.  The replicated class is read from that order: its
+efficiency -(p/s) phi lam y D^t does not fall along the whole order, so the
+replicated inputs cached at a level are the positions before one boundary
+that are not exclusive.  The caching sweep keeps each station's partition
+while its peer-mask version holds (SweepState.peers).
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,34 +57,86 @@ INVERSE_TOL = 1e-12
 ORACLE_MAX_ITEMS = 22
 
 
-class Peers(NamedTuple):
-    """Per app, how many other stations cache each input, and the peer hit
-    mass peer_hit_mass(p, counts)."""
-
-    counts: list[np.ndarray]
-    hit: list[float]
-
-
 def peer_hit_mass(p: np.ndarray, counts: np.ndarray) -> float:
     """Match probability of the inputs whose peer count is positive."""
     return float(p[counts > 0.0].sum())
 
 
+class Partition(NamedTuple):
+    """One station's peer mask in compact form, per app.
+
+    ``exc_pos`` holds the positions, in the app's density order
+    (Scenario.density_orders), of its exclusive inputs, those no other
+    station caches: ascending, as int32.  ``prefix_p[j]`` sums the match
+    probabilities of the first j of them, and ``hit`` is the peer hit mass.
+    Every other input is replicated.
+    """
+
+    exc_pos: list[np.ndarray]
+    prefix_p: list[np.ndarray]
+    hit: list[float]
+
+    @classmethod
+    def build(cls, scenario: Scenario, counts: list[np.ndarray]) -> "Partition":
+        """The partition of the peer counts ``counts``: per app, how many
+        other stations cache each input."""
+        exc_pos, prefix_p, hit = [], [], []
+        for p, order, c in zip(scenario.match_probs, scenario.density_orders,
+                               counts):
+            pos = np.flatnonzero(~(c[order] > 0.0)).astype(np.int32)
+            exc_pos.append(pos)
+            prefix = np.zeros(len(pos) + 1)
+            np.cumsum(p[order[pos]], out=prefix[1:])
+            prefix_p.append(prefix)
+            hit.append(peer_hit_mass(p, c))
+        return cls(exc_pos, prefix_p, hit)
+
+
+def _prefix_length(holds: Callable[[int], bool], n: int, guess: int) -> int:
+    """Length of the prefix of range(n) on which ``holds`` is true, for a
+    ``holds`` that is true on a prefix and false after it.
+
+    Gallops from ``guess`` in steps 1, 2, 4, ... to bracket the end and
+    bisects the bracket, so it asks O(log d) questions for a guess d off.
+    """
+    if guess < n and holds(guess):
+        lo = j = guess + 1
+        while j < n and holds(j):
+            lo, j = j + 1, guess + 2 * (j - guess)
+        hi = min(j, n)
+    elif guess > 0 and not holds(guess - 1):
+        hi, j = guess - 1, guess - 2
+        while j >= 0 and not holds(j):
+            hi, j = j, guess - 1 - 2 * (guess - 1 - j)
+        lo = max(j + 1, 0)
+    else:
+        return guess
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 class EfficiencyContext:
     """Frozen view of one station's caching subproblem.
 
-    Holds the scheduling state, the neighbor partition, the p/s-sorted order
-    over exclusive inputs with prefix sums, and the constant efficiencies of
-    replicated inputs.  All level queries of the solver go through here.
+    Holds the scheduling state, the station's Partition of each app's
+    inputs, and the factor phi lam y D^t that makes a replicated input's
+    constant efficiency -(p/s) * factor.  All level queries of the solver go
+    through here, and none builds an array as long as a catalog: the
+    per-input views (exclusive, replicated, exc_p, ratio, rep_eff) are
+    gathered only when read.
 
-    ``peers`` gives the other stations' caches as the caching sweep keeps
-    them (SweepState.peers); without it they are counted from the cache.
-    They enter the subproblem only through which inputs some peer caches.
+    ``peers`` is the station's partition as the caching sweep keeps it
+    (SweepState.peers); without it, it is built from the cache.
     """
 
     def __init__(self, scenario: Scenario, cache: CacheAssignment,
                  sched: SchedulingState, station: int,
-                 peers: Peers | None = None):
+                 peers: Partition | None = None):
         self.scenario = scenario
         self.station = station
         self.lam = np.ascontiguousarray(sched.lam, dtype=np.float64)
@@ -81,42 +144,69 @@ class EfficiencyContext:
         self.yf = np.ascontiguousarray(sched.y, dtype=np.float64)
         self.dt = np.ascontiguousarray(scenario.transfer_delays, dtype=np.float64)
         if peers is None:
-            counts = [x.sum(axis=0) - x[station] for x in cache.entries]
-            peers = Peers(counts, [peer_hit_mass(p, c) for p, c in
-                                   zip(scenario.match_probs, counts)])
-
-        A = scenario.num_apps
-        self.exclusive: list[np.ndarray] = []     # sorted by p/s desc, index asc
-        self.replicated: list[np.ndarray] = []    # in the same order
-        self.exc_p: list[np.ndarray] = []
-        self.ratio: list[np.ndarray] = []
-        self.prefix_p: list[np.ndarray] = []      # prefix_p[j] = sum of p before j
+            peers = Partition.build(scenario, [x.sum(axis=0) - x[station]
+                                               for x in cache.entries])
+        self.order = scenario.density_orders
+        self.neg_ratio = scenario.sorted_neg_densities
+        self.exc_pos = peers.exc_pos
+        self.prefix_p = peers.prefix_p            # prefix_p[j] = sum of p before j
         self.base_hit = peers.hit                 # hit mass available from peers
-        self.rep_eff: list[np.ndarray] = []
-        self.rep_neg_eff: list[np.ndarray] = []   # its negative prefix
         # phi lam y per (app, station); an app is active if any is > 0
         c = scenario.weights[:, None] * self.lam * self.yf
         self.active: list[bool] = np.any(c > 0.0, axis=1).tolist()
-        self._terms: list[list[tuple] | None] = [None] * A
+        self.rep_factor: list[float] = (c[:, station] * self.dt[station]).tolist()
+        self._terms: list[list[tuple] | None] = [None] * scenario.num_apps
         self._eff: dict[tuple[int, int, float], float] = {}
 
-        for a in range(A):
-            order = scenario.density_orders[a]
-            cached_by_peer = peers.counts[a][order] > 0.0
-            exc = order[~cached_by_peer]
-            rep = order[cached_by_peer]
-            p = scenario.match_probs[a]
-            ratio = scenario.densities[a]
-            self.exclusive.append(exc)
-            self.replicated.append(rep)
-            self.exc_p.append(p[exc])
-            self.ratio.append(ratio[exc])
-            self.prefix_p.append(np.concatenate(([0.0], np.cumsum(p[exc]))))
-            # p/s does not rise along rep and the factor is >= 0, so rep_eff
-            # does not fall: the inputs cached at any level are a prefix
-            rep_eff = -ratio[rep] * (float(c[a, station]) * self.dt[station])
-            self.rep_eff.append(rep_eff)
-            self.rep_neg_eff.append(rep_eff[:rep_eff.searchsorted(0.0)])
+    @cached_property
+    def exclusive(self) -> list[np.ndarray]:
+        """Per app, the exclusive inputs, by p/s descending, index ascending."""
+        return [order[pos] for order, pos in zip(self.order, self.exc_pos)]
+
+    @cached_property
+    def replicated(self) -> list[np.ndarray]:
+        """Per app, the replicated inputs in the same order."""
+        return [np.delete(order, pos) for order, pos in zip(self.order, self.exc_pos)]
+
+    @cached_property
+    def exc_p(self) -> list[np.ndarray]:
+        """Per app, the exclusive inputs' match probabilities."""
+        return [p[exc] for p, exc in zip(self.scenario.match_probs, self.exclusive)]
+
+    @cached_property
+    def ratio(self) -> list[np.ndarray]:
+        """Per app, the exclusive inputs' p/s."""
+        return [-neg[pos] for neg, pos in zip(self.neg_ratio, self.exc_pos)]
+
+    @cached_property
+    def rep_eff(self) -> list[np.ndarray]:
+        """Per app, the replicated inputs' constant efficiencies; they do not
+        fall, so the inputs cached at any level are a prefix."""
+        return [np.delete(neg, pos) * factor for neg, pos, factor
+                in zip(self.neg_ratio, self.exc_pos, self.rep_factor)]
+
+    def exclusive_input(self, a: int, j: int) -> int:
+        """Index of app a's j-th sorted exclusive input."""
+        return self.order[a].item(self.exc_pos[a].item(j))
+
+    def replicated_end(self, a: int, level: float) -> int:
+        """Length of the prefix of app a's density order whose replicated
+        efficiency is <= level and < 0: the replicated inputs cached at
+        ``level`` are the positions before it that are not exclusive.
+
+        The products are compared exactly; the division only guesses
+        where the prefix ends.
+        """
+        neg, factor = self.neg_ratio[a], self.rep_factor[a]
+
+        def cached(j: int) -> bool:
+            eff = neg.item(j) * factor
+            return eff <= level and eff < 0.0
+
+        if not (len(neg) and cached(0)):
+            return 0    # so factor > 0 below; at 0 every efficiency is -0.0
+        guess = int(neg.searchsorted(float(level) / factor, "right"))
+        return _prefix_length(cached, len(neg), guess)
 
     def _searching(self, a: int) -> list[tuple[float, float, float, float]]:
         """(c, dt, load, f) per station where app a searches, in station
@@ -166,11 +256,13 @@ class EfficiencyContext:
         key = (a, j, xv)
         eff = self._eff.get(key)
         if eff is None:
-            r = self.ratio[a][j]
+            pos = self.exc_pos[a][j]
+            r = -self.neg_ratio[a][pos]
             if r == 0.0:
                 eff = 0.0
             else:
-                hit = self.base_hit[a] + self.prefix_p[a][j] + self.exc_p[a][j] * xv
+                p = self.scenario.match_probs[a][self.order[a][pos]]
+                hit = self.base_hit[a] + self.prefix_p[a][j] + p * xv
                 eff = r * self.bracket(a, hit)
             self._eff[key] = eff
         return eff
@@ -181,12 +273,15 @@ class EfficiencyContext:
         for a in range(self.scenario.num_apps):
             if not self.active[a]:
                 continue
-            if len(self.rep_eff[a]):
-                lo = min(lo, float(self.rep_eff[a].min()))
-            if len(self.exclusive[a]):
+            pos, neg = self.exc_pos[a], self.neg_ratio[a]
+            # the least replicated efficiency is the first one
+            first = _prefix_length(lambda i: pos.item(i) == i, len(pos), 0)
+            if first < len(neg):
+                lo = min(lo, neg.item(first) * self.rep_factor[a])
+            if len(pos):
                 # ratio is sorted descending and nonnegative, so the least of
                 # ratio * g sits at one end
-                r_hi, r_lo = self.ratio[a][0], self.ratio[a][-1]
+                r_hi, r_lo = -neg[pos[0]], -neg[pos[-1]]
                 for hit in (self.base_hit[a],
                             self.base_hit[a] + self.prefix_p[a][-1]):
                     g = self.bracket(a, hit)
@@ -205,7 +300,7 @@ def _locate_level(ctx: EfficiencyContext, a: int, level: float) -> tuple[int, bo
     efficiency sequence eps_0(0) <= eps_0(1) <= eps_1(0) <= ... being
     non-decreasing wherever it is negative.
     """
-    k0 = len(ctx.exclusive[a])
+    k0 = len(ctx.exc_pos[a])
     if ctx.exclusive_eff(a, 0, 0.0) > level:
         return 0, False
     if ctx.exclusive_eff(a, k0 - 1, 1.0) < level:
@@ -246,9 +341,9 @@ def _level_rows(ctx: EfficiencyContext, level: float
     0, and the pending (app, sorted position) pairs.
 
     Replicated inputs are cached iff their constant efficiency is <= level
-    and strictly negative, a prefix of their order found by binary search;
-    over the sorted exclusive class the boundary position comes from
-    _locate_level.  Zero-benefit inputs are never cached.
+    and strictly negative: the positions before replicated_end that are
+    not exclusive.  Over the sorted exclusive class the boundary position
+    comes from _locate_level.  Zero-benefit inputs are never cached.
     """
     rows, pending = [], []
     for a in range(ctx.scenario.num_apps):
@@ -256,12 +351,18 @@ def _level_rows(ctx: EfficiencyContext, level: float
         if not ctx.active[a]:
             rows.append(x)
             continue
-        x[ctx.replicated[a][:ctx.rep_neg_eff[a].searchsorted(level, "right")]] = 1.0
-        if len(ctx.exclusive[a]):
-            m, frac = _locate_level(ctx, a, level)
-            x[ctx.exclusive[a][:m]] = 1.0
-            if frac:
-                pending.append((a, m))
+        order, pos = ctx.order[a], ctx.exc_pos[a]
+        end = ctx.replicated_end(a, level)
+        m, frac = _locate_level(ctx, a, level) if len(pos) else (0, False)
+        t = 0
+        if end:
+            x[order[:end]] = 1.0
+            t = int(pos.searchsorted(end))
+        # the exclusive positions before end are pos[:t]; pos[:m] are cached
+        if m != t:
+            x[order[pos[min(m, t):max(m, t)]]] = float(m > t)
+        if frac:
+            pending.append((a, m))
         rows.append(x)
     return rows, pending
 
@@ -270,7 +371,7 @@ def _fill_fractions(ctx: EfficiencyContext, rows: list[np.ndarray],
                     pending: list[tuple[int, int]], level: float) -> None:
     """Write each pending entry's solved fraction into ``rows``."""
     for a, m in pending:
-        rows[a][ctx.exclusive[a][m]] = _solve_fraction(ctx, a, m, level)
+        rows[a][ctx.exclusive_input(a, m)] = _solve_fraction(ctx, a, m, level)
 
 
 def _exact_rows(ctx: EfficiencyContext, level: float
@@ -279,7 +380,7 @@ def _exact_rows(ctx: EfficiencyContext, level: float
     every other entry is exactly 0 or 1."""
     rows, pending = _level_rows(ctx, level)
     _fill_fractions(ctx, rows, pending, level)
-    return rows, [(a, int(ctx.exclusive[a][m])) for a, m in pending]
+    return rows, [(a, ctx.exclusive_input(a, m)) for a, m in pending]
 
 
 def g_of_B(ctx: EfficiencyContext, level: float) -> list[np.ndarray]:
@@ -306,7 +407,7 @@ def _fits(ctx: EfficiencyContext, level: float, cap: float) -> bool:
     if not pending:
         return True
     for a, m in pending:
-        rows[a][ctx.exclusive[a][m]] = 1.0
+        rows[a][ctx.exclusive_input(a, m)] = 1.0
     if _rows_storage(scenario, rows) < cap:
         return True
     _fill_fractions(ctx, rows, pending, level)
@@ -315,7 +416,7 @@ def _fits(ctx: EfficiencyContext, level: float, cap: float) -> bool:
 
 def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
                      sched: SchedulingState, station: int,
-                     peers: Peers | None = None
+                     peers: Partition | None = None
                      ) -> tuple[list[np.ndarray], float]:
     """Relaxed cache placement for one station under frozen scheduling.
 
@@ -422,7 +523,7 @@ class SweepState(CacheAssignment):
     ``versions[j]`` numbers station j's peer mask, the inputs some other
     station caches: ``accept`` bumps it exactly when that mask flips, so
     what depends on the mask alone holds while the version does.  ``peers``
-    keeps each station's peer hit mass keyed by it.
+    keeps each station's Partition keyed by it, until ``release``.
     """
 
     def __init__(self, scenario: Scenario, cache: CacheAssignment):
@@ -431,21 +532,23 @@ class SweepState(CacheAssignment):
         self.counts = [x.sum(axis=0) for x in self.entries]
         self.hit = compute_hit_rates(scenario, self)
         self.versions = np.zeros(scenario.num_stations, dtype=np.int64)
-        # per station: (version, peer hit mass per app), or None
-        self._peer_hit: list[tuple[int, list[float]] | None] = (
+        # per station: (version, partition), or None
+        self._kept: list[tuple[int, Partition] | None] = (
             [None] * scenario.num_stations)
 
-    def peers(self, n: int) -> Peers:
-        """Station n's peer counts and peer hit masses (EfficiencyContext);
-        the masses are reduced again only when n's version has moved."""
-        counts = [c - x[n] for c, x in zip(self.counts, self.entries)]
-        kept = self._peer_hit[n]
+    def peers(self, n: int) -> Partition:
+        """Station n's partition (EfficiencyContext), built again from the
+        peer counts only when n's version has moved."""
+        kept = self._kept[n]
         if kept is None or kept[0] != self.versions[n]:
-            kept = (int(self.versions[n]),
-                    [peer_hit_mass(p, c)
-                     for p, c in zip(self.scenario.match_probs, counts)])
-            self._peer_hit[n] = kept
-        return Peers(counts, kept[1])
+            counts = [c - x[n] for c, x in zip(self.counts, self.entries)]
+            kept = (int(self.versions[n]), Partition.build(self.scenario, counts))
+            self._kept[n] = kept
+        return kept[1]
+
+    def release(self) -> None:
+        """Drop the kept partitions; peers builds them again on demand."""
+        self._kept = [None] * len(self._kept)
 
     def candidate(self, n: int, rows: list[np.ndarray]
                   ) -> tuple[list[np.ndarray], HitRateTable]:

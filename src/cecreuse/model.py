@@ -180,24 +180,29 @@ class Scenario:
         return tuple(out)
 
     @cached_property
-    def densities(self) -> tuple[np.ndarray, ...]:
-        """Per app, the match probability per byte p/s of every input."""
-        out = []
-        for p, s in zip(self.match_probs, self.result_sizes):
-            v = p / s
-            v.setflags(write=False)
-            out.append(v)
-        return tuple(out)
+    def density_orders(self) -> tuple[np.ndarray, ...]:
+        """Per app, input indices by density p/s descending, index
+        ascending."""
+        return tuple(order for order, _ in self._density_sort)
 
     @cached_property
-    def density_orders(self) -> tuple[np.ndarray, ...]:
-        """Per app, input indices by density descending, index ascending."""
+    def sorted_neg_densities(self) -> tuple[np.ndarray, ...]:
+        """Per app, -p/s in density order: ascending, and negated so that
+        it can be searched."""
+        return tuple(neg for _, neg in self._density_sort)
+
+    @cached_property
+    def _density_sort(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per app, the density order and -p/s in it, from one division."""
         out = []
-        for ratio in self.densities:
-            v = np.argsort(-ratio, kind="stable")
-            v.setflags(write=False)
-            out.append(v)
-        return tuple(out)
+        for p, s in zip(self.match_probs, self.result_sizes):
+            neg = -(p / s)
+            order = np.argsort(neg, kind="stable")
+            neg = neg[order]
+            order.setflags(write=False)
+            neg.setflags(write=False)
+            out.append((order, neg))
+        return out
 
     def catalog_size(self, a: int) -> int:
         return len(self.apps[a].typical_inputs)
@@ -210,8 +215,8 @@ class Scenario:
                 mine.typical_inputs is not source.apps[a].typical_inputs
                 for mine, a in zip(self.apps, apps)):
             raise DimensionMismatch("the apps do not hold the source's inputs")
-        for name in ("match_probs", "result_sizes", "densities",
-                     "density_orders"):
+        for name in ("match_probs", "result_sizes", "density_orders",
+                     "sorted_neg_densities"):
             self.__dict__[name] = tuple(getattr(source, name)[a] for a in apps)
 
 

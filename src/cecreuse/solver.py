@@ -71,6 +71,21 @@ class SolveReport:
         return d
 
 
+def _density_order(scenario: Scenario) -> np.ndarray:
+    """Every input, numbered app after app, by p/s descending, ties by
+    that number: the stable argsort of -p/s over all apps.
+
+    The apps' density orders are already sorted runs, so a stable sort of
+    their concatenation merges them; a tie keeps its app order and, within
+    an app, its index order.
+    """
+    bounds = np.cumsum([0] + [len(o) for o in scenario.density_orders])
+    merged = np.argsort(np.concatenate(scenario.sorted_neg_densities),
+                        kind="stable")
+    return np.concatenate([order + b for order, b in
+                           zip(scenario.density_orders, bounds)])[merged]
+
+
 def greedy_cache(scenario: Scenario) -> CacheAssignment:
     """Fill each station in descending p/s order until the next item no
     longer fits (ties broken by (app, input) index).
@@ -78,7 +93,7 @@ def greedy_cache(scenario: Scenario) -> CacheAssignment:
     The stations share one order, so each fills a prefix of it: the
     longest whose running size total stays within its capacity.
     """
-    order = np.argsort(-np.concatenate(scenario.densities), kind="stable")
+    order = _density_order(scenario)
     filled = np.cumsum(np.concatenate(scenario.result_sizes)[order])
     bounds = np.cumsum([0] + [scenario.catalog_size(a)
                               for a in range(scenario.num_apps)])
@@ -127,7 +142,8 @@ def alternating_solve(scenario: Scenario, rounds: int = ROUND_CAP,
                       params: PgdParams = PgdParams()) -> SolveReport:
     """Alternate the caching sweep and the scheduling descent from the
     Greedy state, stopping early once a round improves by less than 1e-6
-    relative.  The cache is one SweepState, which the sweeps rewrite."""
+    relative.  The cache is one SweepState, which the sweeps rewrite; its
+    kept partitions are released before it is returned."""
     t0 = time.perf_counter()
     cache = SweepState(scenario, greedy_cache(scenario))
     sched, obj = _feasible_start(scenario, cache.hit)
@@ -148,6 +164,7 @@ def alternating_solve(scenario: Scenario, rounds: int = ROUND_CAP,
         if prev - cur < ROUND_IMPROVEMENT_TOL * max(abs(prev), 1e-300):
             break
         prev = cur
+    cache.release()
     return SolveReport(algorithm="proposed", objective_trace=trace,
                        cache=cache, sched=sched, final_objective=trace[-1][3],
                        rounds_completed=rounds_completed,
@@ -330,6 +347,7 @@ def solve_noc(scenario: Scenario, rounds: int = ROUND_CAP,
             _descend_together([group[pos] for pos in running],
                               stack.take(running), params, fail)
         for lone in group:
+            lone.cache.release()
             if not alive(lone.station):
                 break
             lone.feasible = not validate(lone.sub, lone.cache, lone.sched)

@@ -159,9 +159,13 @@ def _report_digest(rep):
     (GeneratorParams(seed=42, num_stations=20, num_apps=8, workload_factor=0.5),
      "noc", ROUND_CAP, "38.35106599083215",
      "71f9adf7d38295f7e6352fbc202f1e3068913cf39de85c4ba6065efea0513cf7"),
+    # paper scale, about 156k inputs: exclusive classes of tens of thousands
+    (GeneratorParams(seed=42, k_scale=1), "proposed", ROUND_CAP,
+     "4.1289181100331485",
+     "c351f79ffda09cd1168defdd0accfc7bac8afe87ee490022e24803dd92c63daa"),
 ], ids=["N3-A2-proposed", "N3-A2-greedy", "N3-A2-nor", "N3-A2-noc",
         "default-proposed-r2", "N20-A8-w0.5-proposed-r2", "default-noc",
-        "N20-A8-w0.5-noc"])
+        "N20-A8-w0.5-noc", "paper-proposed"])
 def test_solver_golden_cells(params, algorithm, rounds, objective, digest):
     rep = solve(generate_scenario(params), algorithm, rounds)
     assert rep.feasible

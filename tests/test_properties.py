@@ -1,7 +1,7 @@
 """Property tests: the binary cache type, hit-rate identities, peer-mask
-versions, the caching sweep's station skip, the solve's one sweep state,
-the level search's probes, the batched projection, the blocked line
-search, report JSON."""
+versions and the partitions kept by them, the caching sweep's station
+skip, the solve's one sweep state, the level search's probes, the batched
+projection, the blocked line search, report JSON."""
 import json
 import math
 from dataclasses import replace
@@ -16,8 +16,9 @@ from cecreuse import (CacheAssignment, GeneratorParams, Infeasible,
                       backtrack, compute_hit_rates,
                       generate_scenario, initial_feasible_point,
                       project_decisions, solver)
-from cecreuse.caching import (LEVEL_ACCURACY, EfficiencyContext, SweepState,
-                              _level_rows, _locate_level, _solve_fraction,
+from cecreuse.caching import (LEVEL_ACCURACY, EfficiencyContext, Partition,
+                              SweepState, _level_rows, _level_search,
+                              _locate_level, _prefix_length, _solve_fraction,
                               g_of_B, peer_hit_mass, round_to_binary,
                               solve_caching_bs, sweep_all_stations)
 from cecreuse.delay import (BranchDelays, evaluate_with_rates,
@@ -133,8 +134,8 @@ def peer_masks(cache):
 def test_accept_bumps_exactly_the_versions_whose_peer_mask_flips(case):
     """After each accepted rewrite, the versions that moved are those of
     the stations whose peer mask changed, each by one; the rewriting
-    station's own mask never changes.  The peers every station then gets
-    equal the ones counted from its matrices."""
+    station's own mask never changes.  The partition every station then
+    gets equals the one split from its matrices."""
     sc, cache, rewrites = case
     state = SweepState(sc, copied(cache))
     for n, rows in rewrites:
@@ -146,11 +147,133 @@ def test_accept_bumps_exactly_the_versions_whose_peer_mask_flips(case):
         assert not flipped[n]
         assert (state.versions - versions).tolist() == list(map(int, flipped))
         for j in range(sc.num_stations):
-            counts = [x.sum(axis=0) - x[j] for x in state.entries]
-            peers = state.peers(j)
-            assert all(np.array_equal(a, b) for a, b in zip(peers.counts, counts))
-            assert peers.hit == [peer_hit_mass(p, c)
-                                 for p, c in zip(sc.match_probs, counts)]
+            assert_same_partition(state.peers(j), split_by_masks(state, j))
+
+
+def split_by_masks(cache, j):
+    """Station j's partition as EfficiencyContext once split it on every
+    build: a mask gather over the density order and the prefix sums of the
+    exclusive class."""
+    sc = cache.scenario
+    exc_pos, prefix_p, hit = [], [], []
+    for p, order, x in zip(sc.match_probs, sc.density_orders, cache.entries):
+        counts = x.sum(axis=0) - x[j]
+        cached_by_peer = counts[order] > 0.0
+        exc_pos.append(np.flatnonzero(~cached_by_peer))
+        prefix_p.append(np.concatenate(([0.0], np.cumsum(p[order[~cached_by_peer]]))))
+        hit.append(peer_hit_mass(p, counts))
+    return Partition(exc_pos, prefix_p, hit)
+
+
+def assert_same_partition(got, want):
+    assert all(pos.dtype == np.int32 for pos in got.exc_pos)
+    assert [pos.tolist() for pos in got.exc_pos] == [
+        pos.tolist() for pos in want.exc_pos]
+    assert [s.tobytes() for s in got.prefix_p] == [
+        s.tobytes() for s in want.prefix_p]
+    assert got.hit == want.hit
+
+
+@st.composite
+def tied_rewrite_sequences(draw):
+    """A station cache, up to five binary station rewrites and a scheduling
+    state, on catalogs whose densities p/s tie often, zero included, with
+    storage that may bind and transfer delays that may be 0."""
+    n, n_apps = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    bits = st.sampled_from([0.0, 1.0])
+
+    def pick(values, size):
+        return draw(st.lists(st.sampled_from(values), min_size=size,
+                             max_size=size))
+
+    apps, entries, sizes = [], [], []
+    for _ in range(n_apps):
+        k = draw(st.integers(1, 6))
+        apps.append((1.0, 1e8, list(zip(pick([0.0, 0.02, 0.05], k),
+                                        pick([1e3, 2e3, 4e3], k)))))
+        entries.append(np.array(pick([0.0, 1.0], n * k)).reshape(n, k))
+        sizes.append(k)
+    rates = tuple(tuple(pick([0.0, 1.0, 5.0], n_apps)) for _ in range(n))
+    sc = build_scenario((4e9,) * n, pick([0.0, 3e3, 1e4, 1e9], n),
+                        pick([0.0, 0.01, 0.5], n), rates, apps)
+    rewrites = [(draw(st.integers(0, n - 1)),
+                 [np.array(pick([0.0, 1.0], k)) for k in sizes])
+                for _ in range(draw(st.integers(0, 5)))]
+    shape = (n_apps, n)
+    sched = SchedulingState(
+        lam=np.array(pick([0.0, 0.3, 1.0], n_apps * n)).reshape(shape),
+        fshare=np.array(pick([0.2, 0.5], n_apps * n)).reshape(shape),
+        y=np.array(draw(st.lists(bits, min_size=n_apps * n,
+                                 max_size=n_apps * n))).reshape(shape))
+    return sc, CacheAssignment(entries), rewrites, sched
+
+
+def pinned_tie_case(transfer):
+    """Two stations, one app of four inputs: three share the density 2e-5,
+    and station 1 caches two of them, so station 0 sees a replicated run of
+    ties.  With transfer 0 at station 0 its replicated efficiencies are all
+    -0.0, and none is cached at any level."""
+    sc = build_scenario((4e9, 4e9), (3e3, 1e4), (transfer, 0.01),
+                        ((5.0,), (1.0,)),
+                        [(1.0, 1e8, [(0.02, 1e3), (0.05, 1e3), (0.02, 1e3),
+                                     (0.04, 2e3)])])
+    cache = CacheAssignment([np.array([[0.0, 0.0, 0.0, 0.0],
+                                       [1.0, 0.0, 1.0, 1.0]])])
+    sched = SchedulingState(lam=np.array([[0.7, 0.3]]),
+                            fshare=np.ones((1, 2)), y=np.ones((1, 2)))
+    return sc, cache, [(1, [np.array([1.0, 1.0, 0.0, 1.0])])], sched
+
+
+@PROPERTY
+@example(pinned_tie_case(0.5))
+@example(pinned_tie_case(0.0))
+@given(tied_rewrite_sequences())
+def test_kept_partitions_give_the_contexts_of_a_fresh_split(case):
+    """Through random accepted rewrites, every station's kept partition is
+    bit-equal to a fresh split of its matrices, and a context on it searches
+    its level as a context built from the cache does.  At every replicated
+    efficiency, where ties sit at the boundary, its rows equal the rows
+    chosen by a mask over those efficiencies."""
+    sc, cache, rewrites, sched = case
+    state = SweepState(sc, copied(cache))
+    for n, rows in [(None, None)] + rewrites:
+        if n is not None:
+            state.accept(n, rows, *state.candidate(n, rows))
+        for j in range(sc.num_stations):
+            kept = state.peers(j)
+            assert_same_partition(kept, split_by_masks(state, j))
+            ctx = EfficiencyContext(sc, state, sched, j, kept)
+            fresh = EfficiencyContext(sc, copied(state), sched, j)
+            try:
+                want = _level_search(fresh)
+            except MalformedInput:
+                with pytest.raises(MalformedInput):
+                    _level_search(ctx)
+                continue
+            got = _level_search(ctx)
+            assert [r.tobytes() for r in got[0]] == [r.tobytes() for r in want[0]]
+            assert got[1:] == want[1:]
+            levels = {float(e) for effs in ctx.rep_eff for e in effs}
+            for level in sorted(levels) + [0.0, -0.0]:
+                assert ([r.tobytes() for r in g_of_B(ctx, level)]
+                        == [r.tobytes() for r in eager_g_of_B(fresh, level)])
+
+
+def test_prefix_length_gallops_from_any_guess():
+    """The end of a true prefix, found from every guess with O(log) asks,
+    so a long run of ties around a poor guess costs no linear scan."""
+    for n in range(0, 40):
+        for length in range(n + 1):
+            for guess in range(n + 1):
+                asked = []
+
+                def holds(j):
+                    assert 0 <= j < n
+                    asked.append(j)
+                    return j < length
+
+                assert _prefix_length(holds, n, guess) == length
+                assert len(asked) <= 2 * max(n, 1).bit_length() + 2
 
 
 def sweep_solving_every_station(scenario, cache, sched, passes):

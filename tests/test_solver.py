@@ -1,4 +1,5 @@
 """Alternating minimization and the three baselines."""
+import gc
 import json
 from dataclasses import replace
 
@@ -105,6 +106,22 @@ def test_greedy_cache_ratio_order():
                         [(1.0, 4e8, [(0.3, 1.0), (0.2, 1.0), (0.25, 2.0)])])
     cache = greedy_cache(sc)
     assert cache.entries[0][0].tolist() == [1.0, 1.0, 0.0]
+
+
+def test_merged_density_order_equals_one_stable_argsort():
+    # p and s from short lists: densities tie within apps and across them,
+    # zero included
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        apps = [(1.0, 4e8, [(float(rng.choice([0.0, 0.01, 0.02])),
+                             float(rng.choice([1e3, 2e3])))
+                            for _ in range(rng.integers(1, 8))])
+                for _ in range(rng.integers(1, 5))]
+        sc = build_scenario((2e9,), (1e4,), (0.02,), ((1.0,) * len(apps),),
+                            apps)
+        densities = [p / s for p, s in zip(sc.match_probs, sc.result_sizes)]
+        want = np.argsort(-np.concatenate(densities), kind="stable")
+        assert solver._density_order(sc).tolist() == want.tolist()
 
 
 def test_greedy_cache_respects_storage(default_scenario):
@@ -222,6 +239,41 @@ def test_start_point_is_tabled_once_per_point(monkeypatch, params, make_cache,
     sched, obj = solver._feasible_start(sc, hit)
     assert len(calls) == tables
     assert obj == evaluate_objective(sc, cache, sched, frozen_y=sched.y).objective
+
+
+def reachable(root):
+    """Every object reachable from ``root`` through gc referents."""
+    seen, todo = {id(root): root}, [root]
+    while todo:
+        for ref in gc.get_referents(todo.pop()):
+            if id(ref) not in seen:
+                seen[id(ref)] = ref
+                todo.append(ref)
+    return seen.values()
+
+
+@pytest.mark.parametrize("algorithm", ["proposed", "noc"])
+def test_kept_partitions_are_released_with_the_solve(monkeypatch, algorithm):
+    # the sweep keeps a partition per station from round to round; none is
+    # left in the report's cache, nor alive anywhere once the solve returns
+    built = set()
+    build = caching.Partition.build.__func__
+
+    def recorded(cls, scenario, counts):
+        part = build(cls, scenario, counts)
+        built.add(id(part))
+        return part
+
+    monkeypatch.setattr(caching.Partition, "build", classmethod(recorded))
+    sc = generate_scenario(GeneratorParams(seed=42, num_stations=3, num_apps=2,
+                                           k_scale=0.002))
+    rep = solve(sc, algorithm)
+    gc.collect()
+    assert built
+    assert not [o for o in reachable(rep.cache)
+                if isinstance(o, caching.Partition)]
+    assert not [o for o in gc.get_objects()
+                if isinstance(o, caching.Partition) and id(o) in built]
 
 
 def test_determinism_modulo_wall_time(default_scenario):
