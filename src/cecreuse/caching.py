@@ -415,24 +415,22 @@ def _fits(ctx: EfficiencyContext, level: float, cap: float) -> bool:
 
 
 def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
-                     sched: SchedulingState, station: int,
-                     peers: Partition | None = None
+                     sched: SchedulingState, station: int
                      ) -> tuple[list[np.ndarray], float]:
     """Relaxed cache placement for one station under frozen scheduling.
 
     Bisects the level B on [floor, 0] against the storage constraint and
     returns the station rows together with the level actually used.  Falls
     back to the last certainly-fitting level if the midpoint overshoots.
-    ``peers`` is passed on to EfficiencyContext.  A floor that is not
-    finite (an overflowed p/s or transfer cost) would never let the bisection
-    end, so it is MalformedInput.
+    A floor that is not finite (an overflowed p/s or transfer cost) would
+    never let the bisection end, so it is MalformedInput.
 
     Each probe (_fits) gives the verdict of
     ``_rows_storage(scenario, g_of_B(ctx, B)) < cap`` but solves the
     boundary fractions only when the storage bounds straddle the capacity;
     the module docstring states the rule and why it is exact.
     """
-    ctx = EfficiencyContext(scenario, cache, sched, station, peers)
+    ctx = EfficiencyContext(scenario, cache, sched, station)
     rows, _boundary, level = _level_search(ctx)
     return rows, level
 

@@ -26,7 +26,7 @@ from .experiments import (AXES, GeneratorParams, SweepSpec,
 from .model import compute_hit_rates, load_scenario, save_scenario
 from .queuesim import QueueSimConfig, analytic_mean, simulate
 from .scheduling import PgdParams, initial_feasible_point
-from .solver import ALGORITHMS, ROUND_CAP, greedy_cache, solve
+from .solver import ALGORITHMS, ROUND_CAP, check_rounds, greedy_cache, solve
 
 DEFAULT_VALUES = {"workload": "0.5,0.75,1.0,1.25,1.5",
                   "stations": "5,10,15,20",
@@ -98,9 +98,12 @@ def _write_trace_csv(trace, path: str) -> None:
 
 def cmd_solve(args) -> int:
     scenario = load_scenario(args.config)
-    rep = solve(scenario, args.algorithm, args.rounds,
-                PgdParams(theta0=args.theta0))
+    params = PgdParams(theta0=args.theta0)
+    check_rounds(args.rounds)
+    # bad settings leave no directory behind, and an output path that
+    # cannot be one fails before the solve, not after it
     os.makedirs(args.output, exist_ok=True)
+    rep = solve(scenario, args.algorithm, args.rounds, params)
     with open(os.path.join(args.output, "report.json"), "w") as fh:
         json.dump(rep.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -281,8 +284,7 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
-    except (MalformedInput, FileNotFoundError, IsADirectoryError,
-            json.JSONDecodeError) as exc:
+    except (MalformedInput, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CecReuseError as exc:

@@ -120,14 +120,14 @@ class EvalResult:
     stacked on a leading axis of lam and fshare.
 
     ``objective`` is None when some station carries load without a stable
-    service branch, and on a block, whose k-th point is ``point(k)`` and
-    whose ``objectives()`` are its points'; ``stable`` holds that test per
-    point.  On a ScenarioStack a point is one
-    decision per problem of the stack: ``objective`` then holds one value
-    per problem, NaN where that problem is unstable.  Delays are per (app,
-    station) with 0 where no traffic is routed and no CPU assigned, and None
-    when no point is stable.  ``table`` holds the branch delays the points
-    were evaluated from; ``weights`` are the apps' objective weights.
+    service branch, and on a block, whose ``objectives()`` are its
+    points'; ``stable`` holds that test per point.  On a ScenarioStack a
+    point is one decision per problem of the stack: ``objective`` then
+    holds one value per problem, NaN where that problem is unstable.
+    Delays are per (app, station) with 0 where no traffic is routed and no
+    CPU assigned, and None when no point is stable.  ``table`` holds the
+    branch delays the points were evaluated from; ``weights`` are the apps'
+    objective weights.
     """
 
     objective: float | None
@@ -149,24 +149,6 @@ class EvalResult:
         if self.app_delays is None:
             return np.full(self.stable.shape, np.nan)
         return np.asarray(_weighted(self.weights, self.app_delays, self.stable))
-
-    def point(self, k: int) -> EvalResult:
-        """The k-th point of a block, as evaluating it alone would give.
-
-        Arrays with the block's leading axis are sliced; ``srv1``, ``sq``
-        and flags given for the whole block are shared.
-        """
-        lead = self.table.f.ndim
-        table = BranchDelays(*(x[k] if x.ndim == lead else x
-                               for x in self.table))
-        y = self.y[k] if self.y.ndim == lead else self.y
-        stable = self.stable[k]
-        if not stable.any():
-            return EvalResult(None, None, None, y, table, stable, self.weights)
-        app_delays = self.app_delays[k]
-        return EvalResult(_weighted(self.weights, app_delays, stable),
-                          app_delays, self.station_delays[k], y, table, stable,
-                          self.weights)
 
 
 def _weighted(weights: np.ndarray, app_delays: np.ndarray, stable: np.ndarray):
@@ -240,9 +222,9 @@ def evaluate_with_rates(scenario: Scenario, total_hit: np.ndarray,
     ``lam`` and ``fshare`` may carry a leading axis, a block of points
     evaluated in one broadcast; every elementwise operation and every
     per-point sum is then the one a single point takes, and the points'
-    objectives are left to ``objectives()`` and ``point(k)``.  On a
-    ScenarioStack the hit rates, ``lam``, ``fshare`` and ``y`` carry its
-    problem axis, after any block axis.
+    objectives are left to ``objectives()``.  On a ScenarioStack the hit
+    rates, ``lam``, ``fshare`` and ``y`` carry its problem axis, after any
+    block axis.
     """
     t = branch_tables(scenario, total_hit, lam, fshare) if table is None else table
     dt = scenario.transfer_delays[..., None, :]

@@ -34,11 +34,11 @@ class UnstableConfig(CecReuseError):
 
 
 class LineSearchExhausted(CecReuseError):
-    """Backtracking hit the backtrack limit without an acceptable step."""
+    """Backtracking hit the backtrack limit without an acceptable step.
 
-    def __init__(self, message, tried=None):
-        super().__init__(message)
-        self.tried = tried
+    Nothing in the package raises it: an exhausted line search keeps its
+    point and ends that problem's descent.  The class stays because the
+    benchmark harness (perfbench/layers.py) imports it."""
 
 
 class EmptyVector(CecReuseError):

@@ -187,8 +187,8 @@ def _solve_cell(args) -> dict:
     except MalformedInput:
         raise
     except CecReuseError:
-        # a solver failure in one cell (infeasible, unstable or line
-        # search) leaves that cell infeasible, not the sweep aborted
+        # a solver failure in one cell (infeasible or unstable) leaves
+        # that cell infeasible, not the sweep aborted
         return row
     row["total_delay_s"] = rep_.final_objective
     row["avg_delay_s"] = rep_.final_objective / scenario.num_stations
@@ -201,13 +201,13 @@ def _solve_cell(args) -> dict:
 def run_sweep(spec: SweepSpec, params: GeneratorParams) -> list[dict]:
     """All cells of a sweep, ordered by (value, repetition, algorithm).
 
-    Cells whose solve raises a solver error (Infeasible, StabilityViolation,
-    LineSearchExhausted, ...) come back tagged (feasible False, empty
+    Cells whose solve raises a solver error (Infeasible,
+    StabilityViolation, ...) come back tagged (feasible False, empty
     delays) rather than failing the sweep; MalformedInput still propagates.
     A solve whose decision fails model.validate keeps its delays with
-    feasible False.  CEC_REUSE_THREADS (an integer,
-    at least 1) sets the number of worker processes the cells run in; the
-    row order does not depend on it.
+    feasible False.  CEC_REUSE_THREADS (an integer, at least 1) sets the
+    number of worker processes the cells run in; the row order does not
+    depend on it.
     """
     if not spec.values:
         raise MalformedInput("sweep needs at least one axis value")

@@ -25,8 +25,8 @@ import numpy as np
 from .delay import (BranchDelays, EvalResult, branch_tables,
                     evaluate_with_rates, gradient_with_rates,
                     selected_stability)
-from .errors import (EmptyVector, Infeasible, LineSearchExhausted,
-                     MalformedInput, StabilityViolation)
+from .errors import (EmptyVector, Infeasible, MalformedInput,
+                     StabilityViolation)
 from .model import HitRateTable, Scenario, ScenarioStack, SchedulingState
 
 
@@ -100,23 +100,20 @@ class StackStep(NamedTuple):
 
 def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
               direction: tuple[np.ndarray, np.ndarray], base_obj, grad_dot_dir):
-    """Smallest j whose step beta^j meets the decrease and margin tests.
+    """Each problem's smallest j whose step beta^j meets the decrease and
+    margin tests.
 
-    A step passes when its objective is no higher than ``base_obj`` and
-    meets the Armijo test.  The steps are tabled STEP_BLOCK at a time:
+    ``point`` and ``direction`` carry a leading problem axis, and
+    ``base_obj`` and ``grad_dot_dir`` hold one value per problem.  A step
+    passes when its objective is no higher than the problem's ``base_obj``
+    and meets the Armijo test.  The steps are tabled STEP_BLOCK at a time:
     objective_fn takes lam and fshare with a leading step axis and returns
-    an evaluation of the block, whose ``objectives()`` holds each step's
-    objective, NaN on points that are unstable or inside the stability
-    margin, and whose ``point(k)`` is its k-th point.  A block is tested at
-    once and its first passing step wins, so the result is the one a
-    step-by-step search gives.  Returns (j, lam, fshare, evaluation) of the
-    accepted point.
-
-    On a stack of problems, ``point`` carries the problem axis and
-    ``base_obj`` and ``grad_dot_dir`` hold one value per problem.  The test
-    runs per (step, problem): each problem takes its first passing step,
-    and blocks are tabled while some problem has none.  Returns
-    (backtracks, lam, fshare, StackStep), where backtracks sums the
+    an evaluation of the block, whose ``objectives()`` holds each (step,
+    problem) objective, NaN on points that are unstable or inside the
+    stability margin.  The test runs per (step, problem): each problem
+    takes its first passing step, and blocks are tabled while some problem
+    has none, so each result is the one a step-by-step search gives.
+    Returns (backtracks, lam, fshare, StackStep), where backtracks sums the
     accepted steps' j; a problem whose search is exhausted keeps its point
     and raises nothing.
     """
@@ -131,15 +128,13 @@ def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
         fsh = point[1] + sizes[lead] * direction[1]
         block = objective_fn(lam, fsh)
         obj = block.objectives()
-        bound = (-ALPHA * sizes)[lead[:1 + base.ndim]] * grad_dot_dir
+        bound = (-ALPHA * sizes)[:, None] * grad_dot_dir
         passed = (obj <= base) & (base - obj >= bound)
         if taken is not None:
             passed &= steps > J_MAX
         if not passed.any():
             continue
         k = passed.argmax(axis=0)   # each problem's first passing step
-        if not base.ndim:
-            return first + int(k), lam[k], fsh[k], block.point(k)
         new = passed.any(axis=0)
         if taken is None and new.all() and (k == k[0]).all():
             # every problem takes the same step: the block's slice of it
@@ -161,10 +156,6 @@ def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
             mine[new] = x[at] if x.ndim == lam.ndim else x[new]
         if (steps <= J_MAX).all():
             break
-    if not base.ndim:
-        raise LineSearchExhausted(
-            "no backtracking step met the decrease and margin tests",
-            tried=J_MAX + 1)
     if taken is None:
         return 0, point[0], point[1], StackStep(
             steps, np.full(base.shape, np.nan), None)
@@ -310,9 +301,9 @@ def initial_feasible_point(scenario: Scenario, hit: HitRateTable
     some queue is overloaded, each app's excess load moves to its
     largest-slack stations; if a row cannot fit under the current split,
     fshare is rebalanced proportionally to the demanded cycle rates and the
-    shift is retried.  Returns the point with its evaluation (search flags
-    re-chosen, margin 0), tabled once unless the repair moved it.  Raises
-    Infeasible when no stable point is found.
+    shift runs again, up to four shifts in all.  Returns the point with its
+    evaluation (search flags re-chosen, margin 0), tabled once unless the
+    repair moved it.  Raises Infeasible when no stable point is found.
     """
     A, N = scenario.num_apps, scenario.num_stations
     caps = scenario.compute_capacities

@@ -390,6 +390,12 @@ def solve_noc(scenario: Scenario, rounds: int = ROUND_CAP,
                        feasible=feasible)
 
 
+def check_rounds(rounds) -> None:
+    """A round cap is an integer >= 0; anything else is MalformedInput."""
+    if not (isinstance(rounds, (int, np.integer)) and rounds >= 0):
+        raise MalformedInput(f"rounds must be an integer >= 0, got {rounds!r}")
+
+
 def solve(scenario: Scenario, algorithm: str, rounds: int = ROUND_CAP,
           params: PgdParams = PgdParams()) -> SolveReport:
     """Run the solver named by ``algorithm``, one of ALGORITHMS.
@@ -397,8 +403,7 @@ def solve(scenario: Scenario, algorithm: str, rounds: int = ROUND_CAP,
     ``rounds`` caps the alternation (NoR: its iteration budget in rounds);
     Greedy ignores it and ``params``.
     """
-    if not (isinstance(rounds, (int, np.integer)) and rounds >= 0):
-        raise MalformedInput(f"rounds must be an integer >= 0, got {rounds!r}")
+    check_rounds(rounds)
     if algorithm == "proposed":
         return alternating_solve(scenario, rounds, params)
     if algorithm == "greedy":

@@ -278,6 +278,25 @@ def test_solve_rejects_bad_solver_settings(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("output", ["afile", "afile/sub"],
+                         ids=["existing-file", "below-a-file"])
+def test_solve_rejects_an_output_that_cannot_be_a_directory(
+        tmp_path, scenario_json, monkeypatch, capsys, output):
+    # the output directory is made before the solve, so a path that cannot
+    # be one is a usage error at once, not a traceback after the solve
+    (tmp_path / "afile").write_text("kept")
+
+    def never(*args, **kwargs):
+        raise AssertionError("solve ran although its output path is bad")
+
+    monkeypatch.setattr(cli, "solve", never)
+    assert cli.main(["solve", "--config", str(scenario_json),
+                     "--output", str(tmp_path / output), "--rounds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert (tmp_path / "afile").read_text() == "kept"
+
+
 def test_solve_has_no_seed_flag(tmp_path):
     # solve reads its scenario from --config; a seed would set nothing
     config = tmp_path / "scenario.json"

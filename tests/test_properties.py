@@ -5,6 +5,7 @@ projection, the blocked line search, report JSON."""
 import json
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cecreuse import (CacheAssignment, GeneratorParams, Infeasible,
-                      LineSearchExhausted, MalformedInput, SchedulingState,
+                      MalformedInput, SchedulingState,
                       backtrack, compute_hit_rates,
                       generate_scenario, initial_feasible_point,
                       project_decisions, solver)
@@ -25,7 +26,8 @@ from cecreuse.delay import (BranchDelays, evaluate_with_rates,
                             gradient_with_rates, hit_derivative)
 from cecreuse.scheduling import (ALPHA, BETA, DELTA_STAB, J_MAX, STEP_BLOCK,
                                  solve_scheduling)
-from cecreuse.model import dot, rows_storage
+from cecreuse.model import (HitRateTable, Scenario, ScenarioStack, dot,
+                            rows_storage)
 
 from conftest import build_scenario
 
@@ -634,15 +636,34 @@ def per_step_backtrack(objective_fn, point, direction, base_obj, grad_dot_dir):
     return None
 
 
+class Search(NamedTuple):
+    """One line search of one problem, with what evaluates its steps."""
+    scenario: Scenario
+    hit: HitRateTable
+    y: np.ndarray
+    point: tuple[np.ndarray, np.ndarray]
+    direction: tuple[np.ndarray, np.ndarray]
+    base_obj: float
+    grad_dot: float
+    margin: float
+
+    def evaluate(self, lam, fsh, margin=None):
+        """The point (lam, fsh) evaluated alone, at the search's margin
+        unless ``margin`` is given."""
+        return evaluate_with_rates(
+            self.scenario, self.hit.total, self.hit.neighbor, lam, fsh,
+            y=self.y, margin=self.margin if margin is None else margin)
+
+
 def make_search(seed, stations, apps, projected, scale_exp, base_shift,
-                margin):
+                margin, flipped=False):
     """A line search from the start point of a generated scenario.
 
     The direction is the projected-gradient one or a random one, scaled by
     2^scale_exp so that the long steps leave the stable region; the base
     objective is lowered by ``base_shift`` of itself, so that 1.0 leaves
-    no step to accept.  Returns (objective_fn, point, direction, base_obj,
-    grad_dot, evaluate at margin 0).
+    no step to accept.  The search flags are the start's, or their
+    complement when ``flipped``.
     """
     sc = generate_scenario(GeneratorParams(seed=seed, num_stations=stations,
                                            num_apps=apps, k_scale=0.002))
@@ -660,14 +681,31 @@ def make_search(seed, stations, apps, projected, scale_exp, base_shift,
     direction = tuple(2.0 ** scale_exp * d for d in direction)
     grad_dot = float(np.sum(grad.dlam * direction[0])
                      + np.sum(grad.dfshare * direction[1]))
+    return Search(sc, hit, 1 - res.y if flipped else res.y,
+                  (start.lam, start.fshare), direction,
+                  res.objective * (1.0 - base_shift), grad_dot, margin)
 
-    def evaluate(lam, fsh, margin=margin):
-        return evaluate_with_rates(sc, hit.total, hit.neighbor, lam, fsh,
-                                   y=res.y, margin=margin)
 
-    return (evaluate, (start.lam, start.fshare), direction,
-            res.objective * (1.0 - base_shift), grad_dot,
-            lambda lam, fsh: evaluate(lam, fsh, 0.0))
+def stacked_backtrack(searches):
+    """backtrack on the stack of ``searches``, one problem each, called as
+    the descent calls it."""
+    def stacked(get):
+        return np.stack([get(s) for s in searches])
+
+    stack = ScenarioStack.of([s.scenario for s in searches])
+    total = stacked(lambda s: s.hit.total)
+    neighbor = stacked(lambda s: s.hit.neighbor)
+    y, margin = stacked(lambda s: s.y), searches[0].margin
+
+    def objective_fn(lam, fsh):
+        return evaluate_with_rates(stack, total, neighbor, lam, fsh, y=y,
+                                   margin=margin)
+
+    point = tuple(stacked(lambda s: s.point[i]) for i in range(2))
+    direction = tuple(stacked(lambda s: s.direction[i]) for i in range(2))
+    return backtrack(objective_fn, point, direction,
+                     stacked(lambda s: s.base_obj),
+                     stacked(lambda s: s.grad_dot))
 
 
 def same_bits(a, b):
@@ -675,33 +713,35 @@ def same_bits(a, b):
             and a.tobytes() == b.tobytes())
 
 
-def search_both_ways(objective_fn, point, direction, base_obj, grad_dot,
-                     unmargined):
-    """Assert that the blocked search returns what the per-step loop does,
-    bit for bit, or that both exhaust; return what the per-step loop met:
-    "unstable" and "margin" steps, "later block" or "exhausted"."""
+def search_both_ways(search):
+    """Assert that the blocked search on a stack of one returns what the
+    per-step loop does, bit for bit, or that both exhaust; return what the
+    per-step loop met: "unstable" and "margin" steps, "later block" or
+    "exhausted"."""
     kinds = set()
 
     def watched(lam, fsh):
-        res = objective_fn(lam, fsh)
+        res = search.evaluate(lam, fsh)
         if res.objective is None:
-            kinds.add("margin" if unmargined(lam, fsh).feasible else "unstable")
+            kinds.add("margin" if search.evaluate(lam, fsh, 0.0).feasible
+                      else "unstable")
         return res
 
-    want = per_step_backtrack(watched, point, direction, base_obj, grad_dot)
+    want = per_step_backtrack(watched, search.point, search.direction,
+                              search.base_obj, search.grad_dot)
+    got = stacked_backtrack([search])
     if want is None:
-        with pytest.raises(LineSearchExhausted) as err:
-            backtrack(objective_fn, point, direction, base_obj, grad_dot)
-        assert err.value.tried == J_MAX + 1
+        # an exhausted search keeps its point and reports J_MAX + 1
+        assert got[0] == 0 and got[3].steps.tolist() == [J_MAX + 1]
+        assert same_bits(got[1], search.point[0][None])
+        assert same_bits(got[2], search.point[1][None])
+        assert np.isnan(got[3].objective).all() and got[3].table is None
         return kinds | {"exhausted"}
-    got = backtrack(objective_fn, point, direction, base_obj, grad_dot)
-    assert got[0] == want[0]
-    assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
-    assert repr(got[3].objective) == repr(want[3].objective)
-    for name in ("app_delays", "station_delays", "y"):
-        assert same_bits(getattr(got[3], name), getattr(want[3], name)), name
+    assert got[0] == want[0] and got[3].steps.tolist() == [want[0]]
+    assert same_bits(got[1], want[1][None]) and same_bits(got[2], want[2][None])
+    assert repr(float(got[3].objective[0])) == repr(want[3].objective)
     for name, a, b in zip(BranchDelays._fields, got[3].table, want[3].table):
-        assert same_bits(a, b), name
+        assert same_bits(a, b[None]), name
     return kinds | ({"later block"} if want[0] >= STEP_BLOCK else set())
 
 
@@ -718,7 +758,7 @@ def test_blocked_line_search_equals_the_per_step_loop(
                              base_shift, margin)
     except Infeasible:
         assume(False)
-    search_both_ways(*search)
+    search_both_ways(search)
 
 
 # (seed, stations, apps, projected, scale_exp, base_shift, margin) -> a kind
@@ -730,7 +770,71 @@ def test_blocked_line_search_equals_the_per_step_loop(
     ((42, 3, 2, False, 0, 1.0, DELTA_STAB), "exhausted"),
 ])
 def test_blocked_line_search_cases(case, kind):
-    assert kind in search_both_ways(*make_search(*case))
+    assert kind in search_both_ways(make_search(*case))
+
+
+def stack_equals_each_alone(searches):
+    """Assert that the line search over the stack of ``searches`` gives
+    each problem what its search on a stack of one gives, bit for bit, and
+    sums the accepted steps; return what the stack met: "blocks" when
+    problems accepted in different blocks, "exhausted" when some problem
+    exhausted while another accepted."""
+    got = stacked_backtrack(searches)
+    alone = [stacked_backtrack([s]) for s in searches]
+    steps = got[3].steps
+    assert got[0] == sum(one[0] for one in alone) == int(
+        steps[steps <= J_MAX].sum())
+    for p, one in enumerate(alone):
+        assert steps[p] == one[3].steps[0], p
+        assert same_bits(got[1][p], one[1][0]) and same_bits(got[2][p], one[2][0])
+        assert repr(float(got[3].objective[p])) == repr(float(one[3].objective[0]))
+        if steps[p] <= J_MAX:
+            for name, a, b in zip(BranchDelays._fields, got[3].table,
+                                  one[3].table):
+                assert same_bits(a[p], b[0]), (p, name)
+    accepted = steps[steps <= J_MAX]
+    kinds = set()
+    if len(set((accepted // STEP_BLOCK).tolist())) > 1:
+        kinds.add("blocks")
+    if accepted.size and accepted.size < steps.size:
+        kinds.add("exhausted")
+    return kinds
+
+
+# (projected, scale_exp, base_shift, flipped) of each problem
+PROBLEM = st.tuples(st.booleans(), st.integers(0, 24),
+                    st.sampled_from([0.0, 1e-9, 1.0]), st.booleans())
+
+
+@PROPERTY
+@given(seed=st.integers(0, 10_000), stations=st.integers(1, 5),
+       apps=st.integers(1, 4), margin=st.sampled_from([0.0, DELTA_STAB, 0.5]),
+       problems=st.lists(PROBLEM, min_size=2, max_size=4))
+def test_stacked_line_search_equals_each_problem_alone(seed, stations, apps,
+                                                       margin, problems):
+    try:
+        searches = [make_search(seed, stations, apps, projected, scale_exp,
+                                base_shift, margin, flipped)
+                    for projected, scale_exp, base_shift, flipped in problems]
+    except Infeasible:
+        assume(False)
+    stack_equals_each_alone(searches)
+
+
+# problems of the seed-42 scenario (3 stations, 2 apps, margin DELTA_STAB)
+# -> what their stack meets
+@pytest.mark.parametrize("problems,kind", [
+    (((True, 12, 0.0, False), (True, 0, 0.0, False)), "blocks"),
+    (((True, 0, 0.0, False), (False, 0, 1.0, False)), "exhausted"),
+    (((False, 0, 1.0, False), (True, 12, 0.0, False), (True, 0, 0.0, False)),
+     "blocks"),
+    (((False, 0, 1.0, False), (True, 12, 0.0, False), (True, 0, 0.0, False)),
+     "exhausted"),
+])
+def test_stacked_line_search_cases(problems, kind):
+    searches = [make_search(42, 3, 2, *p[:3], DELTA_STAB, p[3])
+                for p in problems]
+    assert kind in stack_equals_each_alone(searches)
 
 
 def per_station_noc(scenario):

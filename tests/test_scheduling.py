@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cecreuse import (CacheAssignment, EmptyVector, GeneratorParams, Infeasible,
-                      LineSearchExhausted, MalformedInput, PgdParams,
+                      MalformedInput, PgdParams,
                       SchedulingState, backtrack, compute_hit_rates,
                       evaluate_objective, generate_scenario, greedy_cache,
                       initial_feasible_point, project_decisions,
@@ -91,58 +91,69 @@ def test_project_decisions_rows_and_columns():
 
 
 def scalar_problem(fn, x0, d, blocks=None):
-    """Wrap a scalar objective into the batched (lam, fshare) interface: a
-    block of steps comes in on a leading axis, the evaluation's
-    objectives() holds every step's objective (NaN where ``fn`` gives None)
-    and its point(k) the k-th step's.  ``blocks``, when given, collects
-    each block's steps."""
-    point = (np.array([[x0]]), np.zeros((1, 1)))
-    direction = (np.array([[d]]), np.zeros((1, 1)))
+    """Wrap a scalar objective into a one-problem stack of the batched
+    (lam, fshare) interface: a block of steps comes in on a leading axis,
+    the evaluation's objectives() holds every (step, problem) objective
+    (NaN where ``fn`` gives None) and every field of its table is the
+    block's lam.  ``blocks``, when given, collects each block's steps."""
+    point = (np.array([[[x0]]]), np.zeros((1, 1, 1)))
+    direction = (np.array([[[d]]]), np.zeros((1, 1, 1)))
 
     def objective(lam, fsh):
-        xs = [float(x) for x in lam[:, 0, 0]]
+        xs = [float(x) for x in lam[:, 0, 0, 0]]
         if blocks is not None:
             blocks.append(xs)
         values = [fn(x) for x in xs]
         return SimpleNamespace(
-            objectives=lambda: np.array([np.nan if v is None else v
+            objectives=lambda: np.array([[np.nan if v is None else v]
                                          for v in values]),
-            point=lambda k: SimpleNamespace(objective=values[k]))
+            table=delay.BranchDelays(*[lam] * len(delay.BranchDelays._fields)))
 
     return objective, point, direction
 
 
+def search(fn, base, grad_dot, blocks=None):
+    """backtrack on the one-problem stack of ``fn`` from 0 along +1."""
+    objective, point, direction = scalar_problem(fn, 0.0, 1.0, blocks)
+    return backtrack(objective, point, direction, np.array([base]),
+                     np.array([grad_dot]))
+
+
 def test_backtrack_full_step_accepted():
     fn = lambda x: (x - 1.0) ** 2
-    objective, point, direction = scalar_problem(fn, 0.0, 1.0)
-    j, lam, _, res = backtrack(objective, point, direction, fn(0.0), -2.0)
-    assert j == 0 and lam[0, 0] == 1.0 and res.objective == 0.0
+    j, lam, _, step = search(fn, fn(0.0), -2.0)
+    assert j == 0 and lam[0, 0, 0] == 1.0
+    assert step.steps.tolist() == [0] and step.objective.tolist() == [0.0]
+    assert step.table.f.tolist() == [[[1.0]]]   # the accepted step's slice
 
 
 def test_backtrack_shrinks_overshoot():
     fn = lambda x: (x - 0.2) ** 2
-    objective, point, direction = scalar_problem(fn, 0.0, 1.0)
-    j, lam, _, _ = backtrack(objective, point, direction, fn(0.0), -0.4)
+    j, lam, _, step = search(fn, fn(0.0), -0.4)
     # step 1 and 1/2 fail the sufficient-decrease test, 1/4 passes
-    assert j == 2 and lam[0, 0] == pytest.approx(0.25)
+    assert j == 2 and lam[0, 0, 0] == pytest.approx(0.25)
+    assert step.steps.tolist() == [2]
 
 
 def test_backtrack_margin_gate_keeps_boundary_distance():
     # points inside the margin evaluate to None, as unstable ones do
     fn = lambda x: (x - 1.0) ** 2 if x <= 0.6 else None
-    objective, point, direction = scalar_problem(fn, 0.0, 1.0)
-
-    j, lam, _, _ = backtrack(objective, point, direction, fn(0.0), -2.0)
-    assert j == 1 and lam[0, 0] == pytest.approx(0.5) and lam[0, 0] <= 0.6
+    j, lam, _, _ = search(fn, fn(0.0), -2.0)
+    assert j == 1 and lam[0, 0, 0] == pytest.approx(0.5) and lam[0, 0, 0] <= 0.6
 
 
 def test_backtrack_exhaustion():
+    # an exhausted search raises nothing: it keeps its point and reports
+    # the step J_MAX + 1, a NaN objective and no table
     blocks = []
     objective, point, direction = scalar_problem(lambda x: None, 0.0, 1.0,
                                                  blocks)
-    with pytest.raises(LineSearchExhausted) as err:
-        backtrack(objective, point, direction, 1.0, -1.0)
-    assert err.value.tried == J_MAX + 1
+    j, lam, fsh, step = backtrack(objective, point, direction,
+                                  np.array([1.0]), np.array([-1.0]))
+    assert j == 0 and lam is point[0] and fsh is point[1]
+    assert step.steps.tolist() == [J_MAX + 1]
+    assert np.isnan(step.objective).all() and step.objective.shape == (1,)
+    assert step.table is None
     # every step 2^-j, j = 0..J_MAX, tabled once, STEP_BLOCK at a time
     assert [len(b) for b in blocks] == [STEP_BLOCK] * 7 + [5]
     assert [x for b in blocks for x in b] == [2.0 ** -j for j in range(J_MAX + 1)]
@@ -153,10 +164,10 @@ def test_backtrack_never_accepts_an_increase():
     # the first steps' small increases would pass it; only the first step
     # that does not raise the objective is taken
     fn = lambda x: 0.1 * x if x > 0.1 else 0.0
-    objective, point, direction = scalar_problem(fn, 0.0, 1.0)
-    j, lam, _, res = backtrack(objective, point, direction, fn(0.0), 1.0)
+    j, lam, _, step = search(fn, fn(0.0), 1.0)
     assert fn(1.0) - fn(0.0) < ALPHA * 1.0 * 1.0   # step 1 passes Armijo
-    assert j == 4 and lam[0, 0] == 0.0625 and res.objective == 0.0
+    assert j == 4 and lam[0, 0, 0] == 0.0625
+    assert step.objective.tolist() == [0.0]
 
 
 # -- descent ------------------------------------------------------------------
