@@ -21,7 +21,7 @@ import numpy as np
 from .delay import (branch_delays, evaluate_with_rates, gradient_with_rates,
                     selected_stability)
 from .errors import CecReuseError, Infeasible, MalformedInput, UnstableConfig
-from .experiments import (AXES, GeneratorParams, SweepSpec,
+from .experiments import (AXES, GeneratorParams, SweepSpec, check_sweep,
                           generate_scenario, run_sweep, save_sweep_csv)
 from .model import compute_hit_rates, load_scenario, save_scenario
 from .queuesim import QueueSimConfig, analytic_mean, simulate
@@ -127,13 +127,17 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise MalformedInput(f"bad --values for axis {args.axis}: {exc}") from exc
     algorithms = tuple(a for a in args.algorithm.split(",") if a)
-    for a in algorithms:
-        if a not in ALGORITHMS:
-            raise MalformedInput(f"unknown algorithm {a!r}")
     spec = SweepSpec(axis=args.axis, values=values, repetitions=args.reps,
                      algorithms=algorithms, rounds=args.rounds,
                      theta0=args.theta0)
-    rows = run_sweep(spec, GeneratorParams(seed=args.seed))
+    params = GeneratorParams(seed=args.seed)
+    check_sweep(spec, params)
+    # probe the output before the first cell, leaving no file behind
+    existed = os.path.exists(args.output)
+    open(args.output, "a").close()
+    if not existed:
+        os.remove(args.output)
+    rows = run_sweep(spec, params)
     save_sweep_csv(rows, args.output)
     feasible = sum(r["feasible"] for r in rows)
     print(f"{len(rows)} cells ({feasible} feasible) -> {args.output}")

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import CecReuseError, MalformedInput
 from .model import Application, BaseStation, Scenario, TypicalInput
 from .scheduling import PgdParams
-from .solver import ALGORITHMS, ROUND_CAP, solve
+from .solver import ALGORITHMS, ROUND_CAP, check_rounds, solve
 
 SWEEP_HEADER = ("axis", "value", "repetition", "algorithm", "total_delay_s",
                 "avg_delay_s", "feasible", "rounds", "wall_time_s")
@@ -198,6 +198,32 @@ def _solve_cell(args) -> dict:
     return row
 
 
+def check_sweep(spec: SweepSpec, params: GeneratorParams) -> int:
+    """Check every setting a cell reads, before any cell runs: axis values,
+    repetitions and known algorithms, the round cap and theta0, the
+    generator parameters at every value and CEC_REUSE_THREADS; any bad one
+    is MalformedInput.  Returns the number of worker processes."""
+    if not spec.values:
+        raise MalformedInput("sweep needs at least one axis value")
+    if not spec.repetitions >= 1:
+        raise MalformedInput("sweep needs at least one repetition")
+    if not spec.algorithms or not set(spec.algorithms) <= set(ALGORITHMS):
+        raise MalformedInput(f"sweep needs algorithms among {', '.join(ALGORITHMS)}"
+                             f", got {','.join(spec.algorithms)!r}")
+    check_rounds(spec.rounds)
+    PgdParams(theta0=spec.theta0)
+    for value in spec.values:
+        _check_params(_cell_params(spec, params, value, 0))
+    threads = os.environ.get("CEC_REUSE_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise MalformedInput(f"CEC_REUSE_THREADS={threads!r} is not an integer >= 1")
+    return workers
+
+
 def run_sweep(spec: SweepSpec, params: GeneratorParams) -> list[dict]:
     """All cells of a sweep, ordered by (value, repetition, algorithm).
 
@@ -209,23 +235,11 @@ def run_sweep(spec: SweepSpec, params: GeneratorParams) -> list[dict]:
     number of worker processes the cells run in; the row order does not
     depend on it.
     """
-    if not spec.values:
-        raise MalformedInput("sweep needs at least one axis value")
-    if not spec.repetitions >= 1:
-        raise MalformedInput("sweep needs at least one repetition")
-    if not spec.algorithms:
-        raise MalformedInput("sweep needs at least one algorithm")
+    workers = check_sweep(spec, params)
     cells = [(spec, params, value, rep, alg)
              for value in spec.values
              for rep in range(spec.repetitions)
              for alg in spec.algorithms]
-    threads = os.environ.get("CEC_REUSE_THREADS", "1")
-    try:
-        workers = int(threads)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise MalformedInput(f"CEC_REUSE_THREADS={threads!r} is not an integer >= 1")
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_solve_cell, cells))

@@ -499,35 +499,58 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _numbers(values: list, field: str) -> list[float]:
+    """JSON numbers as floats; a string, a bool or any other value is
+    MalformedInput naming ``field``.  The types are checked as one set, so
+    a catalog's inputs are checked without a Python call per input."""
+    if not set(map(type, values)) <= {int, float}:
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise MalformedInput(f"{field} must be a number, "
+                                     f"not {type(value).__name__}")
+    return list(map(float, values))
+
+
+def _number(doc, key: str) -> float:
+    """doc[key], a JSON number, as a float (see _numbers)."""
+    return _numbers([doc[key]], key)[0]
+
+
+def _list(doc, key: str) -> list:
+    """doc[key], a JSON list; any other value is MalformedInput naming it."""
+    value = doc[key]
+    if not isinstance(value, list):
+        raise MalformedInput(f"{key} must be a list, not {type(value).__name__}")
+    return value
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         stations = tuple(
             BaseStation(
-                compute_capacity=float(st["compute_capacity_hz"]),
-                storage_capacity=float(st["storage_capacity_bytes"]),
-                transfer_delay=float(st["transfer_delay_s"]),
-                arrival_rates=tuple(float(r) for r in st["arrival_rates"]),
+                compute_capacity=_number(st, "compute_capacity_hz"),
+                storage_capacity=_number(st, "storage_capacity_bytes"),
+                transfer_delay=_number(st, "transfer_delay_s"),
+                arrival_rates=tuple(_numbers(_list(st, "arrival_rates"),
+                                             "arrival_rates")),
             )
-            for st in data["stations"]
+            for st in _list(data, "stations")
         )
         apps = tuple(
             Application(
-                weight=float(app["weight"]),
-                mean_workload=float(app["mean_workload_cycles"]),
-                typical_inputs=tuple(
-                    TypicalInput(
-                        match_prob=float(ti["match_prob"]),
-                        result_size=float(ti["result_size_bytes"]),
-                    )
-                    for ti in app["typical_inputs"]
-                ),
+                weight=_number(app, "weight"),
+                mean_workload=_number(app, "mean_workload_cycles"),
+                typical_inputs=tuple(map(TypicalInput, *(
+                    _numbers([ti[key] for ti in _list(app, "typical_inputs")],
+                             key)
+                    for key in ("match_prob", "result_size_bytes")))),
             )
-            for app in data["apps"]
+            for app in _list(data, "apps")
         )
         return Scenario(
             stations=stations,
             apps=apps,
-            search_workload=float(data["search_workload_cycles"]),
+            search_workload=_number(data, "search_workload_cycles"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad scenario document: {exc}") from exc

@@ -6,8 +6,9 @@ solvers are non-increasing in the objective, so the concatenated trace is
 non-increasing as well.  Baselines: Greedy (ratio-order caching with
 capacity-proportional routing, no optimization), NoR (no reuse: empty
 caches, scheduling only) and NoC (no collaboration: every station solves
-its own single-station problem on its local arrivals, the stations'
-scheduling descents stacked into one per round).
+its own single-station problem on its local arrivals).  One round loop,
+``_alternate``, serves the proposed solver (one problem) and NoC (one
+group per set of kept apps, whose descents run as one stack per round).
 """
 from __future__ import annotations
 
@@ -138,6 +139,81 @@ def solve_greedy(scenario: Scenario) -> SolveReport:
                        feasible=not validate(scenario, cache, sched))
 
 
+@dataclass
+class _Run:
+    """One problem under alternating_solve's rounds: its scenario, the
+    cache the sweeps rewrite, its scheduling state and its trace."""
+    scenario: Scenario
+    cache: SweepState
+    sched: SchedulingState
+    trace: list[TraceRow]
+
+    @classmethod
+    def start(cls, scenario: Scenario) -> "_Run":
+        """The run at the repaired start under the Greedy cache."""
+        cache = SweepState(scenario, greedy_cache(scenario))
+        sched, obj = _feasible_start(scenario, cache.hit)
+        return cls(scenario, cache, sched, [(0, "init", 0, obj)])
+
+
+def _alternate(runs: list[_Run], rounds: int, params: PgdParams
+               ) -> dict[int, CecReuseError]:
+    """alternating_solve's rounds on independent problems of one shape;
+    returns the failures by position.  Each round, every run still going
+    sweeps its own cache, then all of them descend as one ScenarioStack.
+    A failed stacked descent descends its runs again alone, so a failure is
+    its own run's.  A run stops at its failure or on the round test; all
+    kept partitions are released at the end."""
+    stack = ScenarioStack.of([run.scenario for run in runs])
+    failed: dict[int, CecReuseError] = {}
+    going = list(range(len(runs)))
+    for r in range(1, rounds + 1):
+        prev = {s: runs[s].trace[-1][3] for s in going}
+        swept = []
+        for s in going:
+            run = runs[s]
+            try:
+                run.cache, run.sched, objs = sweep_all_stations(
+                    run.scenario, run.cache, run.sched, passes=CACHING_PASSES)
+            except CecReuseError as exc:
+                failed[s] = exc
+                continue
+            run.trace += [(r, "caching", i, o)
+                          for i, o in enumerate(objs, start=1)]
+            swept.append(s)
+        batches = [swept] if swept else []
+        while batches:
+            batch = batches.pop()
+            hit = HitRateTable(*(np.stack([getattr(runs[s].cache.hit, name)
+                                           for s in batch])
+                                 for name in ("local", "neighbor", "total")))
+            sched = SchedulingState(*(np.stack([getattr(runs[s].sched, name)
+                                                for s in batch])
+                                      for name in ("lam", "fshare", "y")))
+            try:
+                out, traces = solve_scheduling(stack.take(batch), hit, sched,
+                                               SCHEDULING_ITERS, params)
+            except CecReuseError as exc:
+                if len(batch) == 1:
+                    failed[batch[0]] = exc
+                else:
+                    batches += [[s] for s in batch]
+                continue
+            for s, *point, trace in zip(batch, out.lam, out.fshare, out.y,
+                                        traces):
+                runs[s].sched = SchedulingState(*point)
+                runs[s].trace += [(r, "scheduling", i, o)
+                                  for i, o, _j in trace]
+        going = [s for s in swept if s not in failed and not (
+            prev[s] - runs[s].trace[-1][3]
+            < ROUND_IMPROVEMENT_TOL * max(abs(prev[s]), 1e-300))]
+        if not going:
+            break
+    for run in runs:
+        run.cache.release()
+    return failed
+
+
 def alternating_solve(scenario: Scenario, rounds: int = ROUND_CAP,
                       params: PgdParams = PgdParams()) -> SolveReport:
     """Alternate the caching sweep and the scheduling descent from the
@@ -145,31 +221,16 @@ def alternating_solve(scenario: Scenario, rounds: int = ROUND_CAP,
     relative.  The cache is one SweepState, which the sweeps rewrite; its
     kept partitions are released before it is returned."""
     t0 = time.perf_counter()
-    cache = SweepState(scenario, greedy_cache(scenario))
-    sched, obj = _feasible_start(scenario, cache.hit)
-    trace: list[TraceRow] = [(0, "init", 0, obj)]
-    rounds_completed = 0
-    prev = obj
-    for r in range(1, rounds + 1):
-        cache, sched, pass_objs = sweep_all_stations(
-            scenario, cache, sched, passes=CACHING_PASSES)
-        for i, o in enumerate(pass_objs, start=1):
-            trace.append((r, "caching", i, o))
-        sched, strace = solve_scheduling(scenario, cache.hit, sched,
-                                         SCHEDULING_ITERS, params)
-        for i, o, _j in strace:
-            trace.append((r, "scheduling", i, o))
-        rounds_completed = r
-        cur = trace[-1][3]
-        if prev - cur < ROUND_IMPROVEMENT_TOL * max(abs(prev), 1e-300):
-            break
-        prev = cur
-    cache.release()
-    return SolveReport(algorithm="proposed", objective_trace=trace,
-                       cache=cache, sched=sched, final_objective=trace[-1][3],
-                       rounds_completed=rounds_completed,
+    run = _Run.start(scenario)
+    failed = _alternate([run], rounds, params)
+    if failed:
+        raise failed[0]
+    return SolveReport(algorithm="proposed", objective_trace=run.trace,
+                       cache=run.cache, sched=run.sched,
+                       final_objective=run.trace[-1][3],
+                       rounds_completed=run.trace[-1][0],
                        wall_time_s=time.perf_counter() - t0,
-                       feasible=not validate(scenario, cache, sched))
+                       feasible=not validate(scenario, run.cache, run.sched))
 
 
 def solve_nor(scenario: Scenario, rounds: int = ROUND_CAP,
@@ -215,62 +276,6 @@ def _single_station_scenario(scenario: Scenario, n: int,
     return sub
 
 
-@dataclass
-class _Lone:
-    """One station's single-station solve inside solve_noc: the state that
-    alternating_solve keeps for it from round to round."""
-    station: int
-    kept: tuple[int, ...]        # the apps with arrivals at the station
-    sub: Scenario
-    cache: SweepState
-    sched: SchedulingState
-    start: float                 # objective at the repaired start
-    objective: float             # after the latest round
-    rounds: int = 0
-    done: bool = False           # stopped by the round test
-    feasible: bool = False
-
-    def end_round(self, cur: float) -> None:
-        """alternating_solve's round test, after a round that ended at
-        ``cur``."""
-        self.rounds += 1
-        prev = self.objective
-        self.done = prev - cur < ROUND_IMPROVEMENT_TOL * max(abs(prev), 1e-300)
-        self.objective = cur
-
-
-def _descend_together(lones: list[_Lone], stack: ScenarioStack,
-                      params: PgdParams, fail) -> None:
-    """One round's scheduling descent of every station in ``lones``, as one
-    stack.  If the stack fails, the stations descend alone in index order
-    and the first that fails goes to ``fail``; those before it keep their
-    descents, which are the ones the stack would have given them."""
-    hit = HitRateTable(*(np.stack([getattr(lone.cache.hit, name)
-                                   for lone in lones])
-                         for name in ("local", "neighbor", "total")))
-    sched = SchedulingState(*(np.stack([getattr(lone.sched, name)
-                                        for lone in lones])
-                              for name in ("lam", "fshare", "y")))
-    try:
-        out, traces = solve_scheduling(stack, hit, sched, SCHEDULING_ITERS,
-                                       params)
-    except CecReuseError:
-        for lone in lones:
-            try:
-                lone.sched, trace = solve_scheduling(
-                    lone.sub, lone.cache.hit, lone.sched, SCHEDULING_ITERS,
-                    params)
-            except CecReuseError as exc:
-                fail(lone.station, exc)
-                return
-            lone.end_round(trace[-1][1])
-        return
-    for s, lone in enumerate(lones):
-        lone.sched.lam, lone.sched.fshare = out.lam[s], out.fshare[s]
-        lone.sched.y = out.y[s]
-        lone.end_round(traces[s][-1][1])
-
-
 def solve_noc(scenario: Scenario, rounds: int = ROUND_CAP,
               params: PgdParams = PgdParams()) -> SolveReport:
     """No collaboration: each station serves its own arrivals in isolation.
@@ -278,116 +283,69 @@ def solve_noc(scenario: Scenario, rounds: int = ROUND_CAP,
     Every station becomes a single-station scenario (apps reweighted by
     their local arrival share, zero-arrival apps dropped) and runs
     alternating_solve's rounds on it; routing is then trivial and the
-    descent only moves the CPU split.  Stations that keep the same apps run
-    as one group: each round, every station of it still running sweeps its
-    own cache, and then all of them descend as one ScenarioStack, so that a
-    round's descent costs one block per iteration, not one per station.
-    Each station reaches the rounds and the decision it reaches alone, and
-    the first station, in index order, whose solve fails raises its error,
-    as a station-by-station loop would.  The reported objective is the sum
-    of the per-station objectives.  The assembled cache/sched is a
-    per-station patchwork for inspection; it is not a collaborative
-    evaluation.
+    descent only moves the CPU split.  The stations start in index order,
+    up to the first whose start fails.  Stations that keep the same apps
+    run as one group of alternating_solve's loop, so that a round's descent
+    costs one block per iteration, not one per station.  Each station
+    reaches the rounds and the decision it reaches alone, and the failing
+    station of lowest index raises its error, as a station-by-station loop
+    would.  The reported objective is the sum of the per-station
+    objectives.  The assembled cache/sched is a per-station patchwork for
+    inspection; it is not a collaborative evaluation.
     """
     if scenario.num_stations == 1:
         rep = alternating_solve(scenario, rounds, params)
         return replace(rep, algorithm="noc")
     t0 = time.perf_counter()
     A, N = scenario.num_apps, scenario.num_stations
-    caps = scenario.compute_capacities
     rates = scenario.arrival_rate_matrix
+    kept = [[a for a in range(A) if rates[a, n] > 0.0] for n in range(N)]
 
-    groups: dict[tuple[int, ...], list[int]] = {}
+    runs: dict[int, _Run] = {}
+    failed: dict[int, CecReuseError] = {}
     for n in range(N):
-        kept = tuple(a for a in range(A) if rates[a, n] > 0.0)
-        if kept:
-            groups.setdefault(kept, []).append(n)
-    solves: dict[int, _Lone] = {}
-    failure: tuple[int, CecReuseError] | None = None
-
-    def alive(n: int) -> bool:
-        # a failing station drops the stations after it, not those before
-        return failure is None or n < failure[0]
-
-    def fail(n: int, exc: CecReuseError) -> None:
-        nonlocal failure
-        if alive(n):
-            failure = (n, exc)
-
-    for kept, members in groups.items():
-        group: list[_Lone] = []
-        for n in members:
-            if not alive(n):
-                break
-            try:
-                sub = _single_station_scenario(scenario, n, list(kept))
-                cache = SweepState(sub, greedy_cache(sub))
-                sched, obj = _feasible_start(sub, cache.hit)
-            except CecReuseError as exc:
-                fail(n, exc)
-                break
-            group.append(_Lone(n, kept, sub, cache, sched, obj, obj))
-        if group:
-            stack = ScenarioStack.of([lone.sub for lone in group])
-        for _r in range(rounds):
-            running = []
-            for pos, lone in enumerate(group):
-                if lone.done or not alive(lone.station):
-                    continue
-                try:
-                    lone.cache, lone.sched, _ = sweep_all_stations(
-                        lone.sub, lone.cache, lone.sched, passes=CACHING_PASSES)
-                except CecReuseError as exc:
-                    fail(lone.station, exc)
-                    break
-                running.append(pos)
-            running = [pos for pos in running if alive(group[pos].station)]
-            if not running:
-                break
-            _descend_together([group[pos] for pos in running],
-                              stack.take(running), params, fail)
-        for lone in group:
-            lone.cache.release()
-            if not alive(lone.station):
-                break
-            lone.feasible = not validate(lone.sub, lone.cache, lone.sched)
-            solves[lone.station] = lone
-    if failure is not None:
-        raise failure[1]
+        if not kept[n]:
+            continue
+        try:
+            runs[n] = _Run.start(_single_station_scenario(scenario, n, kept[n]))
+        except CecReuseError as exc:
+            failed[n] = exc
+            break
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for n in runs:
+        groups.setdefault(tuple(kept[n]), []).append(n)
+    for members in groups.values():
+        lost = _alternate([runs[n] for n in members], rounds, params)
+        failed.update((members[s], exc) for s, exc in lost.items())
+    if failed:
+        raise failed[min(failed)]
 
     cache = CacheAssignment.zeros(scenario)
+    caps = scenario.compute_capacities
     lam = np.tile(caps / caps.sum(), (A, 1))
     fshare = np.full((A, N), 1.0 / A)
     y = np.zeros((A, N), dtype=np.int8)
-    init_sum = 0.0
-    final_sum = 0.0
-    rounds_completed = 0
-    feasible = True
-    for n in range(N):
-        lone = solves.get(n)
-        if lone is None:
-            continue
-        init_sum += lone.start
-        final_sum += lone.objective
-        rounds_completed = max(rounds_completed, lone.rounds)
-        feasible = feasible and lone.feasible
-        for idx, a in enumerate(lone.kept):
-            cache.entries[a][n] = lone.cache.entries[idx][0]
-            fshare[a, n] = lone.sched.fshare[idx, 0]
-            y[a, n] = lone.sched.y[idx, 0]
-        for a in range(A):
-            if a not in lone.kept:
-                fshare[a, n] = 0.0
+    init_sum = final_sum = 0.0
+    for n, run in runs.items():
+        init_sum += run.trace[0][3]
+        final_sum += run.trace[-1][3]
+        fshare[:, n] = 0.0
+        for idx, a in enumerate(kept[n]):
+            cache.entries[a][n] = run.cache.entries[idx][0]
+            fshare[a, n] = run.sched.fshare[idx, 0]
+            y[a, n] = run.sched.y[idx, 0]
     for a in range(A):
         if scenario.total_rates[a] > 0.0:
             lam[a] = rates[a] / scenario.total_rates[a]
-    sched = SchedulingState(lam=lam, fshare=fshare, y=y)
     trace: list[TraceRow] = [(0, "init", 0, init_sum), (1, "noc", 1, final_sum)]
-    return SolveReport(algorithm="noc", objective_trace=trace, cache=cache,
-                       sched=sched, final_objective=final_sum,
-                       rounds_completed=rounds_completed,
-                       wall_time_s=time.perf_counter() - t0,
-                       feasible=feasible)
+    return SolveReport(
+        algorithm="noc", objective_trace=trace, cache=cache,
+        sched=SchedulingState(lam, fshare, y), final_objective=final_sum,
+        rounds_completed=max((run.trace[-1][0] for run in runs.values()),
+                             default=0),
+        wall_time_s=time.perf_counter() - t0,
+        feasible=all(not validate(run.scenario, run.cache, run.sched)
+                     for run in runs.values()))
 
 
 def check_rounds(rounds) -> None:

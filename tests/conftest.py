@@ -51,6 +51,28 @@ NON_FINITE_FIELDS += [(path, HUGE_INT) for path in (
 NON_FINITE_IDS = ["/".join(map(str, path))
                   + ("=10**400" if value == HUGE_INT else f"={value}")
                   for path, value in NON_FINITE_FIELDS]
+# (location, value) pairs of the wrong JSON type: a number field holding a
+# string or a bool, a list field holding something else.  float() and
+# iteration would read each as a number or a list
+WRONG_TYPE_FIELDS = [
+    (("search_workload_cycles",), "25e6"),
+    (("stations", 0, "compute_capacity_hz"), True),
+    (("stations", 1, "storage_capacity_bytes"), "4e9"),
+    (("stations", 0, "transfer_delay_s"), False),
+    (("stations", 1, "arrival_rates", 0), "1.0"),
+    (("apps", 0, "weight"), "3.5"),
+    (("apps", 0, "weight"), True),
+    (("apps", 0, "mean_workload_cycles"), "4e8"),
+    (("apps", 0, "typical_inputs", 1, "match_prob"), "0.3"),
+    (("apps", 0, "typical_inputs", 2, "result_size_bytes"), True),
+    (("stations",), {"0": {}}),
+    (("apps",), "apps"),
+    (("stations", 0, "arrival_rates"), "12"),
+    (("stations", 1, "arrival_rates"), 1.0),
+    (("apps", 0, "typical_inputs"), "abc"),
+]
+WRONG_TYPE_IDS = ["/".join(map(str, path)) + f"={value!r}"
+                  for path, value in WRONG_TYPE_FIELDS]
 
 
 def package_env(**overrides):

@@ -12,8 +12,9 @@ from cecreuse import (GeneratorParams, MalformedInput, cli, generate_scenario,
 from cecreuse.delay import gradient_with_rates
 from cecreuse.model import Violation
 
-from conftest import (NON_FINITE_FIELDS, NON_FINITE_IDS, build_scenario,
-                      mutated_document, package_env)
+from conftest import (NON_FINITE_FIELDS, NON_FINITE_IDS, WRONG_TYPE_FIELDS,
+                      WRONG_TYPE_IDS, build_scenario, mutated_document,
+                      package_env)
 
 
 @pytest.fixture
@@ -141,11 +142,13 @@ def test_solve_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("path,value", NON_FINITE_FIELDS, ids=NON_FINITE_IDS)
+@pytest.mark.parametrize("path,value", NON_FINITE_FIELDS + WRONG_TYPE_FIELDS,
+                         ids=NON_FINITE_IDS + WRONG_TYPE_IDS)
 def test_solve_rejects_non_finite_config(tmp_path, capsys, two_station_one_app,
                                          path, value):
-    # JSON's NaN and Infinity tokens load as floats; they are malformed input,
-    # never a traceback and never "infeasible"
+    # JSON's NaN and Infinity tokens load as floats; they, and values of the
+    # wrong JSON type, are malformed input, never a traceback and never
+    # "infeasible"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(mutated_document(two_station_one_app, path, value)))
     assert cli.main(["solve", "--config", str(bad),
@@ -295,6 +298,43 @@ def test_solve_rejects_an_output_that_cannot_be_a_directory(
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert (tmp_path / "afile").read_text() == "kept"
+
+
+@pytest.mark.parametrize("output", ["nodir/x.csv", "adir"],
+                         ids=["missing-dir", "directory"])
+def test_sweep_rejects_an_output_that_cannot_be_written(
+        tmp_path, monkeypatch, capsys, output):
+    # the output is probed before the first cell, so a path that cannot be
+    # written is a usage error at once, not after the whole sweep
+    (tmp_path / "adir").mkdir()
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran although its output path is bad")
+
+    monkeypatch.setattr(cli, "run_sweep", never)
+    assert cli.main(["sweep", "--axis", "workload", "--values", "1.0,1.5",
+                     "--reps", "1", "--algorithm", "greedy,proposed",
+                     "--output", str(tmp_path / output)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+    assert not any((tmp_path / "adir").iterdir())
+
+
+def test_sweep_output_probe_keeps_an_existing_file(tmp_path, monkeypatch):
+    # the probe opens the output without truncating it; a sweep that fails
+    # after the probe leaves the old file as it was
+    out = tmp_path / "x.csv"
+    out.write_text("kept")
+
+    def failing(*args, **kwargs):
+        raise MalformedInput("a cell failed")
+
+    monkeypatch.setattr(cli, "run_sweep", failing)
+    assert cli.main(["sweep", "--axis", "workload", "--values", "1.0",
+                     "--reps", "1", "--algorithm", "greedy",
+                     "--output", str(out)]) == 2
+    assert out.read_text() == "kept"
 
 
 def test_solve_has_no_seed_flag(tmp_path):

@@ -9,8 +9,9 @@ from cecreuse import (CacheAssignment, DimensionMismatch, MalformedInput,
 from cecreuse.model import rows_storage
 from cecreuse.solver import greedy_cache, solve_greedy
 
-from conftest import (NON_FINITE_FIELDS, NON_FINITE_IDS, build_scenario,
-                      full_cache, mutated_document, uniform_state)
+from conftest import (NON_FINITE_FIELDS, NON_FINITE_IDS, WRONG_TYPE_FIELDS,
+                      WRONG_TYPE_IDS, build_scenario, full_cache,
+                      mutated_document, uniform_state)
 
 
 def test_total_arrival_rate_zero_and_identity():
@@ -165,10 +166,15 @@ def test_scenario_rejects_bad_inputs():
                        [(1.0, -1e8, [(0.1, 1e5)])])
 
 
-@pytest.mark.parametrize("path,value", NON_FINITE_FIELDS, ids=NON_FINITE_IDS)
+@pytest.mark.parametrize("path,value", NON_FINITE_FIELDS + WRONG_TYPE_FIELDS,
+                         ids=NON_FINITE_IDS + WRONG_TYPE_IDS)
 def test_scenario_from_dict_rejects_non_finite(two_station_one_app, path, value):
-    with pytest.raises(MalformedInput):
+    with pytest.raises(MalformedInput) as got:
         scenario_from_dict(mutated_document(two_station_one_app, path, value))
+    if (path, value) in WRONG_TYPE_FIELDS:
+        # a value of the wrong type is reported under its field's name
+        field = [key for key in path if isinstance(key, str)][-1]
+        assert str(got.value).startswith(f"{field} must be a ")
 
 
 def test_cache_assignment_rejects_out_of_range():

@@ -144,6 +144,42 @@ def test_zero_rounds_returns_greedy_state(default_scenario):
     assert np.array_equal(rep.sched.lam, base.sched.lam)
 
 
+def test_zero_rounds_keep_the_start_and_release(monkeypatch):
+    # the round loop runs no round: the proposed solver returns Greedy's
+    # decision with its init-only trace, NoC the sum of its stations' start
+    # objectives as both init and final; each releases every SweepState
+    released = []
+    release = caching.SweepState.release
+
+    def counted(self):
+        released.append(self)
+        release(self)
+
+    monkeypatch.setattr(caching.SweepState, "release", counted)
+    sc = generate_scenario(GeneratorParams(seed=42, num_stations=3, num_apps=2,
+                                           k_scale=0.002))
+    rep, base = alternating_solve(sc, 0), solve_greedy(sc)
+    assert rep.objective_trace == base.objective_trace
+    assert rep.rounds_completed == 0 and rep.feasible
+    assert all(np.array_equal(x, ref)
+               for x, ref in zip(rep.cache.entries, base.cache.entries))
+    for name in ("lam", "fshare", "y"):
+        assert np.array_equal(getattr(rep.sched, name), getattr(base.sched, name))
+    assert len(released) == 1 and released[0] is rep.cache
+
+    released.clear()
+    noc = solve_noc(sc, 0)
+    start = 0.0
+    for n in range(sc.num_stations):
+        sub = solver._single_station_scenario(sc, n, list(range(sc.num_apps)))
+        hit = model.compute_hit_rates(sub, greedy_cache(sub))
+        start += solver._feasible_start(sub, hit)[1]
+    assert noc.objective_trace == [(0, "init", 0, start), (1, "noc", 1, start)]
+    assert noc.final_objective == start
+    assert noc.rounds_completed == 0 and noc.feasible
+    assert len(released) == sc.num_stations
+
+
 @pytest.mark.parametrize("seed", [42, 43, 44])
 def test_trace_monotone_and_below_greedy(seed):
     sc = generate_scenario(GeneratorParams(seed=seed))
