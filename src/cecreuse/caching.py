@@ -46,7 +46,8 @@ from .delay import evaluate_objective, evaluate_with_rates, hit_derivative
 from .errors import (DegenerateInput, DimensionMismatch, Infeasible,
                      MalformedInput, StabilityViolation, TooLarge)
 from .model import (BINARY_TOL, CacheAssignment, HitRateTable, Scenario,
-                    SchedulingState, cached_mass, compute_hit_rates, dot)
+                    SchedulingState, cached_mass, compute_hit_rates, dot,
+                    local_hits, row_storage)
 from .model import rows_storage as _rows_storage
 
 # level-bisection accuracy (efficiency units, s/byte)
@@ -77,12 +78,12 @@ class Partition(NamedTuple):
     hit: list[float]
 
     @classmethod
-    def build(cls, scenario: Scenario, counts: list[np.ndarray]) -> "Partition":
-        """The partition of the peer counts ``counts``: per app, how many
-        other stations cache each input."""
+    def build(cls, scenario: Scenario, counts: np.ndarray) -> "Partition":
+        """The partition of the flat peer counts ``counts``: how many other
+        stations cache each input."""
         exc_pos, prefix_p, hit = [], [], []
         for p, order, c in zip(scenario.match_probs, scenario.density_orders,
-                               counts):
+                               scenario.split(counts)):
             pos = np.flatnonzero(~(c[order] > 0.0)).astype(np.int32)
             exc_pos.append(pos)
             prefix = np.zeros(len(pos) + 1)
@@ -127,8 +128,8 @@ class EfficiencyContext:
     inputs, and the factor phi lam y D^t that makes a replicated input's
     constant efficiency -(p/s) * factor.  All level queries of the solver go
     through here, and none builds an array as long as a catalog: the
-    per-input views (exclusive, replicated, exc_p, ratio, rep_eff) are
-    gathered only when read.
+    per-input views (exclusive, replicated, rep_eff) are gathered only when
+    read.
 
     ``peers`` is the station's partition as the caching sweep keeps it
     (SweepState.peers); without it, it is built from the cache.
@@ -144,8 +145,7 @@ class EfficiencyContext:
         self.yf = np.ascontiguousarray(sched.y, dtype=np.float64)
         self.dt = np.ascontiguousarray(scenario.transfer_delays, dtype=np.float64)
         if peers is None:
-            peers = Partition.build(scenario, [x.sum(axis=0) - x[station]
-                                               for x in cache.entries])
+            peers = Partition.build(scenario, cache.x.sum(axis=0) - cache.x[station])
         self.order = scenario.density_orders
         self.neg_ratio = scenario.sorted_neg_densities
         self.exc_pos = peers.exc_pos
@@ -169,16 +169,6 @@ class EfficiencyContext:
         return [np.delete(order, pos) for order, pos in zip(self.order, self.exc_pos)]
 
     @cached_property
-    def exc_p(self) -> list[np.ndarray]:
-        """Per app, the exclusive inputs' match probabilities."""
-        return [p[exc] for p, exc in zip(self.scenario.match_probs, self.exclusive)]
-
-    @cached_property
-    def ratio(self) -> list[np.ndarray]:
-        """Per app, the exclusive inputs' p/s."""
-        return [-neg[pos] for neg, pos in zip(self.neg_ratio, self.exc_pos)]
-
-    @cached_property
     def rep_eff(self) -> list[np.ndarray]:
         """Per app, the replicated inputs' constant efficiencies; they do not
         fall, so the inputs cached at any level are a prefix."""
@@ -186,8 +176,8 @@ class EfficiencyContext:
                 in zip(self.neg_ratio, self.exc_pos, self.rep_factor)]
 
     def exclusive_input(self, a: int, j: int) -> int:
-        """Index of app a's j-th sorted exclusive input."""
-        return self.order[a].item(self.exc_pos[a].item(j))
+        """Flat catalog position of app a's j-th sorted exclusive input."""
+        return self.scenario.segments[a][0] + self.order[a].item(self.exc_pos[a].item(j))
 
     def replicated_end(self, a: int, level: float) -> int:
         """Length of the prefix of app a's density order whose replicated
@@ -336,21 +326,23 @@ def _solve_fraction(ctx: EfficiencyContext, a: int, m: int,
 
 
 def _level_rows(ctx: EfficiencyContext, level: float
-                ) -> tuple[list[np.ndarray], list[tuple[int, int]]]:
-    """Station rows at `level` with every pending fractional entry left at
-    0, and the pending (app, sorted position) pairs.
+                ) -> tuple[np.ndarray, list[tuple[int, int]], list[int]]:
+    """The station's flat row at `level` with every pending fractional
+    entry left at 0, the pending (app, sorted position) pairs, and the apps
+    whose segment the level fills: those with an entry cached or pending.
+    Every other segment is zero.
 
     Replicated inputs are cached iff their constant efficiency is <= level
     and strictly negative: the positions before replicated_end that are
     not exclusive.  Over the sorted exclusive class the boundary position
     comes from _locate_level.  Zero-benefit inputs are never cached.
     """
-    rows, pending = [], []
-    for a in range(ctx.scenario.num_apps):
-        x = np.zeros(ctx.scenario.catalog_size(a))
+    row = np.zeros(ctx.scenario.offsets[-1])
+    pending, filled = [], []
+    for a, (lo, hi) in enumerate(ctx.scenario.segments):
         if not ctx.active[a]:
-            rows.append(x)
             continue
+        x = row[lo:hi]
         order, pos = ctx.order[a], ctx.exc_pos[a]
         end = ctx.replicated_end(a, level)
         m, frac = _locate_level(ctx, a, level) if len(pos) else (0, False)
@@ -363,24 +355,25 @@ def _level_rows(ctx: EfficiencyContext, level: float
             x[order[pos[min(m, t):max(m, t)]]] = float(m > t)
         if frac:
             pending.append((a, m))
-        rows.append(x)
-    return rows, pending
+        if end > t or m or frac:
+            filled.append(a)
+    return row, pending, filled
 
 
-def _fill_fractions(ctx: EfficiencyContext, rows: list[np.ndarray],
+def _fill_fractions(ctx: EfficiencyContext, row: np.ndarray,
                     pending: list[tuple[int, int]], level: float) -> None:
-    """Write each pending entry's solved fraction into ``rows``."""
+    """Write each pending entry's solved fraction into ``row``."""
     for a, m in pending:
-        rows[a][ctx.exclusive_input(a, m)] = _solve_fraction(ctx, a, m, level)
+        row[ctx.exclusive_input(a, m)] = _solve_fraction(ctx, a, m, level)
 
 
 def _exact_rows(ctx: EfficiencyContext, level: float
-                ) -> tuple[list[np.ndarray], list[tuple[int, int]]]:
-    """g_of_B's rows, and their boundary entries as (app, input) pairs:
+                ) -> tuple[np.ndarray, list[int]]:
+    """g_of_B's flat row, and the flat positions of its boundary entries:
     every other entry is exactly 0 or 1."""
-    rows, pending = _level_rows(ctx, level)
-    _fill_fractions(ctx, rows, pending, level)
-    return rows, [(a, ctx.exclusive_input(a, m)) for a, m in pending]
+    row, pending, _filled = _level_rows(ctx, level)
+    _fill_fractions(ctx, row, pending, level)
+    return row, [ctx.exclusive_input(a, m) for a, m in pending]
 
 
 def g_of_B(ctx: EfficiencyContext, level: float) -> list[np.ndarray]:
@@ -391,27 +384,28 @@ def g_of_B(ctx: EfficiencyContext, level: float) -> list[np.ndarray]:
     decide them (module docstring); the rows returned here are always the
     exact ones.
     """
-    return _exact_rows(ctx, level)[0]
+    return ctx.scenario.split(_exact_rows(ctx, level)[0])
 
 
 def _fits(ctx: EfficiencyContext, level: float, cap: float) -> bool:
     """Whether the rows at `level` use less than ``cap`` bytes: the
     storage bounds first, the fractions only on a straddle (module
-    docstring).  The rows are written in place, so the bounds and the
-    exact total sum the same entries in the same order.
+    docstring).  The row is written in place, so the bounds and the exact
+    total sum the same entries in the same order, over the apps the level
+    fills.
     """
     scenario = ctx.scenario
-    rows, pending = _level_rows(ctx, level)
-    if _rows_storage(scenario, rows) >= cap:
+    row, pending, filled = _level_rows(ctx, level)
+    if row_storage(scenario, row, filled) >= cap:
         return False
     if not pending:
         return True
     for a, m in pending:
-        rows[a][ctx.exclusive_input(a, m)] = 1.0
-    if _rows_storage(scenario, rows) < cap:
+        row[ctx.exclusive_input(a, m)] = 1.0
+    if row_storage(scenario, row, filled) < cap:
         return True
-    _fill_fractions(ctx, rows, pending, level)
-    return _rows_storage(scenario, rows) < cap
+    _fill_fractions(ctx, row, pending, level)
+    return row_storage(scenario, row, filled) < cap
 
 
 def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
@@ -431,14 +425,14 @@ def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
     the module docstring states the rule and why it is exact.
     """
     ctx = EfficiencyContext(scenario, cache, sched, station)
-    rows, _boundary, level = _level_search(ctx)
-    return rows, level
+    row, _boundary, level = _level_search(ctx)
+    return scenario.split(row), level
 
 
 def _level_search(ctx: EfficiencyContext
-                  ) -> tuple[list[np.ndarray], list[tuple[int, int]], float]:
-    """solve_caching_bs on a built context: the rows, their boundary
-    (app, input) entries (_exact_rows) and the level."""
+                  ) -> tuple[np.ndarray, list[int], float]:
+    """solve_caching_bs on a built context: the flat row, its boundary
+    entries' positions (_exact_rows) and the level."""
     scenario, station = ctx.scenario, ctx.station
     cap = float(scenario.storage_capacities[station])
     floor = ctx.efficiency_floor()
@@ -446,8 +440,7 @@ def _level_search(ctx: EfficiencyContext
         raise MalformedInput(f"station {station}: efficiency floor {floor} "
                              "is not finite")
     if floor == 0.0:
-        return [np.zeros(scenario.catalog_size(a))
-                for a in range(scenario.num_apps)], [], 0.0
+        return np.zeros(scenario.offsets[-1]), [], 0.0
     b_l, b_r = floor, 0.0
     while b_r - b_l >= LEVEL_ACCURACY:
         b_m = 0.5 * (b_l + b_r)
@@ -458,11 +451,11 @@ def _level_search(ctx: EfficiencyContext
         else:
             b_r = b_m
     level = 0.5 * (b_l + b_r)
-    rows, boundary = _exact_rows(ctx, level)
-    if _rows_storage(scenario, rows) > cap:
+    row, boundary = _exact_rows(ctx, level)
+    if row_storage(scenario, row) > cap:
         level = b_l
-        rows, boundary = _exact_rows(ctx, level)
-    return rows, boundary, level
+        row, boundary = _exact_rows(ctx, level)
+    return row, boundary, level
 
 
 def efficiencies_at_solution(ctx: EfficiencyContext,
@@ -474,13 +467,13 @@ def efficiencies_at_solution(ctx: EfficiencyContext,
     at the level, capacity tight when the level is interior).
     """
     out = []
-    for a in range(ctx.scenario.num_apps):
-        eff = np.zeros(ctx.scenario.catalog_size(a))
+    for a, p in enumerate(ctx.scenario.match_probs):
+        eff = np.zeros(len(p))
         eff[ctx.replicated[a]] = ctx.rep_eff[a]
-        if len(ctx.exclusive[a]):
-            hit = ctx.base_hit[a] + dot(ctx.exc_p[a], rows[a][ctx.exclusive[a]])
-            g = ctx.bracket(a, hit)
-            eff[ctx.exclusive[a]] = ctx.ratio[a] * g
+        exc = ctx.exclusive[a]
+        if len(exc):
+            g = ctx.bracket(a, ctx.base_hit[a] + dot(p[exc], rows[a][exc]))
+            eff[exc] = -ctx.neg_ratio[a][ctx.exc_pos[a]] * g
         out.append(eff)
     return out
 
@@ -513,10 +506,10 @@ class SweepState(CacheAssignment):
     """A cache that keeps its per-input counts and hit-rate table current
     through the station rewrites ``accept`` writes into it in place.
 
-    ``counts[a]`` is the column sum of app a's matrix and ``hit`` equals
+    ``counts`` is the column sum of the cache matrix and ``hit`` equals
     compute_hit_rates(scenario, self) bit for bit: a candidate's table is
-    built in O(A K) from the same reductions, with neighbor = total - local.
-    It takes over the matrices of the checked cache it is built from.
+    built in O(K) from the same reductions, with neighbor = total - local.
+    It takes over the matrix of the checked cache it is built from.
 
     ``versions[j]`` numbers station j's peer mask, the inputs some other
     station caches: ``accept`` bumps it exactly when that mask flips, so
@@ -525,9 +518,9 @@ class SweepState(CacheAssignment):
     """
 
     def __init__(self, scenario: Scenario, cache: CacheAssignment):
-        self.entries = cache.entries
+        self.x, self.offsets, self.entries = cache.x, cache.offsets, cache.entries
         self.scenario = scenario
-        self.counts = [x.sum(axis=0) for x in self.entries]
+        self.counts = self.x.sum(axis=0)
         self.hit = compute_hit_rates(scenario, self)
         self.versions = np.zeros(scenario.num_stations, dtype=np.int64)
         # per station: (version, partition), or None
@@ -539,8 +532,8 @@ class SweepState(CacheAssignment):
         peer counts only when n's version has moved."""
         kept = self._kept[n]
         if kept is None or kept[0] != self.versions[n]:
-            counts = [c - x[n] for c, x in zip(self.counts, self.entries)]
-            kept = (int(self.versions[n]), Partition.build(self.scenario, counts))
+            peer_counts = self.counts - self.x[n]
+            kept = int(self.versions[n]), Partition.build(self.scenario, peer_counts)
             self._kept[n] = kept
         return kept[1]
 
@@ -548,36 +541,34 @@ class SweepState(CacheAssignment):
         """Drop the kept partitions; peers builds them again on demand."""
         self._kept = [None] * len(self._kept)
 
-    def candidate(self, n: int, rows: list[np.ndarray]
-                  ) -> tuple[list[np.ndarray], HitRateTable]:
-        """Counts and hit table of the cache with station n's rows replaced."""
-        for a, (x, row) in enumerate(zip(self.entries, rows)):
-            if row.shape != (x.shape[1],):
-                raise DimensionMismatch(f"app {a}: station row has wrong length")
-        counts = [c - x[n] + row
-                  for c, x, row in zip(self.counts, self.entries, rows)]
-        probs = self.scenario.match_probs
-        total = np.array([cached_mass(p, c) for p, c in zip(probs, counts)])
+    def candidate(self, n: int, row: np.ndarray
+                  ) -> tuple[np.ndarray, HitRateTable]:
+        """Counts and hit table of the cache with station n's flat row
+        replaced."""
+        if row.shape != self.counts.shape:
+            raise DimensionMismatch(f"station row of shape {row.shape} is not flat")
+        counts = self.counts - self.x[n] + row
+        total = cached_mass(self.scenario, counts)
         local = self.hit.local.copy()
-        local[:, n] = [dot(row, p) for row, p in zip(rows, probs)]
+        local[:, n] = local_hits(self.scenario, row[None])[:, 0]
         return counts, HitRateTable(local, total[:, None] - local, total)
 
-    def accept(self, n: int, rows: list[np.ndarray],
-               counts: list[np.ndarray], hit: HitRateTable) -> None:
-        """Write station n's rows in place with their candidate tables, and
-        bump the version of each other station j whose peer mask
+    def accept(self, n: int, row: np.ndarray, counts: np.ndarray,
+               hit: HitRateTable) -> None:
+        """Write station n's flat row in place with its candidate tables,
+        and bump the version of each other station j whose peer mask
         (counts - x[j]) > 0 flips.  A rewritten input's count moves between
-        lo and lo + 1, so j's mask flips there iff x[j] == lo, which needs
-        lo < 2.  Station n's own mask does not read its rows.
+        lo and lo + 1, so j's mask flips there iff x[j] == lo: at lo = 0 no
+        other station caches it and every other mask flips, at lo = 1 the
+        mask of the one other station that caches it.  Station n's own
+        mask does not read its row.
         """
-        flipped = np.zeros(len(self.versions), dtype=bool)
-        for x, row, old, new in zip(self.entries, rows, self.counts, counts):
-            k = np.flatnonzero(old != new)
-            lo = np.minimum(old[k], new[k])
-            low = lo < 2.0
-            flipped |= (x[:, k[low]] == lo[low]).any(axis=1)
-            x[n] = row
+        k = np.flatnonzero(self.counts != counts)
+        lo = np.minimum(self.counts[k], counts[k])
+        flipped = np.full(len(self.versions), bool((lo == 0.0).any()))
+        flipped |= (self.x[:, k[lo == 1.0]] == 1.0).any(axis=1)
         flipped[n] = False
+        self.x[n] = row
         self.versions += flipped
         self.counts = counts
         self.hit = hit
@@ -585,12 +576,12 @@ class SweepState(CacheAssignment):
 
 class _Solved(NamedTuple):
     """A station's last solve in a sweep: its peer-mask version and y, its
-    rounded rows as bool (None if equal to its own or over capacity) and
-    the count of accepted rewrites at their last verdict."""
+    rounded flat row as bool (None if equal to its own or over capacity)
+    and the count of accepted rewrites at their last verdict."""
 
     version: int
     y: np.ndarray
-    rows: list[np.ndarray] | None
+    row: np.ndarray | None
     tested: int
 
 
@@ -636,28 +627,25 @@ def sweep_all_stations(scenario: Scenario, cache: SweepState,
             prev = last[n]
             if (prev is not None and prev.version == version
                     and np.array_equal(prev.y, y)):
-                if prev.rows is None or prev.tested == accepted:
+                if prev.row is None or prev.tested == accepted:
                     continue
-                rows = [r.astype(np.float64) for r in prev.rows]
+                row = prev.row.astype(np.float64)
                 last[n] = prev._replace(tested=accepted)
             else:
-                rows, boundary, _level = _level_search(EfficiencyContext(
+                row, boundary, _level = _level_search(EfficiencyContext(
                     scenario, cache, sched, n, cache.peers(n)))
-                for a, k in boundary:
-                    rows[a][k] = 1.0 if rows[a][k] >= 1.0 - BINARY_TOL else 0.0
-                if (all(np.array_equal(row, x[n])
-                        for row, x in zip(rows, cache.entries))
-                        or _rows_storage(scenario, rows)
+                row[boundary] = row[boundary] >= 1.0 - BINARY_TOL
+                if (np.array_equal(row, cache.x[n])
+                        or row_storage(scenario, row)
                         > scenario.storage_capacities[n]):
                     last[n] = _Solved(version, y, None, accepted)
                     continue
-                last[n] = _Solved(version, y, [r.astype(bool) for r in rows],
-                                  accepted)
-            counts, hit = cache.candidate(n, rows)
+                last[n] = _Solved(version, y, row.astype(bool), accepted)
+            counts, hit = cache.candidate(n, row)
             res2 = evaluate_with_rates(scenario, hit.total, hit.neighbor,
                                        sched.lam, sched.fshare)
             if res2.feasible and res2.objective <= obj:
-                cache.accept(n, rows, counts, hit)
+                cache.accept(n, row, counts, hit)
                 sched.y = res2.y
                 obj = res2.objective
                 accepted += 1
@@ -680,17 +668,13 @@ def relaxed_objective(scenario: Scenario, cache: CacheAssignment,
     whenever the rows are binary.  frozen_y keeps the given search flags
     instead of re-choosing them per branch delay.
     """
-    A = scenario.num_apps
-    total = np.zeros(A)
-    local = np.zeros((A, scenario.num_stations))
-    for a in range(A):
-        x = cache.entries[a].copy()
-        x[station] = rows[a]
-        p = scenario.match_probs[a]
-        peer_sum = x.sum(axis=0) - x[station]
-        exc = peer_sum <= 0.0
-        total[a] = p[~exc].sum() + dot(p[exc], x[station, exc])
-        local[a] = [dot(row, p) for row in x]
+    row = np.concatenate(rows)
+    x = cache.x.copy()
+    x[station] = row
+    exc = scenario.split(x.sum(axis=0) - row <= 0.0)
+    total = np.array([p[~e].sum() + dot(p[e], r[e]) for p, e, r
+                      in zip(scenario.match_probs, exc, scenario.split(row))])
+    local = local_hits(scenario, x)
     neighbor = np.maximum(total[:, None] - local, 0.0)
     res = evaluate_with_rates(scenario, total, neighbor, sched.lam, sched.fshare,
                               y=frozen_y)
@@ -706,25 +690,19 @@ def brute_force_cache_oracle(scenario: Scenario, cache: CacheAssignment,
     storage capacity, evaluates the true objective with search flags
     re-chosen, and returns the best rows with their objective.
     """
-    items = [(a, k) for a in range(scenario.num_apps)
-             for k in range(scenario.catalog_size(a))]
-    t = len(items)
+    t = len(scenario.s)
     if t > ORACLE_MAX_ITEMS:
         raise TooLarge(f"{t} items exceeds the enumeration cap {ORACLE_MAX_ITEMS}")
-    sizes = np.array([scenario.result_sizes[a][k] for a, k in items])
     cap = scenario.storage_capacities[station]
 
     masks = np.arange(1 << t, dtype=np.int64)
     bits = (masks[:, None] >> np.arange(t)[None, :]) & 1
-    fits = np.nonzero(bits @ sizes <= cap)[0]
+    fits = np.nonzero(bits @ scenario.s <= cap)[0]
 
     best_obj = None
     best_rows = None
     for mask in fits:
-        rows = [np.zeros(scenario.catalog_size(a)) for a in range(scenario.num_apps)]
-        for pos, (a, k) in enumerate(items):
-            if bits[mask, pos]:
-                rows[a][k] = 1.0
+        rows = scenario.split(bits[mask].astype(np.float64))
         cand = cache.with_station(station, rows)
         res = evaluate_objective(scenario, cand, sched)
         if res.feasible and (best_obj is None or res.objective < best_obj):

@@ -4,8 +4,12 @@ Internal units are CPU cycles and cycles/s for work, bytes for storage and
 seconds for time.  A scenario holds N base stations and A applications; each
 application has a catalog of typical inputs whose results can be cached.
 
+The catalog is flat: app a's inputs are the positions offsets[a]:offsets[a
++ 1] of the arrays p (match probabilities) and s (result sizes).
+
 Decision variables:
-  cache entries  x[a][n, k] in {0, 1}  result k of app a kept at station n
+  cache entries  x[n, k] in {0, 1}     flat input k kept at station n: one
+                                       (N, K) matrix, app a's columns its view
   search flags   y[a, n] in {0, 1}     station searches its cache for app a
   load fractions lam[a, n] in [0, 1]   share of app a's tasks sent to n
   cpu shares     fshare[a, n] in [0,1] share of station n's CPU given to a
@@ -117,107 +121,127 @@ class Scenario:
 
     @cached_property
     def compute_capacities(self) -> np.ndarray:
-        v = np.array([st.compute_capacity for st in self.stations], dtype=np.float64)
-        v.setflags(write=False)
-        return v
+        return _frozen([st.compute_capacity for st in self.stations])
 
     @cached_property
     def storage_capacities(self) -> np.ndarray:
-        v = np.array([st.storage_capacity for st in self.stations], dtype=np.float64)
-        v.setflags(write=False)
-        return v
+        return _frozen([st.storage_capacity for st in self.stations])
 
     @cached_property
     def transfer_delays(self) -> np.ndarray:
-        v = np.array([st.transfer_delay for st in self.stations], dtype=np.float64)
-        v.setflags(write=False)
-        return v
+        return _frozen([st.transfer_delay for st in self.stations])
 
     @cached_property
     def arrival_rate_matrix(self) -> np.ndarray:
         """Shape (A, N): tasks/s of app a arriving at station n."""
-        v = np.array(
-            [[st.arrival_rates[a] for st in self.stations] for a in range(self.num_apps)],
-            dtype=np.float64,
-        )
-        v.setflags(write=False)
-        return v
+        return _frozen([[st.arrival_rates[a] for st in self.stations]
+                        for a in range(self.num_apps)])
 
     @cached_property
     def total_rates(self) -> np.ndarray:
-        v = self.arrival_rate_matrix.sum(axis=1)
-        v.setflags(write=False)
-        return v
+        return _frozen(self.arrival_rate_matrix.sum(axis=1))
 
     @cached_property
     def weights(self) -> np.ndarray:
-        v = np.array([app.weight for app in self.apps], dtype=np.float64)
-        v.setflags(write=False)
-        return v
+        return _frozen([app.weight for app in self.apps])
 
     @cached_property
     def workloads(self) -> np.ndarray:
-        v = np.array([app.mean_workload for app in self.apps], dtype=np.float64)
-        v.setflags(write=False)
-        return v
+        return _frozen([app.mean_workload for app in self.apps])
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Shape (A + 1,): app a's inputs are offsets[a]:offsets[a + 1]."""
+        return _frozen(np.cumsum([0] + [len(app.typical_inputs)
+                                        for app in self.apps]), np.int64)
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        """Shape (K,): every input's match probability, app after app."""
+        return _frozen(np.fromiter((ti.match_prob for app in self.apps
+                                    for ti in app.typical_inputs),
+                                   np.float64, self.offsets[-1]))
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """Shape (K,): every input's result size in bytes, app after app."""
+        return _frozen(np.fromiter((ti.result_size for app in self.apps
+                                    for ti in app.typical_inputs),
+                                   np.float64, self.offsets[-1]))
+
+    @cached_property
+    def segments(self) -> list[tuple[int, int]]:
+        """Per app, offsets[a] and offsets[a + 1] as Python ints."""
+        return list(zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()))
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per app, its segment of a flat array over the catalog (views)."""
+        return [flat[..., lo:hi] for lo, hi in self.segments]
 
     @cached_property
     def match_probs(self) -> tuple[np.ndarray, ...]:
-        out = []
-        for app in self.apps:
-            v = np.array([ti.match_prob for ti in app.typical_inputs], dtype=np.float64)
-            v.setflags(write=False)
-            out.append(v)
-        return tuple(out)
+        return tuple(self.split(self.p))
 
     @cached_property
     def result_sizes(self) -> tuple[np.ndarray, ...]:
-        out = []
-        for app in self.apps:
-            v = np.array([ti.result_size for ti in app.typical_inputs], dtype=np.float64)
-            v.setflags(write=False)
-            out.append(v)
-        return tuple(out)
+        return tuple(self.split(self.s))
+
+    @cached_property
+    def density_order(self) -> np.ndarray:
+        """Every flat input by density p/s descending, position ascending."""
+        return self._density_sort[0]
 
     @cached_property
     def density_orders(self) -> tuple[np.ndarray, ...]:
         """Per app, input indices by density p/s descending, index
-        ascending."""
-        return tuple(order for order, _ in self._density_sort)
+        ascending: its inputs in density_order, which keeps their order."""
+        return tuple(order for order, _ in self._density_sort[1])
 
     @cached_property
     def sorted_neg_densities(self) -> tuple[np.ndarray, ...]:
         """Per app, -p/s in density order: ascending, and negated so that
         it can be searched."""
-        return tuple(neg for _, neg in self._density_sort)
+        return tuple(neg for _, neg in self._density_sort[1])
 
     @cached_property
-    def _density_sort(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per app, the density order and -p/s in it, from one division."""
-        out = []
-        for p, s in zip(self.match_probs, self.result_sizes):
-            neg = -(p / s)
-            order = np.argsort(neg, kind="stable")
-            neg = neg[order]
-            order.setflags(write=False)
-            neg.setflags(write=False)
-            out.append((order, neg))
-        return out
+    def _density_sort(self) -> tuple[np.ndarray, list]:
+        """density_order, and per app its inputs in it with their -p/s,
+        from one division and one stable sort; positions are int32."""
+        neg = -(self.p / self.s)
+        order = _frozen(np.argsort(neg, kind="stable"), np.int32)
+        per_app = []
+        for lo, hi in self.segments:
+            mine = order[(order >= lo) & (order < hi)]
+            per_app.append((_frozen(mine - lo, np.int32), _frozen(neg[mine])))
+        return order, per_app
 
     def catalog_size(self, a: int) -> int:
-        return len(self.apps[a].typical_inputs)
+        return int(self.offsets[a + 1] - self.offsets[a])
 
     def share_catalogs(self, source: "Scenario", apps: list[int]) -> None:
         """Take the per-input arrays of this scenario's apps from the apps
         ``apps`` of ``source``, whose typical inputs they hold, so that the
-        two scenarios keep one copy of them."""
+        two scenarios keep one copy of them (of the flat arrays too, when
+        ``apps`` is every app of ``source``)."""
         if len(apps) != self.num_apps or any(
                 mine.typical_inputs is not source.apps[a].typical_inputs
                 for mine, a in zip(self.apps, apps)):
             raise DimensionMismatch("the apps do not hold the source's inputs")
-        for name in ("match_probs", "result_sizes", "density_orders",
-                     "sorted_neg_densities"):
+        for name in ("density_orders", "sorted_neg_densities"):
             self.__dict__[name] = tuple(getattr(source, name)[a] for a in apps)
+        if list(apps) == list(range(source.num_apps)):
+            for name in ("p", "s", "density_order"):
+                self.__dict__[name] = getattr(source, name)
+            return
+        for name, per_app in (("p", source.match_probs), ("s", source.result_sizes)):
+            self.__dict__[name] = _frozen(np.concatenate([per_app[a] for a in apps]))
+
+
+def _frozen(values, dtype=np.float64) -> np.ndarray:
+    """``values`` as a read-only array."""
+    v = np.asarray(values, dtype=dtype)
+    v.setflags(write=False)
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,36 +293,55 @@ _STACKED = ("compute_capacities", "transfer_delays", "arrival_rate_matrix",
 
 
 class CacheAssignment:
-    """Per-app cache matrices x[a] of shape (N, K_a) with entries 0 or 1.
+    """One cache matrix x of shape (N, K) over the flat catalog, entries 0
+    or 1; app a's inputs are its columns offsets[a]:offsets[a + 1].
 
-    Any other entry, NaN and infinities included, is MalformedInput.
+    ``entries[a]`` is app a's (N, K_a) view of x, so a write to it lands in
+    x.  Any entry but 0 or 1, NaN and infinities included, is
+    MalformedInput naming its app.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("x", "offsets", "entries")
 
     def __init__(self, entries: list[np.ndarray]):
-        self.entries = [np.asarray(x, dtype=np.float64) for x in entries]
-        for a, x in enumerate(self.entries):
-            if x.ndim != 2:
-                raise DimensionMismatch(f"app {a}: cache matrix must be 2-D")
-            # written so that NaN fails it
-            if not np.all((x == 0.0) | (x == 1.0)):
-                raise MalformedInput(f"app {a}: cache entries not binary")
+        entries = [np.asarray(x, dtype=np.float64) for x in entries]
+        if not entries:
+            raise DimensionMismatch("a cache needs at least one app matrix")
+        for a, x in enumerate(entries):
+            if x.ndim != 2 or len(x) != len(entries[0]):
+                raise DimensionMismatch(f"app {a}: cache matrix of shape {x.shape} "
+                                        "is not 2-D with app 0's station rows")
+        self._hold(np.concatenate(entries, axis=1),
+                   np.cumsum([0] + [x.shape[1] for x in entries]))
+
+    def _hold(self, x: np.ndarray, offsets: np.ndarray) -> None:
+        self.x, self.offsets = x, offsets
+        self.entries = np.split(x, offsets[1:-1], axis=1)
+        # written so that NaN fails it
+        binary = ((x == 0.0) | (x == 1.0)).all(axis=0)
+        if not binary.all():
+            a = int(np.searchsorted(offsets, np.argmin(binary), "right")) - 1
+            raise MalformedInput(f"app {a}: cache entries not binary")
+
+    @classmethod
+    def of(cls, x: np.ndarray, offsets: np.ndarray) -> "CacheAssignment":
+        """The assignment holding the (N, K) matrix ``x`` itself."""
+        (cache := cls.__new__(cls))._hold(x, offsets)
+        return cache
 
     @classmethod
     def zeros(cls, scenario: Scenario) -> "CacheAssignment":
-        return cls([np.zeros((scenario.num_stations, scenario.catalog_size(a)))
-                    for a in range(scenario.num_apps)])
+        return cls.of(np.zeros((scenario.num_stations, scenario.offsets[-1])),
+                      scenario.offsets)
 
     def with_station(self, n: int,
                      station_rows: list[np.ndarray]) -> "CacheAssignment":
         """New assignment with station n's row replaced in every app matrix."""
-        new = [x.copy() for x in self.entries]
-        for a, row in enumerate(station_rows):
-            if row.shape != (new[a].shape[1],):
-                raise DimensionMismatch(f"app {a}: station row has wrong length")
-            new[a][n, :] = row
-        return CacheAssignment(new)
+        if [np.shape(r) for r in station_rows] != [x.shape[1:] for x in self.entries]:
+            raise DimensionMismatch("station rows do not match the app matrices")
+        new = self.x.copy()
+        new[n] = np.concatenate(station_rows)
+        return CacheAssignment.of(new, self.offsets)
 
 
 @dataclass
@@ -351,52 +394,67 @@ def dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", u, v))
 
 
-def cached_mass(p: np.ndarray, counts: np.ndarray) -> float:
-    """Match probability of the inputs that some station caches, given the
-    per-input count (column sum) of one app's cache matrix."""
-    return dot(p, (counts > 0.0).astype(np.float64))
+def cached_mass(scenario: Scenario, counts: np.ndarray) -> np.ndarray:
+    """Per app, the match probability of its inputs that some station
+    caches, given the flat per-input counts (column sums of the cache)."""
+    return np.array([dot(p, (c > 0.0).astype(np.float64))
+                     for p, c in zip(scenario.match_probs, scenario.split(counts))])
+
+
+def local_hits(scenario: Scenario, x: np.ndarray) -> np.ndarray:
+    """Shape (A, N): per app, the match probability each row of the (N, K)
+    matrix x caches, dot(row, p) over the app's segment."""
+    local = np.zeros((scenario.num_apps, len(x)))
+    for n, row in enumerate(x):
+        local[:, n] = [dot(r, p) for r, p in zip(scenario.split(row),
+                                                 scenario.match_probs)]
+    return local
 
 
 def compute_hit_rates(scenario: Scenario, cache: CacheAssignment) -> HitRateTable:
     """Local, neighbor and total hit rates for every (app, station).
 
-    Each station's local rate is dot(row, p) and the total comes from the
-    column counts through cached_mass; the caching sweep updates its tables
-    with the same two reductions, so both agree bit for bit.  Entries are
-    binary, so neighbor = total - local.
+    Each station's local rate is dot(row, p) per app and the total comes
+    from the column counts through cached_mass; the caching sweep updates
+    its tables with the same two reductions, so both agree bit for bit.
+    Entries are binary, so neighbor = total - local.  A cache whose shape
+    is not the scenario's is DimensionMismatch naming the first wrong app.
     """
     if len(cache.entries) != scenario.num_apps:
         raise DimensionMismatch("cache has wrong number of apps")
-    nst = scenario.num_stations
-    local = np.zeros((scenario.num_apps, nst))
-    total = np.zeros(scenario.num_apps)
-    for a in range(scenario.num_apps):
-        x = cache.entries[a]
-        if x.shape != (nst, scenario.catalog_size(a)):
-            raise DimensionMismatch(f"app {a}: cache matrix shape {x.shape}")
-        p = scenario.match_probs[a]
-        counts = x.sum(axis=0)
-        total[a] = cached_mass(p, counts)
-        local[a] = [dot(row, p) for row in x]
+    wrong = ((np.diff(cache.offsets) != np.diff(scenario.offsets))
+             | (len(cache.x) != scenario.num_stations))
+    if wrong.any():
+        a = int(np.argmax(wrong))
+        raise DimensionMismatch(f"app {a}: cache matrix shape "
+                                f"{cache.entries[a].shape}")
+    total = cached_mass(scenario, cache.x.sum(axis=0))
+    local = local_hits(scenario, cache.x)
     neighbor = total[:, None] - local
-    local.setflags(write=False)
-    neighbor.setflags(write=False)
-    total.setflags(write=False)
+    for v in (local, neighbor, total):
+        v.setflags(write=False)
     return HitRateTable(local=local, neighbor=neighbor, total=total)
 
 
-def rows_storage(scenario: Scenario, rows: list[np.ndarray]) -> float:
-    """Bytes one station's rows (one per app) occupy; fractional entries
-    count pro rata."""
+def row_storage(scenario: Scenario, row: np.ndarray, apps=None) -> float:
+    """Bytes a station's flat row occupies, fractional entries pro rata,
+    summed app by app over ``apps`` (ascending; default all).  An app left
+    out must have a zero segment: its +0.0 would change no bit."""
     used = 0.0
-    for a, row in enumerate(rows):
-        used += dot(row, scenario.result_sizes[a])
+    for a in range(scenario.num_apps) if apps is None else apps:
+        lo, hi = scenario.segments[a]
+        used += dot(row[lo:hi], scenario.s[lo:hi])
     return used
+
+
+def rows_storage(scenario: Scenario, rows: list[np.ndarray]) -> float:
+    """Bytes one station's rows (one per app) occupy."""
+    return row_storage(scenario, np.concatenate(rows))
 
 
 def storage_used(scenario: Scenario, cache: CacheAssignment, n: int) -> float:
     """Bytes occupied at station n."""
-    return rows_storage(scenario, [x[n] for x in cache.entries])
+    return row_storage(scenario, cache.x[n])
 
 
 # -- feasibility -----------------------------------------------------------
@@ -427,44 +485,37 @@ def validate(scenario: Scenario, cache: CacheAssignment,
     at every queue that is not idle, by the test the objective applies.
     """
     out: list[Violation] = []
-    A, N = scenario.num_apps, scenario.num_stations
-    if sched.lam.shape != (A, N):
+    if sched.lam.shape != (scenario.num_apps, scenario.num_stations):
         raise DimensionMismatch("scheduling state has wrong shape")
 
-    for a in range(A):
-        x = cache.entries[a]
-        # rows written in place after construction are checked again
-        bad = (x != 0.0) & (x != 1.0)
-        for n in np.unique(np.nonzero(bad)[0]):
+    hit_total = compute_hit_rates(scenario, cache).total  # checks the shape
+    # rows written in place after construction are checked again
+    for a, x in enumerate(cache.entries):
+        for n in np.flatnonzero(((x != 0.0) & (x != 1.0)).any(axis=1)):
             out.append(Violation("range", a, int(n), float(np.max(np.abs(x[n] - 0.5)))))
 
-    for n in range(N):
+    for n in range(scenario.num_stations):
         used = storage_used(scenario, cache, n)
         cap = scenario.storage_capacities[n]
         if used > cap + 1e-6:  # bytes; sub-byte slack only
             out.append(Violation("storage", None, n, used - cap))
 
-    for arr, lo, hi, tag in ((sched.lam, 0.0, 1.0, "range"), (sched.fshare, 0.0, 1.0, "range")):
-        bad = (arr < lo - BINARY_TOL) | (arr > hi + BINARY_TOL)
+    # y is integer, so its test is y not in {0, 1}
+    for arr in (sched.lam, sched.fshare, sched.y):
+        bad = (arr < -BINARY_TOL) | (arr > 1.0 + BINARY_TOL)
         for a, n in zip(*np.nonzero(bad)):
-            out.append(Violation(tag, int(a), int(n), float(arr[a, n])))
-    bad_y = (sched.y != 0) & (sched.y != 1)
-    for a, n in zip(*np.nonzero(bad_y)):
-        out.append(Violation("range", int(a), int(n), float(sched.y[a, n])))
+            out.append(Violation("range", int(a), int(n), float(arr[a, n])))
 
-    row_sums = sched.lam.sum(axis=1)
-    for a in range(A):
-        if abs(row_sums[a] - 1.0) > EQUALITY_TOL:
-            out.append(Violation("workload_sum", a, None, float(row_sums[a] - 1.0)))
-    col_sums = sched.fshare.sum(axis=0)
-    for n in range(N):
-        if abs(col_sums[n] - 1.0) > EQUALITY_TOL:
-            out.append(Violation("cpu_sum", None, n, float(col_sums[n] - 1.0)))
+    row_err = sched.lam.sum(axis=1) - 1.0
+    for a in np.flatnonzero(np.abs(row_err) > EQUALITY_TOL):
+        out.append(Violation("workload_sum", int(a), None, float(row_err[a])))
+    col_err = sched.fshare.sum(axis=0) - 1.0
+    for n in np.flatnonzero(np.abs(col_err) > EQUALITY_TOL):
+        out.append(Violation("cpu_sum", None, int(n), float(col_err[n])))
 
     from .delay import selected_stability  # delay imports this module
-    stable, slack = selected_stability(scenario,
-                                       compute_hit_rates(scenario, cache).total,
-                                       sched.lam, sched.fshare, sched.y)
+    stable, slack = selected_stability(scenario, hit_total, sched.lam,
+                                       sched.fshare, sched.y)
     for a, n in zip(*np.nonzero(~stable)):
         out.append(Violation("stability", int(a), int(n), float(-slack[a, n])))
     return out

@@ -20,7 +20,7 @@ import numpy as np
 
 from .caching import SweepState, sweep_all_stations
 from .errors import CecReuseError, Infeasible, MalformedInput
-from .model import (Application, BaseStation, CacheAssignment, HitRateTable,
+from .model import (CacheAssignment, HitRateTable,
                     Scenario, ScenarioStack, SchedulingState,
                     compute_hit_rates, validate)
 from .scheduling import PgdParams, initial_feasible_point, solve_scheduling
@@ -72,39 +72,18 @@ class SolveReport:
         return d
 
 
-def _density_order(scenario: Scenario) -> np.ndarray:
-    """Every input, numbered app after app, by p/s descending, ties by
-    that number: the stable argsort of -p/s over all apps.
-
-    The apps' density orders are already sorted runs, so a stable sort of
-    their concatenation merges them; a tie keeps its app order and, within
-    an app, its index order.
-    """
-    bounds = np.cumsum([0] + [len(o) for o in scenario.density_orders])
-    merged = np.argsort(np.concatenate(scenario.sorted_neg_densities),
-                        kind="stable")
-    return np.concatenate([order + b for order, b in
-                           zip(scenario.density_orders, bounds)])[merged]
-
-
 def greedy_cache(scenario: Scenario) -> CacheAssignment:
     """Fill each station in descending p/s order until the next item no
     longer fits (ties broken by (app, input) index).
 
-    The stations share one order, so each fills a prefix of it: the
-    longest whose running size total stays within its capacity.
+    The stations share one order, Scenario.density_order, so each fills
+    the longest prefix of it whose running size total fits its capacity.
     """
-    order = _density_order(scenario)
-    filled = np.cumsum(np.concatenate(scenario.result_sizes)[order])
-    bounds = np.cumsum([0] + [scenario.catalog_size(a)
-                              for a in range(scenario.num_apps)])
+    order = scenario.density_order
+    filled = np.cumsum(scenario.s[order])
     cache = CacheAssignment.zeros(scenario)
-    row = np.empty(len(order))
     for n, cap in enumerate(scenario.storage_capacities):
-        row[:] = 0.0
-        row[order[:np.searchsorted(filled, cap, side="right")]] = 1.0
-        for a, x in enumerate(cache.entries):
-            x[n] = row[bounds[a]:bounds[a + 1]]
+        cache.x[n, order[:np.searchsorted(filled, cap, side="right")]] = 1.0
     return cache
 
 
@@ -257,20 +236,12 @@ def _single_station_scenario(scenario: Scenario, n: int,
                              kept: list[int]) -> Scenario:
     """Station n in isolation, kept apps reweighted by their local share;
     it reads its catalogs' arrays from ``scenario``'s."""
-    rates = scenario.arrival_rate_matrix
-    apps = []
-    for a in kept:
-        app = scenario.apps[a]
-        share = rates[a, n] / scenario.total_rates[a]
-        apps.append(Application(weight=app.weight * share,
-                                mean_workload=app.mean_workload,
-                                typical_inputs=app.typical_inputs))
-    st = scenario.stations[n]
-    station = BaseStation(compute_capacity=st.compute_capacity,
-                          storage_capacity=st.storage_capacity,
-                          transfer_delay=st.transfer_delay,
-                          arrival_rates=tuple(float(rates[a, n]) for a in kept))
-    sub = Scenario(stations=(station,), apps=tuple(apps),
+    rates, apps = scenario.arrival_rate_matrix, scenario.apps
+    local = tuple(replace(apps[a], weight=apps[a].weight
+                          * (rates[a, n] / scenario.total_rates[a])) for a in kept)
+    station = replace(scenario.stations[n],
+                      arrival_rates=tuple(float(rates[a, n]) for a in kept))
+    sub = Scenario(stations=(station,), apps=local,
                    search_workload=scenario.search_workload)
     sub.share_catalogs(scenario, kept)
     return sub
@@ -329,14 +300,13 @@ def solve_noc(scenario: Scenario, rounds: int = ROUND_CAP,
     for n, run in runs.items():
         init_sum += run.trace[0][3]
         final_sum += run.trace[-1][3]
+        # the kept apps' column segments, in order, are the run's catalog
+        cache.x[n, np.repeat(rates[:, n] > 0.0, np.diff(scenario.offsets))] = run.cache.x[0]
         fshare[:, n] = 0.0
-        for idx, a in enumerate(kept[n]):
-            cache.entries[a][n] = run.cache.entries[idx][0]
-            fshare[a, n] = run.sched.fshare[idx, 0]
-            y[a, n] = run.sched.y[idx, 0]
-    for a in range(A):
-        if scenario.total_rates[a] > 0.0:
-            lam[a] = rates[a] / scenario.total_rates[a]
+        fshare[kept[n], n] = run.sched.fshare[:, 0]
+        y[kept[n], n] = run.sched.y[:, 0]
+    served = scenario.total_rates > 0.0
+    lam[served] = rates[served] / scenario.total_rates[served, None]
     trace: list[TraceRow] = [(0, "init", 0, init_sum), (1, "noc", 1, final_sum)]
     return SolveReport(
         algorithm="noc", objective_trace=trace, cache=cache,

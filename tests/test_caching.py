@@ -270,11 +270,11 @@ def test_fraction_solve_runs_only_where_storage_bounds_straddle(monkeypatch):
         return solve_fraction(*args)
 
     def checked_fits(ctx, level, cap):
-        rows, pending = caching._level_rows(ctx, level)
-        lower = caching._rows_storage(ctx.scenario, rows)
+        row, pending, _filled = caching._level_rows(ctx, level)
+        lower = caching.row_storage(ctx.scenario, row)
         for a, m in pending:
-            rows[a][ctx.exclusive[a][m]] = 1.0
-        upper = caching._rows_storage(ctx.scenario, rows)
+            row[ctx.exclusive_input(a, m)] = 1.0
+        upper = caching.row_storage(ctx.scenario, row)
         before = solves["probe"]
         where.append("probe")
         try:
@@ -449,8 +449,9 @@ def test_sweep_rejects_fractional_neighbor_entry():
 
 def test_sweep_state_rejects_wrong_row_length(two_station_one_app):
     sc = two_station_one_app
+    # a candidate is one flat row over the whole catalog
     with pytest.raises(DimensionMismatch):
-        fresh_state(sc).candidate(0, [np.zeros(2)])
+        fresh_state(sc).candidate(0, np.zeros(sc.offsets[-1] + 1))
 
 
 def test_sweep_state_matches_hit_rate_oracle(monkeypatch):
@@ -465,8 +466,7 @@ def test_sweep_state_matches_hit_rate_oracle(monkeypatch):
         for name in ("local", "neighbor", "total"):
             assert np.array_equal(getattr(state.hit, name),
                                   getattr(oracle, name)), name
-        for counts, x in zip(state.counts, state.entries):
-            assert np.array_equal(counts, x.sum(axis=0))
+        assert np.array_equal(state.counts, state.x.sum(axis=0))
 
     class CheckedSweepState(caching.SweepState):
         def __init__(self, scenario, cache):

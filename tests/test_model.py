@@ -1,13 +1,16 @@
-"""Scenario model: hit rates, storage accounting, feasibility, serialization."""
+"""Scenario model: the flat catalog and its per-app views, hit rates,
+storage accounting, feasibility, serialization."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cecreuse import (CacheAssignment, DimensionMismatch, MalformedInput,
-                      SchedulingState, compute_hit_rates, load_scenario,
-                      save_scenario, scenario_from_dict, storage_used,
-                      validate)
-from cecreuse.model import rows_storage
-from cecreuse.solver import greedy_cache, solve_greedy
+from cecreuse import (CacheAssignment, DimensionMismatch, GeneratorParams,
+                      MalformedInput, SchedulingState, compute_hit_rates,
+                      generate_scenario, load_scenario, save_scenario,
+                      scenario_from_dict, storage_used, validate)
+from cecreuse.model import Scenario, rows_storage
+from cecreuse.solver import _single_station_scenario, greedy_cache, solve_greedy
 
 from conftest import (NON_FINITE_FIELDS, NON_FINITE_IDS, WRONG_TYPE_FIELDS,
                       WRONG_TYPE_IDS, build_scenario, full_cache,
@@ -185,6 +188,11 @@ def test_cache_assignment_rejects_out_of_range():
             CacheAssignment([np.array([[1.0, value]])])
     with pytest.raises(DimensionMismatch):
         CacheAssignment([np.array([0.5])])
+    # the one check over the whole matrix names the app of the bad entry,
+    # past an app with an empty catalog
+    with pytest.raises(MalformedInput, match="app 2"):
+        CacheAssignment([np.zeros((2, 2)), np.zeros((2, 0)),
+                         np.array([[1.0], [0.5]])])
 
 
 def test_cache_is_binary_flag(default_scenario):
@@ -199,6 +207,102 @@ def test_cache_rejects_non_finite_entries(value):
         CacheAssignment([np.array([[value, 1.0]])])
     with pytest.raises(MalformedInput):
         CacheAssignment([np.zeros((2, 2)), np.array([[0.0], [value]])])
+
+
+def test_cache_rejects_mismatched_station_counts():
+    # the apps' matrices are one (N, K) matrix, so they share N
+    with pytest.raises(DimensionMismatch, match="app 1"):
+        CacheAssignment([np.zeros((2, 3)), np.zeros((3, 3))])
+    with pytest.raises(DimensionMismatch, match="app 2"):
+        CacheAssignment([np.zeros((2, 1)), np.zeros((2, 0)), np.zeros((1, 2))])
+    with pytest.raises(DimensionMismatch):
+        CacheAssignment([])
+
+
+def test_entries_are_views_of_the_one_matrix(default_scenario):
+    sc = default_scenario
+    cache = CacheAssignment.zeros(sc)
+    assert cache.x.shape == (sc.num_stations, sc.offsets[-1])
+    assert [x.shape for x in cache.entries] == [
+        (sc.num_stations, sc.catalog_size(a)) for a in range(sc.num_apps)]
+    cache.entries[2][3] = 1.0
+    lo, hi = sc.offsets[2], sc.offsets[3]
+    assert cache.x[3, lo:hi].all() and cache.x.sum() == hi - lo
+    hit = compute_hit_rates(sc, cache)
+    assert hit.local[2, 3] == hit.total[2] > 0.0
+    assert np.count_nonzero(hit.local) == 1
+    assert storage_used(sc, cache, 3) == rows_storage(sc, [x[3] for x in cache.entries])
+    # an entry written out of range is caught again by validate
+    cache.entries[1][4, 0] = 0.5
+    assert [(v.constraint, v.app, v.station) for v in validate(
+        sc, cache, solve_greedy(sc).sched) if v.constraint == "range"] == [
+            ("range", 1, 4)]
+
+
+def test_with_station_leaves_its_source_untouched(default_scenario):
+    sc = default_scenario
+    source = greedy_cache(sc)
+    before = source.x.copy()
+    rows = [1.0 - x[0] for x in source.entries]
+    new = source.with_station(0, rows)
+    assert np.array_equal(source.x, before)
+    assert np.array_equal(new.x[0], np.concatenate(rows))
+    assert np.array_equal(new.x[1:], before[1:])
+    assert all(np.shares_memory(x, new.x) for x in new.entries)
+    with pytest.raises(DimensionMismatch):
+        source.with_station(0, rows[:-1])
+    with pytest.raises(DimensionMismatch):
+        source.with_station(0, [rows[0][:-1]] + rows[1:])
+
+
+def assert_flat_catalog(sc):
+    """Flat p, s and offsets equal the per-app arrays and the typical
+    inputs, and the density orders are each app's own stable argsort."""
+    assert sc.offsets.tolist() == np.cumsum(
+        [0] + [len(app.typical_inputs) for app in sc.apps]).tolist()
+    for a, app in enumerate(sc.apps):
+        lo, hi = sc.offsets[a], sc.offsets[a + 1]
+        p = [ti.match_prob for ti in app.typical_inputs]
+        s = [ti.result_size for ti in app.typical_inputs]
+        assert sc.p[lo:hi].tolist() == sc.match_probs[a].tolist() == p
+        assert sc.s[lo:hi].tolist() == sc.result_sizes[a].tolist() == s
+        neg = -(np.array(p) / np.array(s))
+        order = np.argsort(neg, kind="stable")
+        assert sc.density_orders[a].tolist() == order.tolist()
+        assert sc.sorted_neg_densities[a].tobytes() == neg[order].tobytes()
+    assert sc.density_order.tolist() == np.argsort(
+        -(sc.p / sc.s), kind="stable").tolist()
+
+
+def test_flat_catalog_of_a_permuted_scenario():
+    # the benchmark relabels a scenario by permuting each app's inputs
+    rng = np.random.default_rng(5)
+    sc = generate_scenario(GeneratorParams(seed=42, num_apps=4, k_scale=0.002))
+    apps = tuple(replace(app, typical_inputs=tuple(
+        app.typical_inputs[k] for k in rng.permutation(len(app.typical_inputs))))
+        for app in sc.apps)
+    permuted = replace(sc, apps=apps)
+    assert_flat_catalog(permuted)
+    assert not np.array_equal(permuted.p, sc.p)
+    assert sorted(permuted.p.tolist()) == sorted(sc.p.tolist())
+
+
+@pytest.mark.parametrize("kept", [[0, 1, 2], [1, 2], [0, 2], [1]])
+def test_flat_catalog_of_single_station_scenarios(kept):
+    # NoC's single-station scenarios take their arrays from the parent's:
+    # shared whole when every app is kept, else the kept apps' segments
+    sc = generate_scenario(GeneratorParams(seed=42, num_stations=4,
+                                           num_apps=3, k_scale=0.002))
+    sub = _single_station_scenario(sc, 1, kept)
+    assert_flat_catalog(sub)
+    assert (sub.p is sc.p) == (kept == [0, 1, 2])
+    for i, a in enumerate(kept):
+        assert sub.density_orders[i] is sc.density_orders[a]
+    # the orders a scenario computes itself are the ones it was handed
+    alone = Scenario(stations=sub.stations, apps=sub.apps,
+                     search_workload=sub.search_workload)
+    assert alone.density_order.tolist() == sub.density_order.tolist()
+    assert greedy_cache(alone).x.tobytes() == greedy_cache(sub).x.tobytes()
 
 
 @pytest.mark.parametrize("field", ["lam", "fshare", "y"])

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from cecreuse import (CacheAssignment, GeneratorParams, Infeasible,
-                      MalformedInput, SchedulingState,
+from cecreuse import (CacheAssignment, DimensionMismatch, GeneratorParams,
+                      Infeasible, MalformedInput, SchedulingState,
                       backtrack, compute_hit_rates,
                       generate_scenario, initial_feasible_point,
                       project_decisions, solver)
@@ -27,7 +27,7 @@ from cecreuse.delay import (BranchDelays, evaluate_with_rates,
 from cecreuse.scheduling import (ALPHA, BETA, DELTA_STAB, J_MAX, STEP_BLOCK,
                                  solve_scheduling)
 from cecreuse.model import (HitRateTable, Scenario, ScenarioStack, dot,
-                            rows_storage)
+                            row_storage, rows_storage)
 
 from conftest import build_scenario
 
@@ -51,7 +51,11 @@ def matrices(draw, elements):
 @given(st.lists(matrices(ENTRY), min_size=1, max_size=3))
 def test_cache_accepts_exactly_the_binary_arrays(entries):
     binary = all(v == 0.0 or v == 1.0 for x in entries for v in x.flat)
-    if binary:
+    if len({x.shape[0] for x in entries}) > 1:
+        # the apps' matrices are one (N, K) matrix: one station count
+        with pytest.raises(DimensionMismatch, match="station rows"):
+            CacheAssignment(entries)
+    elif binary:
         cache = CacheAssignment(entries)
         assert all(np.array_equal(a, b) for a, b in zip(cache.entries, entries))
     else:
@@ -97,13 +101,12 @@ def test_hit_rates_are_ordered_and_split_exactly(case):
 @given(scenarios_with_cache())
 def test_sweep_candidate_equals_the_dense_oracle(case):
     sc, cache, n, rows = case
-    counts, hit = SweepState(sc, cache).candidate(n, rows)
+    counts, hit = SweepState(sc, cache).candidate(n, np.concatenate(rows))
     rewritten = cache.with_station(n, rows)
     want = compute_hit_rates(sc, rewritten)
     for field in ("local", "neighbor", "total"):
         assert np.array_equal(getattr(hit, field), getattr(want, field))
-    for c, x in zip(counts, rewritten.entries):
-        assert np.array_equal(c, x.sum(axis=0))
+    assert np.array_equal(counts, rewritten.x.sum(axis=0))
 
 
 def copied(cache):
@@ -117,11 +120,11 @@ def rewrite_sequences(draw):
     rewrites after its own."""
     sc, cache, n, rows = draw(scenarios_with_cache())
     bits = st.sampled_from([0.0, 1.0])
-    rewrites = [(n, rows)]
+    rewrites = [(n, np.concatenate(rows))]
     for _ in range(draw(st.integers(0, 5))):
-        rewrites.append((draw(st.integers(0, sc.num_stations - 1)), [
-            np.array(draw(st.lists(bits, min_size=k, max_size=k)))
-            for k in map(sc.catalog_size, range(sc.num_apps))]))
+        k = int(sc.offsets[-1])
+        rewrites.append((draw(st.integers(0, sc.num_stations - 1)),
+                         np.array(draw(st.lists(bits, min_size=k, max_size=k)))))
     return sc, cache, rewrites
 
 
@@ -140,9 +143,9 @@ def test_accept_bumps_exactly_the_versions_whose_peer_mask_flips(case):
     gets equals the one split from its matrices."""
     sc, cache, rewrites = case
     state = SweepState(sc, copied(cache))
-    for n, rows in rewrites:
+    for n, row in rewrites:
         before, versions = peer_masks(state), state.versions.copy()
-        state.accept(n, rows, *state.candidate(n, rows))
+        state.accept(n, row, *state.candidate(n, row))
         after = peer_masks(state)
         flipped = [any(not np.array_equal(b, a) for b, a in zip(bj, aj))
                    for bj, aj in zip(before, after)]
@@ -199,7 +202,7 @@ def tied_rewrite_sequences(draw):
     sc = build_scenario((4e9,) * n, pick([0.0, 3e3, 1e4, 1e9], n),
                         pick([0.0, 0.01, 0.5], n), rates, apps)
     rewrites = [(draw(st.integers(0, n - 1)),
-                 [np.array(pick([0.0, 1.0], k)) for k in sizes])
+                 np.array(pick([0.0, 1.0], sum(sizes))))
                 for _ in range(draw(st.integers(0, 5)))]
     shape = (n_apps, n)
     sched = SchedulingState(
@@ -223,7 +226,7 @@ def pinned_tie_case(transfer):
                                        [1.0, 0.0, 1.0, 1.0]])])
     sched = SchedulingState(lam=np.array([[0.7, 0.3]]),
                             fshare=np.ones((1, 2)), y=np.ones((1, 2)))
-    return sc, cache, [(1, [np.array([1.0, 1.0, 0.0, 1.0])])], sched
+    return sc, cache, [(1, np.array([1.0, 1.0, 0.0, 1.0]))], sched
 
 
 @PROPERTY
@@ -238,9 +241,9 @@ def test_kept_partitions_give_the_contexts_of_a_fresh_split(case):
     chosen by a mask over those efficiencies."""
     sc, cache, rewrites, sched = case
     state = SweepState(sc, copied(cache))
-    for n, rows in [(None, None)] + rewrites:
+    for n, row in [(None, None)] + rewrites:
         if n is not None:
-            state.accept(n, rows, *state.candidate(n, rows))
+            state.accept(n, row, *state.candidate(n, row))
         for j in range(sc.num_stations):
             kept = state.peers(j)
             assert_same_partition(kept, split_by_masks(state, j))
@@ -253,7 +256,7 @@ def test_kept_partitions_give_the_contexts_of_a_fresh_split(case):
                     _level_search(ctx)
                 continue
             got = _level_search(ctx)
-            assert [r.tobytes() for r in got[0]] == [r.tobytes() for r in want[0]]
+            assert got[0].tobytes() == want[0].tobytes()
             assert got[1:] == want[1:]
             levels = {float(e) for effs in ctx.rep_eff for e in effs}
             for level in sorted(levels) + [0.0, -0.0]:
@@ -292,17 +295,16 @@ def sweep_solving_every_station(scenario, cache, sched, passes):
         changed = False
         for n in range(scenario.num_stations):
             rows, _level = solve_caching_bs(scenario, cache, sched, n)
-            rows_bin = round_to_binary(rows)
-            if all(np.array_equal(rows_bin[a], cache.entries[a][n])
-                   for a in range(scenario.num_apps)):
+            row = np.concatenate(round_to_binary(rows))
+            if np.array_equal(row, cache.x[n]):
                 continue
-            if rows_storage(scenario, rows_bin) > scenario.storage_capacities[n]:
+            if row_storage(scenario, row) > scenario.storage_capacities[n]:
                 continue
-            counts, hit = cache.candidate(n, rows_bin)
+            counts, hit = cache.candidate(n, row)
             res2 = evaluate_with_rates(scenario, hit.total, hit.neighbor,
                                        sched.lam, sched.fshare)
             if res2.feasible and res2.objective <= obj:
-                cache.accept(n, rows_bin, counts, hit)
+                cache.accept(n, row, counts, hit)
                 sched.y = res2.y
                 obj = res2.objective
                 changed = True
@@ -355,8 +357,7 @@ def test_skipping_sweep_equals_solving_every_station(
     assert got[2] == want[2]
     assert all(np.array_equal(a, b)
                for a, b in zip(got[0].entries, want[0].entries))
-    assert all(np.array_equal(a, b)
-               for a, b in zip(got[0].counts, want[0].counts))
+    assert np.array_equal(got[0].counts, want[0].counts)
     for field in ("lam", "fshare", "y"):
         assert np.array_equal(getattr(got[1], field), getattr(want[1], field))
     for field in ("local", "neighbor", "total"):
@@ -441,11 +442,11 @@ def eager_solve_caching_bs(scenario, cache, sched, station):
     b_l, b_r = floor, 0.0
     while b_r - b_l >= LEVEL_ACCURACY:
         b_m = 0.5 * (b_l + b_r)
-        rows, pending = _level_rows(ctx, b_m)
-        lower = rows_storage(scenario, rows)
+        row, pending, _filled = _level_rows(ctx, b_m)
+        lower = row_storage(scenario, row)
         for a, m in pending:
-            rows[a][ctx.exclusive[a][m]] = 1.0
-        upper = rows_storage(scenario, rows)
+            row[ctx.exclusive_input(a, m)] = 1.0
+        upper = row_storage(scenario, row)
         outcomes.append("lower >= cap" if lower >= cap else
                         "upper < cap" if upper < cap else "straddle")
         if rows_storage(scenario, eager_g_of_B(ctx, b_m)) < cap:

@@ -121,7 +121,11 @@ def test_merged_density_order_equals_one_stable_argsort():
                             apps)
         densities = [p / s for p, s in zip(sc.match_probs, sc.result_sizes)]
         want = np.argsort(-np.concatenate(densities), kind="stable")
-        assert solver._density_order(sc).tolist() == want.tolist()
+        assert sc.density_order.tolist() == want.tolist()
+        # each app's order is its own inputs' stable argsort, read off the
+        # merged one
+        for order, d in zip(sc.density_orders, densities):
+            assert order.tolist() == np.argsort(-d, kind="stable").tolist()
 
 
 def test_greedy_cache_respects_storage(default_scenario):
