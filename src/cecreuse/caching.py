@@ -15,14 +15,39 @@ fractional entry per app to 0 restores a binary assignment.
 Each bisection probe asks whether the rows at level B use less than the
 capacity.  The rows are found in two steps: a position search that gives
 each app's prefix length m and says whether entry m is fractional
-("pending"), and a bisection for that fraction.  A probe first sums the
-storage with every pending entry at 0: at or above the capacity, B does
-not fit.  Otherwise it sums it again with them at 1: below the capacity,
-B fits.  Only when the two totals straddle the capacity are the fractions
-solved and the exact storage compared.  The verdict is always the exact
-one: every term is size * x with size > 0 and x in [0, 1], and a
-fixed-order floating-point sum of non-negative products is monotone in
-each term, so lower <= exact <= upper.
+("pending"), and a bisection for that fraction.  The verdict is that of
+the dense storage sum: the row with every pending entry at 0 ("lower") at
+or above the capacity does not fit; otherwise with them at 1 ("upper")
+below it fits; only when the two straddle the capacity are the fractions
+solved and the exact storage compared.  This is always the exact verdict:
+every term is size * x with size > 0 and x in [0, 1], and a fixed-order
+floating-point sum of non-negative products is monotone in each term, so
+lower <= exact <= upper.
+
+A probe first reads lower and upper from size prefix sums instead of a
+dense row.  The cached set of an app is its density-order positions
+before the replicated boundary `end` that are not exclusive, plus its
+first m exclusive positions, so its storage is P[end] - Q[t] + Q[m] (plus
+the pending size w at 1), with P the app's size prefix in density order
+(Scenario.size_prefixes), Q its exclusive class's, and t the exclusive
+positions before end.  Both this estimate and the dense sum are
+floating-point sums whose terms pass through at most n = K + A + 64
+roundings, so each lies within gamma_n * M of the true storage, gamma_n
+= n u / (1 - n u) with u = 2^-53 and M = sum over apps of P[end] + Q[t]
++ Q[m] + w.  The probe takes the verdict from the estimate only when it
+clears the capacity by margin = 4 gamma_n (M + cap), which covers both
+errors and the rounding of the margin and of the comparison; below
+2^-1022 every sum is exact.  Inside the margin, or where it is not finite
+(the prefix sums overflowed), the probe builds the dense row as above.
+
+The level search takes its final level (the midpoint of its last
+bracket if the exact rows there fit, else the last level a probe found to
+fit) by the same probe rule, and builds that level's row once.  The caching
+sweep rounds the row's boundary entries without solving their fractions
+(it only needs to know whether each is >= 1 - BINARY_TOL), and sums the
+rounded row's storage again only when a boundary entry rounded up:
+rounding that zeroes entries cannot raise a fixed-order sum of
+non-negative terms, so a row known to fit still fits.
 
 A station's subproblem depends on the other stations' caches only through
 its peer mask, which splits each app's inputs into the two classes.  The
@@ -31,12 +56,13 @@ positions in the app's density order, with the prefix sums of their match
 probabilities.  The replicated class is read from that order: its
 efficiency -(p/s) phi lam y D^t does not fall along the whole order, so the
 replicated inputs cached at a level are the positions before one boundary
-that are not exclusive.  The caching sweep keeps each station's partition
-while its peer-mask version holds (SweepState.peers).
+that are not exclusive.  The caching sweep keeps each station's peer mask
+and partition while its peer-mask version holds (SweepState.peers).
 """
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -47,7 +73,7 @@ from .errors import (DegenerateInput, DimensionMismatch, Infeasible,
                      MalformedInput, StabilityViolation, TooLarge)
 from .model import (BINARY_TOL, CacheAssignment, HitRateTable, Scenario,
                     SchedulingState, cached_mass, compute_hit_rates, dot,
-                    local_hits, row_storage)
+                    local_hits, prefix_sums, row_storage)
 from .model import rows_storage as _rows_storage
 
 # level-bisection accuracy (efficiency units, s/byte)
@@ -56,11 +82,14 @@ LEVEL_ACCURACY = 1e-9
 INVERSE_TOL = 1e-12
 # largest station catalog the exhaustive subset oracle enumerates
 ORACLE_MAX_ITEMS = 22
+# roundings, beyond the catalog and app counts, that the prefix-sum storage
+# margin allows any one term (module docstring)
+MARGIN_ROUNDINGS = 64
 
 
-def peer_hit_mass(p: np.ndarray, counts: np.ndarray) -> float:
-    """Match probability of the inputs whose peer count is positive."""
-    return float(p[counts > 0.0].sum())
+def peer_hit_mass(p: np.ndarray, mask: np.ndarray) -> float:
+    """Match probability of the inputs in the peer mask ``mask``."""
+    return float(p[mask].sum())
 
 
 class Partition(NamedTuple):
@@ -78,18 +107,16 @@ class Partition(NamedTuple):
     hit: list[float]
 
     @classmethod
-    def build(cls, scenario: Scenario, counts: np.ndarray) -> "Partition":
-        """The partition of the flat peer counts ``counts``: how many other
-        stations cache each input."""
+    def build(cls, scenario: Scenario, mask: np.ndarray) -> "Partition":
+        """The partition of the flat peer mask ``mask``: the inputs some
+        other station caches."""
         exc_pos, prefix_p, hit = [], [], []
-        for p, order, c in zip(scenario.match_probs, scenario.density_orders,
-                               scenario.split(counts)):
-            pos = np.flatnonzero(~(c[order] > 0.0)).astype(np.int32)
+        for p, order, m in zip(scenario.match_probs, scenario.density_orders,
+                               scenario.split(mask)):
+            pos = np.flatnonzero(~m[order]).astype(np.int32)
             exc_pos.append(pos)
-            prefix = np.zeros(len(pos) + 1)
-            np.cumsum(p[order[pos]], out=prefix[1:])
-            prefix_p.append(prefix)
-            hit.append(peer_hit_mass(p, c))
+            prefix_p.append(prefix_sums(p[order[pos]]))
+            hit.append(peer_hit_mass(p, m))
         return cls(exc_pos, prefix_p, hit)
 
 
@@ -129,7 +156,7 @@ class EfficiencyContext:
     constant efficiency -(p/s) * factor.  All level queries of the solver go
     through here, and none builds an array as long as a catalog: the
     per-input views (exclusive, replicated, rep_eff) are gathered only when
-    read.
+    read, and an app's exclusive size prefix when a probe first needs it.
 
     ``peers`` is the station's partition as the caching sweep keeps it
     (SweepState.peers); without it, it is built from the cache.
@@ -145,7 +172,8 @@ class EfficiencyContext:
         self.yf = np.ascontiguousarray(sched.y, dtype=np.float64)
         self.dt = np.ascontiguousarray(scenario.transfer_delays, dtype=np.float64)
         if peers is None:
-            peers = Partition.build(scenario, cache.x.sum(axis=0) - cache.x[station])
+            peers = Partition.build(
+                scenario, cache.x.sum(axis=0) - cache.x[station] > 0.0)
         self.order = scenario.density_orders
         self.neg_ratio = scenario.sorted_neg_densities
         self.exc_pos = peers.exc_pos
@@ -157,6 +185,10 @@ class EfficiencyContext:
         self.rep_factor: list[float] = (c[:, station] * self.dt[station]).tolist()
         self._terms: list[list[tuple] | None] = [None] * scenario.num_apps
         self._eff: dict[tuple[int, int, float], float] = {}
+        self._exc_sizes: list[np.ndarray | None] = [None] * scenario.num_apps
+        n = int(scenario.offsets[-1]) + scenario.num_apps + MARGIN_ROUNDINGS
+        u = 2.0 ** -53
+        self.margin = 4.0 * (n * u / (1.0 - n * u))   # 4 gamma_n
 
     @cached_property
     def exclusive(self) -> list[np.ndarray]:
@@ -174,6 +206,16 @@ class EfficiencyContext:
         fall, so the inputs cached at any level are a prefix."""
         return [np.delete(neg, pos) * factor for neg, pos, factor
                 in zip(self.neg_ratio, self.exc_pos, self.rep_factor)]
+
+    def exclusive_sizes(self, a: int) -> np.ndarray:
+        """Prefix sums of app a's exclusive sizes in density order (Q in the
+        module docstring), built on first use."""
+        prefix = self._exc_sizes[a]
+        if prefix is None:
+            prefix = prefix_sums(self.scenario.result_sizes[a][
+                self.order[a][self.exc_pos[a]]])
+            self._exc_sizes[a] = prefix
+        return prefix
 
     def exclusive_input(self, a: int, j: int) -> int:
         """Flat catalog position of app a's j-th sorted exclusive input."""
@@ -246,13 +288,13 @@ class EfficiencyContext:
         key = (a, j, xv)
         eff = self._eff.get(key)
         if eff is None:
-            pos = self.exc_pos[a][j]
-            r = -self.neg_ratio[a][pos]
+            pos = self.exc_pos[a].item(j)
+            r = -self.neg_ratio[a].item(pos)
             if r == 0.0:
                 eff = 0.0
             else:
-                p = self.scenario.match_probs[a][self.order[a][pos]]
-                hit = self.base_hit[a] + self.prefix_p[a][j] + p * xv
+                p = self.scenario.match_probs[a].item(self.order[a].item(pos))
+                hit = self.base_hit[a] + self.prefix_p[a].item(j) + p * xv
                 eff = r * self.bracket(a, hit)
             self._eff[key] = eff
         return eff
@@ -311,12 +353,16 @@ def _locate_level(ctx: EfficiencyContext, a: int, level: float) -> tuple[int, bo
     return lo, True
 
 
-def _solve_fraction(ctx: EfficiencyContext, a: int, m: int,
-                    level: float) -> float:
+def _solve_fraction(ctx: EfficiencyContext, a: int, m: int, level: float,
+                    stop: float = 0.0) -> float:
     """Smallest x in (0, 1] with eps_m(x) >= level, bisected to INVERSE_TOL;
-    only asked where eps_m(0) < level <= eps_m(1)."""
+    only asked where eps_m(0) < level <= eps_m(1).
+
+    The upper end only falls, so the halving may stop once it is below
+    ``stop``: the x returned is then below ``stop`` as the full result is.
+    """
     x_lo, x_hi = 0.0, 1.0
-    while x_hi - x_lo > INVERSE_TOL:
+    while x_hi - x_lo > INVERSE_TOL and x_hi >= stop:
         x_mid = 0.5 * (x_lo + x_hi)
         if ctx.exclusive_eff(a, m, x_mid) >= level:
             x_hi = x_mid
@@ -325,87 +371,144 @@ def _solve_fraction(ctx: EfficiencyContext, a: int, m: int,
     return x_hi
 
 
-def _level_rows(ctx: EfficiencyContext, level: float
-                ) -> tuple[np.ndarray, list[tuple[int, int]], list[int]]:
-    """The station's flat row at `level` with every pending fractional
-    entry left at 0, the pending (app, sorted position) pairs, and the apps
-    whose segment the level fills: those with an entry cached or pending.
-    Every other segment is zero.
+class _Fill(NamedTuple):
+    """Where a level fills app a: the positions of its density order
+    before ``end`` that are not exclusive, and its first ``m`` exclusive
+    positions, of which ``t`` lie before ``end``; exclusive position m is
+    fractional if ``pending``."""
+
+    a: int
+    end: int
+    t: int
+    m: int
+    pending: bool
+
+
+def _level_fills(ctx: EfficiencyContext, level: float) -> list[_Fill]:
+    """The apps the level fills, those with an entry cached or pending, in
+    app order; every other app's segment is zero.
 
     Replicated inputs are cached iff their constant efficiency is <= level
     and strictly negative: the positions before replicated_end that are
     not exclusive.  Over the sorted exclusive class the boundary position
     comes from _locate_level.  Zero-benefit inputs are never cached.
     """
-    row = np.zeros(ctx.scenario.offsets[-1])
-    pending, filled = [], []
-    for a, (lo, hi) in enumerate(ctx.scenario.segments):
+    fills = []
+    for a in range(ctx.scenario.num_apps):
         if not ctx.active[a]:
             continue
-        x = row[lo:hi]
-        order, pos = ctx.order[a], ctx.exc_pos[a]
+        pos = ctx.exc_pos[a]
         end = ctx.replicated_end(a, level)
         m, frac = _locate_level(ctx, a, level) if len(pos) else (0, False)
-        t = 0
+        t = int(pos.searchsorted(end)) if end else 0
+        if end > t or m or frac:
+            fills.append(_Fill(a, end, t, m, frac))
+    return fills
+
+
+def _level_rows(ctx: EfficiencyContext, level: float,
+                fills: list[_Fill] | None = None
+                ) -> tuple[np.ndarray, list[tuple[int, int]], list[int]]:
+    """The station's dense flat row at `level` (its ``fills``, found if not
+    given) with every pending fractional entry left at 0, the pending
+    (app, sorted position) pairs, and the apps whose segment it fills."""
+    if fills is None:
+        fills = _level_fills(ctx, level)
+    row = np.zeros(ctx.scenario.offsets[-1])
+    pending = []
+    for a, end, t, m, frac in fills:
+        lo, hi = ctx.scenario.segments[a]
+        x = row[lo:hi]
+        order, pos = ctx.order[a], ctx.exc_pos[a]
         if end:
             x[order[:end]] = 1.0
-            t = int(pos.searchsorted(end))
         # the exclusive positions before end are pos[:t]; pos[:m] are cached
         if m != t:
             x[order[pos[min(m, t):max(m, t)]]] = float(m > t)
         if frac:
             pending.append((a, m))
-        if end > t or m or frac:
-            filled.append(a)
-    return row, pending, filled
+    return row, pending, [f.a for f in fills]
 
 
 def _fill_fractions(ctx: EfficiencyContext, row: np.ndarray,
-                    pending: list[tuple[int, int]], level: float) -> None:
-    """Write each pending entry's solved fraction into ``row``."""
+                    pending: list[tuple[int, int]], level: float,
+                    rounded: bool = False) -> bool:
+    """Write each pending entry's solved fraction into ``row``, or with
+    ``rounded`` that fraction rounded (1 iff >= 1 - BINARY_TOL, halving
+    only as long as that is open).  Returns whether an entry rounded up."""
+    raised = False
     for a, m in pending:
-        row[ctx.exclusive_input(a, m)] = _solve_fraction(ctx, a, m, level)
-
-
-def _exact_rows(ctx: EfficiencyContext, level: float
-                ) -> tuple[np.ndarray, list[int]]:
-    """g_of_B's flat row, and the flat positions of its boundary entries:
-    every other entry is exactly 0 or 1."""
-    row, pending, _filled = _level_rows(ctx, level)
-    _fill_fractions(ctx, row, pending, level)
-    return row, [ctx.exclusive_input(a, m) for a, m in pending]
+        k = ctx.exclusive_input(a, m)
+        if rounded:
+            x = _solve_fraction(ctx, a, m, level, 1.0 - BINARY_TOL)
+            row[k] = x >= 1.0 - BINARY_TOL
+            raised = raised or row[k] > x
+        else:
+            row[k] = _solve_fraction(ctx, a, m, level)
+    return raised
 
 
 def g_of_B(ctx: EfficiencyContext, level: float) -> list[np.ndarray]:
     """Station rows (one per app) attaining efficiency level `level`, every
     boundary fraction solved.
 
-    The bisection's probes skip the fraction solve where storage bounds
-    decide them (module docstring); the rows returned here are always the
-    exact ones.
+    The bisection's probes skip the fraction solve, and most skip the
+    dense row, where storage bounds decide them (module docstring); the
+    rows returned here are always the exact ones.
     """
-    return ctx.scenario.split(_exact_rows(ctx, level)[0])
+    row, pending, _apps = _level_rows(ctx, level)
+    _fill_fractions(ctx, row, pending, level)
+    return ctx.scenario.split(row)
 
 
-def _fits(ctx: EfficiencyContext, level: float, cap: float) -> bool:
-    """Whether the rows at `level` use less than ``cap`` bytes: the
-    storage bounds first, the fractions only on a straddle (module
-    docstring).  The row is written in place, so the bounds and the exact
-    total sum the same entries in the same order, over the apps the level
-    fills.
+def _prefix_storage(ctx: EfficiencyContext, fills: list[_Fill],
+                    cap: float) -> tuple[float, float, float]:
+    """(lower, upper, margin): the storage of the rows at ``fills`` with
+    the pending entries at 0 and at 1, read from size prefix sums, and the
+    margin by which they must clear ``cap`` (module docstring)."""
+    prefixes, s = ctx.scenario.size_prefixes, ctx.scenario.s
+    lower = upper = mass = 0.0
+    for a, end, t, m, frac in fills:
+        p, q, r = prefixes[a].item(end), 0.0, 0.0
+        if t or m:
+            exc = ctx.exclusive_sizes(a)
+            q, r = exc.item(t), exc.item(m)
+        w = s.item(ctx.exclusive_input(a, m)) if frac else 0.0
+        here = (p - q) + r
+        lower += here
+        upper += here + w
+        mass += p + q + r + w
+    return lower, upper, ctx.margin * (mass + cap)
+
+
+def _fits(ctx: EfficiencyContext, level: float, cap: float,
+          below: Callable[[float, float], bool] = operator.lt) -> bool:
+    """Whether the exact rows at `level` use ``below`` ``cap`` bytes (less
+    than, or with operator.le at most): from the prefix sums where they
+    clear the margin, else from the dense row's bounds, the fractions
+    solved only on a straddle (module docstring).  The dense row is written
+    in place, so its bounds and exact total sum the same entries in the
+    same order, over the apps the level fills.
     """
     scenario = ctx.scenario
-    row, pending, filled = _level_rows(ctx, level)
-    if row_storage(scenario, row, filled) >= cap:
+    fills = _level_fills(ctx, level)
+    lower, upper, margin = _prefix_storage(ctx, fills, cap)
+    if math.isfinite(margin):
+        if lower > cap + margin:
+            return False
+        if upper + margin < cap:
+            return True
+    row, pending, apps = _level_rows(ctx, level, fills)
+    if not below(row_storage(scenario, row, apps), cap):
         return False
     if not pending:
         return True
     for a, m in pending:
         row[ctx.exclusive_input(a, m)] = 1.0
-    if row_storage(scenario, row, filled) < cap:
+    if below(row_storage(scenario, row, apps), cap):
         return True
     _fill_fractions(ctx, row, pending, level)
-    return row_storage(scenario, row, filled) < cap
+    return below(row_storage(scenario, row, apps), cap)
 
 
 def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
@@ -425,14 +528,16 @@ def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
     the module docstring states the rule and why it is exact.
     """
     ctx = EfficiencyContext(scenario, cache, sched, station)
-    row, _boundary, level = _level_search(ctx)
+    row, level, _fit = _level_search(ctx)
     return scenario.split(row), level
 
 
-def _level_search(ctx: EfficiencyContext
-                  ) -> tuple[np.ndarray, list[int], float]:
-    """solve_caching_bs on a built context: the flat row, its boundary
-    entries' positions (_exact_rows) and the level."""
+def _level_search(ctx: EfficiencyContext, rounded: bool = False
+                  ) -> tuple[np.ndarray, float, bool]:
+    """solve_caching_bs on a built context: the flat row, the level, and
+    whether the row is known to fit the capacity.  With ``rounded`` (the
+    caching sweep) the row's boundary entries are rounded, not solved, and
+    a boundary entry that rounded up leaves the row not known to fit."""
     scenario, station = ctx.scenario, ctx.station
     cap = float(scenario.storage_capacities[station])
     floor = ctx.efficiency_floor()
@@ -440,7 +545,7 @@ def _level_search(ctx: EfficiencyContext
         raise MalformedInput(f"station {station}: efficiency floor {floor} "
                              "is not finite")
     if floor == 0.0:
-        return np.zeros(scenario.offsets[-1]), [], 0.0
+        return np.zeros(scenario.offsets[-1]), 0.0, True
     b_l, b_r = floor, 0.0
     while b_r - b_l >= LEVEL_ACCURACY:
         b_m = 0.5 * (b_l + b_r)
@@ -451,11 +556,13 @@ def _level_search(ctx: EfficiencyContext
         else:
             b_r = b_m
     level = 0.5 * (b_l + b_r)
-    row, boundary = _exact_rows(ctx, level)
-    if row_storage(scenario, row) > cap:
+    fit = _fits(ctx, level, cap, operator.le)
+    if not fit:
         level = b_l
-        row, boundary = _exact_rows(ctx, level)
-    return row, boundary, level
+        fit = b_l != floor   # b_l moved only where a probe found it fits
+    row, pending, _apps = _level_rows(ctx, level)
+    raised = _fill_fractions(ctx, row, pending, level, rounded)
+    return row, level, fit and not raised
 
 
 def efficiencies_at_solution(ctx: EfficiencyContext,
@@ -511,10 +618,13 @@ class SweepState(CacheAssignment):
     built in O(K) from the same reductions, with neighbor = total - local.
     It takes over the matrix of the checked cache it is built from.
 
-    ``versions[j]`` numbers station j's peer mask, the inputs some other
-    station caches: ``accept`` bumps it exactly when that mask flips, so
-    what depends on the mask alone holds while the version does.  ``peers``
-    keeps each station's Partition keyed by it, until ``release``.
+    ``versions[j]`` numbers station j's peer mask (counts - x[j]) > 0, the
+    inputs some other station caches: ``accept`` bumps it exactly when that
+    mask flips, so what depends on the mask alone holds while the version
+    does.  Each station's mask is kept as bool (one byte per input), with
+    its Partition once ``peers`` asks for it, keyed by the version, until
+    ``release``.  A candidate's cached mass reads the kept mask, so no
+    candidate builds counts: only ``accept`` does, for the accepted row.
     """
 
     def __init__(self, scenario: Scenario, cache: CacheAssignment):
@@ -523,39 +633,46 @@ class SweepState(CacheAssignment):
         self.counts = self.x.sum(axis=0)
         self.hit = compute_hit_rates(scenario, self)
         self.versions = np.zeros(scenario.num_stations, dtype=np.int64)
-        # per station: (version, partition), or None
-        self._kept: list[tuple[int, Partition] | None] = (
-            [None] * scenario.num_stations)
+        # per station: [version, peer mask, partition or None], or None
+        self._kept: list[list | None] = [None] * scenario.num_stations
 
-    def peers(self, n: int) -> Partition:
-        """Station n's partition (EfficiencyContext), built again from the
-        peer counts only when n's version has moved."""
+    def _mask_entry(self, n: int) -> list:
+        """Station n's kept entry, made again when n's version has moved."""
         kept = self._kept[n]
         if kept is None or kept[0] != self.versions[n]:
-            peer_counts = self.counts - self.x[n]
-            kept = int(self.versions[n]), Partition.build(self.scenario, peer_counts)
+            kept = [int(self.versions[n]), self.counts - self.x[n] > 0.0, None]
             self._kept[n] = kept
-        return kept[1]
+        return kept
+
+    def peer_mask(self, n: int) -> np.ndarray:
+        """Station n's flat peer mask: the inputs some other station caches."""
+        return self._mask_entry(n)[1]
+
+    def peers(self, n: int) -> Partition:
+        """Station n's partition (EfficiencyContext), built again from its
+        peer mask only when n's version has moved."""
+        kept = self._mask_entry(n)
+        if kept[2] is None:
+            kept[2] = Partition.build(self.scenario, kept[1])
+        return kept[2]
 
     def release(self) -> None:
-        """Drop the kept partitions; peers builds them again on demand."""
+        """Drop the kept masks and partitions; they are built again on
+        demand."""
         self._kept = [None] * len(self._kept)
 
-    def candidate(self, n: int, row: np.ndarray
-                  ) -> tuple[np.ndarray, HitRateTable]:
-        """Counts and hit table of the cache with station n's flat row
-        replaced."""
+    def candidate(self, n: int, row: np.ndarray) -> HitRateTable:
+        """Hit table of the cache with station n's flat row replaced: an
+        input is cached somewhere iff it is in n's peer mask or in the row."""
         if row.shape != self.counts.shape:
             raise DimensionMismatch(f"station row of shape {row.shape} is not flat")
-        counts = self.counts - self.x[n] + row
-        total = cached_mass(self.scenario, counts)
+        total = cached_mass(self.scenario, self.peer_mask(n) | (row > 0.0))
         local = self.hit.local.copy()
         local[:, n] = local_hits(self.scenario, row[None])[:, 0]
-        return counts, HitRateTable(local, total[:, None] - local, total)
+        return HitRateTable(local, total[:, None] - local, total)
 
-    def accept(self, n: int, row: np.ndarray, counts: np.ndarray,
-               hit: HitRateTable) -> None:
-        """Write station n's flat row in place with its candidate tables,
+    def accept(self, n: int, row: np.ndarray, hit: HitRateTable) -> None:
+        """Write station n's flat row in place with its candidate table,
         and bump the version of each other station j whose peer mask
         (counts - x[j]) > 0 flips.  A rewritten input's count moves between
         lo and lo + 1, so j's mask flips there iff x[j] == lo: at lo = 0 no
@@ -563,6 +680,7 @@ class SweepState(CacheAssignment):
         mask of the one other station that caches it.  Station n's own
         mask does not read its row.
         """
+        counts = self.counts - self.x[n] + row
         k = np.flatnonzero(self.counts != counts)
         lo = np.minimum(self.counts[k], counts[k])
         flipped = np.full(len(self.versions), bool((lo == 0.0).any()))
@@ -607,7 +725,9 @@ def sweep_all_stations(scenario: Scenario, cache: SweepState,
     the cache, its tables, y and the objective are then as they were, so
     the verdict would repeat.  A station's own acceptance leaves its
     version as it was, so it is solved again only if that acceptance moved
-    y.  The solve's boundary entries are known, so only they are rounded.
+    y.  The solve rounds only its boundary entries, and the rounded row's
+    storage is summed again only when it is not known to fit (module
+    docstring).
     """
     sched = sched.copy()
     res = evaluate_with_rates(scenario, cache.hit.total, cache.hit.neighbor,
@@ -632,20 +752,19 @@ def sweep_all_stations(scenario: Scenario, cache: SweepState,
                 row = prev.row.astype(np.float64)
                 last[n] = prev._replace(tested=accepted)
             else:
-                row, boundary, _level = _level_search(EfficiencyContext(
-                    scenario, cache, sched, n, cache.peers(n)))
-                row[boundary] = row[boundary] >= 1.0 - BINARY_TOL
+                row, _level, fit = _level_search(EfficiencyContext(
+                    scenario, cache, sched, n, cache.peers(n)), rounded=True)
                 if (np.array_equal(row, cache.x[n])
-                        or row_storage(scenario, row)
+                        or not fit and row_storage(scenario, row)
                         > scenario.storage_capacities[n]):
                     last[n] = _Solved(version, y, None, accepted)
                     continue
                 last[n] = _Solved(version, y, row.astype(bool), accepted)
-            counts, hit = cache.candidate(n, row)
+            hit = cache.candidate(n, row)
             res2 = evaluate_with_rates(scenario, hit.total, hit.neighbor,
                                        sched.lam, sched.fshare)
             if res2.feasible and res2.objective <= obj:
-                cache.accept(n, row, counts, hit)
+                cache.accept(n, row, hit)
                 sched.y = res2.y
                 obj = res2.objective
                 accepted += 1

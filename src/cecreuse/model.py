@@ -204,6 +204,13 @@ class Scenario:
         return tuple(neg for _, neg in self._density_sort[1])
 
     @cached_property
+    def size_prefixes(self) -> tuple[np.ndarray, ...]:
+        """Per app, prefix sums of s in density order: entry j sums the
+        sizes of its first j inputs there."""
+        return tuple(_frozen(prefix_sums(s[order])) for s, order
+                     in zip(self.result_sizes, self.density_orders))
+
+    @cached_property
     def _density_sort(self) -> tuple[np.ndarray, list]:
         """density_order, and per app its inputs in it with their -p/s,
         from one division and one stable sort; positions are int32."""
@@ -227,7 +234,7 @@ class Scenario:
                 mine.typical_inputs is not source.apps[a].typical_inputs
                 for mine, a in zip(self.apps, apps)):
             raise DimensionMismatch("the apps do not hold the source's inputs")
-        for name in ("density_orders", "sorted_neg_densities"):
+        for name in ("density_orders", "sorted_neg_densities", "size_prefixes"):
             self.__dict__[name] = tuple(getattr(source, name)[a] for a in apps)
         if list(apps) == list(range(source.num_apps)):
             for name in ("p", "s", "density_order"):
@@ -235,6 +242,16 @@ class Scenario:
             return
         for name, per_app in (("p", source.match_probs), ("s", source.result_sizes)):
             self.__dict__[name] = _frozen(np.concatenate([per_app[a] for a in apps]))
+
+
+def prefix_sums(values: np.ndarray) -> np.ndarray:
+    """[0, v0, v0 + v1, ...]: the sequential running sum of ``values``.  A
+    sum that overflows is inf, which the caching probes read as "decide
+    from the dense row"."""
+    out = np.zeros(len(values) + 1)
+    with np.errstate(over="ignore"):
+        np.cumsum(values, out=out[1:])
+    return out
 
 
 def _frozen(values, dtype=np.float64) -> np.ndarray:
@@ -394,11 +411,11 @@ def dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", u, v))
 
 
-def cached_mass(scenario: Scenario, counts: np.ndarray) -> np.ndarray:
-    """Per app, the match probability of its inputs that some station
-    caches, given the flat per-input counts (column sums of the cache)."""
-    return np.array([dot(p, (c > 0.0).astype(np.float64))
-                     for p, c in zip(scenario.match_probs, scenario.split(counts))])
+def cached_mass(scenario: Scenario, mask: np.ndarray) -> np.ndarray:
+    """Per app, the match probability of its inputs in the flat bool
+    ``mask``: those that some station caches."""
+    return np.array([dot(p, m.astype(np.float64))
+                     for p, m in zip(scenario.match_probs, scenario.split(mask))])
 
 
 def local_hits(scenario: Scenario, x: np.ndarray) -> np.ndarray:
@@ -415,8 +432,9 @@ def compute_hit_rates(scenario: Scenario, cache: CacheAssignment) -> HitRateTabl
     """Local, neighbor and total hit rates for every (app, station).
 
     Each station's local rate is dot(row, p) per app and the total comes
-    from the column counts through cached_mass; the caching sweep updates
-    its tables with the same two reductions, so both agree bit for bit.
+    from the mask of positive column counts through cached_mass; the
+    caching sweep updates its tables with the same two reductions, so both
+    agree bit for bit.
     Entries are binary, so neighbor = total - local.  A cache whose shape
     is not the scenario's is DimensionMismatch naming the first wrong app.
     """
@@ -428,7 +446,7 @@ def compute_hit_rates(scenario: Scenario, cache: CacheAssignment) -> HitRateTabl
         a = int(np.argmax(wrong))
         raise DimensionMismatch(f"app {a}: cache matrix shape "
                                 f"{cache.entries[a].shape}")
-    total = cached_mass(scenario, cache.x.sum(axis=0))
+    total = cached_mass(scenario, cache.x.sum(axis=0) > 0.0)
     local = local_hits(scenario, cache.x)
     neighbor = total[:, None] - local
     for v in (local, neighbor, total):

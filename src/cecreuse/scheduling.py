@@ -116,9 +116,18 @@ def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
     Returns (backtracks, lam, fshare, StackStep), where backtracks sums the
     accepted steps' j; a problem whose search is exhausted keeps its point
     and raises nothing.
+
+    A problem is stalled when a block's smallest step fails and leaves
+    every entry of its point equal, and that step's objective also fails
+    against the bound of step J_MAX.  Every later step is smaller, so it
+    rounds to the same bits and objective, and its bound lies between
+    those two: it fails too.  Blocks are tabled only while some problem
+    with no step yet is not stalled, so the result is the full search's.
     """
     base = np.asarray(base_obj)
     steps = np.full(base.shape, J_MAX + 1)   # per problem; J_MAX + 1: none yet
+    stalled = np.zeros(base.shape, dtype=bool)
+    last_bound = (-ALPHA * BETA ** J_MAX) * grad_dot_dir
     taken = None    # the accepted points, once some problems have one
     lead = (slice(None),) + (None,) * point[0].ndim   # the step axis
     for first in range(0, J_MAX + 1, STEP_BLOCK):
@@ -132,7 +141,12 @@ def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
         passed = (obj <= base) & (base - obj >= bound)
         if taken is not None:
             passed &= steps > J_MAX
+        stalled |= (~passed.any(axis=0) & _unmoved(lam[-1], point[0])
+                    & _unmoved(fsh[-1], point[1])
+                    & ~((obj[-1] <= base) & (base - obj[-1] >= last_bound)))
         if not passed.any():
+            if ((steps <= J_MAX) | stalled).all():
+                break
             continue
         k = passed.argmax(axis=0)   # each problem's first passing step
         new = passed.any(axis=0)
@@ -154,13 +168,19 @@ def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
             mine[new] = x[at]
         for mine, x in zip(taken[3], block.table):
             mine[new] = x[at] if x.ndim == lam.ndim else x[new]
-        if (steps <= J_MAX).all():
+        if ((steps <= J_MAX) | stalled).all():
             break
     if taken is None:
         return 0, point[0], point[1], StackStep(
             steps, np.full(base.shape, np.nan), None)
     return (int(steps[steps <= J_MAX].sum()), taken[0], taken[1],
             StackStep(steps, taken[2], BranchDelays(*taken[3])))
+
+
+def _unmoved(x: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Per problem (the leading axis), whether every entry of x equals
+    point's."""
+    return (x == point).reshape(len(point), -1).all(axis=1)
 
 
 # a projected target this close to the iterate counts as stationary

@@ -1,4 +1,7 @@
 """Per-station cache placement: efficiencies, level search, rounding, oracles."""
+import math
+import operator
+
 import numpy as np
 import pytest
 
@@ -255,56 +258,76 @@ def test_solve_caching_matches_fractional_knapsack():
 
 
 def test_fraction_solve_runs_only_where_storage_bounds_straddle(monkeypatch):
-    """A level probe whose storage bounds decide it solves no fraction; every
-    fraction solve comes from a straddling probe or a solve's final rows
-    (_exact_rows, which g_of_B and the caching sweep call).  NoC's
-    single-station solves of the default scenario meet both kinds."""
-    solves = {"outside": 0, "probe": 0, "final": 0}
-    seen = {"decided_pending": 0, "straddle": 0}
+    """A level probe whose prefix-sum bounds clear the margin builds no
+    dense row and solves no fraction.  Every other probe lies inside the
+    margin, builds one dense row, and solves its fractions only when the
+    dense bounds straddle the capacity.  Every other fraction solve comes
+    from a solve's final rows (_fill_fractions after the search, which
+    g_of_B and the caching sweep reach).  NoC's single-station solves of
+    the default scenario meet both kinds of probe."""
+    calls = {"rows": 0, "fractions": 0, "outside": 0}
+    seen = {"clear": 0, "straddle": 0}
     where = ["outside"]
-    solve_fraction, fits, exact_rows = (caching._solve_fraction,
-                                        caching._fits, caching._exact_rows)
+    solve_fraction, fits, level_rows, fill_fractions = (
+        caching._solve_fraction, caching._fits, caching._level_rows,
+        caching._fill_fractions)
 
     def counted_solve_fraction(*args):
-        solves[where[-1]] += 1
+        calls["fractions"] += 1
+        calls["outside"] += where[-1] == "outside"
         return solve_fraction(*args)
 
-    def checked_fits(ctx, level, cap):
-        row, pending, _filled = caching._level_rows(ctx, level)
-        lower = caching.row_storage(ctx.scenario, row)
-        for a, m in pending:
-            row[ctx.exclusive_input(a, m)] = 1.0
-        upper = caching.row_storage(ctx.scenario, row)
-        before = solves["probe"]
+    def counted_level_rows(*args):
+        calls["rows"] += 1
+        return level_rows(*args)
+
+    def checked_fits(ctx, level, cap, *below):
+        fills = caching._level_fills(ctx, level)
+        lower, upper, margin = caching._prefix_storage(ctx, fills, cap)
+        clear = math.isfinite(margin) and (lower > cap + margin
+                                           or upper + margin < cap)
+        before = dict(calls)
         where.append("probe")
         try:
-            verdict = fits(ctx, level, cap)
+            verdict = fits(ctx, level, cap, *below)
         finally:
             where.pop()
-        solved = solves["probe"] - before
-        if lower >= cap or upper < cap:
+        rows, solved = (calls[k] - before[k] for k in ("rows", "fractions"))
+        if clear:
+            assert rows == 0 and solved == 0
+            seen["clear"] += 1
+            return verdict
+        assert rows == 1
+        row, pending, _filled = level_rows(ctx, level)
+        dense_lower = caching.row_storage(ctx.scenario, row)
+        for a, m in pending:
+            row[ctx.exclusive_input(a, m)] = 1.0
+        dense_upper = caching.row_storage(ctx.scenario, row)
+        # inside the margin: the prefix bounds straddle the capacity too
+        assert lower - margin <= cap <= upper + margin
+        below = below[0] if below else operator.lt
+        if not below(dense_lower, cap) or below(dense_upper, cap):
             assert solved == 0
-            seen["decided_pending"] += bool(pending)
         else:
             assert solved == len(pending) > 0
             seen["straddle"] += 1
         return verdict
 
-    def final_rows(ctx, level):
-        # the probes never build their rows through _exact_rows
-        assert where == ["outside"]
-        where.append("final")
+    def final_fractions(*args):
+        # outside a probe, fractions are solved for a solve's final rows
+        where.append("final" if where[-1] == "outside" else where[-1])
         try:
-            return exact_rows(ctx, level)
+            return fill_fractions(*args)
         finally:
             where.pop()
 
     monkeypatch.setattr(caching, "_solve_fraction", counted_solve_fraction)
     monkeypatch.setattr(caching, "_fits", checked_fits)
-    monkeypatch.setattr(caching, "_exact_rows", final_rows)
+    monkeypatch.setattr(caching, "_level_rows", counted_level_rows)
+    monkeypatch.setattr(caching, "_fill_fractions", final_fractions)
     solve_noc(generate_scenario(GeneratorParams(seed=42)))
-    assert seen["decided_pending"] > 0 and seen["straddle"] > 0
-    assert solves["outside"] == 0 and solves["final"] > 0
+    assert seen["clear"] > 0 and seen["straddle"] > 0
+    assert calls["outside"] == 0 and calls["fractions"] > 0
 
 
 # -- rounding and its guarantee --------------------------------------------------
@@ -474,8 +497,8 @@ def test_sweep_state_matches_hit_rate_oracle(monkeypatch):
             states.append(self)
             check(self)
 
-        def accept(self, n, rows, counts, hit):
-            super().accept(n, rows, counts, hit)
+        def accept(self, n, rows, hit):
+            super().accept(n, rows, hit)
             accepts.append(n)
             check(self)
 

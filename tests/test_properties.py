@@ -4,6 +4,7 @@ skip, the solve's one sweep state, the level search's probes, the batched
 projection, the blocked line search, report JSON."""
 import json
 import math
+import operator
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -17,17 +18,19 @@ from cecreuse import (CacheAssignment, DimensionMismatch, GeneratorParams,
                       backtrack, compute_hit_rates,
                       generate_scenario, initial_feasible_point,
                       project_decisions, solver)
+from cecreuse import caching
 from cecreuse.caching import (LEVEL_ACCURACY, EfficiencyContext, Partition,
-                              SweepState, _level_rows, _level_search,
-                              _locate_level, _prefix_length, _solve_fraction,
-                              g_of_B, peer_hit_mass, round_to_binary,
+                              SweepState, _fits, _level_fills, _level_rows,
+                              _level_search, _locate_level, _prefix_length,
+                              _prefix_storage, _solve_fraction, g_of_B,
+                              peer_hit_mass, round_to_binary,
                               solve_caching_bs, sweep_all_stations)
 from cecreuse.delay import (BranchDelays, evaluate_with_rates,
                             gradient_with_rates, hit_derivative)
 from cecreuse.scheduling import (ALPHA, BETA, DELTA_STAB, J_MAX, STEP_BLOCK,
                                  solve_scheduling)
-from cecreuse.model import (HitRateTable, Scenario, ScenarioStack, dot,
-                            row_storage, rows_storage)
+from cecreuse.model import (BINARY_TOL, HitRateTable, Scenario,
+                            ScenarioStack, dot, row_storage, rows_storage)
 
 from conftest import build_scenario
 
@@ -100,13 +103,22 @@ def test_hit_rates_are_ordered_and_split_exactly(case):
 @PROPERTY
 @given(scenarios_with_cache())
 def test_sweep_candidate_equals_the_dense_oracle(case):
+    """A candidate's table, read from the kept peer mask, equals the dense
+    table of the rewritten cache bit for bit; accepting it leaves the
+    state's counts equal to the rewritten column sums, and its table and
+    matrix equal the rewritten ones."""
     sc, cache, n, rows = case
-    counts, hit = SweepState(sc, cache).candidate(n, np.concatenate(rows))
     rewritten = cache.with_station(n, rows)
     want = compute_hit_rates(sc, rewritten)
+    state = SweepState(sc, copied(cache))
+    row = np.concatenate(rows)
+    hit = state.candidate(n, row)
     for field in ("local", "neighbor", "total"):
-        assert np.array_equal(getattr(hit, field), getattr(want, field))
-    assert np.array_equal(counts, rewritten.x.sum(axis=0))
+        assert getattr(hit, field).tobytes() == getattr(want, field).tobytes()
+    state.accept(n, row, hit)
+    assert state.counts.tobytes() == rewritten.x.sum(axis=0).tobytes()
+    assert state.x.tobytes() == rewritten.x.tobytes()
+    assert state.hit is hit
 
 
 def copied(cache):
@@ -145,13 +157,15 @@ def test_accept_bumps_exactly_the_versions_whose_peer_mask_flips(case):
     state = SweepState(sc, copied(cache))
     for n, row in rewrites:
         before, versions = peer_masks(state), state.versions.copy()
-        state.accept(n, row, *state.candidate(n, row))
+        state.accept(n, row, state.candidate(n, row))
         after = peer_masks(state)
         flipped = [any(not np.array_equal(b, a) for b, a in zip(bj, aj))
                    for bj, aj in zip(before, after)]
         assert not flipped[n]
         assert (state.versions - versions).tolist() == list(map(int, flipped))
         for j in range(sc.num_stations):
+            mask = state.x.sum(axis=0) - state.x[j] > 0.0
+            assert np.array_equal(state.peer_mask(j), mask)
             assert_same_partition(state.peers(j), split_by_masks(state, j))
 
 
@@ -166,7 +180,7 @@ def split_by_masks(cache, j):
         cached_by_peer = counts[order] > 0.0
         exc_pos.append(np.flatnonzero(~cached_by_peer))
         prefix_p.append(np.concatenate(([0.0], np.cumsum(p[order[~cached_by_peer]]))))
-        hit.append(peer_hit_mass(p, counts))
+        hit.append(peer_hit_mass(p, counts > 0.0))
     return Partition(exc_pos, prefix_p, hit)
 
 
@@ -243,7 +257,7 @@ def test_kept_partitions_give_the_contexts_of_a_fresh_split(case):
     state = SweepState(sc, copied(cache))
     for n, row in [(None, None)] + rewrites:
         if n is not None:
-            state.accept(n, row, *state.candidate(n, row))
+            state.accept(n, row, state.candidate(n, row))
         for j in range(sc.num_stations):
             kept = state.peers(j)
             assert_same_partition(kept, split_by_masks(state, j))
@@ -300,11 +314,11 @@ def sweep_solving_every_station(scenario, cache, sched, passes):
                 continue
             if row_storage(scenario, row) > scenario.storage_capacities[n]:
                 continue
-            counts, hit = cache.candidate(n, row)
+            hit = cache.candidate(n, row)
             res2 = evaluate_with_rates(scenario, hit.total, hit.neighbor,
                                        sched.lam, sched.fshare)
             if res2.feasible and res2.objective <= obj:
-                cache.accept(n, row, counts, hit)
+                cache.accept(n, row, hit)
                 sched.y = res2.y
                 obj = res2.objective
                 changed = True
@@ -505,10 +519,11 @@ def test_bounded_probes_equal_the_eager_probes(seed, stations, apps, start,
 
 
 @st.composite
-def level_searches(draw):
+def level_searches(draw, sizes=st.floats(1e3, 1e6), most_inputs=6):
     """One station's level search: a scenario, a binary cache and a
     scheduling state in which CPU shares may be 0 and loads may exceed
-    what the CPU serves (so brackets meet zero-CPU and unstable queues)."""
+    what the CPU serves (so brackets meet zero-CPU and unstable queues).
+    Result sizes are drawn from ``sizes``, up to ``most_inputs`` per app."""
     n, n_apps = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     bits = st.sampled_from([0.0, 1.0])
 
@@ -517,9 +532,10 @@ def level_searches(draw):
 
     apps, entries = [], []
     for _ in range(n_apps):
-        k = draw(st.integers(1, 6))
+        k = draw(st.integers(1, most_inputs))
         apps.append((draw(st.floats(0.1, 2.0)), draw(st.floats(1e7, 1e9)),
-                     list(zip(floats(0.0, 0.15, k), floats(1e3, 1e6, k)))))
+                     list(zip(floats(0.0, min(0.15, 0.9 / k), k),
+                              draw(st.lists(sizes, min_size=k, max_size=k))))))
         flat = draw(st.lists(bits, min_size=n * k, max_size=n * k))
         entries.append(np.array(flat).reshape(n, k))
     rates = tuple(tuple(floats(0.0, 20.0, n_apps)) for _ in range(n))
@@ -922,3 +938,159 @@ def test_report_survives_a_json_round_trip(seed, stations, apps, algorithm):
         assume(False)
     d = rep.to_dict()
     assert json.loads(json.dumps(d)) == d
+
+
+# result sizes from 1e-300 to 1e300, sizes within one decade (whose sums
+# round differently in different orders), and a few whose sums overflow
+WIDE_SIZES = st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+                       st.floats(1e5, 1e6),
+                       st.sampled_from([1e-300, 1e300, 1e308, 1.7e308]))
+
+
+def probe_levels(ctx, fractions):
+    """Levels that probe ``ctx``: fractions of its floor, 0, and every
+    exclusive input's efficiency at x = 0 and 1 and just below 1 (either
+    side of 1 - BINARY_TOL), where position ends and fractions sit."""
+    floor = ctx.efficiency_floor()
+    levels = {f * floor for f in fractions} | {0.0, floor}
+    for a, pos in enumerate(ctx.exc_pos):
+        if ctx.active[a]:
+            for j in range(len(pos)):
+                for xv in (0.0, 1.0, 1.0 - 1e-10, 1.0 - 1e-13):
+                    levels.add(ctx.exclusive_eff(a, j, xv))
+    return sorted(lv for lv in levels if math.isfinite(lv))
+
+
+def exact_storage(ctx, level):
+    """The storage of the exact rows at ``level``: a dense row, every
+    fraction solved, summed over the whole catalog."""
+    return rows_storage(ctx.scenario, eager_g_of_B(ctx, level))
+
+
+@PROPERTY
+@example(case=(build_scenario((2e9,), (1e9,), (0.02,), ((2.0,),),
+                              [(1.0, 4e8, [(0.3, 1.7e308), (0.2, 1.7e308),
+                                           (0.1, 1e308)])]),
+               CacheAssignment([np.zeros((1, 3))]),
+               SchedulingState(np.ones((1, 1)), np.ones((1, 1)),
+                               np.ones((1, 1))), 0),
+         fractions=[0.5], caps=[1e308])
+@given(case=level_searches(WIDE_SIZES, 16),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       caps=st.lists(st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e),
+                     max_size=3))
+def test_prefix_verdict_equals_the_dense_verdict(case, fractions, caps):
+    """_fits, which decides most probes from size prefix sums and its
+    margin, gives the verdict of the exact rows' dense storage, strict
+    and not, at every probed level and at caps drawn at random, on each
+    prefix bound and dense sum, and one ulp either side of them.  Sums
+    that overflow make the margin infinite, and the dense row decides."""
+    sc, cache, sched, station = case
+    ctx = EfficiencyContext(sc, cache, sched, station)
+    for level in probe_levels(ctx, fractions):
+        exact = exact_storage(ctx, level)
+        lower, upper, margin = _prefix_storage(ctx, _level_fills(ctx, level), 0.0)
+        row, pending, _apps = _level_rows(ctx, level)
+        dense_lower = row_storage(sc, row)
+        points = {exact, lower, upper, dense_lower, lower - margin, upper + margin}
+        tried = set(caps)
+        for v in points:
+            tried |= {v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)}
+        for cap in sorted(c for c in tried if 0.0 <= c < math.inf):
+            assert _fits(ctx, level, cap) == (exact < cap), (level, cap)
+            assert _fits(ctx, level, cap, operator.le) == (exact <= cap), (level, cap)
+
+
+def test_prefix_margin_overflow_falls_back_to_the_dense_row(monkeypatch):
+    """Sizes whose prefix sums overflow give an infinite margin; the probe
+    then builds the dense row, whose verdict stands."""
+    sc = build_scenario((2e9,), (1e9,), (0.02,), ((2.0,),),
+                        [(1.0, 4e8, [(0.3, 1.7e308), (0.2, 1.7e308)])])
+    ctx = EfficiencyContext(sc, CacheAssignment.zeros(sc), SchedulingState(
+        np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1))), 0)
+    level = ctx.exclusive_eff(0, 1, 1.0)   # both inputs cached
+    _lower, upper, margin = _prefix_storage(ctx, _level_fills(ctx, level), 1e308)
+    assert upper == math.inf and margin == math.inf
+    built = []
+    level_rows = caching._level_rows
+    monkeypatch.setattr(caching, "_level_rows",
+                        lambda *args: built.append(1) or level_rows(*args))
+    assert _fits(ctx, level, 1e308) is False and built == [1]
+    assert exact_storage(ctx, level) == math.inf
+
+
+@PROPERTY
+@given(case=level_searches(), fractions=st.lists(st.floats(0.0, 1.0),
+                                                 min_size=1, max_size=4))
+def test_rounded_fraction_equals_the_solved_fraction_rounded(case, fractions):
+    """The sweep's rounding halves a boundary fraction only while it may
+    still round to 1, and decides as the fraction solved to INVERSE_TOL
+    does; where it rounds to 1 it has solved that fraction in full.  A
+    rounded row is the exact row rounded entry by entry, and it reports
+    whether an entry rounded up."""
+    sc, cache, sched, station = case
+    ctx = EfficiencyContext(sc, cache, sched, station)
+    cut = 1.0 - BINARY_TOL
+    for level in probe_levels(ctx, fractions):
+        exact = np.concatenate(eager_g_of_B(ctx, level))
+        row, pending, _apps = _level_rows(ctx, level)
+        raised = caching._fill_fractions(ctx, row, pending, level, True)
+        assert row.tobytes() == np.where(exact >= cut, 1.0, 0.0).tobytes()
+        assert raised == bool((row > exact).any())
+        for a in range(sc.num_apps):
+            if not (ctx.active[a] and len(ctx.exc_pos[a])):
+                continue
+            m, pending = _locate_level(ctx, a, level)
+            if pending:
+                x = _solve_fraction(ctx, a, m, level)
+                early = _solve_fraction(ctx, a, m, level, cut)
+                assert (early >= cut) == (x >= cut)
+                assert early >= x and (early < cut or early == x)
+
+
+@PROPERTY
+@given(level_searches())
+def test_sweep_rows_are_the_solved_rows_rounded(case):
+    """The sweep's level search returns the exact search's level and its
+    row rounded entry by entry; a row it reports as fitting fits."""
+    sc, cache, sched, station = case
+    cap = sc.storage_capacities[station]
+    try:
+        row, level, fit = _level_search(EfficiencyContext(sc, cache, sched,
+                                                          station))
+    except MalformedInput:
+        return
+    got, got_level, got_fit = _level_search(
+        EfficiencyContext(sc, cache, sched, station), rounded=True)
+    assert got_level == level
+    assert got.tobytes() == np.where(row >= 1.0 - BINARY_TOL, 1.0, 0.0).tobytes()
+    assert not fit or row_storage(sc, row) <= cap
+    assert not got_fit or row_storage(sc, got) <= cap
+    # only a fall back to the floor, or an entry rounded up, leaves it open
+    rounded_up = bool((got > row).any())
+    assert fit or level == EfficiencyContext(sc, cache, sched,
+                                             station).efficiency_floor()
+    assert got_fit == (fit and not rounded_up)
+
+
+def test_prefix_verdict_holds_where_the_two_sums_differ():
+    """4,096 sizes within one decade, all cached at level 0: the prefix
+    sum and the dense sum of the same row differ by 24 ulps, and at every
+    cap from below the one to above the other the probe gives the dense
+    verdict."""
+    rng = np.random.default_rng(1)
+    s = rng.uniform(1.0, 2.0, 4096)
+    p = rng.uniform(0.1, 1.0, 4096)
+    sc = build_scenario((2e9,), (1e4,), (0.02,), ((2.0,),),
+                        [(1.0, 4e8, list(zip((p / p.sum() * 0.8).tolist(),
+                                             s.tolist())))])
+    ctx = EfficiencyContext(sc, CacheAssignment.zeros(sc), SchedulingState(
+        np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1))), 0)
+    lower, upper, _margin = _prefix_storage(ctx, _level_fills(ctx, 0.0), 0.0)
+    exact = exact_storage(ctx, 0.0)
+    assert lower == upper and abs(lower - exact) == 24 * math.ulp(exact)
+    cap = math.nextafter(min(lower, exact), 0.0)
+    while cap <= max(lower, exact):
+        assert _fits(ctx, 0.0, cap) == (exact < cap)
+        assert _fits(ctx, 0.0, cap, operator.le) == (exact <= cap)
+        cap = math.nextafter(cap, math.inf)

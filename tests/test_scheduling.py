@@ -170,6 +170,48 @@ def test_backtrack_never_accepts_an_increase():
     assert step.objective.tolist() == [0.0]
 
 
+def full_search(fn, x0, d, base, grad_dot):
+    """The line search over all J_MAX + 1 steps, one at a time: the first
+    passing (j, x), or None."""
+    for j in range(J_MAX + 1):
+        x = x0 + 2.0 ** -j * d
+        v = fn(x)
+        if v is not None and v <= base and base - v >= -ALPHA * 2.0 ** -j * grad_dot:
+            return j, x
+    return None
+
+
+def test_backtrack_stops_where_no_step_moves_the_point():
+    # a direction too small to move the point: every step leaves x0 where
+    # it is, whose objective misses Armijo's decrease at every step, so
+    # the search ends after one block with the full search's result
+    fn = lambda x: 1.0
+    x0, d, base, grad_dot = 1.0, 1e-300, 1.0, -1e-300
+    assert x0 + d == x0 and full_search(fn, x0, d, base, grad_dot) is None
+    blocks = []
+    objective, point, direction = scalar_problem(fn, x0, d, blocks)
+    j, lam, fsh, step = backtrack(objective, point, direction,
+                                  np.array([base]), np.array([grad_dot]))
+    assert j == 0 and lam is point[0] and fsh is point[1]
+    assert step.steps.tolist() == [J_MAX + 1] and step.table is None
+    assert len(blocks) == 1 and len(blocks[0]) == STEP_BLOCK
+
+
+def test_backtrack_keeps_searching_an_unmoved_point_a_later_step_accepts():
+    # the point does not move, but its objective lies one ulp below the
+    # base: Armijo's bound shrinks with the step until it passes, so the
+    # search goes on to the step the full search takes
+    fn = lambda x: 1.0
+    x0, d, base, grad_dot = 1.0, 1e-300, math.nextafter(1.0, 2.0), -1e-3
+    want = full_search(fn, x0, d, base, grad_dot)
+    assert want is not None and want[0] > STEP_BLOCK
+    objective, point, direction = scalar_problem(fn, x0, d)
+    j, lam, _, step = backtrack(objective, point, direction,
+                                np.array([base]), np.array([grad_dot]))
+    assert j == want[0] and step.steps.tolist() == [want[0]]
+    assert lam[0, 0, 0] == want[1]
+
+
 # -- descent ------------------------------------------------------------------
 
 
