@@ -528,16 +528,18 @@ def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
     the module docstring states the rule and why it is exact.
     """
     ctx = EfficiencyContext(scenario, cache, sched, station)
-    row, level, _fit = _level_search(ctx)
+    row, level, _fit, _cached = _level_search(ctx)
     return scenario.split(row), level
 
 
 def _level_search(ctx: EfficiencyContext, rounded: bool = False
-                  ) -> tuple[np.ndarray, float, bool]:
-    """solve_caching_bs on a built context: the flat row, the level, and
-    whether the row is known to fit the capacity.  With ``rounded`` (the
-    caching sweep) the row's boundary entries are rounded, not solved, and
-    a boundary entry that rounded up leaves the row not known to fit."""
+                  ) -> tuple[np.ndarray, float, bool, int]:
+    """solve_caching_bs on a built context: the flat row, the level,
+    whether the row is known to fit the capacity, and its count of nonzero
+    entries, read from the level's fills rather than the row.  With
+    ``rounded`` (the caching sweep) the row's boundary entries are rounded,
+    not solved, and a boundary entry that rounded up leaves the row not
+    known to fit."""
     scenario, station = ctx.scenario, ctx.station
     cap = float(scenario.storage_capacities[station])
     floor = ctx.efficiency_floor()
@@ -545,7 +547,7 @@ def _level_search(ctx: EfficiencyContext, rounded: bool = False
         raise MalformedInput(f"station {station}: efficiency floor {floor} "
                              "is not finite")
     if floor == 0.0:
-        return np.zeros(scenario.offsets[-1]), 0.0, True
+        return np.zeros(scenario.offsets[-1]), 0.0, True, 0
     b_l, b_r = floor, 0.0
     while b_r - b_l >= LEVEL_ACCURACY:
         b_m = 0.5 * (b_l + b_r)
@@ -560,9 +562,14 @@ def _level_search(ctx: EfficiencyContext, rounded: bool = False
     if not fit:
         level = b_l
         fit = b_l != floor   # b_l moved only where a probe found it fits
-    row, pending, _apps = _level_rows(ctx, level)
+    fills = _level_fills(ctx, level)
+    row, pending, _apps = _level_rows(ctx, level, fills)
     raised = _fill_fractions(ctx, row, pending, level, rounded)
-    return row, level, fit and not raised
+    # per app, end - t replicated and m exclusive entries are 1 (_level_rows),
+    # and a pending entry is its fraction
+    cached = sum(f.end - f.t + f.m for f in fills) + sum(
+        row.item(ctx.exclusive_input(a, m)) != 0.0 for a, m in pending)
+    return row, level, fit and not raised, cached
 
 
 def efficiencies_at_solution(ctx: EfficiencyContext,
@@ -625,12 +632,15 @@ class SweepState(CacheAssignment):
     its Partition once ``peers`` asks for it, keyed by the version, until
     ``release``.  A candidate's cached mass reads the kept mask, so no
     candidate builds counts: only ``accept`` does, for the accepted row.
+    ``cached[n]`` is the number of inputs station n caches.
     """
 
     def __init__(self, scenario: Scenario, cache: CacheAssignment):
         self.x, self.offsets, self.entries = cache.x, cache.offsets, cache.entries
         self.scenario = scenario
         self.counts = self.x.sum(axis=0)
+        # row by row: count_nonzero over an axis copies the matrix as bool
+        self.cached = np.array([np.count_nonzero(r) for r in self.x])
         self.hit = compute_hit_rates(scenario, self)
         self.versions = np.zeros(scenario.num_stations, dtype=np.int64)
         # per station: [version, peer mask, partition or None], or None
@@ -678,7 +688,8 @@ class SweepState(CacheAssignment):
         lo and lo + 1, so j's mask flips there iff x[j] == lo: at lo = 0 no
         other station caches it and every other mask flips, at lo = 1 the
         mask of the one other station that caches it.  Station n's own
-        mask does not read its row.
+        mask does not read its row.  The inputs k the row rewrites are the
+        ones it caches or drops, so n caches 2 |row[k] == 1| - |k| more.
         """
         counts = self.counts - self.x[n] + row
         k = np.flatnonzero(self.counts != counts)
@@ -686,6 +697,7 @@ class SweepState(CacheAssignment):
         flipped = np.full(len(self.versions), bool((lo == 0.0).any()))
         flipped |= (self.x[:, k[lo == 1.0]] == 1.0).any(axis=1)
         flipped[n] = False
+        self.cached[n] += 2 * np.count_nonzero(row[k]) - len(k)
         self.x[n] = row
         self.versions += flipped
         self.counts = counts
@@ -752,9 +764,12 @@ def sweep_all_stations(scenario: Scenario, cache: SweepState,
                 row = prev.row.astype(np.float64)
                 last[n] = prev._replace(tested=accepted)
             else:
-                row, _level, fit = _level_search(EfficiencyContext(
+                row, _level, fit, cached = _level_search(EfficiencyContext(
                     scenario, cache, sched, n, cache.peers(n)), rounded=True)
-                if (np.array_equal(row, cache.x[n])
+                # rows of 0/1 with different counts differ: compared
+                # densely only where the counts agree
+                if ((cached == cache.cached[n]
+                     and np.array_equal(row, cache.x[n]))
                         or not fit and row_storage(scenario, row)
                         > scenario.storage_capacities[n]):
                     last[n] = _Solved(version, y, None, accepted)

@@ -73,16 +73,17 @@ def branch_delays(f, load, wa, ws, hit) -> BranchDelays:
 
     den0 = f - load * wa
     ok0 = fpos & (den0 > 0.0)
-    d0 = np.divide(wa * np.ones_like(f), den0, out=np.zeros_like(f), where=ok0)
+    d0 = np.divide(wa, den0, out=np.zeros(np.shape(den0)), where=ok0)
 
     srv1 = ws + (1.0 - hit) * wa
     den1 = f - load * srv1
     ok1 = fpos & (den1 > 0.0)
     sq = srv1 * srv1 + (1.0 - hit * hit) * wa * wa
     two_f_den1 = 2.0 * f * den1
-    d1 = np.divide(srv1 * np.ones_like(f), f, out=np.zeros_like(f), where=fpos)
-    d1 += np.divide(load * sq, two_f_den1, out=np.zeros_like(f), where=ok1)
-    d1 = np.where(ok1, d1, 0.0)
+    # both terms only where branch 1 is ok (ok1 implies f > 0): 0 elsewhere
+    d1 = np.divide(srv1, f, out=np.zeros(np.shape(den1)), where=ok1)
+    d1 += np.divide(load * sq, two_f_den1, out=np.zeros(np.shape(den1)),
+                    where=ok1)
     return BranchDelays(f, load, d0, ok0, d1, ok1, den0, den1, srv1, sq)
 
 
@@ -125,9 +126,10 @@ class EvalResult:
     point is one decision per problem of the stack: ``objective`` then
     holds one value per problem, NaN where that problem is unstable.
     Delays are per (app, station) with 0 where no traffic is routed and no
-    CPU assigned, and None when no point is stable.  ``table`` holds the
-    branch delays the points were evaluated from; ``weights`` are the apps'
-    objective weights.
+    CPU assigned, and None when no point is stable; ``app_delays`` is None
+    too on an accepted_evaluation, which forms only the station delays.
+    ``table`` holds the branch delays the points were evaluated from;
+    ``weights`` are the apps' objective weights.
     """
 
     objective: float | None
@@ -178,18 +180,24 @@ def branch_tables(scenario: Scenario, total_hit: np.ndarray,
                          scenario.search_workload, total_hit[..., :, None])
 
 
-def _stable(t: BranchDelays, y, wa, margin: float = 0.0) -> np.ndarray:
-    """Where the branch y selects is ok, or the queue is idle (no load, no CPU).
+def _idle(t: BranchDelays) -> np.ndarray:
+    """Queues with no load and no CPU: stable, with delay 0."""
+    return (t.load == 0.0) & (t.f == 0.0)
+
+
+def _stable(t: BranchDelays, search, idle, wa, margin: float = 0.0
+            ) -> np.ndarray:
+    """Where the branch ``search`` (y == 1) selects is ok, or the queue is
+    ``idle``.
 
     A positive ``margin`` also caps the utilisation load E[S] / f at
     1 - margin, with E[S] = ``wa`` on branch 0 (the line search's margin).
     Elementwise, so a table with leading axes gives a test with them.
     """
-    search = y == 1
     ok = np.where(search, t.ok1, t.ok0)
     if margin:
         ok &= t.load * np.where(search, t.srv1, wa) <= (1.0 - margin) * t.f
-    return ok | ((t.load == 0.0) & (t.f == 0.0))
+    return ok | idle
 
 
 def selected_stability(scenario: Scenario, total_hit: np.ndarray,
@@ -203,8 +211,58 @@ def selected_stability(scenario: Scenario, total_hit: np.ndarray,
     on an overloaded queue.  ``table`` as in evaluate_with_rates.
     """
     t = branch_tables(scenario, total_hit, lam, fshare) if table is None else table
-    stable = _stable(t, y, scenario.workloads[:, None], margin)
-    return stable, np.where(y == 1, t.den1, t.den0)
+    search = y == 1
+    stable = _stable(t, search, _idle(t), scenario.workloads[:, None], margin)
+    return stable, np.where(search, t.den1, t.den0)
+
+
+def _remote_d1(scenario: Scenario, t: BranchDelays,
+               neighbor_hit: np.ndarray) -> np.ndarray:
+    """The search branch's delay with the transfer of neighbor hits."""
+    return t.d1 + neighbor_hit * scenario.transfer_delays[..., None, :]
+
+
+def _faster_branch(t: BranchDelays, d1_remote: np.ndarray) -> np.ndarray:
+    """Search flags: the faster branch per queue, where an unstable branch
+    is infinitely slow and ties keep y = 0."""
+    return (np.where(t.ok0, t.d0, np.inf)
+            > np.where(t.ok1, d1_remote, np.inf)).astype(np.int8)
+
+
+def _station_delays(t: BranchDelays, search, d1_remote, idle) -> np.ndarray:
+    """Each queue's delay on the branch ``search`` selects, 0 where idle."""
+    return np.where(idle, 0.0, np.where(search, d1_remote, t.d0))
+
+
+def search_flags(scenario: Scenario, neighbor_hit: np.ndarray,
+                 table: BranchDelays) -> np.ndarray:
+    """The flags evaluate_with_rates chooses when given no y, from the
+    point's ``table`` alone."""
+    return _faster_branch(table, _remote_d1(scenario, table, neighbor_hit))
+
+
+def accepted_evaluation(scenario: Scenario, neighbor_hit: np.ndarray,
+                        table: BranchDelays, y: np.ndarray,
+                        objective: np.ndarray) -> EvalResult | None:
+    """evaluate_with_rates at a line search's accepted points, given no y
+    and margin 0, or None where it must run in full.
+
+    ``table`` holds the points' branch delays and ``objective`` their
+    objectives under the flags ``y`` the search held fixed; a point passed
+    the search's stability test at a positive margin, so it is stable at
+    margin 0 too.  If the flags chosen again from the table equal ``y`` in
+    every problem, evaluate_with_rates would find every point stable and
+    give it that objective, since a block's objectives are those its points
+    have alone (_weighted).  Only the station delays the gradient reads are
+    formed then; ``app_delays`` is None.  Where flags moved, None.
+    """
+    d1_remote = _remote_d1(scenario, table, neighbor_hit)
+    if not (_faster_branch(table, d1_remote) == y).all():
+        return None
+    delays = _station_delays(table, y == 1, d1_remote, _idle(table))
+    return EvalResult(objective, None, delays, y, table,
+                      np.ones(np.shape(objective), dtype=bool),
+                      scenario.weights)
 
 
 def evaluate_with_rates(scenario: Scenario, total_hit: np.ndarray,
@@ -228,19 +286,17 @@ def evaluate_with_rates(scenario: Scenario, total_hit: np.ndarray,
     """
     t = branch_tables(scenario, total_hit, lam, fshare) if table is None else table
     dt = scenario.transfer_delays[..., None, :]
-    d1_remote = t.d1 + neighbor_hit * dt
-    if y is None:  # the faster branch; an unstable one is infinitely slow
-        y = (np.where(t.ok0, t.d0, np.inf)
-             > np.where(t.ok1, d1_remote, np.inf)).astype(np.int8)
+    d1_remote = _remote_d1(scenario, t, neighbor_hit)
+    if y is None:
+        y = _faster_branch(t, d1_remote)
     weights = scenario.weights
-    stable = np.all(_stable(t, y, scenario.workloads[:, None], margin),
-                    axis=(-2, -1))
+    search, idle = y == 1, _idle(t)
+    stable = np.all(_stable(t, search, idle, scenario.workloads[:, None],
+                            margin), axis=(-2, -1))
     if not stable.any():
         return EvalResult(None, None, None, y, t, stable, weights)
 
-    idle = (t.load == 0.0) & (t.f == 0.0)
-    station_delays = np.where(y == 1, d1_remote, t.d0)
-    station_delays = np.where(idle, 0.0, station_delays)
+    station_delays = _station_delays(t, search, d1_remote, idle)
 
     rates = scenario.total_rates
     carried = rates > 0.0
@@ -287,27 +343,28 @@ def gradient_with_rates(scenario: Scenario, res: EvalResult,
     dt = scenario.transfer_delays[..., None, :]
     phi = scenario.weights[..., :, None]
     ysel = res.y == 1
-    idle = (t.load == 0.0) & (t.f == 0.0)
+    shape = t.f.shape
 
     # d(lam * D)/dlam = D + load dD/dload on the selected branch; load = lam * R
     g0 = np.divide(t.load * wa * wa, t.den0 * t.den0,
-                   out=np.zeros_like(t.f), where=t.ok0)
+                   out=np.zeros(shape), where=t.ok0)
     g1 = np.divide(t.load * t.sq, 2.0 * t.den1 * t.den1,
-                   out=np.zeros_like(t.f), where=t.ok1)
+                   out=np.zeros(shape), where=t.ok1)
     sign = np.where(t.load - scenario.arrival_rate_matrix >= 0.0, 1.0, -1.0)
     dlam = phi * ((res.station_delays + np.where(ysel, g1, g0)) + sign * dt)
 
     # d(lam * D)/df per branch, then chain rule df/dfshare = C_n
-    h0 = -np.divide(lam * wa, t.den0 * t.den0, out=np.zeros_like(t.f), where=t.ok0)
-    h1 = -np.divide(lam * t.srv1, t.f * t.f, out=np.zeros_like(t.f), where=t.ok1)
+    h0 = -np.divide(lam * wa, t.den0 * t.den0, out=np.zeros(shape), where=t.ok0)
+    h1 = -np.divide(lam * t.srv1, t.f * t.f, out=np.zeros(shape), where=t.ok1)
     h1 -= np.divide(lam * t.load * t.sq * (t.den1 + t.f),
                     2.0 * t.f * t.f * t.den1 * t.den1,
-                    out=np.zeros_like(t.f), where=t.ok1)
+                    out=np.zeros(shape), where=t.ok1)
     dfshare = (phi * np.where(ysel, h1, h0)
                * scenario.compute_capacities[..., None, :])
 
     # zero-CPU, zero-load coordinates: routing load there is ruinous, adding
     # CPU there changes nothing
+    idle = _idle(t)
     dlam = np.where(idle, BIG_GRADIENT, dlam)
     dfshare = np.where(idle, 0.0, dfshare)
 

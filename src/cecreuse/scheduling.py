@@ -9,10 +9,11 @@ schedule theta0 / sqrt(i) toward the projected target, with an Armijo
 backtracking line search that additionally keeps every queue strictly inside
 its stability region by a small margin.  The line search tables its
 candidate steps STEP_BLOCK at a time, one broadcast evaluation per block,
-and hands the accepted step's table on, so the next iterate is not tabled
-again.  Independent problems of the same shape descend together as a
-ScenarioStack: one block per iteration for every problem still running,
-each with its own steps, tests and stopping, as it would descend alone.
+and hands the accepted step's table and objective on, so the next iterate
+is neither tabled nor evaluated again.  Independent problems of the same
+shape descend together as a ScenarioStack: one block per iteration for
+every problem still running, each with its own steps, tests and stopping,
+as it would descend alone.
 """
 from __future__ import annotations
 
@@ -22,9 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .delay import (BranchDelays, EvalResult, branch_tables,
-                    evaluate_with_rates, gradient_with_rates,
-                    selected_stability)
+from .delay import (BranchDelays, EvalResult, accepted_evaluation,
+                    branch_tables, evaluate_with_rates, gradient_with_rates,
+                    search_flags, selected_stability)
 from .errors import (EmptyVector, Infeasible, MalformedInput,
                      StabilityViolation)
 from .model import HitRateTable, Scenario, ScenarioStack, SchedulingState
@@ -35,6 +36,10 @@ BETA = 0.5          # backtracking shrink factor
 J_MAX = 60          # line-search attempts before giving up
 STEP_BLOCK = 8      # line-search steps tabled in one broadcast
 DELTA_STAB = 1e-6   # relative utilization margin below 1
+
+# the line search's step sizes beta^j, j = 0..J_MAX, and their Armijo factors
+STEP_SIZES = np.array([BETA ** j for j in range(J_MAX + 1)])
+ARMIJO = -ALPHA * STEP_SIZES
 
 
 @dataclass(frozen=True)
@@ -127,29 +132,30 @@ def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
     base = np.asarray(base_obj)
     steps = np.full(base.shape, J_MAX + 1)   # per problem; J_MAX + 1: none yet
     stalled = np.zeros(base.shape, dtype=bool)
-    last_bound = (-ALPHA * BETA ** J_MAX) * grad_dot_dir
     taken = None    # the accepted points, once some problems have one
     lead = (slice(None),) + (None,) * point[0].ndim   # the step axis
     for first in range(0, J_MAX + 1, STEP_BLOCK):
-        sizes = np.array([BETA ** j for j in
-                          range(first, min(first + STEP_BLOCK, J_MAX + 1))])
+        sizes = STEP_SIZES[first:first + STEP_BLOCK]
         lam = point[0] + sizes[lead] * direction[0]
         fsh = point[1] + sizes[lead] * direction[1]
         block = objective_fn(lam, fsh)
         obj = block.objectives()
-        bound = (-ALPHA * sizes)[:, None] * grad_dot_dir
+        bound = ARMIJO[first:first + STEP_BLOCK, None] * grad_dot_dir
         passed = (obj <= base) & (base - obj >= bound)
         if taken is not None:
             passed &= steps > J_MAX
-        stalled |= (~passed.any(axis=0) & _unmoved(lam[-1], point[0])
-                    & _unmoved(fsh[-1], point[1])
-                    & ~((obj[-1] <= base) & (base - obj[-1] >= last_bound)))
-        if not passed.any():
+        new = passed.any(axis=0)
+        if not new.all():   # only a problem with no passing step stalls
+            last = obj[-1]
+            stalled |= (~new & _unmoved(lam[-1], point[0])
+                        & _unmoved(fsh[-1], point[1])
+                        & ~((last <= base)
+                            & (base - last >= ARMIJO[-1] * grad_dot_dir)))
+        if not new.any():
             if ((steps <= J_MAX) | stalled).all():
                 break
             continue
         k = passed.argmax(axis=0)   # each problem's first passing step
-        new = passed.any(axis=0)
         if taken is None and new.all() and (k == k[0]).all():
             # every problem takes the same step: the block's slice of it
             k = int(k[0])
@@ -205,7 +211,11 @@ def solve_scheduling(scenario: Scenario | ScenarioStack, hit: HitRateTable,
     gradient that overflows is MalformedInput.  Each block of line-search
     steps is tabled once, and the accepted step's slice of its table is
     handed on to the next iteration and the final flags, so no point is
-    tabled twice.
+    tabled twice.  Each iterate is evaluated once: after the first, its
+    flags are chosen again from that table, and where they equal the flags
+    its line search held fixed, its objective is the one that search found
+    (delay.accepted_evaluation); only where they moved is it evaluated in
+    full.  The final flags come from the last table.
 
     A ScenarioStack descends all of its problems together: ``hit`` and
     ``sched`` carry its problem axis, and the trace comes back as one list
@@ -244,7 +254,9 @@ def _descend(stack: ScenarioStack, total: np.ndarray, neighbor: np.ndarray,
     out_y = np.empty(lam.shape, dtype=np.int8)
     traces: list[list[tuple[int, float, int]]] = [[] for _ in range(len(stack))]
     run = np.arange(len(stack))
-    table = None  # branch table of the current points, once built
+    # the branch table of the current points, and their objectives under
+    # the flags y the last line search held fixed, once it has run
+    table = objective = y = None
 
     def stop(gone, lam, fshare, y):
         """Write out the final points of the running problems ``gone``
@@ -254,10 +266,14 @@ def _descend(stack: ScenarioStack, total: np.ndarray, neighbor: np.ndarray,
         return np.flatnonzero(~gone)
 
     for i in range(1, iters + 1):
-        res = evaluate_with_rates(stack, total, neighbor, lam, fshare,
-                                  table=table)
-        if not res.stable.all():
-            raise StabilityViolation("scheduling started from an unstable point")
+        res = (None if table is None else
+               accepted_evaluation(stack, neighbor, table, y, objective))
+        if res is None:   # the first iterate, or the flags moved
+            res = evaluate_with_rates(stack, total, neighbor, lam, fshare,
+                                      table=table)
+            if not res.stable.all():
+                raise StabilityViolation(
+                    "scheduling started from an unstable point")
         grad = gradient_with_rates(stack, res, lam)
         if not (np.isfinite(grad.dlam).all() and np.isfinite(grad.dfshare).all()):
             raise MalformedInput("the objective's gradient overflows: the "
@@ -293,7 +309,7 @@ def _descend(stack: ScenarioStack, total: np.ndarray, neighbor: np.ndarray,
 
         _, lam, fshare, step = backtrack(objective_fn, (lam, fshare),
                                          (d_lam, d_fsh), base, grad_dot)
-        table = step.table
+        table, objective = step.table, step.objective
         steps, objs = step.steps.tolist(), step.objective.tolist()
         for p, (j, obj, start) in enumerate(zip(steps, objs, base.tolist())):
             traces[run[p]].append((i, start if j > J_MAX else obj, j))
@@ -303,13 +319,14 @@ def _descend(stack: ScenarioStack, total: np.ndarray, neighbor: np.ndarray,
             if not run.size:
                 break
             stack = stack.take(keep)
-            total, neighbor, lam, fshare = (x[keep] for x in
-                                            (total, neighbor, lam, fshare))
+            total, neighbor, lam, fshare, objective, y = (
+                x[keep] for x in (total, neighbor, lam, fshare, objective, y))
             table = BranchDelays(*(x[keep] for x in table))
     if run.size:
         out_lam[run], out_fsh[run] = lam, fshare
-        out_y[run] = evaluate_with_rates(stack, total, neighbor, lam, fshare,
-                                         table=table).y
+        if table is None:   # no iteration ran
+            table = branch_tables(stack, total, lam, fshare)
+        out_y[run] = search_flags(stack, neighbor, table)
     return out_lam, out_fsh, out_y, traces
 
 

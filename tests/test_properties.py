@@ -14,11 +14,11 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cecreuse import (CacheAssignment, DimensionMismatch, GeneratorParams,
-                      Infeasible, MalformedInput, SchedulingState,
+                      Infeasible, MalformedInput, PgdParams, SchedulingState,
                       backtrack, compute_hit_rates,
                       generate_scenario, initial_feasible_point,
                       project_decisions, solver)
-from cecreuse import caching
+from cecreuse import caching, scheduling
 from cecreuse.caching import (LEVEL_ACCURACY, EfficiencyContext, Partition,
                               SweepState, _fits, _level_fills, _level_rows,
                               _level_search, _locate_level, _prefix_length,
@@ -28,7 +28,7 @@ from cecreuse.caching import (LEVEL_ACCURACY, EfficiencyContext, Partition,
 from cecreuse.delay import (BranchDelays, evaluate_with_rates,
                             gradient_with_rates, hit_derivative)
 from cecreuse.scheduling import (ALPHA, BETA, DELTA_STAB, J_MAX, STEP_BLOCK,
-                                 solve_scheduling)
+                                 STATIONARY_TOL, solve_scheduling)
 from cecreuse.model import (BINARY_TOL, HitRateTable, Scenario,
                             ScenarioStack, dot, row_storage, rows_storage)
 
@@ -105,7 +105,8 @@ def test_hit_rates_are_ordered_and_split_exactly(case):
 def test_sweep_candidate_equals_the_dense_oracle(case):
     """A candidate's table, read from the kept peer mask, equals the dense
     table of the rewritten cache bit for bit; accepting it leaves the
-    state's counts equal to the rewritten column sums, and its table and
+    state's counts equal to the rewritten column sums, its per-station
+    counts of cached inputs the rewritten row counts, and its table and
     matrix equal the rewritten ones."""
     sc, cache, n, rows = case
     rewritten = cache.with_station(n, rows)
@@ -117,6 +118,8 @@ def test_sweep_candidate_equals_the_dense_oracle(case):
         assert getattr(hit, field).tobytes() == getattr(want, field).tobytes()
     state.accept(n, row, hit)
     assert state.counts.tobytes() == rewritten.x.sum(axis=0).tobytes()
+    assert state.cached.tolist() == np.count_nonzero(rewritten.x,
+                                                     axis=1).tolist()
     assert state.x.tobytes() == rewritten.x.tobytes()
     assert state.hit is hit
 
@@ -854,6 +857,140 @@ def test_stacked_line_search_cases(problems, kind):
     assert kind in stack_equals_each_alone(searches)
 
 
+def fresh_descent(sc, hit, start, iters, params=PgdParams()):
+    """solve_scheduling on one problem with every iterate evaluated afresh
+    by evaluate_with_rates, flags chosen again, from the table its line
+    search built.  Returns the final (lam, fshare, y), the trace, and what
+    the descent met: flags "moved" at an iterate's start, a "stationary"
+    stop, an "exhausted" search."""
+    stack = ScenarioStack.of([sc])
+    total, neighbor = hit.total[None], hit.neighbor[None]
+    lam, fshare = start.lam[None], start.fshare[None]
+    trace, kinds, table, held = [], set(), None, None
+    for i in range(1, iters + 1):
+        res = evaluate_with_rates(stack, total, neighbor, lam, fshare,
+                                  table=table)
+        assert res.stable.all()
+        if held is not None and not np.array_equal(res.y, held):
+            kinds.add("moved")
+        grad = gradient_with_rates(stack, res, lam)
+        theta = params.theta0 / np.sqrt(i)
+        target = project_decisions(lam - theta * grad.dlam,
+                                   fshare - theta * grad.dfshare)
+        d_lam, d_fsh = target[0] - lam, target[1] - fshare
+        base = res.objective
+        if max(np.abs(d_lam).max(), np.abs(d_fsh).max()) < STATIONARY_TOL:
+            trace.append((i, float(base[0]), 0))
+            return lam[0], fshare[0], res.y[0], trace, kinds | {"stationary"}
+        grad_dot = ((grad.dlam * d_lam).sum(axis=(-2, -1))
+                    + (grad.dfshare * d_fsh).sum(axis=(-2, -1)))
+        held = res.y
+
+        def objective_fn(lam_k, fsh_k):
+            return evaluate_with_rates(stack, total, neighbor, lam_k, fsh_k,
+                                       y=held, margin=DELTA_STAB)
+
+        _, lam, fshare, step = backtrack(objective_fn, (lam, fshare),
+                                         (d_lam, d_fsh), base, grad_dot)
+        j = int(step.steps[0])
+        if j > J_MAX:
+            trace.append((i, float(base[0]), j))
+            return lam[0], fshare[0], held[0], trace, kinds | {"exhausted"}
+        trace.append((i, float(step.objective[0]), j))
+        table = step.table
+    y = evaluate_with_rates(stack, total, neighbor, lam, fshare, table=table).y
+    return lam[0], fshare[0], y[0], trace, kinds
+
+
+def descent_problem(seed, stations, apps, factor, totals, shares):
+    """The seed's scenario with arrival rates scaled by ``factor``, a hit
+    table of the given total hit rates split over the stations by
+    ``shares``, and its repaired start; None if it has none."""
+    sc = generate_scenario(GeneratorParams(
+        seed=seed, num_stations=stations, num_apps=apps,
+        workload_factor=factor, k_scale=0.002))
+    total = np.array(totals)
+    local = total[:, None] * np.array(shares).reshape(apps, stations)
+    hit = HitRateTable(local, total[:, None] - local, total)
+    try:
+        start, _ = initial_feasible_point(sc, hit)
+    except Infeasible:
+        return None
+    return sc, hit, start
+
+
+def descent_equals_fresh_evaluations(problems, iters):
+    """Assert that solve_scheduling on the stack of ``problems`` gives each
+    problem the trace, lam, fshare and y of its fresh_descent, bit for bit;
+    return what the fresh descents met."""
+    stack = ScenarioStack.of([sc for sc, _, _ in problems])
+    hit = HitRateTable(*(np.stack([getattr(h, name) for _, h, _ in problems])
+                         for name in ("local", "neighbor", "total")))
+    sched = SchedulingState(*(np.stack([getattr(s, name)
+                                        for _, _, s in problems])
+                              for name in ("lam", "fshare", "y")))
+    got, traces = solve_scheduling(stack, hit, sched, iters)
+    kinds = set()
+    for p, (sc, h, start) in enumerate(problems):
+        lam, fshare, y, trace, met = fresh_descent(sc, h, start, iters)
+        kinds |= met
+        assert repr(traces[p]) == repr(trace), p
+        for name, want in (("lam", lam), ("fshare", fshare), ("y", y)):
+            assert same_bits(getattr(got, name)[p], want), (p, name)
+    return kinds
+
+
+# per problem: workload factor, and per app a total hit rate and its
+# shares per station (a factor of the total, not summing to one)
+@st.composite
+def descent_stacks(draw):
+    seed = draw(st.integers(0, 10_000))
+    stations, apps = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    specs = draw(st.lists(st.tuples(
+        st.sampled_from([0.5, 1.0, 3.0]),
+        st.lists(st.floats(0.0, 1.0), min_size=apps, max_size=apps),
+        st.lists(st.floats(0.0, 1.0), min_size=apps * stations,
+                 max_size=apps * stations)), min_size=1, max_size=4))
+    return seed, stations, apps, specs, draw(st.sampled_from([10, 40, 100]))
+
+
+@PROPERTY
+@given(descent_stacks())
+def test_descent_equals_evaluating_every_iterate_afresh(case):
+    seed, stations, apps, specs, iters = case
+    problems = [descent_problem(seed, stations, apps, *spec) for spec in specs]
+    problems = [p for p in problems if p is not None]
+    assume(problems)
+    descent_equals_fresh_evaluations(problems, iters)
+
+
+# a stack of three problems whose fresh descents meet flags that move, a
+# stationary stop and an exhausted search: (seed, stations, apps,
+# [(factor, totals, shares)], iters)
+PINNED_STACK = (9961, 2, 2, [(3.0, [0.18, 0.86], [0.12, 0.81, 0.19, 0.43]),
+                             (1.0, [0.57, 0.63], [0.04, 0.81, 0.53, 0.92]),
+                             (1.0, [0.17, 0.44], [0.96, 0.63, 0.51, 0.47])], 40)
+
+
+@pytest.mark.parametrize("kind", ["moved", "stationary", "exhausted"])
+def test_descent_cases(monkeypatch, kind):
+    seed, stations, apps, specs, iters = PINNED_STACK
+    problems = [descent_problem(seed, stations, apps, *spec) for spec in specs]
+    assert None not in problems
+    # the first iterate, and one where flags moved, are evaluated in full
+    full = []
+    evaluate = scheduling.evaluate_with_rates
+
+    def counted(*args, **kwargs):
+        if not kwargs.get("margin"):
+            full.append(kwargs.get("table") is not None)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(scheduling, "evaluate_with_rates", counted)
+    assert kind in descent_equals_fresh_evaluations(problems, iters)
+    assert full[0] is False and any(full[1:])
+
+
 def per_station_noc(scenario):
     """NoC as a station-by-station loop: alternating_solve on each station's
     single-station scenario in index order, its objectives summed in that
@@ -1052,18 +1189,21 @@ def test_rounded_fraction_equals_the_solved_fraction_rounded(case, fractions):
 @given(level_searches())
 def test_sweep_rows_are_the_solved_rows_rounded(case):
     """The sweep's level search returns the exact search's level and its
-    row rounded entry by entry; a row it reports as fitting fits."""
+    row rounded entry by entry; a row it reports as fitting fits.  Both
+    report their rows' counts of nonzero entries."""
     sc, cache, sched, station = case
     cap = sc.storage_capacities[station]
     try:
-        row, level, fit = _level_search(EfficiencyContext(sc, cache, sched,
-                                                          station))
+        row, level, fit, cached = _level_search(
+            EfficiencyContext(sc, cache, sched, station))
     except MalformedInput:
         return
-    got, got_level, got_fit = _level_search(
+    got, got_level, got_fit, got_cached = _level_search(
         EfficiencyContext(sc, cache, sched, station), rounded=True)
     assert got_level == level
     assert got.tobytes() == np.where(row >= 1.0 - BINARY_TOL, 1.0, 0.0).tobytes()
+    assert cached == np.count_nonzero(row)
+    assert got_cached == np.count_nonzero(got)
     assert not fit or row_storage(sc, row) <= cap
     assert not got_fit or row_storage(sc, got) <= cap
     # only a fall back to the floor, or an entry rounded up, leaves it open

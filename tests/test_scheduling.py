@@ -331,6 +331,37 @@ def test_descent_tables_each_point_once(monkeypatch):
         steps_tabled(j) for _, _, j in trace)
 
 
+def test_descent_evaluates_each_iterate_once(monkeypatch):
+    # the default 10-iteration descent from the greedy start: one branch
+    # table per line-search block plus one for the first iterate, and one
+    # full evaluation, of the first iterate.  Every later iterate takes its
+    # objective from the block that accepted it, its flags chosen again
+    # from that block's table; no flags move here, so none is evaluated
+    # again (test_properties.py::test_descent_cases has one that is), and
+    # the final flags are read from the last table without an evaluation
+    sc = generate_scenario(GeneratorParams(seed=42))
+    hit = compute_hit_rates(sc, greedy_cache(sc))
+    start, _ = initial_feasible_point(sc, hit)
+    tables, evaluations = [], []
+    branch_tables, evaluate = delay.branch_tables, scheduling.evaluate_with_rates
+
+    def counted_table(*args):
+        tables.append(args)
+        return branch_tables(*args)
+
+    def counted_eval(*args, **kwargs):
+        evaluations.append("block" if kwargs.get("margin") == DELTA_STAB
+                           else "full")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(delay, "branch_tables", counted_table)
+    monkeypatch.setattr(scheduling, "evaluate_with_rates", counted_eval)
+    _, trace = solve_scheduling(sc, hit, start, iters=10)
+    assert [j for _, _, j in trace] == [3, 3, 4, 5, 4, 4, 4, 5, 3, 5]
+    assert len(tables) == 11
+    assert evaluations == ["full"] + ["block"] * 10
+
+
 def test_solve_scheduling_stationary_fixed_point(symmetric_pair):
     # a converged point barely moves under a tiny base step
     sc, cache = symmetric_pair
