@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -61,8 +61,12 @@ class Scenario:
     search_workload: float  # cycles to scan a local cache, shared by all apps
 
     def __post_init__(self):
-        # every check is written so that NaN fails it; upper bounds of inf
-        # reject infinities
+        self._check_fields()
+        self._check_catalog()
+
+    def _check_fields(self) -> None:
+        """The station and app fields, O(N·A).  Every check is written so
+        that NaN fails it; upper bounds of inf reject infinities."""
         if not self.stations:
             raise MalformedInput("scenario needs at least one station")
         if not self.apps:
@@ -98,16 +102,42 @@ class Scenario:
                 raise MalformedInput(
                     f"app {a}: mean_workload_cycles {app.mean_workload!r} is "
                     "too small: the largest compute capacity over it overflows")
-            total_p = 0.0
-            for k, ti in enumerate(app.typical_inputs):
-                if not 0.0 <= ti.match_prob <= 1.0:
-                    raise MalformedInput(f"app {a} input {k}: match prob outside [0, 1]")
-                if not 0.0 < ti.result_size < math.inf:
-                    raise MalformedInput(
-                        f"app {a} input {k}: result size must be finite and positive")
-                total_p += ti.match_prob
+
+    def _check_catalog(self) -> None:
+        """Every typical input, O(K), app by app: its first bad input (match
+        prob before size; NaN fails), then its match total in input order."""
+        for a, (p, s) in enumerate(zip(self.match_probs, self.result_sizes)):
+            bad_p = ~((p >= 0.0) & (p <= 1.0))
+            bad = bad_p | ~((s > 0.0) & (s < math.inf))
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise MalformedInput(
+                    f"app {a} input {k}: match prob outside [0, 1]" if bad_p[k]
+                    else f"app {a} input {k}: result size must be finite and positive")
+            total_p = float(prefix_sums(p)[-1])
             if total_p > 1.0 + 1e-12:
                 raise MalformedInput(f"app {a}: match probabilities sum to {total_p} > 1")
+
+    def isolated(self, n: int) -> "Scenario":
+        """Station n alone: the apps with arrivals at n, each weighted by
+        its share of arrivals there.  Only these derived fields are checked:
+        the catalog arrays are this scenario's, per app, and flat too when
+        every app is kept (else built lazily)."""
+        rates = self.arrival_rate_matrix[:, n]
+        kept = [a for a in range(self.num_apps) if rates[a] > 0.0]
+        sub = object.__new__(Scenario)
+        sub.__dict__.update(
+            stations=(replace(self.stations[n], arrival_rates=tuple(
+                float(rates[a]) for a in kept)),),
+            apps=tuple(replace(self.apps[a], weight=self.apps[a].weight
+                               * (rates[a] / self.total_rates[a])) for a in kept),
+            search_workload=self.search_workload)
+        sub._check_fields()
+        for name in ("density_orders", "sorted_neg_densities", "size_prefixes"):
+            sub.__dict__[name] = tuple(getattr(self, name)[a] for a in kept)
+        if len(kept) == self.num_apps:
+            sub.__dict__.update(p=self.p, s=self.s, density_order=self.density_order)
+        return sub
 
     # -- cached array views ------------------------------------------------
 
@@ -224,24 +254,6 @@ class Scenario:
 
     def catalog_size(self, a: int) -> int:
         return int(self.offsets[a + 1] - self.offsets[a])
-
-    def share_catalogs(self, source: "Scenario", apps: list[int]) -> None:
-        """Take the per-input arrays of this scenario's apps from the apps
-        ``apps`` of ``source``, whose typical inputs they hold, so that the
-        two scenarios keep one copy of them (of the flat arrays too, when
-        ``apps`` is every app of ``source``)."""
-        if len(apps) != self.num_apps or any(
-                mine.typical_inputs is not source.apps[a].typical_inputs
-                for mine, a in zip(self.apps, apps)):
-            raise DimensionMismatch("the apps do not hold the source's inputs")
-        for name in ("density_orders", "sorted_neg_densities", "size_prefixes"):
-            self.__dict__[name] = tuple(getattr(source, name)[a] for a in apps)
-        if list(apps) == list(range(source.num_apps)):
-            for name in ("p", "s", "density_order"):
-                self.__dict__[name] = getattr(source, name)
-            return
-        for name, per_app in (("p", source.match_probs), ("s", source.result_sizes)):
-            self.__dict__[name] = _frozen(np.concatenate([per_app[a] for a in apps]))
 
 
 def prefix_sums(values: np.ndarray) -> np.ndarray:

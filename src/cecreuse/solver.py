@@ -232,37 +232,22 @@ def solve_nor(scenario: Scenario, rounds: int = ROUND_CAP,
                        feasible=not validate(scenario, cache, sched))
 
 
-def _single_station_scenario(scenario: Scenario, n: int,
-                             kept: list[int]) -> Scenario:
-    """Station n in isolation, kept apps reweighted by their local share;
-    it reads its catalogs' arrays from ``scenario``'s."""
-    rates, apps = scenario.arrival_rate_matrix, scenario.apps
-    local = tuple(replace(apps[a], weight=apps[a].weight
-                          * (rates[a, n] / scenario.total_rates[a])) for a in kept)
-    station = replace(scenario.stations[n],
-                      arrival_rates=tuple(float(rates[a, n]) for a in kept))
-    sub = Scenario(stations=(station,), apps=local,
-                   search_workload=scenario.search_workload)
-    sub.share_catalogs(scenario, kept)
-    return sub
-
-
 def solve_noc(scenario: Scenario, rounds: int = ROUND_CAP,
               params: PgdParams = PgdParams()) -> SolveReport:
     """No collaboration: each station serves its own arrivals in isolation.
 
-    Every station becomes a single-station scenario (apps reweighted by
-    their local arrival share, zero-arrival apps dropped) and runs
-    alternating_solve's rounds on it; routing is then trivial and the
-    descent only moves the CPU split.  The stations start in index order,
-    up to the first whose start fails.  Stations that keep the same apps
-    run as one group of alternating_solve's loop, so that a round's descent
-    costs one block per iteration, not one per station.  Each station
-    reaches the rounds and the decision it reaches alone, and the failing
-    station of lowest index raises its error, as a station-by-station loop
-    would.  The reported objective is the sum of the per-station
-    objectives.  The assembled cache/sched is a per-station patchwork for
-    inspection; it is not a collaborative evaluation.
+    Every station becomes its one-station problem, Scenario.isolated (apps
+    reweighted by their local arrival share, zero-arrival apps dropped),
+    and runs alternating_solve's rounds on it; routing is then trivial and
+    the descent only moves the CPU split.  Stations start in index order,
+    up to the first whose start fails; those that keep the same apps run
+    as one group of alternating_solve's loop, so a round's descent costs
+    one block per iteration, not one per station.  Each station reaches
+    the rounds and decision it reaches alone; the error of the failing
+    station n of lowest index is raised, as a station-by-station loop
+    would, prefixed "NoC station n: ".  The objective is the sum of the
+    per-station objectives; the assembled cache/sched is a per-station
+    patchwork for inspection, not a collaborative evaluation.
     """
     if scenario.num_stations == 1:
         rep = alternating_solve(scenario, rounds, params)
@@ -278,7 +263,7 @@ def solve_noc(scenario: Scenario, rounds: int = ROUND_CAP,
         if not kept[n]:
             continue
         try:
-            runs[n] = _Run.start(_single_station_scenario(scenario, n, kept[n]))
+            runs[n] = _Run.start(scenario.isolated(n))
         except CecReuseError as exc:
             failed[n] = exc
             break
@@ -289,7 +274,8 @@ def solve_noc(scenario: Scenario, rounds: int = ROUND_CAP,
         lost = _alternate([runs[n] for n in members], rounds, params)
         failed.update((members[s], exc) for s, exc in lost.items())
     if failed:
-        raise failed[min(failed)]
+        n = min(failed)
+        raise type(failed[n])(f"NoC station {n}: {failed[n]}") from failed[n]
 
     cache = CacheAssignment.zeros(scenario)
     caps = scenario.compute_capacities

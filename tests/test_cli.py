@@ -175,8 +175,10 @@ def test_solve_rejects_an_infinite_efficiency_floor(tmp_path, capsys, path,
     assert "efficiency floor" in capsys.readouterr().err
 
 
-GRADIENT_OVERFLOW = ("error: the objective's gradient overflows: the "
-                     "scenario's delays or capacities are too large")
+# NoC's error names the station whose one-station problem failed
+GRADIENT_OVERFLOW = ("error: NoC station 0: the objective's gradient "
+                     "overflows: the scenario's delays or capacities are too "
+                     "large")
 
 
 @pytest.mark.parametrize("algorithm", solver.ALGORITHMS)

@@ -8,9 +8,10 @@ import pytest
 from cecreuse import (CacheAssignment, DimensionMismatch, GeneratorParams,
                       MalformedInput, SchedulingState, compute_hit_rates,
                       generate_scenario, load_scenario, save_scenario,
-                      scenario_from_dict, storage_used, validate)
-from cecreuse.model import Scenario, rows_storage
-from cecreuse.solver import _single_station_scenario, greedy_cache, solve_greedy
+                      scenario_from_dict, scenario_to_dict, storage_used,
+                      validate)
+from cecreuse.model import Scenario, TypicalInput, rows_storage
+from cecreuse.solver import greedy_cache, solve_greedy, solve_noc
 
 from conftest import (NON_FINITE_FIELDS, NON_FINITE_IDS, WRONG_TYPE_FIELDS,
                       WRONG_TYPE_IDS, build_scenario, full_cache,
@@ -287,22 +288,85 @@ def test_flat_catalog_of_a_permuted_scenario():
     assert sorted(permuted.p.tolist()) == sorted(sc.p.tolist())
 
 
+CACHED = ("compute_capacities", "storage_capacities", "transfer_delays",
+          "arrival_rate_matrix", "total_rates", "weights", "workloads",
+          "offsets", "p", "s", "density_order")
+PER_APP = ("match_probs", "result_sizes", "density_orders",
+           "sorted_neg_densities", "size_prefixes")
+
+
 @pytest.mark.parametrize("kept", [[0, 1, 2], [1, 2], [0, 2], [1]])
-def test_flat_catalog_of_single_station_scenarios(kept):
-    # NoC's single-station scenarios take their arrays from the parent's:
-    # shared whole when every app is kept, else the kept apps' segments
+def test_flat_catalog_of_single_station_scenarios(kept, monkeypatch):
+    # a station's one-station problem takes its catalog arrays from the
+    # parent's, which are checked: shared whole when every app is kept,
+    # else the kept apps' entries.  Apps without arrivals at the station
+    # are dropped.  The catalog is never checked again
     sc = generate_scenario(GeneratorParams(seed=42, num_stations=4,
                                            num_apps=3, k_scale=0.002))
-    sub = _single_station_scenario(sc, 1, kept)
+    stations = list(sc.stations)
+    stations[1] = replace(stations[1], arrival_rates=tuple(
+        r if a in kept else 0.0 for a, r in enumerate(stations[1].arrival_rates)))
+    sc = replace(sc, stations=tuple(stations))
+
+    def checked(self):
+        raise AssertionError("catalog checked again")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Scenario, "_check_catalog", checked)
+        sub = sc.isolated(1)
+        solve_noc(sc, 0)
+    assert [app.typical_inputs for app in sub.apps] == [
+        sc.apps[a].typical_inputs for a in kept]
     assert_flat_catalog(sub)
-    assert (sub.p is sc.p) == (kept == [0, 1, 2])
-    for i, a in enumerate(kept):
-        assert sub.density_orders[i] is sc.density_orders[a]
-    # the orders a scenario computes itself are the ones it was handed
+    every = kept == [0, 1, 2]
+    for name in ("p", "s", "density_order"):
+        assert (getattr(sub, name) is getattr(sc, name)) == every
+    for name in ("density_orders", "sorted_neg_densities", "size_prefixes"):
+        for i, a in enumerate(kept):
+            assert getattr(sub, name)[i] is getattr(sc, name)[a]
+    # every cached array is the one a checked scenario computes itself
     alone = Scenario(stations=sub.stations, apps=sub.apps,
                      search_workload=sub.search_workload)
-    assert alone.density_order.tolist() == sub.density_order.tolist()
+    for name in CACHED:
+        got, want = getattr(sub, name), getattr(alone, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    for name in PER_APP:
+        assert [v.tobytes() for v in getattr(sub, name)] == [
+            v.tobytes() for v in getattr(alone, name)], name
     assert greedy_cache(alone).x.tobytes() == greedy_cache(sub).x.tobytes()
+
+
+def test_each_outside_path_checks_the_catalog_once(monkeypatch):
+    # a scenario built from outside input runs the catalog check once and
+    # names the first bad input; a station's one-station problem never runs it
+    calls = []
+    check = Scenario._check_catalog
+    monkeypatch.setattr(Scenario, "_check_catalog",
+                        lambda self: calls.append(self) or check(self))
+    sc = generate_scenario(GeneratorParams(seed=42, num_stations=3, num_apps=2,
+                                           k_scale=0.002))
+    assert len(calls) == 1 and calls[0] is sc
+    for make in (lambda: Scenario(sc.stations, sc.apps, sc.search_workload),
+                 lambda: scenario_from_dict(scenario_to_dict(sc)),
+                 lambda: replace(sc, search_workload=1.0)):
+        calls.clear()
+        made = make()
+        assert len(calls) == 1 and calls[0] is made
+    calls.clear()
+    sc.isolated(0)
+    assert not calls
+    doc = mutated_document(sc, ("apps", 1, "typical_inputs", 3,
+                                "result_size_bytes"), 0.0)
+    with pytest.raises(MalformedInput, match=r"^app 1 input 3: result size "
+                       "must be finite and positive$"):
+        scenario_from_dict(doc)
+    inputs = sc.apps[0].typical_inputs
+    bad = replace(sc.apps[0], typical_inputs=inputs[:2] + (
+        TypicalInput(1.5, 1.0),) + inputs[3:])
+    with pytest.raises(MalformedInput,
+                       match=r"^app 0 input 2: match prob outside \[0, 1\]$"):
+        replace(sc, apps=(bad,) + sc.apps[1:])
 
 
 @pytest.mark.parametrize("field", ["lam", "fshare", "y"])

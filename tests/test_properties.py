@@ -1,7 +1,7 @@
-"""Property tests: the binary cache type, hit-rate identities, peer-mask
-versions and the partitions kept by them, the caching sweep's station
-skip, the solve's one sweep state, the level search's probes, the batched
-projection, the blocked line search, report JSON."""
+"""Property tests: the catalog check, the binary cache type, hit-rate
+identities, peer-mask versions and the partitions kept by them, the caching
+sweep's station skip, the solve's one sweep state, the level search's
+probes, the batched projection, the blocked line search, report JSON."""
 import json
 import math
 import operator
@@ -13,9 +13,9 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from cecreuse import (CacheAssignment, DimensionMismatch, GeneratorParams,
-                      Infeasible, MalformedInput, PgdParams, SchedulingState,
-                      backtrack, compute_hit_rates,
+from cecreuse import (CacheAssignment, CecReuseError, DimensionMismatch,
+                      GeneratorParams, Infeasible, MalformedInput, PgdParams,
+                      SchedulingState, backtrack, compute_hit_rates,
                       generate_scenario, initial_feasible_point,
                       project_decisions, solver)
 from cecreuse import caching, scheduling
@@ -29,8 +29,9 @@ from cecreuse.delay import (BranchDelays, evaluate_with_rates,
                             gradient_with_rates, hit_derivative)
 from cecreuse.scheduling import (ALPHA, BETA, DELTA_STAB, J_MAX, STEP_BLOCK,
                                  STATIONARY_TOL, solve_scheduling)
-from cecreuse.model import (BINARY_TOL, HitRateTable, Scenario,
-                            ScenarioStack, dot, row_storage, rows_storage)
+from cecreuse.model import (BINARY_TOL, Application, BaseStation,
+                            HitRateTable, Scenario, ScenarioStack,
+                            TypicalInput, dot, row_storage, rows_storage)
 
 from conftest import build_scenario
 
@@ -64,6 +65,63 @@ def test_cache_accepts_exactly_the_binary_arrays(entries):
     else:
         with pytest.raises(MalformedInput):
             CacheAssignment(entries)
+
+
+def catalog_verdict(apps):
+    """The catalog check as a loop over the typical inputs: the message of
+    the first that fails, or None."""
+    for a, app in enumerate(apps):
+        total_p = 0.0
+        for k, ti in enumerate(app.typical_inputs):
+            if not 0.0 <= ti.match_prob <= 1.0:
+                return f"app {a} input {k}: match prob outside [0, 1]"
+            if not 0.0 < ti.result_size < math.inf:
+                return f"app {a} input {k}: result size must be finite and positive"
+            total_p += ti.match_prob
+        if total_p > 1.0 + 1e-12:
+            return f"app {a}: match probabilities sum to {total_p} > 1"
+    return None
+
+
+P_FAULTS = (math.nan, math.inf, -math.inf, -1e-300, math.nextafter(1.0, 2.0), 2.0)
+S_FAULTS = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0)
+
+
+@st.composite
+def faulty_catalogs(draw):
+    """Apps whose match totals lie near 1 + 1e-12, with up to three bad
+    match probs or sizes injected, two possibly in one input."""
+    apps = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, 12))
+        total = draw(st.sampled_from([0.5, 1.0, 1.0 + 1e-12, 1.0 + 2e-12,
+                                      1.0 + 1e-11, 1.5]))
+        w = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+        p = [total * x / sum(w) for x in w]
+        s = draw(st.lists(st.floats(1e-3, 1e6), min_size=k, max_size=k))
+        for _ in range(draw(st.integers(0, 3)) if k else 0):
+            i = draw(st.integers(0, k - 1))
+            if draw(st.booleans()):
+                p[i] = draw(st.sampled_from(P_FAULTS))
+            else:
+                s[i] = draw(st.sampled_from(S_FAULTS))
+        apps.append(Application(1.0, 1e8, tuple(map(TypicalInput, p, s))))
+    return tuple(apps)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(faulty_catalogs())
+def test_array_catalog_check_equals_the_input_loop(apps):
+    # the same verdict and message as a loop over the inputs, whose match
+    # total is a running sum in input order
+    station = BaseStation(1e9, 1e6, 0.01, (1.0,) * len(apps))
+    want = catalog_verdict(apps)
+    if want is None:
+        Scenario(stations=(station,), apps=apps, search_workload=1e4)
+        return
+    with pytest.raises(MalformedInput) as got:
+        Scenario(stations=(station,), apps=apps, search_workload=1e4)
+    assert str(got.value) == want
 
 
 @st.composite
@@ -993,8 +1051,9 @@ def test_descent_cases(monkeypatch, kind):
 
 def per_station_noc(scenario):
     """NoC as a station-by-station loop: alternating_solve on each station's
-    single-station scenario in index order, its objectives summed in that
-    order, its decisions patched in.  The first failure raises."""
+    one-station problem in index order, its objectives summed in that
+    order, its decisions patched in.  The first failure raises, its message
+    prefixed with the station."""
     A, N = scenario.num_apps, scenario.num_stations
     rates = scenario.arrival_rate_matrix
     cache = CacheAssignment.zeros(scenario)
@@ -1006,8 +1065,10 @@ def per_station_noc(scenario):
         kept = [a for a in range(A) if rates[a, n] > 0.0]
         if not kept:
             continue
-        rep = solver.alternating_solve(
-            solver._single_station_scenario(scenario, n, kept))
+        try:
+            rep = solver.alternating_solve(scenario.isolated(n))
+        except CecReuseError as exc:
+            raise type(exc)(f"NoC station {n}: {exc}") from exc
         init += rep.objective_trace[0][3]
         final += rep.final_objective
         rounds = max(rounds, rep.rounds_completed)

@@ -175,7 +175,7 @@ def test_zero_rounds_keep_the_start_and_release(monkeypatch):
     noc = solve_noc(sc, 0)
     start = 0.0
     for n in range(sc.num_stations):
-        sub = solver._single_station_scenario(sc, n, list(range(sc.num_apps)))
+        sub = sc.isolated(n)
         hit = model.compute_hit_rates(sub, greedy_cache(sub))
         start += solver._feasible_start(sub, hit)[1]
     assert noc.objective_trace == [(0, "init", 0, start), (1, "noc", 1, start)]
@@ -410,5 +410,6 @@ def test_noc_raises_the_first_failing_stations_error(capacity, error, message):
         stations[0] = replace(stations[0], compute_capacity=capacity)
     stations[2] = replace(stations[2], arrival_rates=tuple(
         1e4 * r for r in stations[2].arrival_rates))
-    with pytest.raises(error, match=message):
+    first = 0 if capacity is not None else 2
+    with pytest.raises(error, match=f"^NoC station {first}: {message}"):
         solve_noc(replace(sc, stations=tuple(stations)))
