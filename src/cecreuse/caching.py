@@ -40,9 +40,23 @@ errors and the rounding of the margin and of the comparison; below
 2^-1022 every sum is exact.  Inside the margin, or where it is not finite
 (the prefix sums overflowed), the probe builds the dense row as above.
 
+Where the two straddle the capacity, the fractions are halved together,
+one step each, and after each step the dense row is summed with every
+pending entry at its bracket's lower end and at its upper end.  Each
+bracket holds that entry's final fraction, so by the same monotone sum
+lower-end total <= exact <= upper-end total: the halving stops as soon as
+the lower-end total does not fit or the upper-end total fits, and the
+verdict is the full bisection's.  Once no bracket halves, the upper ends
+are the exact fractions.
+
+Each efficiency miss sums hit_sensitivity over the app's searching
+stations, whose hit-free factors (delay.hit_factors) the context tables on
+first use; the hit rate is all that moves between misses.
+
 The level search takes its final level (the midpoint of its last
 bracket if the exact rows there fit, else the last level a probe found to
-fit) by the same probe rule, and builds that level's row once.  The caching
+fit) by the same probe rule, and builds that level's row once, from the
+fills its probe found there (memoised per context).  The caching
 sweep rounds the row's boundary entries without solving their fractions
 (it only needs to know whether each is >= 1 - BINARY_TOL), and sums the
 rounded row's storage again only when a boundary entry rounded up:
@@ -57,7 +71,10 @@ probabilities.  The replicated class is read from that order: its
 efficiency -(p/s) phi lam y D^t does not fall along the whole order, so the
 replicated inputs cached at a level are the positions before one boundary
 that are not exclusive.  The caching sweep keeps each station's peer mask
-and partition while its peer-mask version holds (SweepState.peers).
+and partition while its peer-mask version holds (SweepState.peers).  Its
+lam and fshare are frozen, so it tables the load half of its evaluations
+and each app's transfer term once per call (delay.load_tables), and each
+candidate tables only the hit half of its hit rates.
 """
 from __future__ import annotations
 
@@ -68,7 +85,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .delay import evaluate_objective, evaluate_with_rates, hit_derivative
+from .delay import (evaluate_objective, evaluate_with_rates, hit_factors,
+                    hit_sensitivity, load_tables)
 from .errors import (DegenerateInput, DimensionMismatch, Infeasible,
                      MalformedInput, StabilityViolation, TooLarge)
 from .model import (BINARY_TOL, CacheAssignment, HitRateTable, Scenario,
@@ -183,8 +201,11 @@ class EfficiencyContext:
         c = scenario.weights[:, None] * self.lam * self.yf
         self.active: list[bool] = np.any(c > 0.0, axis=1).tolist()
         self.rep_factor: list[float] = (c[:, station] * self.dt[station]).tolist()
+        self.wa: list[float] = scenario.workloads.tolist()
+        self.ws: float = scenario.search_workload
         self._terms: list[list[tuple] | None] = [None] * scenario.num_apps
         self._eff: dict[tuple[int, int, float], float] = {}
+        self._fills: dict[float, list[_Fill]] = {}
         self._exc_sizes: list[np.ndarray | None] = [None] * scenario.num_apps
         n = int(scenario.offsets[-1]) + scenario.num_apps + MARGIN_ROUNDINGS
         u = 2.0 ** -53
@@ -240,43 +261,36 @@ class EfficiencyContext:
         guess = int(neg.searchsorted(float(level) / factor, "right"))
         return _prefix_length(cached, len(neg), guess)
 
-    def _searching(self, a: int) -> list[tuple[float, float, float, float]]:
-        """(c, dt, load, f) per station where app a searches, in station
-        order, with dt = 0 at the station being optimized; built on first
-        use."""
-        terms = self._terms[a]
-        if terms is None:
-            sc = self.scenario
-            rate = float(sc.total_rates[a])
-            weight = float(sc.weights[a])
-            terms = []
-            for j, (lam, y, f, dt) in enumerate(zip(
-                    self.lam[a].tolist(), self.yf[a].tolist(),
-                    self.f[a].tolist(), self.dt.tolist())):
-                c = weight * lam * y
-                if c != 0.0:
-                    terms.append((c, 0.0 if j == self.station else dt,
-                                  lam * rate, f))
-            self._terms[a] = terms
+    def _searching(self, a: int) -> list[tuple[float, ...]]:
+        """(c, dt, *hit_factors) per station where app a searches, in
+        station order, with dt = 0 at the station being optimized: what
+        bracket reads that does not move with the hit rate; bracket builds
+        it on first use."""
+        sc = self.scenario
+        rate = float(sc.total_rates[a])
+        weight = float(sc.weights[a])
+        terms = []
+        for j, (lam, y, f, dt) in enumerate(zip(
+                self.lam[a].tolist(), self.yf[a].tolist(),
+                self.f[a].tolist(), self.dt.tolist())):
+            c = weight * lam * y
+            if c != 0.0:
+                terms.append((c, 0.0 if j == self.station else dt)
+                             + hit_factors(lam * rate, f, self.wa[a]))
+        self._terms[a] = terms
         return terms
 
     def bracket(self, a: int, hit: float) -> float:
         """G(P_hr): hit-rate sensitivity summed over stations, -inf if unstable.
 
-        Each searching station weighs its sojourn-time derivative plus the
-        transfer its remote hits pay; the station being optimized pays no
-        transfer on its own hits.
+        Each searching station weighs its sojourn-time derivative
+        (delay.hit_derivative) plus the transfer its remote hits pay; the
+        station being optimized pays no transfer on its own hits.
         """
-        wa = float(self.scenario.workloads[a])
-        ws = self.scenario.search_workload
-        hit = float(hit)
-        total = 0.0
-        for c, dt, load, f in self._searching(a):
-            d = hit_derivative(load, f, wa, ws, hit)
-            if d == -math.inf:
-                return -math.inf
-            total = total + c * (d + dt)
-        return total
+        terms = self._terms[a]
+        if terms is None:
+            terms = self._searching(a)
+        return hit_sensitivity(terms, self.wa[a], self.ws, float(hit))
 
     def exclusive_eff(self, a: int, j: int, xv: float) -> float:
         """eps of the j-th sorted exclusive input with the prefix before it
@@ -353,21 +367,33 @@ def _locate_level(ctx: EfficiencyContext, a: int, level: float) -> tuple[int, bo
     return lo, True
 
 
-def _solve_fraction(ctx: EfficiencyContext, a: int, m: int, level: float,
-                    stop: float = 0.0) -> float:
-    """Smallest x in (0, 1] with eps_m(x) >= level, bisected to INVERSE_TOL;
-    only asked where eps_m(0) < level <= eps_m(1).
-
-    The upper end only falls, so the halving may stop once it is below
-    ``stop``: the x returned is then below ``stop`` as the full result is.
-    """
+def _halvings(ctx: EfficiencyContext, a: int, m: int, level: float):
+    """The brackets (x_lo, x_hi) of the bisection for the smallest x in
+    (0, 1] with eps_m(x) >= level, one after each halving, down to
+    INVERSE_TOL; only asked where eps_m(0) < level <= eps_m(1).  Each
+    bracket lies in the one before, so every one holds the final x_hi."""
     x_lo, x_hi = 0.0, 1.0
-    while x_hi - x_lo > INVERSE_TOL and x_hi >= stop:
+    while x_hi - x_lo > INVERSE_TOL:
         x_mid = 0.5 * (x_lo + x_hi)
         if ctx.exclusive_eff(a, m, x_mid) >= level:
             x_hi = x_mid
         else:
             x_lo = x_mid
+        yield x_lo, x_hi
+
+
+def _solve_fraction(ctx: EfficiencyContext, a: int, m: int, level: float,
+                    stop: float = 0.0) -> float:
+    """Smallest x in (0, 1] with eps_m(x) >= level, bisected to INVERSE_TOL
+    (_halvings).
+
+    The upper end only falls, so the halving may stop once it is below
+    ``stop``: the x returned is then below ``stop`` as the full result is.
+    """
+    x_hi = 1.0
+    for _x_lo, x_hi in _halvings(ctx, a, m, level):
+        if x_hi < stop:
+            break
     return x_hi
 
 
@@ -392,7 +418,12 @@ def _level_fills(ctx: EfficiencyContext, level: float) -> list[_Fill]:
     and strictly negative: the positions before replicated_end that are
     not exclusive.  Over the sorted exclusive class the boundary position
     comes from _locate_level.  Zero-benefit inputs are never cached.
+    Memoised per context and level: the level search builds its final
+    level's row from the fills a probe found there.
     """
+    fills = ctx._fills.get(level)
+    if fills is not None:
+        return fills
     fills = []
     for a in range(ctx.scenario.num_apps):
         if not ctx.active[a]:
@@ -403,6 +434,7 @@ def _level_fills(ctx: EfficiencyContext, level: float) -> list[_Fill]:
         t = int(pos.searchsorted(end)) if end else 0
         if end > t or m or frac:
             fills.append(_Fill(a, end, t, m, frac))
+    ctx._fills[level] = fills
     return fills
 
 
@@ -486,9 +518,10 @@ def _fits(ctx: EfficiencyContext, level: float, cap: float,
     """Whether the exact rows at `level` use ``below`` ``cap`` bytes (less
     than, or with operator.le at most): from the prefix sums where they
     clear the margin, else from the dense row's bounds, the fractions
-    solved only on a straddle (module docstring).  The dense row is written
-    in place, so its bounds and exact total sum the same entries in the
-    same order, over the apps the level fills.
+    halved only on a straddle, and only until the row at their brackets'
+    ends falls on one side of ``cap`` (module docstring).  The dense row
+    is written in place, so its bounds and exact total sum the same
+    entries in the same order, over the apps the level fills.
     """
     scenario = ctx.scenario
     fills = _level_fills(ctx, level)
@@ -503,12 +536,27 @@ def _fits(ctx: EfficiencyContext, level: float, cap: float,
         return False
     if not pending:
         return True
-    for a, m in pending:
-        row[ctx.exclusive_input(a, m)] = 1.0
+    inputs = [ctx.exclusive_input(a, m) for a, m in pending]
+    row[inputs] = 1.0
     if below(row_storage(scenario, row, apps), cap):
         return True
-    _fill_fractions(ctx, row, pending, level)
-    return below(row_storage(scenario, row, apps), cap)
+    # each pending entry's final fraction lies in each of its brackets:
+    # once the row at their lower ends does not fit, or at their upper
+    # ends fits, the exact row's verdict is known; once no bracket halves,
+    # the upper ends are the exact row, just found not to fit
+    halvings = [_halvings(ctx, a, m, level) for a, m in pending]
+    ends = [(0.0, 1.0)] * len(pending)
+    while True:
+        steps = [next(h, None) for h in halvings]
+        if not any(steps):
+            return False
+        ends = [e if s is None else s for s, e in zip(steps, ends)]
+        row[inputs] = [lo for lo, _hi in ends]
+        if not below(row_storage(scenario, row, apps), cap):
+            return False
+        row[inputs] = [hi for _lo, hi in ends]
+        if below(row_storage(scenario, row, apps), cap):
+            return True
 
 
 def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
@@ -523,9 +571,10 @@ def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
     never let the bisection end, so it is MalformedInput.
 
     Each probe (_fits) gives the verdict of
-    ``_rows_storage(scenario, g_of_B(ctx, B)) < cap`` but solves the
-    boundary fractions only when the storage bounds straddle the capacity;
-    the module docstring states the rule and why it is exact.
+    ``_rows_storage(scenario, g_of_B(ctx, B)) < cap`` but halves the
+    boundary fractions only when the storage bounds straddle the capacity,
+    and only until the verdict is known; the module docstring states the
+    rule and why it is exact.
     """
     ctx = EfficiencyContext(scenario, cache, sched, station)
     row, level, _fit, _cached = _level_search(ctx)
@@ -742,8 +791,10 @@ def sweep_all_stations(scenario: Scenario, cache: SweepState,
     docstring).
     """
     sched = sched.copy()
+    # lam and fshare are frozen: every evaluation's load half is this one
+    frozen = load_tables(scenario, sched.lam, sched.fshare)
     res = evaluate_with_rates(scenario, cache.hit.total, cache.hit.neighbor,
-                              sched.lam, sched.fshare)
+                              sched.lam, sched.fshare, table=frozen)
     if not res.feasible:
         raise StabilityViolation("sweep started from an unstable point")
     sched.y = res.y
@@ -777,7 +828,7 @@ def sweep_all_stations(scenario: Scenario, cache: SweepState,
                 last[n] = _Solved(version, y, row.astype(bool), accepted)
             hit = cache.candidate(n, row)
             res2 = evaluate_with_rates(scenario, hit.total, hit.neighbor,
-                                       sched.lam, sched.fshare)
+                                       sched.lam, sched.fshare, table=frozen)
             if res2.feasible and res2.objective <= obj:
                 cache.accept(n, row, hit)
                 sched.y = res2.y

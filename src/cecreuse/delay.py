@@ -16,9 +16,22 @@ f - load E[S] is positive.  One table per decision point serves its search
 flags, objective, stability test and gradient; the line search tables a
 block of points in one broadcast over a leading axis.  A ScenarioStack
 passes for a scenario: its arrays carry a leading problem axis, and the
-same formulas evaluate every problem of the stack in one broadcast.  One
-queue's dD1/dP is hit_derivative, a scalar formula the caching level search
-sums over the searching stations at every probe.
+same formulas evaluate every problem of the stack in one broadcast.
+
+The table is two halves joined: a load half (f, load, branch 0 and the
+idle mask), which reads the routing and CPU shares alone, and a hit half
+(srv1, sq), which reads the hit rate alone; branch 1 reads both.  Each
+alternating subproblem holds one of them fixed and tables it once:
+the caching sweep, whose lam and fshare are frozen, the load half with
+each app's transfer term (load_tables); the descent, whose cache is
+frozen, the hit half with the neighbor-hit transfer (hit_tables), and
+each of its line searches that half with its held flags.
+evaluate_with_rates takes whichever half its caller froze and tables the
+other, with the same operations in the same order, so every value keeps
+its bits.  One queue's dD1/dP is hit_derivative, which splits the same
+way: its hit-free factors per queue (hit_factors), which the caching
+level search tables once per context, and the rest (hit_sensitivity),
+which it sums over the searching stations at every probe.
 """
 from __future__ import annotations
 
@@ -46,7 +59,8 @@ class BranchDelays(NamedTuple):
     ``d0``/``d1`` are the M/M/1 and M/G/1 mean sojourn times (s), 0 where
     ``ok0``/``ok1`` mark the branch unstable; ``den0``/``den1`` are the
     stability slacks f - load w (cycles/s), ``srv1`` the mean search-branch
-    cost and ``sq`` its second-moment numerator (cycles^2).
+    cost and ``sq`` its second-moment numerator (cycles^2); ``idle`` marks
+    the queues with no load and no CPU, stable with delay 0.
     """
 
     f: np.ndarray
@@ -59,6 +73,83 @@ class BranchDelays(NamedTuple):
     den1: np.ndarray
     srv1: np.ndarray
     sq: np.ndarray
+    idle: np.ndarray
+
+
+class LoadHalf(NamedTuple):
+    """The terms of branch_delays that do not read the hit rate: the CPU
+    speed, the arrival rate, whether f > 0, branch 0 and the idle mask.
+
+    ``transfer``, filled by load_tables, holds each app's summed transfer
+    term, the part of its delay that reads the routing alone.
+    """
+
+    f: np.ndarray
+    load: np.ndarray
+    fpos: np.ndarray
+    den0: np.ndarray
+    ok0: np.ndarray
+    d0: np.ndarray
+    idle: np.ndarray
+    transfer: np.ndarray | None = None
+
+
+class HitHalf(NamedTuple):
+    """The terms of branch_delays that read the hit rate alone: ``srv1``
+    and ``sq``.
+
+    ``remote``, filled by hit_tables, is the neighbor hit rate times the
+    transfer delay, which the search branch adds.  ``y``, ``search``
+    (y == 1) and ``cost`` (the mean service cost of the branch y selects)
+    are the flag terms of a line search that holds y fixed (held).
+    """
+
+    srv1: np.ndarray
+    sq: np.ndarray
+    remote: np.ndarray | None = None
+    y: np.ndarray | None = None
+    search: np.ndarray | None = None
+    cost: np.ndarray | None = None
+
+    def held(self, y: np.ndarray, wa: np.ndarray) -> "HitHalf":
+        """This half with the flags ``y`` held fixed; ``wa`` is the mean
+        workload, branch 0's service cost."""
+        search = y == 1
+        return self._replace(y=y, search=search,
+                             cost=np.where(search, self.srv1, wa))
+
+    def take(self, keep: np.ndarray) -> "HitHalf":
+        """The problems ``keep`` selects, on the leading axis."""
+        return HitHalf(*(None if x is None else x[keep] for x in self))
+
+
+def load_half(f, load, wa) -> LoadHalf:
+    """branch_delays' load half at CPU speed f and arrival rate load."""
+    fpos = f > 0.0
+    den0 = f - load * wa
+    ok0 = fpos & (den0 > 0.0)
+    d0 = np.divide(wa, den0, out=np.zeros(np.shape(den0)), where=ok0)
+    return LoadHalf(f, load, fpos, den0, ok0, d0, (load == 0.0) & (f == 0.0))
+
+
+def hit_half(wa, ws, hit) -> HitHalf:
+    """branch_delays' hit half at total hit rate hit."""
+    srv1 = ws + (1.0 - hit) * wa
+    return HitHalf(srv1, srv1 * srv1 + (1.0 - hit * hit) * wa * wa)
+
+
+def _joined(lh: LoadHalf, hh: HitHalf) -> BranchDelays:
+    """The table of both halves: branch 1, which reads both."""
+    f, load, srv1 = lh.f, lh.load, hh.srv1
+    den1 = f - load * srv1
+    ok1 = lh.fpos & (den1 > 0.0)
+    two_f_den1 = 2.0 * f * den1
+    # both terms only where branch 1 is ok (ok1 implies f > 0): 0 elsewhere
+    d1 = np.divide(srv1, f, out=np.zeros(np.shape(den1)), where=ok1)
+    d1 += np.divide(load * hh.sq, two_f_den1, out=np.zeros(np.shape(den1)),
+                    where=ok1)
+    return BranchDelays(f, load, lh.d0, lh.ok0, d1, ok1, lh.den0, den1, srv1,
+                        hh.sq, lh.idle)
 
 
 def branch_delays(f, load, wa, ws, hit) -> BranchDelays:
@@ -67,24 +158,50 @@ def branch_delays(f, load, wa, ws, hit) -> BranchDelays:
     ``wa`` is the mean workload, ``ws`` the search workload (cycles) and
     ``hit`` the total hit rate; all arguments broadcast, so the same call
     serves one queue and an (app, station) table.  No infinities are stored.
-    A branch is ok when f > 0 and its slack is positive.
+    A branch is ok when f > 0 and its slack is positive.  The table is
+    its load half (load_half) joined with its hit half (hit_half).
     """
-    fpos = f > 0.0
+    return _joined(load_half(f, load, wa), hit_half(wa, ws, hit))
 
-    den0 = f - load * wa
-    ok0 = fpos & (den0 > 0.0)
-    d0 = np.divide(wa, den0, out=np.zeros(np.shape(den0)), where=ok0)
 
-    srv1 = ws + (1.0 - hit) * wa
-    den1 = f - load * srv1
-    ok1 = fpos & (den1 > 0.0)
-    sq = srv1 * srv1 + (1.0 - hit * hit) * wa * wa
-    two_f_den1 = 2.0 * f * den1
-    # both terms only where branch 1 is ok (ok1 implies f > 0): 0 elsewhere
-    d1 = np.divide(srv1, f, out=np.zeros(np.shape(den1)), where=ok1)
-    d1 += np.divide(load * sq, two_f_den1, out=np.zeros(np.shape(den1)),
-                    where=ok1)
-    return BranchDelays(f, load, d0, ok0, d1, ok1, den0, den1, srv1, sq)
+def hit_factors(load: float, f: float, wa: float) -> tuple[float, ...]:
+    """The hit-free factors of hit_derivative at one queue: (load, f,
+    wa/f, mu0^2, load^2 wa, 2f, f load, f load^2, 2 mu0^2, load wa), with
+    mu0 = f/wa; the quotients are 0.0 where f <= 0, which
+    hit_sensitivity reads as unstable before any of them."""
+    if f <= 0.0:
+        return (load, f) + (0.0,) * 8
+    mu0sq = (f / wa) * (f / wa)
+    fl = f * load
+    return (load, f, wa / f, mu0sq, load * load * wa, 2.0 * f, fl, fl * load,
+            2.0 * mu0sq, load * wa)
+
+
+def hit_sensitivity(stations, wa: float, ws: float, hit: float) -> float:
+    """Sum of c (dD1/dP + dt) over ``stations``, tuples (c, dt, *factors)
+    of a weight, a transfer delay and one queue's hit_factors: the
+    hit-dependent part of hit_derivative.  -inf as soon as one queue is
+    unstable at this hit rate."""
+    unstable = -math.inf
+    omh = 1.0 - hit
+    W = omh * wa + ws
+    oph = 1.0 + hit
+    total = 0.0
+    for c, dt, load, f, t1, mu0sq, llw, two_f, fl, fll, two_mu0sq, lw in stations:
+        if f <= 0.0:
+            return unstable
+        den = f - load * W
+        if den <= 0.0:
+            return unstable
+        t2 = llw * W * W / (two_f * den * den)
+        t3 = fll * omh * oph * wa / (two_mu0sq * den * den)
+        t4 = fl * hit / (mu0sq * den)
+        t5 = lw * W / (f * den)
+        d = -(t1 + t2 + t3 + t4 + t5)
+        if d == unstable:
+            return unstable
+        total = total + c * (d + dt)
+    return total
 
 
 def hit_derivative(load: float, f: float, wa: float, ws: float,
@@ -95,21 +212,16 @@ def hit_derivative(load: float, f: float, wa: float, ws: float,
     (cycles/s), the reverse of branch_delays' (f, load) order; ``wa``,
     ``ws`` and ``hit`` as there.  Returns -inf when the queue is unstable
     at this hit rate (callers treat that as "unboundedly beneficial to
-    raise the hit rate").
+    raise the hit rate").  With W = (1 - P) wa + ws and den = f - load W,
+
+        dD1/dP = -(wa/f + load^2 wa W^2 / (2 f den^2)
+                   + f load^2 (1 - P)(1 + P) wa / (2 mu0^2 den^2)
+                   + f load P / (mu0^2 den) + load wa W / (f den)),
+
+    its hit-free factors per queue (hit_factors) and the rest
+    (hit_sensitivity, at weight 1 and no transfer).
     """
-    if f <= 0.0:
-        return -math.inf
-    W = (1.0 - hit) * wa + ws
-    den = f - load * W
-    if den <= 0.0:
-        return -math.inf
-    mu0sq = (f / wa) * (f / wa)
-    t1 = wa / f
-    t2 = load * load * wa * W * W / (2.0 * f * den * den)
-    t3 = f * load * load * (1.0 - hit) * (1.0 + hit) * wa / (2.0 * mu0sq * den * den)
-    t4 = f * load * hit / (mu0sq * den)
-    t5 = load * wa * W / (f * den)
-    return -(t1 + t2 + t3 + t4 + t5)
+    return hit_sensitivity(((1.0, 0.0) + hit_factors(load, f, wa),), wa, ws, hit)
 
 
 # -- vectorized objective ----------------------------------------------------
@@ -180,24 +292,49 @@ def branch_tables(scenario: Scenario, total_hit: np.ndarray,
                          scenario.search_workload, total_hit[..., :, None])
 
 
-def _idle(t: BranchDelays) -> np.ndarray:
-    """Queues with no load and no CPU: stable, with delay 0."""
-    return (t.load == 0.0) & (t.f == 0.0)
+def load_tables(scenario: Scenario, lam: np.ndarray,
+                fshare: np.ndarray) -> LoadHalf:
+    """branch_tables' load half, with each app's summed transfer term:
+    what a caller that holds (lam, fshare) fixed tables once."""
+    f = fshare * scenario.compute_capacities[..., None, :]
+    load = lam * scenario.total_rates[..., :, None]
+    return load_half(f, load, scenario.workloads[:, None])._replace(
+        transfer=_transfer_sums(scenario, load))
 
 
-def _stable(t: BranchDelays, search, idle, wa, margin: float = 0.0
+def _transfer_sums(scenario: Scenario, load: np.ndarray) -> np.ndarray:
+    """Per app, the transfer delay its rerouted load pays, summed over the
+    stations and divided by its rate; 0 for an app with no traffic."""
+    rates = scenario.total_rates[..., :, None]
+    trans = (np.abs(load - scenario.arrival_rate_matrix)
+             * scenario.transfer_delays[..., None, :])
+    return np.divide(trans, rates, out=np.zeros(np.shape(trans)),
+                     where=rates > 0.0).sum(axis=-1)
+
+
+def hit_tables(scenario: Scenario, total_hit: np.ndarray,
+               neighbor_hit: np.ndarray) -> HitHalf:
+    """branch_tables' hit half, with the search branch's transfer of
+    neighbor hits: what a caller that holds the cache fixed tables once."""
+    return hit_half(scenario.workloads[:, None], scenario.search_workload,
+                    total_hit[..., :, None])._replace(
+        remote=neighbor_hit * scenario.transfer_delays[..., None, :])
+
+
+def _stable(t: BranchDelays, search, margin: float = 0.0, cost=None
             ) -> np.ndarray:
     """Where the branch ``search`` (y == 1) selects is ok, or the queue is
-    ``idle``.
+    idle.
 
     A positive ``margin`` also caps the utilisation load E[S] / f at
-    1 - margin, with E[S] = ``wa`` on branch 0 (the line search's margin).
-    Elementwise, so a table with leading axes gives a test with them.
+    1 - margin, with E[S] = ``cost``, the selected branch's mean service
+    cost (the line search's margin).  Elementwise, so a table with leading
+    axes gives a test with them.
     """
     ok = np.where(search, t.ok1, t.ok0)
     if margin:
-        ok &= t.load * np.where(search, t.srv1, wa) <= (1.0 - margin) * t.f
-    return ok | idle
+        ok &= t.load * cost <= (1.0 - margin) * t.f
+    return ok | t.idle
 
 
 def selected_stability(scenario: Scenario, total_hit: np.ndarray,
@@ -212,14 +349,9 @@ def selected_stability(scenario: Scenario, total_hit: np.ndarray,
     """
     t = branch_tables(scenario, total_hit, lam, fshare) if table is None else table
     search = y == 1
-    stable = _stable(t, search, _idle(t), scenario.workloads[:, None], margin)
+    stable = _stable(t, search, margin,
+                     np.where(search, t.srv1, scenario.workloads[:, None]))
     return stable, np.where(search, t.den1, t.den0)
-
-
-def _remote_d1(scenario: Scenario, t: BranchDelays,
-               neighbor_hit: np.ndarray) -> np.ndarray:
-    """The search branch's delay with the transfer of neighbor hits."""
-    return t.d1 + neighbor_hit * scenario.transfer_delays[..., None, :]
 
 
 def _faster_branch(t: BranchDelays, d1_remote: np.ndarray) -> np.ndarray:
@@ -229,38 +361,38 @@ def _faster_branch(t: BranchDelays, d1_remote: np.ndarray) -> np.ndarray:
             > np.where(t.ok1, d1_remote, np.inf)).astype(np.int8)
 
 
-def _station_delays(t: BranchDelays, search, d1_remote, idle) -> np.ndarray:
+def _station_delays(t: BranchDelays, search, d1_remote) -> np.ndarray:
     """Each queue's delay on the branch ``search`` selects, 0 where idle."""
-    return np.where(idle, 0.0, np.where(search, d1_remote, t.d0))
+    return np.where(t.idle, 0.0, np.where(search, d1_remote, t.d0))
 
 
-def search_flags(scenario: Scenario, neighbor_hit: np.ndarray,
-                 table: BranchDelays) -> np.ndarray:
+def search_flags(hit: HitHalf, table: BranchDelays) -> np.ndarray:
     """The flags evaluate_with_rates chooses when given no y, from the
-    point's ``table`` alone."""
-    return _faster_branch(table, _remote_d1(scenario, table, neighbor_hit))
+    point's ``table`` and its hit half alone."""
+    return _faster_branch(table, table.d1 + hit.remote)
 
 
-def accepted_evaluation(scenario: Scenario, neighbor_hit: np.ndarray,
-                        table: BranchDelays, y: np.ndarray,
+def accepted_evaluation(scenario: Scenario, held: HitHalf,
+                        table: BranchDelays,
                         objective: np.ndarray) -> EvalResult | None:
     """evaluate_with_rates at a line search's accepted points, given no y
     and margin 0, or None where it must run in full.
 
     ``table`` holds the points' branch delays and ``objective`` their
-    objectives under the flags ``y`` the search held fixed; a point passed
-    the search's stability test at a positive margin, so it is stable at
-    margin 0 too.  If the flags chosen again from the table equal ``y`` in
-    every problem, evaluate_with_rates would find every point stable and
-    give it that objective, since a block's objectives are those its points
-    have alone (_weighted).  Only the station delays the gradient reads are
-    formed then; ``app_delays`` is None.  Where flags moved, None.
+    objectives under the flags ``held.y`` the search held fixed; a point
+    passed the search's stability test at a positive margin, so it is
+    stable at margin 0 too.  If the flags chosen again from the table
+    equal y in every problem, evaluate_with_rates would find every point
+    stable and give it that objective, since a block's objectives are
+    those its points have alone (_weighted).  Only the station delays the
+    gradient reads are formed then; ``app_delays`` is None.  Where flags
+    moved, None.
     """
-    d1_remote = _remote_d1(scenario, table, neighbor_hit)
-    if not (_faster_branch(table, d1_remote) == y).all():
+    d1_remote = table.d1 + held.remote
+    if not (_faster_branch(table, d1_remote) == held.y).all():
         return None
-    delays = _station_delays(table, y == 1, d1_remote, _idle(table))
-    return EvalResult(objective, None, delays, y, table,
+    delays = _station_delays(table, held.search, d1_remote)
+    return EvalResult(objective, None, delays, held.y, table,
                       np.ones(np.shape(objective), dtype=bool),
                       scenario.weights)
 
@@ -269,13 +401,18 @@ def evaluate_with_rates(scenario: Scenario, total_hit: np.ndarray,
                         neighbor_hit: np.ndarray, lam: np.ndarray,
                         fshare: np.ndarray, y: np.ndarray | None = None,
                         margin: float = 0.0,
-                        table: BranchDelays | None = None) -> EvalResult:
+                        table: BranchDelays | LoadHalf | HitHalf | None = None
+                        ) -> EvalResult:
     """Weighted objective from precomputed hit rates; y recomputed if None,
     as the faster branch per queue (ties keep y = 0).
 
     A point whose selected branches are not stable at ``margin`` evaluates
-    as infeasible.  ``table``, when given, is this point's branch_tables
-    (from an earlier evaluation of it) and is not built again.
+    as infeasible.  ``table``, when given, is what the caller holds fixed,
+    and it is not built again: the point's whole branch_tables (from an
+    earlier evaluation of it), or one half with the other tabled here,
+    the load_tables of the (lam, fshare) a caching sweep freezes or the
+    hit_tables of the hit rates a descent freezes.  A hit half whose flags
+    are held (HitHalf.held) brings y and its flag terms.
 
     ``lam`` and ``fshare`` may carry a leading axis, a block of points
     evaluated in one broadcast; every elementwise operation and every
@@ -284,28 +421,35 @@ def evaluate_with_rates(scenario: Scenario, total_hit: np.ndarray,
     rates, ``lam``, ``fshare`` and ``y`` carry its problem axis, after any
     block axis.
     """
-    t = branch_tables(scenario, total_hit, lam, fshare) if table is None else table
-    dt = scenario.transfer_delays[..., None, :]
-    d1_remote = _remote_d1(scenario, t, neighbor_hit)
-    if y is None:
-        y = _faster_branch(t, d1_remote)
+    if isinstance(table, BranchDelays):
+        t, load, hit = table, None, None
+        remote = neighbor_hit * scenario.transfer_delays[..., None, :]
+    else:
+        load = (table if isinstance(table, LoadHalf)
+                else load_tables(scenario, lam, fshare))
+        hit = (table if isinstance(table, HitHalf)
+               else hit_tables(scenario, total_hit, neighbor_hit))
+        t, remote = _joined(load, hit), hit.remote
+    d1_remote = t.d1 + remote
+    cost = None
+    if hit is not None and hit.y is not None:
+        y, search, cost = hit.y, hit.search, hit.cost
+    else:
+        if y is None:
+            y = _faster_branch(t, d1_remote)
+        search = y == 1
+        if margin:
+            cost = np.where(search, t.srv1, scenario.workloads[:, None])
     weights = scenario.weights
-    search, idle = y == 1, _idle(t)
-    stable = np.all(_stable(t, search, idle, scenario.workloads[:, None],
-                            margin), axis=(-2, -1))
+    stable = np.all(_stable(t, search, margin, cost), axis=(-2, -1))
     if not stable.any():
         return EvalResult(None, None, None, y, t, stable, weights)
 
-    station_delays = _station_delays(t, search, d1_remote, idle)
-
-    rates = scenario.total_rates
-    carried = rates > 0.0
-    arr = scenario.arrival_rate_matrix
-    with np.errstate(divide="ignore", invalid="ignore"):
-        trans = np.abs(t.load - arr) * dt / rates[..., :, None]
-    trans = np.where(carried[..., :, None], trans, 0.0)
-    app_delays = np.where(carried, (lam * station_delays).sum(axis=-1)
-                          + trans.sum(axis=-1), 0.0)
+    station_delays = _station_delays(t, search, d1_remote)
+    transfer = (_transfer_sums(scenario, t.load) if load is None
+                else load.transfer)
+    app_delays = np.where(scenario.total_rates > 0.0,
+                          (lam * station_delays).sum(axis=-1) + transfer, 0.0)
     objective = (_weighted(weights, app_delays, stable)
                  if app_delays.ndim == weights.ndim else None)
     return EvalResult(objective, app_delays, station_delays, y, t, stable,
@@ -364,9 +508,8 @@ def gradient_with_rates(scenario: Scenario, res: EvalResult,
 
     # zero-CPU, zero-load coordinates: routing load there is ruinous, adding
     # CPU there changes nothing
-    idle = _idle(t)
-    dlam = np.where(idle, BIG_GRADIENT, dlam)
-    dfshare = np.where(idle, 0.0, dfshare)
+    dlam = np.where(t.idle, BIG_GRADIENT, dlam)
+    dfshare = np.where(t.idle, 0.0, dfshare)
 
     # apps with no traffic contribute nothing anywhere
     quiet = scenario.total_rates[..., :, None] == 0.0

@@ -122,7 +122,10 @@ class Scenario:
         """Station n alone: the apps with arrivals at n, each weighted by
         its share of arrivals there.  Only these derived fields are checked:
         the catalog arrays are this scenario's, per app, and flat too when
-        every app is kept (else built lazily)."""
+        every app is kept.  Otherwise ``p`` and ``s`` are built lazily, and
+        the flat density order is this one's over the kept segments,
+        renumbered: a stable sort keeps the relative order of the inputs
+        it keeps, and the kept segments keep theirs."""
         rates = self.arrival_rate_matrix[:, n]
         kept = [a for a in range(self.num_apps) if rates[a] > 0.0]
         sub = object.__new__(Scenario)
@@ -137,6 +140,16 @@ class Scenario:
             sub.__dict__[name] = tuple(getattr(self, name)[a] for a in kept)
         if len(kept) == self.num_apps:
             sub.__dict__.update(p=self.p, s=self.s, density_order=self.density_order)
+        else:
+            # each kept input's flat position in sub, -1 where dropped
+            at = np.full(int(self.offsets[-1]), -1, dtype=np.int32)
+            start = 0
+            for a in kept:
+                lo, hi = self.segments[a]
+                at[lo:hi] = np.arange(start, start + hi - lo, dtype=np.int32)
+                start += hi - lo
+            order = at[self.density_order]
+            sub.__dict__["density_order"] = _frozen(order[order >= 0], np.int32)
         return sub
 
     # -- cached array views ------------------------------------------------

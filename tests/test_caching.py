@@ -260,22 +260,23 @@ def test_solve_caching_matches_fractional_knapsack():
 def test_fraction_solve_runs_only_where_storage_bounds_straddle(monkeypatch):
     """A level probe whose prefix-sum bounds clear the margin builds no
     dense row and solves no fraction.  Every other probe lies inside the
-    margin, builds one dense row, and solves its fractions only when the
-    dense bounds straddle the capacity.  Every other fraction solve comes
-    from a solve's final rows (_fill_fractions after the search, which
-    g_of_B and the caching sweep reach).  NoC's single-station solves of
-    the default scenario meet both kinds of probe."""
+    margin, builds one dense row, and halves its fractions (_halvings)
+    only when the dense bounds straddle the capacity.  Every other
+    fraction bisection comes from a solve's final rows (_fill_fractions
+    after the search, which g_of_B and the caching sweep reach).  NoC's
+    single-station solves of the default scenario meet both kinds of
+    probe."""
     calls = {"rows": 0, "fractions": 0, "outside": 0}
     seen = {"clear": 0, "straddle": 0}
     where = ["outside"]
-    solve_fraction, fits, level_rows, fill_fractions = (
-        caching._solve_fraction, caching._fits, caching._level_rows,
+    halvings, fits, level_rows, fill_fractions = (
+        caching._halvings, caching._fits, caching._level_rows,
         caching._fill_fractions)
 
-    def counted_solve_fraction(*args):
+    def counted_halvings(*args):
         calls["fractions"] += 1
         calls["outside"] += where[-1] == "outside"
-        return solve_fraction(*args)
+        return halvings(*args)
 
     def counted_level_rows(*args):
         calls["rows"] += 1
@@ -321,7 +322,7 @@ def test_fraction_solve_runs_only_where_storage_bounds_straddle(monkeypatch):
         finally:
             where.pop()
 
-    monkeypatch.setattr(caching, "_solve_fraction", counted_solve_fraction)
+    monkeypatch.setattr(caching, "_halvings", counted_halvings)
     monkeypatch.setattr(caching, "_fits", checked_fits)
     monkeypatch.setattr(caching, "_level_rows", counted_level_rows)
     monkeypatch.setattr(caching, "_fill_fractions", final_fractions)

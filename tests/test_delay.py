@@ -298,6 +298,62 @@ def test_efficiency_bracket_unstable_is_minus_inf(two_station_one_app):
         assert ctx.bracket(0, hit) == want
 
 
+def one_block_hit_derivative(load, f, wa, ws, hit):
+    """dD1/dP as one block of scalar algebra, every factor formed at the
+    call."""
+    if f <= 0.0:
+        return -math.inf
+    W = (1.0 - hit) * wa + ws
+    den = f - load * W
+    if den <= 0.0:
+        return -math.inf
+    mu0sq = (f / wa) * (f / wa)
+    t1 = wa / f
+    t2 = load * load * wa * W * W / (2.0 * f * den * den)
+    t3 = f * load * load * (1.0 - hit) * (1.0 + hit) * wa / (2.0 * mu0sq * den * den)
+    t4 = f * load * hit / (mu0sq * den)
+    t5 = load * wa * W / (f * den)
+    return -(t1 + t2 + t3 + t4 + t5)
+
+
+@pytest.mark.parametrize("fshare1,load1", [
+    (0.5, 1.0),    # both stations stable
+    (0.0, 1.0),    # station 1 searches without CPU: f <= 0
+    (0.1, 1.0),    # 2e8 cycles/s cannot carry 1 task/s of 4e8: den <= 0
+    (0.5, 0.0),    # station 1 searches with no load
+], ids=["stable", "no-cpu", "overloaded", "no-load"])
+def test_split_hit_derivative_is_the_brackets_per_station_term(
+        two_station_one_app, fshare1, load1):
+    # hit_derivative is its hit-free factors per queue (hit_factors) and
+    # the hit-dependent rest (hit_sensitivity), which bracket sums over
+    # the searching stations from factors built once per context: each
+    # station's term is c (hit_derivative + dt), bit for bit, and both
+    # unstable branches give -inf, as the one-block formula does
+    sc = two_station_one_app
+    ws = sc.search_workload
+    lam = np.array([[1.0 - 0.5 * load1, 0.5 * load1]])
+    sched = SchedulingState(lam, np.array([[1.0, fshare1]]),
+                            np.ones((1, 2), dtype=np.int8))
+    ctx = EfficiencyContext(sc, CacheAssignment.zeros(sc), sched, 0)
+    for hit in (0.0, 0.3, 0.6, 1.0):
+        total, want = 0.0, None
+        for j in range(2):
+            load, f = float(lam[0, j] * 2.0), float(ctx.f[0, j])
+            d = hit_derivative(load, f, 4e8, ws, hit)
+            assert repr(d) == repr(one_block_hit_derivative(load, f, 4e8, ws, hit))
+            c = float(lam[0, j])
+            if c == 0.0:
+                continue
+            if d == -math.inf:
+                want = -math.inf
+                break
+            total = total + c * (d + (0.0 if j == 0 else 0.02))
+        want = total if want is None else want
+        assert repr(ctx.bracket(0, hit)) == repr(want)
+        if hit == 0.0:   # both unstable cases are unstable without hits
+            assert (want == -math.inf) == (fshare1 in (0.0, 0.1))
+
+
 # -- per-app response time -----------------------------------------------------
 
 

@@ -337,6 +337,39 @@ def test_flat_catalog_of_single_station_scenarios(kept, monkeypatch):
     assert greedy_cache(alone).x.tobytes() == greedy_cache(sub).x.tobytes()
 
 
+def test_partial_station_density_order_comes_from_the_parents(monkeypatch):
+    # the scenario of test_noc_golden_with_different_app_sets: app 0 has no
+    # arrivals at stations 1 and 3.  Their one-station problems take the
+    # flat density order from the parent's, filtered to the kept apps and
+    # renumbered, which is the stable sort of their own -(p/s); no catalog
+    # is sorted again, in them or in NoC's whole solve
+    sc = generate_scenario(GeneratorParams(seed=42, num_stations=4,
+                                           num_apps=3, k_scale=0.002))
+    stations = list(sc.stations)
+    for n in (1, 3):
+        rates = (0.0,) + stations[n].arrival_rates[1:]
+        stations[n] = replace(stations[n], arrival_rates=rates)
+    sc = replace(sc, stations=tuple(stations))
+    for name in ("density_order", "density_orders", "sorted_neg_densities",
+                 "size_prefixes"):
+        getattr(sc, name)   # the parent sorts once
+
+    def sorted_again(self):
+        raise AssertionError("catalog sorted again")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Scenario, "_density_sort", property(sorted_again))
+        subs = [sc.isolated(n) for n in range(4)]
+        rep = solve_noc(sc)
+        orders = [sub.density_order for sub in subs]
+    assert rep.feasible
+    for n, (sub, order) in enumerate(zip(subs, orders)):
+        assert sub.num_apps == (2 if n in (1, 3) else 3)
+        want = np.argsort(-(sub.p / sub.s), kind="stable")
+        assert order.dtype == np.int32 and not order.flags.writeable
+        assert order.tolist() == want.tolist(), n
+
+
 def test_each_outside_path_checks_the_catalog_once(monkeypatch):
     # a scenario built from outside input runs the catalog check once and
     # names the first bad input; a station's one-station problem never runs it

@@ -18,7 +18,7 @@ from cecreuse import (CacheAssignment, CecReuseError, DimensionMismatch,
                       SchedulingState, backtrack, compute_hit_rates,
                       generate_scenario, initial_feasible_point,
                       project_decisions, solver)
-from cecreuse import caching, scheduling
+from cecreuse import caching, delay, scheduling
 from cecreuse.caching import (LEVEL_ACCURACY, EfficiencyContext, Partition,
                               SweepState, _fits, _level_fills, _level_rows,
                               _level_search, _locate_level, _prefix_length,
@@ -915,6 +915,185 @@ def test_stacked_line_search_cases(problems, kind):
     assert kind in stack_equals_each_alone(searches)
 
 
+@PROPERTY
+@given(seed=st.integers(0, 10_000), stations=st.integers(1, 5),
+       apps=st.integers(1, 4), margin=st.sampled_from([0.0, DELTA_STAB, 0.5]),
+       problems=st.lists(PROBLEM, min_size=1, max_size=4))
+def test_line_search_does_not_depend_on_the_block_width(seed, stations, apps,
+                                                        margin, problems):
+    """backtrack tables its steps STEP_BLOCK at a time, but each problem's
+    result is its step-by-step search's: one step per block, the old and
+    the new default width and all J_MAX + 1 steps in one block give the
+    same backtracks, points, steps, objectives and accepted points'
+    tables, bit for bit (an exhausted problem's table entry is never
+    read)."""
+    try:
+        searches = [make_search(seed, stations, apps, projected, scale_exp,
+                                base_shift, margin, flipped)
+                    for projected, scale_exp, base_shift, flipped in problems]
+    except Infeasible:
+        assume(False)
+    results = []
+    for width in (1, 8, 12, J_MAX + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scheduling, "STEP_BLOCK", width)
+            results.append(stacked_backtrack(searches))
+    want = results[0]
+    for got in results[1:]:
+        assert got[0] == want[0]
+        assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
+        assert same_bits(got[3].steps, want[3].steps)
+        assert same_bits(got[3].objective, want[3].objective)
+        assert (got[3].table is None) == (want[3].table is None)
+        for p in np.flatnonzero(want[3].steps <= J_MAX):
+            for name, a, b in zip(BranchDelays._fields, got[3].table,
+                                  want[3].table):
+                assert same_bits(a[p], b[p]), (p, name)
+
+
+def monolithic_evaluation(stack, total, neighbor, lam, fshare, y, margin):
+    """evaluate_with_rates as one block of algebra, every term built from
+    the point afresh: (table fields, y, stable, station delays, app
+    delays)."""
+    f = fshare * stack.compute_capacities[..., None, :]
+    load = lam * stack.total_rates[..., :, None]
+    wa, ws = stack.workloads[:, None], stack.search_workload
+    hit = total[..., :, None]
+    fpos = f > 0.0
+    den0 = f - load * wa
+    ok0 = fpos & (den0 > 0.0)
+    d0 = np.divide(wa, den0, out=np.zeros(np.shape(den0)), where=ok0)
+    srv1 = ws + (1.0 - hit) * wa
+    den1 = f - load * srv1
+    ok1 = fpos & (den1 > 0.0)
+    sq = srv1 * srv1 + (1.0 - hit * hit) * wa * wa
+    two_f_den1 = 2.0 * f * den1
+    d1 = np.divide(srv1, f, out=np.zeros(np.shape(den1)), where=ok1)
+    d1 += np.divide(load * sq, two_f_den1, out=np.zeros(np.shape(den1)),
+                    where=ok1)
+    idle = (load == 0.0) & (f == 0.0)
+    table = dict(f=f, load=load, d0=d0, ok0=ok0, d1=d1, ok1=ok1, den0=den0,
+                 den1=den1, srv1=srv1, sq=sq, idle=idle)
+    dt = stack.transfer_delays[..., None, :]
+    d1_remote = d1 + neighbor * dt
+    if y is None:
+        y = (np.where(ok0, d0, np.inf)
+             > np.where(ok1, d1_remote, np.inf)).astype(np.int8)
+    search = y == 1
+    ok = np.where(search, ok1, ok0)
+    if margin:
+        ok &= load * np.where(search, srv1, wa) <= (1.0 - margin) * f
+    stable = np.all(ok | idle, axis=(-2, -1))
+    delays = np.where(idle, 0.0, np.where(search, d1_remote, d0))
+    rates = stack.total_rates
+    with np.errstate(divide="ignore", invalid="ignore"):
+        trans = np.abs(load - stack.arrival_rate_matrix) * dt / rates[..., :, None]
+    trans = np.where((rates > 0.0)[..., :, None], trans, 0.0)
+    app = np.where(rates > 0.0, (lam * delays).sum(axis=-1)
+                   + trans.sum(axis=-1), 0.0)
+    return table, y, stable, delays, app
+
+
+@st.composite
+def frozen_half_cases(draw):
+    """A stack of 1-3 problems (A apps, N stations) with drawn hit rates,
+    a block of 1-3 points on a leading axis, drawn flags or none, and a
+    margin.  Each station's capacity puts its most loaded queue's branch-0
+    utilisation at a drawn 0.3-1.2, so overloaded and inside-margin queues
+    occur; so do apps with no traffic anywhere and idle queues (no load,
+    no CPU)."""
+    P, A, N = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+               draw(st.integers(1, 4)))
+    B = draw(st.integers(1, 3))
+
+    def arr(shape, lo, hi, zeros=True):
+        elems = st.floats(lo, hi)
+        if zeros:
+            elems = st.one_of(st.just(0.0), elems)
+        return np.array(draw(st.lists(elems, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))
+                        ).reshape(shape)
+
+    rates = arr((P, A, N), 0.1, 20.0)
+    rates[:, draw(st.integers(0, A - 1))] *= draw(st.sampled_from([0.0, 1.0]))
+    workloads = arr((A,), 1e7, 1e9, False)
+    lam, fshare = arr((B, P, A, N), 1e-3, 1.0), arr((B, P, A, N), 1e-3, 1.0)
+    # queues with no CPU and, where drawn, no load either
+    idle = arr((B, P, A, N), 1.0, 1.0) == 0.0
+    lam[idle & (arr((B, P, A, N), 1.0, 1.0) == 0.0)] = 0.0
+    fshare[idle] = 0.0
+    cycles = lam * rates.sum(axis=-1)[..., None] * workloads[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        need = np.where(fshare > 0.0, cycles / fshare, 0.0).max(axis=(0, 2))
+    compute = np.where(need > 0.0, need / arr((P, N), 0.3, 1.2, False),
+                       arr((P, N), 1e8, 1e10, False))
+    stack = ScenarioStack(compute, arr((P, N), 0.0, 0.1), rates,
+                          rates.sum(axis=-1), arr((P, A), 0.0, 3.0),
+                          workloads, 25e6)
+    total = arr((P, A), 0.0, 1.0)
+    neighbor = total[..., None] * arr((P, A, N), 0.0, 1.0)
+    y = draw(st.one_of(st.none(), st.builds(
+        lambda v: np.array(v, dtype=np.int8).reshape(P, A, N),
+        st.lists(st.integers(0, 1), min_size=P * A * N, max_size=P * A * N))))
+    margin = draw(st.one_of(st.sampled_from([0.0, DELTA_STAB]),
+                            st.floats(0.05, 0.95)))
+    return stack, total, neighbor, lam, fshare, y, margin
+
+
+@PROPERTY
+@given(frozen_half_cases())
+def test_frozen_halves_evaluate_as_a_fresh_evaluation(case):
+    """evaluate_with_rates from either frozen half (the caching sweep's
+    load half, the descent's hit half, with its flags held or not), from
+    a full table or from nothing gives, bit for bit, what the one-block
+    algebra gives, on every point of a block of a stack; so do
+    branch_tables, search_flags and accepted_evaluation."""
+    stack, total, neighbor, lam, fshare, y, margin = case
+    want_table, want_y, stable, delays, app = monolithic_evaluation(
+        stack, total, neighbor, lam, fshare, y, margin)
+    table = delay.branch_tables(stack, total, lam, fshare)
+    assert BranchDelays._fields == tuple(want_table)
+    for name, got in zip(BranchDelays._fields, table):
+        assert same_bits(np.asarray(got), want_table[name]), name
+    hit = delay.hit_tables(stack, total, neighbor)
+    halves = [None, table, delay.load_tables(stack, lam, fshare), hit]
+    wa = stack.workloads[:, None]
+    for half in halves:
+        res = evaluate_with_rates(stack, total, neighbor, lam, fshare, y=y,
+                                  margin=margin, table=half)
+        assert same_bits(res.y, want_y) and same_bits(res.stable, stable)
+        for name, got in zip(BranchDelays._fields, res.table):
+            assert same_bits(np.asarray(got), want_table[name]), name
+        if stable.any():
+            assert same_bits(res.station_delays, delays)
+            assert same_bits(res.app_delays, app)
+        else:
+            assert res.app_delays is None and res.station_delays is None
+    assert same_bits(delay.search_flags(hit, table),
+                     monolithic_evaluation(stack, total, neighbor, lam,
+                                           fshare, None, 0.0)[1])
+    # a line search's flags held in the hit half
+    held = hit.held(want_y[0] if y is None else y, wa)
+    res = evaluate_with_rates(stack, total, neighbor, lam, fshare,
+                              margin=margin, table=held)
+    _t, _y, stable, delays, app = monolithic_evaluation(
+        stack, total, neighbor, lam, fshare, held.y, margin)
+    assert same_bits(res.stable, stable)
+    if stable.any():
+        assert same_bits(res.station_delays, delays)
+        assert same_bits(res.app_delays, app)
+    # an accepted point: the flags chosen again equal the held ones or not
+    point = BranchDelays(*(x[0] if np.ndim(x) == lam.ndim else x
+                           for x in table))
+    fresh = monolithic_evaluation(stack, total, neighbor, lam[0], fshare[0],
+                                  None, 0.0)
+    got = delay.accepted_evaluation(stack, held, point, np.zeros(len(total)))
+    if np.array_equal(fresh[1], held.y):
+        assert same_bits(got.station_delays, fresh[3])
+    else:
+        assert got is None
+
+
 def fresh_descent(sc, hit, start, iters, params=PgdParams()):
     """solve_scheduling on one problem with every iterate evaluated afresh
     by evaluate_with_rates, flags chosen again, from the table its line
@@ -1035,13 +1214,14 @@ def test_descent_cases(monkeypatch, kind):
     seed, stations, apps, specs, iters = PINNED_STACK
     problems = [descent_problem(seed, stations, apps, *spec) for spec in specs]
     assert None not in problems
-    # the first iterate, and one where flags moved, are evaluated in full
+    # the first iterate, and one where flags moved, are evaluated in full:
+    # the first from the descent's hit half, the other from its table
     full = []
     evaluate = scheduling.evaluate_with_rates
 
     def counted(*args, **kwargs):
         if not kwargs.get("margin"):
-            full.append(kwargs.get("table") is not None)
+            full.append(isinstance(kwargs.get("table"), BranchDelays))
         return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(scheduling, "evaluate_with_rates", counted)

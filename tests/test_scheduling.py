@@ -155,7 +155,8 @@ def test_backtrack_exhaustion():
     assert np.isnan(step.objective).all() and step.objective.shape == (1,)
     assert step.table is None
     # every step 2^-j, j = 0..J_MAX, tabled once, STEP_BLOCK at a time
-    assert [len(b) for b in blocks] == [STEP_BLOCK] * 7 + [5]
+    full, rest = divmod(J_MAX + 1, STEP_BLOCK)
+    assert [len(b) for b in blocks] == [STEP_BLOCK] * full + [rest] * (rest > 0)
     assert [x for b in blocks for x in b] == [2.0 ** -j for j in range(J_MAX + 1)]
 
 
@@ -276,25 +277,26 @@ def steps_tabled(j):
 
 def test_solve_scheduling_builds_one_table_per_point(monkeypatch):
     # one branch table per block of line-search steps plus one for the
-    # start; each later iterate, and the flags of the final point, reuse
-    # the accepted step's slice of its block's table
+    # start, each the load half of its points joined with the descent's
+    # one hit half; each later iterate, and the flags of the final point,
+    # reuse the accepted step's slice of its block's table
     sc = generate_scenario(GeneratorParams(seed=42, num_stations=3,
                                            num_apps=2, k_scale=0.002))
     hit = compute_hit_rates(sc, CacheAssignment.zeros(sc))
     start, _ = initial_feasible_point(sc, hit)
     tables, blocks = [], []
-    branch_delays, evaluate = delay.branch_delays, scheduling.evaluate_with_rates
+    load_half, evaluate = delay.load_half, scheduling.evaluate_with_rates
 
     def counted_table(*args):
         tables.append(args)
-        return branch_delays(*args)
+        return load_half(*args)
 
     def counted_eval(*args, **kwargs):
         if kwargs.get("margin") == DELTA_STAB:
             blocks.append(len(args[3]))   # steps on lam's leading axis
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(delay, "branch_delays", counted_table)
+    monkeypatch.setattr(delay, "load_half", counted_table)
     monkeypatch.setattr(scheduling, "evaluate_with_rates", counted_eval)
     _, trace = solve_scheduling(sc, hit, start, iters=10)
     assert len(trace) == 10
@@ -307,22 +309,23 @@ def test_descent_tables_each_point_once(monkeypatch):
     # (f, load) point is new, the start's table is the only unbatched one,
     # and an iteration that accepts step j tables every block up to j's.
     # A scenario descends as a stack of one problem, so every table has
-    # the problem axis and a block's has the step axis before it
+    # the problem axis and a block's has the step axis before it.  The
+    # hit half is the descent's own, so a point's table is its load half
     sc = generate_scenario(GeneratorParams(seed=42))
     cache = greedy_cache(sc)
     hit = compute_hit_rates(sc, cache)
     start, _ = initial_feasible_point(sc, hit)
     calls, points = [], []
-    branch_tables = delay.branch_tables
+    load_tables = delay.load_tables
 
-    def counted(sc_, total_hit, lam, fshare):
-        t = branch_tables(sc_, total_hit, lam, fshare)
+    def counted(sc_, lam, fshare):
+        t = load_tables(sc_, lam, fshare)
         calls.append(t.f.ndim)
         points.extend((f.tobytes(), load.tobytes())
                       for f, load in zip(t.f, t.load))
         return t
 
-    monkeypatch.setattr(delay, "branch_tables", counted)
+    monkeypatch.setattr(delay, "load_tables", counted)
     _, trace = solve_scheduling(sc, hit, start, iters=10)
     assert len(trace) == 10
     blocks = sum(math.ceil(steps_tabled(j) / STEP_BLOCK) for _, _, j in trace)
@@ -338,23 +341,24 @@ def test_descent_evaluates_each_iterate_once(monkeypatch):
     # objective from the block that accepted it, its flags chosen again
     # from that block's table; no flags move here, so none is evaluated
     # again (test_properties.py::test_descent_cases has one that is), and
-    # the final flags are read from the last table without an evaluation
+    # the final flags are read from the last table without an evaluation.
+    # Each table is a load half joined with the descent's one hit half
     sc = generate_scenario(GeneratorParams(seed=42))
     hit = compute_hit_rates(sc, greedy_cache(sc))
     start, _ = initial_feasible_point(sc, hit)
     tables, evaluations = [], []
-    branch_tables, evaluate = delay.branch_tables, scheduling.evaluate_with_rates
+    load_tables, evaluate = delay.load_tables, scheduling.evaluate_with_rates
 
     def counted_table(*args):
         tables.append(args)
-        return branch_tables(*args)
+        return load_tables(*args)
 
     def counted_eval(*args, **kwargs):
         evaluations.append("block" if kwargs.get("margin") == DELTA_STAB
                            else "full")
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(delay, "branch_tables", counted_table)
+    monkeypatch.setattr(delay, "load_tables", counted_table)
     monkeypatch.setattr(scheduling, "evaluate_with_rates", counted_eval)
     _, trace = solve_scheduling(sc, hit, start, iters=10)
     assert [j for _, _, j in trace] == [3, 3, 4, 5, 4, 4, 4, 5, 3, 5]
