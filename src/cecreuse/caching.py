@@ -15,53 +15,37 @@ fractional entry per app to 0 restores a binary assignment.
 Each bisection probe asks whether the rows at level B use less than the
 capacity.  The rows are found in two steps: a position search that gives
 each app's prefix length m and says whether entry m is fractional
-("pending"), and a bisection for that fraction.  The verdict is that of
-the dense storage sum: the row with every pending entry at 0 ("lower") at
-or above the capacity does not fit; otherwise with them at 1 ("upper")
-below it fits; only when the two straddle the capacity are the fractions
-solved and the exact storage compared.  This is always the exact verdict:
-every term is size * x with size > 0 and x in [0, 1], and a fixed-order
+("pending"), and a bisection for that fraction.  The storage is read from
+size prefix sums alone.  The cached set of an app is its density-order
+positions before the replicated boundary `end` that are not exclusive,
+plus its first m exclusive positions, so its storage is (P[end] - Q[t]) +
+Q[m], with P the app's size prefix in density order
+(Scenario.size_prefixes), Q its exclusive class's and t the exclusive
+positions before end.  A probe's storage sums these over the apps, then
+adds w * x for each pending entry of size w and fraction x, both in app
+order.  That sum is monotone in each x, since w > 0 and a fixed-order
 floating-point sum of non-negative products is monotone in each term, so
-lower <= exact <= upper.
+the fractions are halved together, one step each, only until the sum at
+their brackets' lower ends does not fit or the sum at their upper ends
+fits; once no bracket halves, the upper ends are the exact fractions.
+Prefix sums that overflow give inf, or NaN (inf - inf), and never fit.
 
-A probe first reads lower and upper from size prefix sums instead of a
-dense row.  The cached set of an app is its density-order positions
-before the replicated boundary `end` that are not exclusive, plus its
-first m exclusive positions, so its storage is P[end] - Q[t] + Q[m] (plus
-the pending size w at 1), with P the app's size prefix in density order
-(Scenario.size_prefixes), Q its exclusive class's, and t the exclusive
-positions before end.  Both this estimate and the dense sum are
-floating-point sums whose terms pass through at most n = K + A + 64
-roundings, so each lies within gamma_n * M of the true storage, gamma_n
-= n u / (1 - n u) with u = 2^-53 and M = sum over apps of P[end] + Q[t]
-+ Q[m] + w.  The probe takes the verdict from the estimate only when it
-clears the capacity by margin = 4 gamma_n (M + cap), which covers both
-errors and the rounding of the margin and of the comparison; below
-2^-1022 every sum is exact.  Inside the margin, or where it is not finite
-(the prefix sums overflowed), the probe builds the dense row as above.
-
-Where the two straddle the capacity, the fractions are halved together,
-one step each, and after each step the dense row is summed with every
-pending entry at its bracket's lower end and at its upper end.  Each
-bracket holds that entry's final fraction, so by the same monotone sum
-lower-end total <= exact <= upper-end total: the halving stops as soon as
-the lower-end total does not fit or the upper-end total fits, and the
-verdict is the full bisection's.  Once no bracket halves, the upper ends
-are the exact fractions.
+A prefix sum may differ from the dense sum of the same row by a few ulps,
+so the dense sum (model.row_storage) guards each row that is written out,
+once: solve_caching_bs returns empty rows where its row's dense
+storage is over the capacity, and the caching sweep checks a row that
+passed its objective test just before it accepts it.
 
 Each efficiency miss sums hit_sensitivity over the app's searching
 stations, whose hit-free factors (delay.hit_factors) the context tables on
 first use; the hit rate is all that moves between misses.
 
 The level search takes its final level (the midpoint of its last
-bracket if the exact rows there fit, else the last level a probe found to
-fit) by the same probe rule, and builds that level's row once, from the
-fills its probe found there (memoised per context).  The caching
-sweep rounds the row's boundary entries without solving their fractions
-(it only needs to know whether each is >= 1 - BINARY_TOL), and sums the
-rounded row's storage again only when a boundary entry rounded up:
-rounding that zeroes entries cannot raise a fixed-order sum of
-non-negative terms, so a row known to fit still fits.
+bracket if its rows use at most the capacity, else the last level a probe
+found to fit) by the same rule, and builds that level's row once, from the
+fills its probe found there (memoised per context).  The caching sweep
+rounds the row's boundary entries without solving their fractions: it
+only needs to know whether each is >= 1 - BINARY_TOL.
 
 A station's subproblem depends on the other stations' caches only through
 its peer mask, which splits each app's inputs into the two classes.  The
@@ -100,9 +84,6 @@ LEVEL_ACCURACY = 1e-9
 INVERSE_TOL = 1e-12
 # largest station catalog the exhaustive subset oracle enumerates
 ORACLE_MAX_ITEMS = 22
-# roundings, beyond the catalog and app counts, that the prefix-sum storage
-# margin allows any one term (module docstring)
-MARGIN_ROUNDINGS = 64
 
 
 def peer_hit_mass(p: np.ndarray, mask: np.ndarray) -> float:
@@ -207,9 +188,6 @@ class EfficiencyContext:
         self._eff: dict[tuple[int, int, float], float] = {}
         self._fills: dict[float, list[_Fill]] = {}
         self._exc_sizes: list[np.ndarray | None] = [None] * scenario.num_apps
-        n = int(scenario.offsets[-1]) + scenario.num_apps + MARGIN_ROUNDINGS
-        u = 2.0 ** -53
-        self.margin = 4.0 * (n * u / (1.0 - n * u))   # 4 gamma_n
 
     @cached_property
     def exclusive(self) -> list[np.ndarray]:
@@ -438,17 +416,14 @@ def _level_fills(ctx: EfficiencyContext, level: float) -> list[_Fill]:
     return fills
 
 
-def _level_rows(ctx: EfficiencyContext, level: float,
-                fills: list[_Fill] | None = None
-                ) -> tuple[np.ndarray, list[tuple[int, int]], list[int]]:
-    """The station's dense flat row at `level` (its ``fills``, found if not
-    given) with every pending fractional entry left at 0, the pending
-    (app, sorted position) pairs, and the apps whose segment it fills."""
-    if fills is None:
-        fills = _level_fills(ctx, level)
+def _level_rows(ctx: EfficiencyContext, level: float
+                ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The station's dense flat row at `level` with every pending
+    fractional entry left at 0, and the pending (app, sorted position)
+    pairs."""
     row = np.zeros(ctx.scenario.offsets[-1])
     pending = []
-    for a, end, t, m, frac in fills:
+    for a, end, t, m, frac in _level_fills(ctx, level):
         lo, hi = ctx.scenario.segments[a]
         x = row[lo:hi]
         order, pos = ctx.order[a], ctx.exc_pos[a]
@@ -459,104 +434,68 @@ def _level_rows(ctx: EfficiencyContext, level: float,
             x[order[pos[min(m, t):max(m, t)]]] = float(m > t)
         if frac:
             pending.append((a, m))
-    return row, pending, [f.a for f in fills]
+    return row, pending
 
 
 def _fill_fractions(ctx: EfficiencyContext, row: np.ndarray,
                     pending: list[tuple[int, int]], level: float,
-                    rounded: bool = False) -> bool:
+                    rounded: bool = False) -> None:
     """Write each pending entry's solved fraction into ``row``, or with
     ``rounded`` that fraction rounded (1 iff >= 1 - BINARY_TOL, halving
-    only as long as that is open).  Returns whether an entry rounded up."""
-    raised = False
+    only as long as that is open)."""
+    cut = 1.0 - BINARY_TOL
     for a, m in pending:
-        k = ctx.exclusive_input(a, m)
-        if rounded:
-            x = _solve_fraction(ctx, a, m, level, 1.0 - BINARY_TOL)
-            row[k] = x >= 1.0 - BINARY_TOL
-            raised = raised or row[k] > x
-        else:
-            row[k] = _solve_fraction(ctx, a, m, level)
-    return raised
+        x = _solve_fraction(ctx, a, m, level, cut if rounded else 0.0)
+        row[ctx.exclusive_input(a, m)] = x >= cut if rounded else x
 
 
 def g_of_B(ctx: EfficiencyContext, level: float) -> list[np.ndarray]:
     """Station rows (one per app) attaining efficiency level `level`, every
     boundary fraction solved.
 
-    The bisection's probes skip the fraction solve, and most skip the
-    dense row, where storage bounds decide them (module docstring); the
-    rows returned here are always the exact ones.
+    The bisection's probes build no row and solve a fraction only as far
+    as their verdict needs (module docstring); the rows returned here are
+    always the exact ones.
     """
-    row, pending, _apps = _level_rows(ctx, level)
+    row, pending = _level_rows(ctx, level)
     _fill_fractions(ctx, row, pending, level)
     return ctx.scenario.split(row)
 
 
-def _prefix_storage(ctx: EfficiencyContext, fills: list[_Fill],
-                    cap: float) -> tuple[float, float, float]:
-    """(lower, upper, margin): the storage of the rows at ``fills`` with
-    the pending entries at 0 and at 1, read from size prefix sums, and the
-    margin by which they must clear ``cap`` (module docstring)."""
-    prefixes, s = ctx.scenario.size_prefixes, ctx.scenario.s
-    lower = upper = mass = 0.0
-    for a, end, t, m, frac in fills:
-        p, q, r = prefixes[a].item(end), 0.0, 0.0
-        if t or m:
-            exc = ctx.exclusive_sizes(a)
-            q, r = exc.item(t), exc.item(m)
-        w = s.item(ctx.exclusive_input(a, m)) if frac else 0.0
-        here = (p - q) + r
-        lower += here
-        upper += here + w
-        mass += p + q + r + w
-    return lower, upper, ctx.margin * (mass + cap)
-
-
 def _fits(ctx: EfficiencyContext, level: float, cap: float,
           below: Callable[[float, float], bool] = operator.lt) -> bool:
-    """Whether the exact rows at `level` use ``below`` ``cap`` bytes (less
-    than, or with operator.le at most): from the prefix sums where they
-    clear the margin, else from the dense row's bounds, the fractions
-    halved only on a straddle, and only until the row at their brackets'
-    ends falls on one side of ``cap`` (module docstring).  The dense row
-    is written in place, so its bounds and exact total sum the same
-    entries in the same order, over the apps the level fills.
+    """Whether the rows at `level` use ``below`` ``cap`` bytes (less than,
+    or with operator.le at most), by their prefix-sum storage with every
+    fraction solved: the fractions are halved only until the storage at
+    their brackets' ends falls on one side of ``cap`` (module docstring).
     """
-    scenario = ctx.scenario
-    fills = _level_fills(ctx, level)
-    lower, upper, margin = _prefix_storage(ctx, fills, cap)
-    if math.isfinite(margin):
-        if lower > cap + margin:
-            return False
-        if upper + margin < cap:
-            return True
-    row, pending, apps = _level_rows(ctx, level, fills)
-    if not below(row_storage(scenario, row, apps), cap):
-        return False
-    if not pending:
-        return True
-    inputs = [ctx.exclusive_input(a, m) for a, m in pending]
-    row[inputs] = 1.0
-    if below(row_storage(scenario, row, apps), cap):
-        return True
-    # each pending entry's final fraction lies in each of its brackets:
-    # once the row at their lower ends does not fit, or at their upper
-    # ends fits, the exact row's verdict is known; once no bracket halves,
-    # the upper ends are the exact row, just found not to fit
-    halvings = [_halvings(ctx, a, m, level) for a, m in pending]
-    ends = [(0.0, 1.0)] * len(pending)
+    prefixes, s = ctx.scenario.size_prefixes, ctx.scenario.s
+    used, sizes, halvings = 0.0, [], []
+    for a, end, t, m, frac in _level_fills(ctx, level):
+        here = prefixes[a].item(end)
+        if t or m:
+            exc = ctx.exclusive_sizes(a)
+            here = (here - exc.item(t)) + exc.item(m)
+        used += here
+        if frac:
+            sizes.append(s.item(ctx.exclusive_input(a, m)))
+            halvings.append(_halvings(ctx, a, m, level))
+    ends = [(0.0, 1.0)] * len(sizes)
     while True:
+        lower = upper = used
+        for w, (x_lo, x_hi) in zip(sizes, ends):
+            lower += w * x_lo
+            upper += w * x_hi
+        if not below(lower, cap):
+            return False
+        if below(upper, cap):
+            return True
+        # once no bracket halves, the upper ends are the exact fractions,
+        # whose storage was just found not to fit
         steps = [next(h, None) for h in halvings]
         if not any(steps):
             return False
-        ends = [e if s is None else s for s, e in zip(steps, ends)]
-        row[inputs] = [lo for lo, _hi in ends]
-        if not below(row_storage(scenario, row, apps), cap):
-            return False
-        row[inputs] = [hi for _lo, hi in ends]
-        if below(row_storage(scenario, row, apps), cap):
-            return True
+        ends = [e if step is None else step for step, e in zip(steps, ends)]
 
 
 def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
@@ -566,29 +505,29 @@ def solve_caching_bs(scenario: Scenario, cache: CacheAssignment,
 
     Bisects the level B on [floor, 0] against the storage constraint and
     returns the station rows together with the level actually used.  Falls
-    back to the last certainly-fitting level if the midpoint overshoots.
+    back to the last level a probe found to fit if the midpoint overshoots.
     A floor that is not finite (an overflowed p/s or transfer cost) would
     never let the bisection end, so it is MalformedInput.
 
-    Each probe (_fits) gives the verdict of
-    ``_rows_storage(scenario, g_of_B(ctx, B)) < cap`` but halves the
-    boundary fractions only when the storage bounds straddle the capacity,
-    and only until the verdict is known; the module docstring states the
-    rule and why it is exact.
+    Each probe (_fits) reads the storage from size prefix sums.  The
+    final row's dense storage is checked once: where it is over the
+    capacity (a prefix sum read a few ulps low, or no probe fit and the
+    floor's own row overflows it), the rows returned are empty, at the
+    floor level.
     """
     ctx = EfficiencyContext(scenario, cache, sched, station)
-    row, level, _fit, _cached = _level_search(ctx)
+    row, level, _cached = _level_search(ctx)
+    if row_storage(scenario, row) > scenario.storage_capacities[station]:
+        row, level = np.zeros_like(row), ctx.efficiency_floor()
     return scenario.split(row), level
 
 
 def _level_search(ctx: EfficiencyContext, rounded: bool = False
-                  ) -> tuple[np.ndarray, float, bool, int]:
-    """solve_caching_bs on a built context: the flat row, the level,
-    whether the row is known to fit the capacity, and its count of nonzero
-    entries, read from the level's fills rather than the row.  With
-    ``rounded`` (the caching sweep) the row's boundary entries are rounded,
-    not solved, and a boundary entry that rounded up leaves the row not
-    known to fit."""
+                  ) -> tuple[np.ndarray, float, int]:
+    """solve_caching_bs on a built context, before its dense check: the
+    flat row, the level, and the row's count of nonzero entries, read from
+    the level's fills rather than the row.  With ``rounded`` (the caching
+    sweep) the row's boundary entries are rounded, not solved."""
     scenario, station = ctx.scenario, ctx.station
     cap = float(scenario.storage_capacities[station])
     floor = ctx.efficiency_floor()
@@ -596,7 +535,7 @@ def _level_search(ctx: EfficiencyContext, rounded: bool = False
         raise MalformedInput(f"station {station}: efficiency floor {floor} "
                              "is not finite")
     if floor == 0.0:
-        return np.zeros(scenario.offsets[-1]), 0.0, True, 0
+        return np.zeros(scenario.offsets[-1]), 0.0, 0
     b_l, b_r = floor, 0.0
     while b_r - b_l >= LEVEL_ACCURACY:
         b_m = 0.5 * (b_l + b_r)
@@ -607,18 +546,15 @@ def _level_search(ctx: EfficiencyContext, rounded: bool = False
         else:
             b_r = b_m
     level = 0.5 * (b_l + b_r)
-    fit = _fits(ctx, level, cap, operator.le)
-    if not fit:
+    if not _fits(ctx, level, cap, operator.le):
         level = b_l
-        fit = b_l != floor   # b_l moved only where a probe found it fits
-    fills = _level_fills(ctx, level)
-    row, pending, _apps = _level_rows(ctx, level, fills)
-    raised = _fill_fractions(ctx, row, pending, level, rounded)
+    row, pending = _level_rows(ctx, level)
+    _fill_fractions(ctx, row, pending, level, rounded)
     # per app, end - t replicated and m exclusive entries are 1 (_level_rows),
     # and a pending entry is its fraction
-    cached = sum(f.end - f.t + f.m for f in fills) + sum(
+    cached = sum(f.end - f.t + f.m for f in _level_fills(ctx, level)) + sum(
         row.item(ctx.exclusive_input(a, m)) != 0.0 for a, m in pending)
-    return row, level, fit and not raised, cached
+    return row, level, cached
 
 
 def efficiencies_at_solution(ctx: EfficiencyContext,
@@ -786,9 +722,9 @@ def sweep_all_stations(scenario: Scenario, cache: SweepState,
     the cache, its tables, y and the objective are then as they were, so
     the verdict would repeat.  A station's own acceptance leaves its
     version as it was, so it is solved again only if that acceptance moved
-    y.  The solve rounds only its boundary entries, and the rounded row's
-    storage is summed again only when it is not known to fit (module
-    docstring).
+    y.  The solve rounds only its boundary entries.  A row's dense storage
+    is summed once it has passed the objective test, just before it would
+    be accepted, and a row over the capacity is not (module docstring).
     """
     sched = sched.copy()
     # lam and fshare are frozen: every evaluation's load half is this one
@@ -815,26 +751,26 @@ def sweep_all_stations(scenario: Scenario, cache: SweepState,
                 row = prev.row.astype(np.float64)
                 last[n] = prev._replace(tested=accepted)
             else:
-                row, _level, fit, cached = _level_search(EfficiencyContext(
+                row, _level, cached = _level_search(EfficiencyContext(
                     scenario, cache, sched, n, cache.peers(n)), rounded=True)
                 # rows of 0/1 with different counts differ: compared
                 # densely only where the counts agree
-                if ((cached == cache.cached[n]
-                     and np.array_equal(row, cache.x[n]))
-                        or not fit and row_storage(scenario, row)
-                        > scenario.storage_capacities[n]):
+                if cached == cache.cached[n] and np.array_equal(row, cache.x[n]):
                     last[n] = _Solved(version, y, None, accepted)
                     continue
                 last[n] = _Solved(version, y, row.astype(bool), accepted)
             hit = cache.candidate(n, row)
             res2 = evaluate_with_rates(scenario, hit.total, hit.neighbor,
                                        sched.lam, sched.fshare, table=frozen)
-            if res2.feasible and res2.objective <= obj:
+            if not (res2.feasible and res2.objective <= obj):
+                continue
+            # a row over the capacity is not accepted, and not tested again
+            if row_storage(scenario, row) <= scenario.storage_capacities[n]:
                 cache.accept(n, row, hit)
                 sched.y = res2.y
                 obj = res2.objective
                 accepted += 1
-                last[n] = _Solved(version, y, None, accepted)
+            last[n] = _Solved(version, y, None, accepted)
         pass_objs.append(obj)
         if accepted == accepted_before:
             break

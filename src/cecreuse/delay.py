@@ -144,10 +144,12 @@ def _joined(lh: LoadHalf, hh: HitHalf) -> BranchDelays:
     den1 = f - load * srv1
     ok1 = lh.fpos & (den1 > 0.0)
     two_f_den1 = 2.0 * f * den1
-    # both terms only where branch 1 is ok (ok1 implies f > 0): 0 elsewhere
+    # both terms only where branch 1 is ok (ok1 implies f > 0): 0 elsewhere;
+    # the waiting term is 0 without load too, where 2 f den1 = 2 f^2 may
+    # underflow to 0
     d1 = np.divide(srv1, f, out=np.zeros(np.shape(den1)), where=ok1)
     d1 += np.divide(load * hh.sq, two_f_den1, out=np.zeros(np.shape(den1)),
-                    where=ok1)
+                    where=ok1 & (load > 0.0))
     return BranchDelays(f, load, lh.d0, lh.ok0, d1, ok1, lh.den0, den1, srv1,
                         hh.sq, lh.idle)
 

@@ -271,8 +271,8 @@ class Scenario:
 
 def prefix_sums(values: np.ndarray) -> np.ndarray:
     """[0, v0, v0 + v1, ...]: the sequential running sum of ``values``.  A
-    sum that overflows is inf, which the caching probes read as "decide
-    from the dense row"."""
+    sum that overflows is inf, which a caching probe reads as "does not
+    fit"."""
     out = np.zeros(len(values) + 1)
     with np.errstate(over="ignore"):
         np.cumsum(values, out=out[1:])
@@ -479,13 +479,11 @@ def compute_hit_rates(scenario: Scenario, cache: CacheAssignment) -> HitRateTabl
     return HitRateTable(local=local, neighbor=neighbor, total=total)
 
 
-def row_storage(scenario: Scenario, row: np.ndarray, apps=None) -> float:
+def row_storage(scenario: Scenario, row: np.ndarray) -> float:
     """Bytes a station's flat row occupies, fractional entries pro rata,
-    summed app by app over ``apps`` (ascending; default all).  An app left
-    out must have a zero segment: its +0.0 would change no bit."""
+    summed app by app."""
     used = 0.0
-    for a in range(scenario.num_apps) if apps is None else apps:
-        lo, hi = scenario.segments[a]
+    for lo, hi in scenario.segments:
         used += dot(row[lo:hi], scenario.s[lo:hi])
     return used
 

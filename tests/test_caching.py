@@ -1,7 +1,4 @@
 """Per-station cache placement: efficiencies, level search, rounding, oracles."""
-import math
-import operator
-
 import numpy as np
 import pytest
 
@@ -11,7 +8,7 @@ from cecreuse import (CacheAssignment, DegenerateInput,
                       alternating_solve, brute_force_cache_oracle,
                       compute_hit_rates, efficiencies_at_solution,
                       evaluate_objective, g_of_B, generate_scenario,
-                      round_to_binary, solve_caching_bs, solve_noc,
+                      round_to_binary, solve_caching_bs,
                       storage_used, sweep_all_stations, theorem3_ratio)
 from cecreuse import caching, solver
 from cecreuse.caching import LEVEL_ACCURACY, _locate_level, _solve_fraction
@@ -255,80 +252,6 @@ def test_solve_caching_matches_fractional_knapsack():
     assert (eff[x <= 1e-12] >= level - 1e-9).all()
     if frac.any():
         assert abs(float(eff[frac][0]) - level) <= 2e-9
-
-
-def test_fraction_solve_runs_only_where_storage_bounds_straddle(monkeypatch):
-    """A level probe whose prefix-sum bounds clear the margin builds no
-    dense row and solves no fraction.  Every other probe lies inside the
-    margin, builds one dense row, and halves its fractions (_halvings)
-    only when the dense bounds straddle the capacity.  Every other
-    fraction bisection comes from a solve's final rows (_fill_fractions
-    after the search, which g_of_B and the caching sweep reach).  NoC's
-    single-station solves of the default scenario meet both kinds of
-    probe."""
-    calls = {"rows": 0, "fractions": 0, "outside": 0}
-    seen = {"clear": 0, "straddle": 0}
-    where = ["outside"]
-    halvings, fits, level_rows, fill_fractions = (
-        caching._halvings, caching._fits, caching._level_rows,
-        caching._fill_fractions)
-
-    def counted_halvings(*args):
-        calls["fractions"] += 1
-        calls["outside"] += where[-1] == "outside"
-        return halvings(*args)
-
-    def counted_level_rows(*args):
-        calls["rows"] += 1
-        return level_rows(*args)
-
-    def checked_fits(ctx, level, cap, *below):
-        fills = caching._level_fills(ctx, level)
-        lower, upper, margin = caching._prefix_storage(ctx, fills, cap)
-        clear = math.isfinite(margin) and (lower > cap + margin
-                                           or upper + margin < cap)
-        before = dict(calls)
-        where.append("probe")
-        try:
-            verdict = fits(ctx, level, cap, *below)
-        finally:
-            where.pop()
-        rows, solved = (calls[k] - before[k] for k in ("rows", "fractions"))
-        if clear:
-            assert rows == 0 and solved == 0
-            seen["clear"] += 1
-            return verdict
-        assert rows == 1
-        row, pending, _filled = level_rows(ctx, level)
-        dense_lower = caching.row_storage(ctx.scenario, row)
-        for a, m in pending:
-            row[ctx.exclusive_input(a, m)] = 1.0
-        dense_upper = caching.row_storage(ctx.scenario, row)
-        # inside the margin: the prefix bounds straddle the capacity too
-        assert lower - margin <= cap <= upper + margin
-        below = below[0] if below else operator.lt
-        if not below(dense_lower, cap) or below(dense_upper, cap):
-            assert solved == 0
-        else:
-            assert solved == len(pending) > 0
-            seen["straddle"] += 1
-        return verdict
-
-    def final_fractions(*args):
-        # outside a probe, fractions are solved for a solve's final rows
-        where.append("final" if where[-1] == "outside" else where[-1])
-        try:
-            return fill_fractions(*args)
-        finally:
-            where.pop()
-
-    monkeypatch.setattr(caching, "_halvings", counted_halvings)
-    monkeypatch.setattr(caching, "_fits", checked_fits)
-    monkeypatch.setattr(caching, "_level_rows", counted_level_rows)
-    monkeypatch.setattr(caching, "_fill_fractions", final_fractions)
-    solve_noc(generate_scenario(GeneratorParams(seed=42)))
-    assert seen["clear"] > 0 and seen["straddle"] > 0
-    assert calls["outside"] == 0 and calls["fractions"] > 0
 
 
 # -- rounding and its guarantee --------------------------------------------------

@@ -1,5 +1,6 @@
 """Delay formulas: branch sojourn times, search selection, objective, gradient."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,16 @@ def test_branch_delays_broadcast_like_scalars():
                                 2.5e7, float(hit[a, 0]))
             for name in ("d0", "ok0", "d1", "ok1"):
                 assert getattr(table, name)[a, n] == getattr(one, name)
+
+
+def test_idle_queue_with_a_tiny_cpu_has_a_finite_search_delay():
+    """At f = 6.7e-180 and no load, 2 f (f - load srv1) underflows to 0;
+    the waiting term is 0 there, so d1 is the service time alone."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        t = branch_delays(6.7e-180, 0.0, 1e8, 2.5e7, 0.5)
+    assert t.ok1 and t.d1 == (2.5e7 + 0.5 * 1e8) / 6.7e-180
+    assert math.isfinite(t.d1)
 
 
 def test_service_rate_identity():

@@ -2,11 +2,14 @@
 identities, peer-mask versions and the partitions kept by them, the caching
 sweep's station skip, the solve's one sweep state, the level search's
 probes, the batched projection, the blocked line search, report JSON."""
+import itertools
 import json
 import math
 import operator
+import warnings
 from dataclasses import replace
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,16 +25,17 @@ from cecreuse import caching, delay, scheduling
 from cecreuse.caching import (LEVEL_ACCURACY, EfficiencyContext, Partition,
                               SweepState, _fits, _level_fills, _level_rows,
                               _level_search, _locate_level, _prefix_length,
-                              _prefix_storage, _solve_fraction, g_of_B,
-                              peer_hit_mass, round_to_binary,
-                              solve_caching_bs, sweep_all_stations)
+                              _solve_fraction, g_of_B, peer_hit_mass,
+                              round_to_binary, solve_caching_bs,
+                              sweep_all_stations)
 from cecreuse.delay import (BranchDelays, evaluate_with_rates,
                             gradient_with_rates, hit_derivative)
 from cecreuse.scheduling import (ALPHA, BETA, DELTA_STAB, J_MAX, STEP_BLOCK,
                                  STATIONARY_TOL, solve_scheduling)
 from cecreuse.model import (BINARY_TOL, Application, BaseStation,
                             HitRateTable, Scenario, ScenarioStack,
-                            TypicalInput, dot, row_storage, rows_storage)
+                            TypicalInput, dot, row_storage, rows_storage,
+                            validate)
 
 from conftest import build_scenario
 
@@ -503,36 +507,63 @@ def eager_g_of_B(ctx, level):
     return rows
 
 
+def prefix_storage(ctx, level, x=None):
+    """The storage a probe compares at ``level``: per app (P[end] - Q[t])
+    + Q[m], from running sums of its sizes in density order (P) and of its
+    exclusive class's (Q), then w * x for each pending entry of size w, both
+    in app order.  Each x is the solved fraction, or ``x`` if given.  An app
+    the level leaves empty adds nothing."""
+    used, pending = 0.0, []
+    for a in range(ctx.scenario.num_apps):
+        pos = ctx.exc_pos[a]
+        if not ctx.active[a]:
+            continue
+        end = ctx.replicated_end(a, level)
+        m, frac = _locate_level(ctx, a, level) if len(pos) else (0, False)
+        t = int(np.searchsorted(pos, end))
+        if end == t and not m and not frac:
+            continue
+        sizes = ctx.scenario.result_sizes[a][ctx.order[a]].tolist()
+        run = [0.0, *itertools.accumulate(sizes)]
+        exc = [0.0, *itertools.accumulate(sizes[j] for j in pos.tolist())]
+        used += (run[end] - exc[t]) + exc[m]
+        if frac:
+            pending.append(sizes[pos[m]] * (
+                _solve_fraction(ctx, a, m, level) if x is None else x))
+    for term in pending:
+        used += term
+    return used
+
+
 def eager_solve_caching_bs(scenario, cache, sched, station):
-    """The station solve as it was before probes were decided from storage
-    bounds: every probe solves its fractions and compares the exact
-    storage.  Also returns each probe's outcome under the bounds rule."""
+    """The station solve with every fraction solved at every probe, whose
+    verdict compares prefix_storage with the capacity; rows whose dense
+    storage is over it give the empty rows at the floor.  Also returns each
+    probe's outcome: decided by the storage with its fractions at 0 or at
+    1, or straddling the capacity."""
     ctx = EfficiencyContext(scenario, cache, sched, station)
     cap = float(scenario.storage_capacities[station])
     floor = ctx.efficiency_floor()
+    empty = [np.zeros(scenario.catalog_size(a)) for a in range(scenario.num_apps)]
     if floor == 0.0:
-        return [np.zeros(scenario.catalog_size(a))
-                for a in range(scenario.num_apps)], 0.0, []
+        return empty, 0.0, []
     outcomes = []
     b_l, b_r = floor, 0.0
     while b_r - b_l >= LEVEL_ACCURACY:
         b_m = 0.5 * (b_l + b_r)
-        row, pending, _filled = _level_rows(ctx, b_m)
-        lower = row_storage(scenario, row)
-        for a, m in pending:
-            row[ctx.exclusive_input(a, m)] = 1.0
-        upper = row_storage(scenario, row)
+        lower, upper = prefix_storage(ctx, b_m, 0.0), prefix_storage(ctx, b_m, 1.0)
         outcomes.append("lower >= cap" if lower >= cap else
                         "upper < cap" if upper < cap else "straddle")
-        if rows_storage(scenario, eager_g_of_B(ctx, b_m)) < cap:
+        if prefix_storage(ctx, b_m) < cap:
             b_l = b_m
         else:
             b_r = b_m
     level = 0.5 * (b_l + b_r)
+    if not prefix_storage(ctx, level) <= cap:
+        level = b_l
     rows = eager_g_of_B(ctx, level)
     if rows_storage(scenario, rows) > cap:
-        level = b_l
-        rows = eager_g_of_B(ctx, level)
+        return empty, floor, outcomes
     return rows, level, outcomes
 
 
@@ -1340,61 +1371,75 @@ def probe_levels(ctx, fractions):
 
 
 def exact_storage(ctx, level):
-    """The storage of the exact rows at ``level``: a dense row, every
+    """The dense storage of the exact rows at ``level``: a dense row, every
     fraction solved, summed over the whole catalog."""
     return rows_storage(ctx.scenario, eager_g_of_B(ctx, level))
 
 
+# three inputs whose sizes overflow any running sum of two, at a station
+# whose transfer delay puts every input before the replicated boundary, so
+# that boundary's prefix sums are inf on both sides of the subtraction
+OVERFLOW_CASE = (build_scenario((2e9,), (1e9,), (100.0,), ((2.0,),),
+                                [(1.0, 4e8, [(0.3, 1.7e308), (0.2, 1.7e308),
+                                             (0.1, 1e308)])]),
+                 CacheAssignment([np.zeros((1, 3))]),
+                 SchedulingState(np.ones((1, 1)), np.ones((1, 1)),
+                                 np.ones((1, 1))), 0)
+
+
 @PROPERTY
-@example(case=(build_scenario((2e9,), (1e9,), (0.02,), ((2.0,),),
-                              [(1.0, 4e8, [(0.3, 1.7e308), (0.2, 1.7e308),
-                                           (0.1, 1e308)])]),
-               CacheAssignment([np.zeros((1, 3))]),
-               SchedulingState(np.ones((1, 1)), np.ones((1, 1)),
-                               np.ones((1, 1))), 0),
-         fractions=[0.5], caps=[1e308])
+@example(case=OVERFLOW_CASE, fractions=[0.5], caps=[1.75e308])
 @given(case=level_searches(WIDE_SIZES, 16),
        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
        caps=st.lists(st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e),
                      max_size=3))
-def test_prefix_verdict_equals_the_dense_verdict(case, fractions, caps):
-    """_fits, which decides most probes from size prefix sums and its
-    margin, gives the verdict of the exact rows' dense storage, strict
-    and not, at every probed level and at caps drawn at random, on each
-    prefix bound and dense sum, and one ulp either side of them.  Sums
-    that overflow make the margin infinite, and the dense row decides."""
+def test_probe_verdict_is_the_prefix_storage(case, fractions, caps):
+    """_fits gives the verdict of prefix_storage at the solved fractions,
+    strict and not, at every probed level and at caps drawn at random, on
+    that storage, on it with the fractions at 0 and at 1, on the dense
+    sum, and one ulp either side of each.  It halves a fraction only where
+    the storage with the fractions at 0 and at 1 straddles the cap."""
     sc, cache, sched, station = case
     ctx = EfficiencyContext(sc, cache, sched, station)
+    halvings, halved = caching._halvings, []
+
+    def counted(*args):
+        for step in halvings(*args):
+            halved.append(step)
+            yield step
+
     for level in probe_levels(ctx, fractions):
-        exact = exact_storage(ctx, level)
-        lower, upper, margin = _prefix_storage(ctx, _level_fills(ctx, level), 0.0)
-        row, pending, _apps = _level_rows(ctx, level)
-        dense_lower = row_storage(sc, row)
-        points = {exact, lower, upper, dense_lower, lower - margin, upper + margin}
+        used = prefix_storage(ctx, level)
+        lower, upper = prefix_storage(ctx, level, 0.0), prefix_storage(ctx, level, 1.0)
+        points = {used, lower, upper, exact_storage(ctx, level)}
         tried = set(caps)
         for v in points:
             tried |= {v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)}
         for cap in sorted(c for c in tried if 0.0 <= c < math.inf):
-            assert _fits(ctx, level, cap) == (exact < cap), (level, cap)
-            assert _fits(ctx, level, cap, operator.le) == (exact <= cap), (level, cap)
+            for below in (operator.lt, operator.le):
+                halved.clear()
+                with mock.patch.object(caching, "_halvings", counted):
+                    verdict = _fits(ctx, level, cap, below)
+                assert verdict == below(used, cap), (level, cap, below)
+                if not below(lower, cap) or below(upper, cap):
+                    assert not halved, (level, cap, below)
 
 
-def test_prefix_margin_overflow_falls_back_to_the_dense_row(monkeypatch):
-    """Sizes whose prefix sums overflow give an infinite margin; the probe
-    then builds the dense row, whose verdict stands."""
-    sc = build_scenario((2e9,), (1e9,), (0.02,), ((2.0,),),
-                        [(1.0, 4e8, [(0.3, 1.7e308), (0.2, 1.7e308)])])
-    ctx = EfficiencyContext(sc, CacheAssignment.zeros(sc), SchedulingState(
-        np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1))), 0)
-    level = ctx.exclusive_eff(0, 1, 1.0)   # both inputs cached
-    _lower, upper, margin = _prefix_storage(ctx, _level_fills(ctx, level), 1e308)
-    assert upper == math.inf and margin == math.inf
-    built = []
-    level_rows = caching._level_rows
-    monkeypatch.setattr(caching, "_level_rows",
-                        lambda *args: built.append(1) or level_rows(*args))
-    assert _fits(ctx, level, 1e308) is False and built == [1]
-    assert exact_storage(ctx, level) == math.inf
+def test_overflowing_prefix_sums_never_fit():
+    """Where an app's running size sum and its exclusive class's are both
+    inf at the replicated boundary, the probe's storage is inf - inf = NaN,
+    which fits no capacity, strict or not, and raises no RuntimeWarning;
+    the dense sum of the same row is finite."""
+    sc, cache, sched, station = OVERFLOW_CASE
+    ctx = EfficiencyContext(sc, cache, sched, station)
+    level = ctx.exclusive_eff(0, 1, 0.0)   # the first input cached
+    assert _level_fills(ctx, level) == [(0, 3, 3, 1, False)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert math.isnan(prefix_storage(ctx, level))
+        assert not _fits(ctx, level, 1.75e308)
+        assert not _fits(ctx, level, 1.75e308, operator.le)
+    assert exact_storage(ctx, level) == 1.7e308
 
 
 @PROPERTY
@@ -1404,17 +1449,15 @@ def test_rounded_fraction_equals_the_solved_fraction_rounded(case, fractions):
     """The sweep's rounding halves a boundary fraction only while it may
     still round to 1, and decides as the fraction solved to INVERSE_TOL
     does; where it rounds to 1 it has solved that fraction in full.  A
-    rounded row is the exact row rounded entry by entry, and it reports
-    whether an entry rounded up."""
+    rounded row is the exact row rounded entry by entry."""
     sc, cache, sched, station = case
     ctx = EfficiencyContext(sc, cache, sched, station)
     cut = 1.0 - BINARY_TOL
     for level in probe_levels(ctx, fractions):
         exact = np.concatenate(eager_g_of_B(ctx, level))
-        row, pending, _apps = _level_rows(ctx, level)
-        raised = caching._fill_fractions(ctx, row, pending, level, True)
+        row, pending = _level_rows(ctx, level)
+        caching._fill_fractions(ctx, row, pending, level, True)
         assert row.tobytes() == np.where(exact >= cut, 1.0, 0.0).tobytes()
-        assert raised == bool((row > exact).any())
         for a in range(sc.num_apps):
             if not (ctx.active[a] and len(ctx.exc_pos[a])):
                 continue
@@ -1430,48 +1473,91 @@ def test_rounded_fraction_equals_the_solved_fraction_rounded(case, fractions):
 @given(level_searches())
 def test_sweep_rows_are_the_solved_rows_rounded(case):
     """The sweep's level search returns the exact search's level and its
-    row rounded entry by entry; a row it reports as fitting fits.  Both
-    report their rows' counts of nonzero entries."""
+    row rounded entry by entry.  Both report their rows' counts of nonzero
+    entries."""
     sc, cache, sched, station = case
-    cap = sc.storage_capacities[station]
     try:
-        row, level, fit, cached = _level_search(
+        row, level, cached = _level_search(
             EfficiencyContext(sc, cache, sched, station))
     except MalformedInput:
         return
-    got, got_level, got_fit, got_cached = _level_search(
+    got, got_level, got_cached = _level_search(
         EfficiencyContext(sc, cache, sched, station), rounded=True)
     assert got_level == level
     assert got.tobytes() == np.where(row >= 1.0 - BINARY_TOL, 1.0, 0.0).tobytes()
     assert cached == np.count_nonzero(row)
     assert got_cached == np.count_nonzero(got)
-    assert not fit or row_storage(sc, row) <= cap
-    assert not got_fit or row_storage(sc, got) <= cap
-    # only a fall back to the floor, or an entry rounded up, leaves it open
-    rounded_up = bool((got > row).any())
-    assert fit or level == EfficiencyContext(sc, cache, sched,
-                                             station).efficiency_floor()
-    assert got_fit == (fit and not rounded_up)
 
 
-def test_prefix_verdict_holds_where_the_two_sums_differ():
-    """4,096 sizes within one decade, all cached at level 0: the prefix
-    sum and the dense sum of the same row differ by 24 ulps, and at every
-    cap from below the one to above the other the probe gives the dense
-    verdict."""
-    rng = np.random.default_rng(1)
+@PROPERTY
+@given(seed=st.integers(0, 10_000), stations=st.integers(1, 4),
+       apps=st.integers(1, 3), load=st.sampled_from([0.5, 1.0, 1.5]),
+       start=st.sampled_from(["empty", "greedy"]))
+def test_written_rows_pass_the_dense_check(seed, stations, apps, load, start):
+    """Each station's solve_caching_bs rows, and the binary rows they round
+    to, fit by their dense storage, and the cache a sweep writes passes
+    validate."""
+    sc = generate_scenario(GeneratorParams(
+        seed=seed, num_stations=stations, num_apps=apps,
+        workload_factor=load, k_scale=0.002))
+    cache = (solver.greedy_cache(sc) if start == "greedy"
+             else CacheAssignment.zeros(sc))
+    try:
+        sched, _ = initial_feasible_point(sc, compute_hit_rates(sc, cache))
+    except Infeasible:
+        assume(False)
+    for n in range(stations):
+        rows, _level = solve_caching_bs(sc, cache, sched, n)
+        cap = sc.storage_capacities[n]
+        assert rows_storage(sc, rows) <= cap
+        assert rows_storage(sc, round_to_binary(rows)) <= cap
+    state, out, _objs = sweep_all_stations(sc, SweepState(sc, copied(cache)),
+                                           sched, 3)
+    assert validate(sc, state, out) == []
+
+
+@pytest.mark.parametrize("seed, ulps", [(1, 24), (10, -33)])
+def test_rows_written_fit_where_the_two_sums_differ(seed, ulps):
+    """4,096 sizes within one decade, all cached at level 0: the full row's
+    prefix-sum storage is ``ulps`` ulps off its dense sum, and the capacity
+    lies strictly between the two.  Where the prefix sum reads low (seed
+    10), the probes find the full row fits and its dense storage does not:
+    solve_caching_bs returns the empty rows, and the sweep, started from
+    half the inputs cached so that searching pays, solves the full row,
+    which passes its objective test, and does not accept it.  Either way
+    the rows returned fit by their dense storage and the sweep's cache
+    passes validate."""
+    rng = np.random.default_rng(seed)
     s = rng.uniform(1.0, 2.0, 4096)
     p = rng.uniform(0.1, 1.0, 4096)
-    sc = build_scenario((2e9,), (1e4,), (0.02,), ((2.0,),),
-                        [(1.0, 4e8, list(zip((p / p.sum() * 0.8).tolist(),
-                                             s.tolist())))])
-    ctx = EfficiencyContext(sc, CacheAssignment.zeros(sc), SchedulingState(
-        np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1))), 0)
-    lower, upper, _margin = _prefix_storage(ctx, _level_fills(ctx, 0.0), 0.0)
-    exact = exact_storage(ctx, 0.0)
-    assert lower == upper and abs(lower - exact) == 24 * math.ulp(exact)
-    cap = math.nextafter(min(lower, exact), 0.0)
-    while cap <= max(lower, exact):
-        assert _fits(ctx, 0.0, cap) == (exact < cap)
-        assert _fits(ctx, 0.0, cap, operator.le) == (exact <= cap)
-        cap = math.nextafter(cap, math.inf)
+    inputs = list(zip((p / p.sum() * 0.8).tolist(), s.tolist()))
+    sched = SchedulingState(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+
+    def station(cap):
+        sc = build_scenario((2e9,), (cap,), (0.02,), ((2.0,),),
+                            [(1.0, 4e8, inputs)])
+        return sc, EfficiencyContext(sc, CacheAssignment.zeros(sc), sched, 0)
+
+    _sc, ctx = station(1e4)
+    prefix, dense = prefix_storage(ctx, 0.0), exact_storage(ctx, 0.0)
+    assert prefix - dense == ulps * math.ulp(dense)
+    cap = 0.5 * (prefix + dense)
+    assert min(prefix, dense) < cap < max(prefix, dense)
+    sc, ctx = station(cap)
+    full, _level, _cached = _level_search(ctx, rounded=True)
+    rows, level = solve_caching_bs(sc, CacheAssignment.zeros(sc), sched, 0)
+    assert rows_storage(sc, rows) <= cap
+    half = np.zeros((1, len(inputs)))
+    half[0, :len(inputs) // 2] = 1.0
+    state, out, objs = sweep_all_stations(
+        sc, SweepState(sc, CacheAssignment([half.copy()])), sched, 3)
+    assert row_storage(sc, state.x[0]) <= cap
+    assert validate(sc, state, out) == []
+    if prefix < dense:
+        assert full.all() and row_storage(sc, full) > cap
+        assert not rows[0].any() and level == ctx.efficiency_floor()
+        assert out.y.all()
+        hit = state.candidate(0, full)
+        assert evaluate_with_rates(sc, hit.total, hit.neighbor, out.lam,
+                                   out.fshare).objective < objs[-1]
+        assert np.array_equal(state.x, half)
