@@ -118,10 +118,6 @@ class HitHalf(NamedTuple):
         return self._replace(y=y, search=search,
                              cost=np.where(search, self.srv1, wa))
 
-    def take(self, keep: np.ndarray) -> "HitHalf":
-        """The problems ``keep`` selects, on the leading axis."""
-        return HitHalf(*(None if x is None else x[keep] for x in self))
-
 
 def load_half(f, load, wa) -> LoadHalf:
     """branch_delays' load half at CPU speed f and arrival rate load."""

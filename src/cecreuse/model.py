@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -201,16 +202,16 @@ class Scenario:
     @cached_property
     def p(self) -> np.ndarray:
         """Shape (K,): every input's match probability, app after app."""
-        return _frozen(np.fromiter((ti.match_prob for app in self.apps
-                                    for ti in app.typical_inputs),
-                                   np.float64, self.offsets[-1]))
+        values = [ti.match_prob for app in self.apps for ti in app.typical_inputs]
+        return _frozen(np.fromiter(_checked_numbers(values, "match_prob"),
+                                   np.float64, len(values)))
 
     @cached_property
     def s(self) -> np.ndarray:
         """Shape (K,): every input's result size in bytes, app after app."""
-        return _frozen(np.fromiter((ti.result_size for app in self.apps
-                                    for ti in app.typical_inputs),
-                                   np.float64, self.offsets[-1]))
+        values = [ti.result_size for app in self.apps for ti in app.typical_inputs]
+        return _frozen(np.fromiter(_checked_numbers(values, "result_size"),
+                                   np.float64, len(values)))
 
     @cached_property
     def segments(self) -> list[tuple[int, int]]:
@@ -591,16 +592,22 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def _numbers(values: list, field: str) -> list[float]:
-    """JSON numbers as floats; a string, a bool or any other value is
-    MalformedInput naming ``field``.  The types are checked as one set, so
-    a catalog's inputs are checked without a Python call per input."""
+def _checked_numbers(values: list, field: str) -> list:
+    """``values``, each a real number; a string, a bool, None or any other
+    value is MalformedInput naming ``field``.  The types are checked as one
+    set, so a catalog's inputs are checked without a Python call per
+    input."""
     if not set(map(type, values)) <= {int, float}:
         for value in values:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise MalformedInput(f"{field} must be a number, "
                                      f"not {type(value).__name__}")
-    return list(map(float, values))
+    return values
+
+
+def _numbers(values: list, field: str) -> list[float]:
+    """JSON numbers as floats (see _checked_numbers)."""
+    return list(map(float, _checked_numbers(values, field)))
 
 
 def _number(doc, key: str) -> float:

@@ -15,8 +15,10 @@ the whole descent, so the hit half of every table (delay.hit_tables) is
 built once and only the load half is tabled per block; each line search
 holds its flag terms (y == 1 and the selected service cost) once.
 Independent problems of the same shape descend together as a
-ScenarioStack: one block per iteration for every problem still running,
-each with its own steps, tests and stopping, as it would descend alone.
+ScenarioStack: one block per iteration for all of them, each with its own
+steps, tests and stopping, as it would descend alone.  A problem that stops
+keeps its place in the stack with a zero direction, so from then on its
+line searches table only its own point and keep its bits.
 
 The block width only groups steps: each problem takes its first passing
 step whatever the width.  On the seed-601 desk_sweep benchmark operations
@@ -107,29 +109,33 @@ def project_decisions(lam: np.ndarray, fshare: np.ndarray
 
 class StackStep(NamedTuple):
     """The step each problem of a stack took in one line search."""
-    steps: np.ndarray            # accepted j, J_MAX + 1 where exhausted
-    objective: np.ndarray        # at the accepted point, NaN where exhausted
-    table: BranchDelays | None   # of the accepted points; None if none was
+    steps: np.ndarray      # accepted j, J_MAX + 1 where exhausted
+    # objective and table at the accepted points; where exhausted, at the
+    # current point: the base objective and the rows of the table given
+    objective: np.ndarray
+    table: BranchDelays
 
 
 def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
-              direction: tuple[np.ndarray, np.ndarray], base_obj, grad_dot_dir):
+              direction: tuple[np.ndarray, np.ndarray], base_obj, grad_dot_dir,
+              table: BranchDelays):
     """Each problem's smallest j whose step beta^j meets the decrease and
     margin tests.
 
-    ``point`` and ``direction`` carry a leading problem axis, and
-    ``base_obj`` and ``grad_dot_dir`` hold one value per problem.  A step
-    passes when its objective is no higher than the problem's ``base_obj``
-    and meets the Armijo test.  The steps are tabled STEP_BLOCK at a time:
-    objective_fn takes lam and fshare with a leading step axis and returns
-    an evaluation of the block, whose ``objectives()`` holds each (step,
-    problem) objective, NaN on points that are unstable or inside the
-    stability margin.  The test runs per (step, problem): each problem
-    takes its first passing step, and blocks are tabled while some problem
-    has none, so each result is the one a step-by-step search gives.
-    Returns (backtracks, lam, fshare, StackStep), where backtracks sums the
-    accepted steps' j; a problem whose search is exhausted keeps its point
-    and raises nothing.
+    ``point`` and ``direction`` carry a leading problem axis, ``base_obj``
+    and ``grad_dot_dir`` hold one value per problem, and ``table`` holds
+    the points' branch delays.  A step passes when its objective is no
+    higher than the problem's ``base_obj`` and meets the Armijo test.  The
+    steps are tabled STEP_BLOCK at a time: objective_fn takes lam and
+    fshare with a leading step axis and returns an evaluation of the
+    block, whose ``objectives()`` holds each (step, problem) objective,
+    NaN on points that are unstable or inside the stability margin.  The
+    test runs per (step, problem): each problem takes its first passing
+    step, and blocks are tabled while some problem has none, so each
+    result is the one a step-by-step search gives.  Returns (backtracks,
+    lam, fshare, StackStep), where backtracks sums the accepted steps' j;
+    a problem whose search is exhausted keeps its point, its base
+    objective and its rows of ``table``, and raises nothing.
 
     A problem is stalled when a block's smallest step fails and leaves
     every entry of its point equal, and that step's objective also fails
@@ -137,6 +143,7 @@ def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
     rounds to the same bits and objective, and its bound lies between
     those two: it fails too.  Blocks are tabled only while some problem
     with no step yet is not stalled, so the result is the full search's.
+    A zero direction stalls or passes in the first block.
     """
     base = np.asarray(base_obj)
     steps = np.full(base.shape, J_MAX + 1)   # per problem; J_MAX + 1: none yet
@@ -175,9 +182,7 @@ def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
         steps[new] = first + k[new]
         if taken is None:
             taken = (point[0].copy(), point[1].copy(),
-                     np.full(base.shape, np.nan),
-                     [(x[0] if x.ndim == lam.ndim else x).copy()
-                      for x in block.table])
+                     np.array(base, dtype=np.float64), [x.copy() for x in table])
         at = (k[new], np.flatnonzero(new))
         for mine, x in zip(taken[:3], (lam, fsh, obj)):
             mine[new] = x[at]
@@ -186,8 +191,7 @@ def backtrack(objective_fn, point: tuple[np.ndarray, np.ndarray],
         if ((steps <= J_MAX) | stalled).all():
             break
     if taken is None:
-        return 0, point[0], point[1], StackStep(
-            steps, np.full(base.shape, np.nan), None)
+        return 0, point[0], point[1], StackStep(steps, base, table)
     return (int(steps[steps <= J_MAX].sum()), taken[0], taken[1],
             StackStep(steps, taken[2], BranchDelays(*taken[3])))
 
@@ -229,22 +233,23 @@ def solve_scheduling(scenario: Scenario | ScenarioStack, hit: HitRateTable,
     A ScenarioStack descends all of its problems together: ``hit`` and
     ``sched`` carry its problem axis, and the trace comes back as one list
     per problem.  Each iteration tables, differentiates, projects and
-    line-searches every problem still running in one block; each problem
-    keeps its own step, stationary test and line search, and one that
-    stops keeps its point and leaves the block, so each ends where it would
-    alone.  A failing problem raises, but not necessarily the first to
-    fail: a caller that needs that one runs the problems alone.  A scenario
-    descends as a stack of one.
+    line-searches every problem in one block; each problem keeps its own
+    step, stationary test and line search.  One that stops stays in the
+    block with a zero direction, so each later line search tables only its
+    own point and its point, table and objective keep their bits: each
+    ends where it would alone.  A failing problem raises, but not
+    necessarily the first to fail: a caller that needs that one runs the
+    problems alone.  A scenario descends as a stack of one.
     """
     out = sched.copy()
     if isinstance(scenario, ScenarioStack):
         out.lam, out.fshare, out.y, traces = _descend(
-            scenario, hit.total, hit.neighbor, sched.lam, sched.fshare,
-            iters, params)
+            scenario, hit.total, hit.neighbor, out.lam, out.fshare, iters,
+            params)
         return out, traces
     lam, fshare, y, traces = _descend(
         ScenarioStack.of([scenario]), hit.total[None], hit.neighbor[None],
-        sched.lam[None], sched.fshare[None], iters, params)
+        out.lam[None], out.fshare[None], iters, params)
     out.lam, out.fshare, out.y = lam[0], fshare[0], y[0]
     return out, traces[0]
 
@@ -255,28 +260,18 @@ def _descend(stack: ScenarioStack, total: np.ndarray, neighbor: np.ndarray,
     """solve_scheduling over ``stack`` from (lam, fshare); returns the final
     (lam, fshare, y) and the per-problem traces.
 
-    The working arrays hold the problems still running, ``run`` their
-    positions in the stack; a problem that stops writes its final point to
-    the outputs and leaves them.
+    ``live`` marks the problems still descending: it gates their trace
+    rows and their directions, which are zero once a problem stops.  The
+    loop ends when none is live.
     """
-    out_lam, out_fsh = lam.copy(), fshare.copy()
-    out_y = np.empty(lam.shape, dtype=np.int8)
     traces: list[list[tuple[int, float, int]]] = [[] for _ in range(len(stack))]
-    run = np.arange(len(stack))
+    live = np.ones(len(stack), dtype=bool)
     # the hit half of every table: the cache, so the hit rates, are frozen
     half = hit_tables(stack, total, neighbor)
     wa = stack.workloads[:, None]
     # the branch table of the current points, and their objectives under
     # the flags the last line search held fixed (held), once it has run
     table = objective = held = None
-
-    def stop(gone, lam, fshare, y):
-        """Write out the final points of the running problems ``gone``
-        marks, and return the positions of the others."""
-        out_lam[run[gone]], out_fsh[run[gone]] = lam[gone], fshare[gone]
-        out_y[run[gone]] = y[gone]
-        return np.flatnonzero(~gone)
-
     for i in range(1, iters + 1):
         res = (None if table is None else
                accepted_evaluation(stack, held, table, objective))
@@ -286,6 +281,7 @@ def _descend(stack: ScenarioStack, total: np.ndarray, neighbor: np.ndarray,
             if not res.stable.all():
                 raise StabilityViolation(
                     "scheduling started from an unstable point")
+        table = res.table
         grad = gradient_with_rates(stack, res, lam)
         if not (np.isfinite(grad.dlam).all() and np.isfinite(grad.dfshare).all()):
             raise MalformedInput("the objective's gradient overflows: the "
@@ -298,49 +294,35 @@ def _descend(stack: ScenarioStack, total: np.ndarray, neighbor: np.ndarray,
         lam_move = np.abs(d_lam).max(axis=(-2, -1))
         fsh_move = np.abs(d_fsh).max(axis=(-2, -1))
         # stationary: Python's max(lam_move, fsh_move) below the tolerance
-        still = (np.where(fsh_move > lam_move, fsh_move, lam_move)
-                 < STATIONARY_TOL)
-        base, y = res.objective, res.y
+        still = live & (np.where(fsh_move > lam_move, fsh_move, lam_move)
+                        < STATIONARY_TOL)
+        base = res.objective
+        for p in np.flatnonzero(still):
+            traces[p].append((i, float(base[p]), 0))
+        live &= ~still
+        if not live.any():
+            break
+        d_lam = np.where(live[:, None, None], d_lam, 0.0)
+        d_fsh = np.where(live[:, None, None], d_fsh, 0.0)
         grad_dot = ((grad.dlam * d_lam).sum(axis=(-2, -1))
                     + (grad.dfshare * d_fsh).sum(axis=(-2, -1)))
-        if still.any():
-            for p in np.flatnonzero(still):
-                traces[run[p]].append((i, float(base[p]), 0))
-            keep = stop(still, lam, fshare, y)
-            run = run[keep]
-            if not run.size:
-                break
-            stack, half = stack.take(keep), half.take(keep)
-            total, neighbor, lam, fshare, d_lam, d_fsh, base, y, grad_dot = (
-                x[keep] for x in (total, neighbor, lam, fshare, d_lam, d_fsh,
-                                  base, y, grad_dot))
-        held = half.held(y, wa)
+        held = half.held(res.y, wa)
 
         def objective_fn(lam_k, fsh_k):
             return evaluate_with_rates(stack, total, neighbor, lam_k, fsh_k,
                                        margin=DELTA_STAB, table=held)
 
         _, lam, fshare, step = backtrack(objective_fn, (lam, fshare),
-                                         (d_lam, d_fsh), base, grad_dot)
+                                         (d_lam, d_fsh), base, grad_dot, table)
         table, objective = step.table, step.objective
-        steps, objs = step.steps.tolist(), step.objective.tolist()
-        for p, (j, obj, start) in enumerate(zip(steps, objs, base.tolist())):
-            traces[run[p]].append((i, start if j > J_MAX else obj, j))
-        if max(steps) > J_MAX:   # exhausted line searches keep their points
-            keep = stop(step.steps > J_MAX, lam, fshare, y)
-            run = run[keep]
-            if not run.size:
-                break
-            stack, half, held = stack.take(keep), half.take(keep), held.take(keep)
-            total, neighbor, lam, fshare, objective = (
-                x[keep] for x in (total, neighbor, lam, fshare, objective))
-            table = BranchDelays(*(x[keep] for x in table))
-    if run.size:
-        out_lam[run], out_fsh[run] = lam, fshare
-        if table is None:   # no iteration ran
-            table = branch_tables(stack, total, lam, fshare)
-        out_y[run] = search_flags(half, table)
-    return out_lam, out_fsh, out_y, traces
+        for p in np.flatnonzero(live):
+            traces[p].append((i, float(objective[p]), int(step.steps[p])))
+        live &= step.steps <= J_MAX   # exhausted searches keep their points
+        if not live.any():
+            break
+    if table is None:   # no iteration ran
+        table = branch_tables(stack, total, lam, fshare)
+    return lam, fshare, search_flags(half, table), traces
 
 
 def initial_feasible_point(scenario: Scenario, hit: HitRateTable

@@ -106,16 +106,9 @@ def _feasible_start(scenario: Scenario, hit: HitRateTable
 
 
 def solve_greedy(scenario: Scenario) -> SolveReport:
-    """Ratio-order caching + capacity-proportional routing, no optimization."""
-    t0 = time.perf_counter()
-    cache = greedy_cache(scenario)
-    sched, obj = _feasible_start(scenario, compute_hit_rates(scenario, cache))
-    return SolveReport(algorithm="greedy",
-                       objective_trace=[(0, "init", 0, obj)],
-                       cache=cache, sched=sched, final_objective=obj,
-                       rounds_completed=0,
-                       wall_time_s=time.perf_counter() - t0,
-                       feasible=not validate(scenario, cache, sched))
+    """Ratio-order caching + capacity-proportional routing, no
+    optimization: the proposed solve's start, reached with no round."""
+    return replace(alternating_solve(scenario, 0), algorithm="greedy")
 
 
 @dataclass

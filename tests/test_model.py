@@ -395,11 +395,17 @@ def test_each_outside_path_checks_the_catalog_once(monkeypatch):
                        "must be finite and positive$"):
         scenario_from_dict(doc)
     inputs = sc.apps[0].typical_inputs
-    bad = replace(sc.apps[0], typical_inputs=inputs[:2] + (
-        TypicalInput(1.5, 1.0),) + inputs[3:])
-    with pytest.raises(MalformedInput,
-                       match=r"^app 0 input 2: match prob outside \[0, 1\]$"):
-        replace(sc, apps=(bad,) + sc.apps[1:])
+    # a Python caller's field that is not a number is named, not converted
+    for ti, message in (
+            (TypicalInput(1.5, 1.0),
+             r"^app 0 input 2: match prob outside \[0, 1\]$"),
+            (TypicalInput("0.5", 1.0), r"^match_prob must be a number, not str$"),
+            (TypicalInput(True, 1.0), r"^match_prob must be a number, not bool$"),
+            (TypicalInput(0.5, None),
+             r"^result_size must be a number, not NoneType$")):
+        bad = replace(sc.apps[0], typical_inputs=inputs[:2] + (ti,) + inputs[3:])
+        with pytest.raises(MalformedInput, match=message):
+            replace(sc, apps=(bad,) + sc.apps[1:])
 
 
 @pytest.mark.parametrize("field", ["lam", "fshare", "y"])

@@ -731,7 +731,8 @@ def test_batched_projection_equals_the_per_row_loop(apps, stations, data):
 
 def per_step_backtrack(objective_fn, point, direction, base_obj, grad_dot_dir):
     """The line search one step at a time, each step evaluated alone, with
-    the same acceptance test; None when no step passes."""
+    the same acceptance test; None when no step passes, where the search
+    keeps its point, its base objective and its table."""
     for j in range(J_MAX + 1):
         step = BETA ** j
         lam = point[0] + step * direction[0]
@@ -814,7 +815,8 @@ def stacked_backtrack(searches):
     direction = tuple(stacked(lambda s: s.direction[i]) for i in range(2))
     return backtrack(objective_fn, point, direction,
                      stacked(lambda s: s.base_obj),
-                     stacked(lambda s: s.grad_dot))
+                     stacked(lambda s: s.grad_dot),
+                     delay.branch_tables(stack, total, *point))
 
 
 def same_bits(a, b):
@@ -840,11 +842,16 @@ def search_both_ways(search):
                               search.base_obj, search.grad_dot)
     got = stacked_backtrack([search])
     if want is None:
-        # an exhausted search keeps its point and reports J_MAX + 1
+        # an exhausted search reports J_MAX + 1 and keeps its point, its
+        # base objective and its table
         assert got[0] == 0 and got[3].steps.tolist() == [J_MAX + 1]
         assert same_bits(got[1], search.point[0][None])
         assert same_bits(got[2], search.point[1][None])
-        assert np.isnan(got[3].objective).all() and got[3].table is None
+        assert got[3].objective.tolist() == [search.base_obj]
+        table = delay.branch_tables(search.scenario, search.hit.total,
+                                    *search.point)
+        for name, a, b in zip(BranchDelays._fields, got[3].table, table):
+            assert same_bits(a, b[None]), name
         return kinds | {"exhausted"}
     assert got[0] == want[0] and got[3].steps.tolist() == [want[0]]
     assert same_bits(got[1], want[1][None]) and same_bits(got[2], want[2][None])
@@ -897,10 +904,9 @@ def stack_equals_each_alone(searches):
         assert steps[p] == one[3].steps[0], p
         assert same_bits(got[1][p], one[1][0]) and same_bits(got[2][p], one[2][0])
         assert repr(float(got[3].objective[p])) == repr(float(one[3].objective[0]))
-        if steps[p] <= J_MAX:
-            for name, a, b in zip(BranchDelays._fields, got[3].table,
-                                  one[3].table):
-                assert same_bits(a[p], b[0]), (p, name)
+        for name, a, b in zip(BranchDelays._fields, got[3].table,
+                              one[3].table):
+            assert same_bits(a[p], b[0]), (p, name)
     accepted = steps[steps <= J_MAX]
     kinds = set()
     if len(set((accepted // STEP_BLOCK).tolist())) > 1:
@@ -955,9 +961,7 @@ def test_line_search_does_not_depend_on_the_block_width(seed, stations, apps,
     """backtrack tables its steps STEP_BLOCK at a time, but each problem's
     result is its step-by-step search's: one step per block, the old and
     the new default width and all J_MAX + 1 steps in one block give the
-    same backtracks, points, steps, objectives and accepted points'
-    tables, bit for bit (an exhausted problem's table entry is never
-    read)."""
+    same backtracks, points, steps, objectives and tables, bit for bit."""
     try:
         searches = [make_search(seed, stations, apps, projected, scale_exp,
                                 base_shift, margin, flipped)
@@ -975,11 +979,9 @@ def test_line_search_does_not_depend_on_the_block_width(seed, stations, apps,
         assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
         assert same_bits(got[3].steps, want[3].steps)
         assert same_bits(got[3].objective, want[3].objective)
-        assert (got[3].table is None) == (want[3].table is None)
-        for p in np.flatnonzero(want[3].steps <= J_MAX):
-            for name, a, b in zip(BranchDelays._fields, got[3].table,
-                                  want[3].table):
-                assert same_bits(a[p], b[p]), (p, name)
+        for name, a, b in zip(BranchDelays._fields, got[3].table,
+                              want[3].table):
+            assert same_bits(a, b), name
 
 
 def monolithic_evaluation(stack, total, neighbor, lam, fshare, y, margin):
@@ -1158,13 +1160,16 @@ def fresh_descent(sc, hit, start, iters, params=PgdParams()):
             return evaluate_with_rates(stack, total, neighbor, lam_k, fsh_k,
                                        y=held, margin=DELTA_STAB)
 
-        _, lam, fshare, step = backtrack(objective_fn, (lam, fshare),
-                                         (d_lam, d_fsh), base, grad_dot)
+        point = (lam, fshare)
+        _, lam, fshare, step = backtrack(objective_fn, point, (d_lam, d_fsh),
+                                         base, grad_dot, res.table)
         j = int(step.steps[0])
-        if j > J_MAX:
-            trace.append((i, float(base[0]), j))
-            return lam[0], fshare[0], held[0], trace, kinds | {"exhausted"}
         trace.append((i, float(step.objective[0]), j))
+        if j > J_MAX:
+            # an exhausted search keeps its point, base objective and table
+            assert lam is point[0] and fshare is point[1]
+            assert step.objective is base and step.table is res.table
+            return lam[0], fshare[0], held[0], trace, kinds | {"exhausted"}
         table = step.table
     y = evaluate_with_rates(stack, total, neighbor, lam, fshare, table=table).y
     return lam[0], fshare[0], y[0], trace, kinds
@@ -1246,18 +1251,41 @@ def test_descent_cases(monkeypatch, kind):
     problems = [descent_problem(seed, stations, apps, *spec) for spec in specs]
     assert None not in problems
     # the first iterate, and one where flags moved, are evaluated in full:
-    # the first from the descent's hit half, the other from its table
-    full = []
+    # the first from the descent's hit half, the other from its table.
+    # Each line-search block is kept with the iteration that tabled it
+    full, blocks, iteration = [], [], [0]
     evaluate = scheduling.evaluate_with_rates
+    gradient = scheduling.gradient_with_rates
 
     def counted(*args, **kwargs):
         if not kwargs.get("margin"):
             full.append(isinstance(kwargs.get("table"), BranchDelays))
+        else:
+            blocks.append((iteration[0], args[3], args[4]))
         return evaluate(*args, **kwargs)
 
+    def stepped(*args, **kwargs):
+        iteration[0] += 1
+        return gradient(*args, **kwargs)
+
     monkeypatch.setattr(scheduling, "evaluate_with_rates", counted)
+    monkeypatch.setattr(scheduling, "gradient_with_rates", stepped)
     assert kind in descent_equals_fresh_evaluations(problems, iters)
     assert full[0] is False and any(full[1:])
+    # a problem that stopped stays in the stack, and every block tabled
+    # after it stopped holds only its own point
+    checked = dict.fromkeys(("stationary", "exhausted"), 0)
+    for p, (sc, h, start) in enumerate(problems):
+        lam, fshare, _y, trace, met = fresh_descent(sc, h, start, iters)
+        for stop in met & set(checked):
+            # a stationary problem sits out its last iteration's line search
+            first = trace[-1][0] + (stop == "exhausted")
+            for i, lam_k, fsh_k in blocks:
+                if i >= first:
+                    assert (lam_k[:, p] == lam).all(), (p, i)
+                    assert (fsh_k[:, p] == fshare).all(), (p, i)
+                    checked[stop] += 1
+    assert all(checked.values()), checked
 
 
 def per_station_noc(scenario):

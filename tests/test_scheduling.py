@@ -95,9 +95,12 @@ def scalar_problem(fn, x0, d, blocks=None):
     (lam, fshare) interface: a block of steps comes in on a leading axis,
     the evaluation's objectives() holds every (step, problem) objective
     (NaN where ``fn`` gives None) and every field of its table is the
-    block's lam.  ``blocks``, when given, collects each block's steps."""
+    block's lam.  ``blocks``, when given, collects each block's steps.
+    Returns the objective, the point, the direction and the point's table,
+    every field of which is the point's lam."""
     point = (np.array([[[x0]]]), np.zeros((1, 1, 1)))
     direction = (np.array([[[d]]]), np.zeros((1, 1, 1)))
+    table = delay.BranchDelays(*[point[0]] * len(delay.BranchDelays._fields))
 
     def objective(lam, fsh):
         xs = [float(x) for x in lam[:, 0, 0, 0]]
@@ -109,14 +112,14 @@ def scalar_problem(fn, x0, d, blocks=None):
                                          for v in values]),
             table=delay.BranchDelays(*[lam] * len(delay.BranchDelays._fields)))
 
-    return objective, point, direction
+    return objective, point, direction, table
 
 
 def search(fn, base, grad_dot, blocks=None):
     """backtrack on the one-problem stack of ``fn`` from 0 along +1."""
-    objective, point, direction = scalar_problem(fn, 0.0, 1.0, blocks)
+    objective, point, direction, table = scalar_problem(fn, 0.0, 1.0, blocks)
     return backtrack(objective, point, direction, np.array([base]),
-                     np.array([grad_dot]))
+                     np.array([grad_dot]), table)
 
 
 def test_backtrack_full_step_accepted():
@@ -143,17 +146,17 @@ def test_backtrack_margin_gate_keeps_boundary_distance():
 
 
 def test_backtrack_exhaustion():
-    # an exhausted search raises nothing: it keeps its point and reports
-    # the step J_MAX + 1, a NaN objective and no table
+    # an exhausted search raises nothing: it keeps its point, its base
+    # objective and its table, and reports the step J_MAX + 1
     blocks = []
-    objective, point, direction = scalar_problem(lambda x: None, 0.0, 1.0,
-                                                 blocks)
-    j, lam, fsh, step = backtrack(objective, point, direction,
-                                  np.array([1.0]), np.array([-1.0]))
+    objective, point, direction, table = scalar_problem(lambda x: None, 0.0,
+                                                        1.0, blocks)
+    base = np.array([1.0])
+    j, lam, fsh, step = backtrack(objective, point, direction, base,
+                                  np.array([-1.0]), table)
     assert j == 0 and lam is point[0] and fsh is point[1]
     assert step.steps.tolist() == [J_MAX + 1]
-    assert np.isnan(step.objective).all() and step.objective.shape == (1,)
-    assert step.table is None
+    assert step.objective is base and step.table is table
     # every step 2^-j, j = 0..J_MAX, tabled once, STEP_BLOCK at a time
     full, rest = divmod(J_MAX + 1, STEP_BLOCK)
     assert [len(b) for b in blocks] == [STEP_BLOCK] * full + [rest] * (rest > 0)
@@ -190,11 +193,14 @@ def test_backtrack_stops_where_no_step_moves_the_point():
     x0, d, base, grad_dot = 1.0, 1e-300, 1.0, -1e-300
     assert x0 + d == x0 and full_search(fn, x0, d, base, grad_dot) is None
     blocks = []
-    objective, point, direction = scalar_problem(fn, x0, d, blocks)
+    objective, point, direction, table = scalar_problem(fn, x0, d, blocks)
     j, lam, fsh, step = backtrack(objective, point, direction,
-                                  np.array([base]), np.array([grad_dot]))
+                                  np.array([base]), np.array([grad_dot]),
+                                  table)
+    # it keeps its point, its base objective and its table
     assert j == 0 and lam is point[0] and fsh is point[1]
-    assert step.steps.tolist() == [J_MAX + 1] and step.table is None
+    assert step.steps.tolist() == [J_MAX + 1] and step.table is table
+    assert step.objective.tolist() == [base]
     assert len(blocks) == 1 and len(blocks[0]) == STEP_BLOCK
 
 
@@ -206,9 +212,9 @@ def test_backtrack_keeps_searching_an_unmoved_point_a_later_step_accepts():
     x0, d, base, grad_dot = 1.0, 1e-300, math.nextafter(1.0, 2.0), -1e-3
     want = full_search(fn, x0, d, base, grad_dot)
     assert want is not None and want[0] > STEP_BLOCK
-    objective, point, direction = scalar_problem(fn, x0, d)
+    objective, point, direction, table = scalar_problem(fn, x0, d)
     j, lam, _, step = backtrack(objective, point, direction,
-                                np.array([base]), np.array([grad_dot]))
+                                np.array([base]), np.array([grad_dot]), table)
     assert j == want[0] and step.steps.tolist() == [want[0]]
     assert lam[0, 0, 0] == want[1]
 

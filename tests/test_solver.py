@@ -10,7 +10,7 @@ from cecreuse import (CacheAssignment, GeneratorParams, Infeasible,
                       MalformedInput, alternating_solve,
                       evaluate_objective, generate_scenario, greedy_cache,
                       solve, solve_greedy, solve_noc, solve_nor, storage_used)
-from cecreuse import caching, delay, model, solver
+from cecreuse import caching, delay, model, scheduling, solver
 
 from conftest import build_scenario
 
@@ -138,20 +138,41 @@ def test_greedy_cache_respects_storage(default_scenario):
 # -- alternating solver -------------------------------------------------------
 
 
+def greedy_reference(sc):
+    """Greedy from its parts: the ratio-order cache, and the repaired
+    capacity-proportional start under it with its objective."""
+    cache = greedy_cache(sc)
+    sched, res = scheduling.initial_feasible_point(
+        sc, model.compute_hit_rates(sc, cache))
+    return cache, sched, res.objective
+
+
+def assert_greedy_state(rep, sc):
+    """``rep`` holds Greedy's decision with its init-only trace."""
+    cache, sched, obj = greedy_reference(sc)
+    assert rep.objective_trace == [(0, "init", 0, obj)]
+    assert rep.final_objective == obj
+    assert rep.rounds_completed == 0 and rep.feasible
+    assert np.array_equal(rep.cache.x, cache.x)
+    for name in ("lam", "fshare", "y"):
+        assert np.array_equal(getattr(rep.sched, name), getattr(sched, name))
+
+
 def test_zero_rounds_returns_greedy_state(default_scenario):
+    # Greedy is the proposed solve with no round
     rep = alternating_solve(default_scenario, rounds=0)
-    base = solve_greedy(default_scenario)
-    assert rep.objective_trace == base.objective_trace
-    assert rep.final_objective == base.final_objective
-    assert all(np.array_equal(rep.cache.entries[a], base.cache.entries[a])
-               for a in range(default_scenario.num_apps))
-    assert np.array_equal(rep.sched.lam, base.sched.lam)
+    assert rep.algorithm == "proposed"
+    assert_greedy_state(rep, default_scenario)
+    rep = solve_greedy(default_scenario)
+    assert rep.algorithm == "greedy"
+    assert_greedy_state(rep, default_scenario)
 
 
 def test_zero_rounds_keep_the_start_and_release(monkeypatch):
-    # the round loop runs no round: the proposed solver returns Greedy's
-    # decision with its init-only trace, NoC the sum of its stations' start
-    # objectives as both init and final; each releases every SweepState
+    # the round loop runs no round: the proposed solver and Greedy return
+    # Greedy's decision with its init-only trace, NoC the sum of its
+    # stations' start objectives as both init and final; each releases
+    # every SweepState
     released = []
     release = caching.SweepState.release
 
@@ -162,14 +183,12 @@ def test_zero_rounds_keep_the_start_and_release(monkeypatch):
     monkeypatch.setattr(caching.SweepState, "release", counted)
     sc = generate_scenario(GeneratorParams(seed=42, num_stations=3, num_apps=2,
                                            k_scale=0.002))
-    rep, base = alternating_solve(sc, 0), solve_greedy(sc)
-    assert rep.objective_trace == base.objective_trace
-    assert rep.rounds_completed == 0 and rep.feasible
-    assert all(np.array_equal(x, ref)
-               for x, ref in zip(rep.cache.entries, base.cache.entries))
-    for name in ("lam", "fshare", "y"):
-        assert np.array_equal(getattr(rep.sched, name), getattr(base.sched, name))
-    assert len(released) == 1 and released[0] is rep.cache
+    for solve_zero in (lambda: alternating_solve(sc, 0),
+                       lambda: solve_greedy(sc)):
+        released.clear()
+        rep = solve_zero()
+        assert_greedy_state(rep, sc)
+        assert len(released) == 1 and released[0] is rep.cache
 
     released.clear()
     noc = solve_noc(sc, 0)
