@@ -297,13 +297,18 @@ def _descend(stack: ScenarioStack, total: np.ndarray, neighbor: np.ndarray,
         still = live & (np.where(fsh_move > lam_move, fsh_move, lam_move)
                         < STATIONARY_TOL)
         base = res.objective
-        for p in np.flatnonzero(still):
-            traces[p].append((i, float(base[p]), 0))
-        live &= ~still
-        if not live.any():
-            break
-        d_lam = np.where(live[:, None, None], d_lam, 0.0)
-        d_fsh = np.where(live[:, None, None], d_fsh, 0.0)
+        # the masks apply only once a problem has stopped: most stacks hold
+        # one problem, which never needs them, and on a small problem they
+        # cost about 5% of each iteration
+        if still.any():
+            for p in np.flatnonzero(still):
+                traces[p].append((i, float(base[p]), 0))
+            live &= ~still
+            if not live.any():
+                break
+        if not live.all():
+            d_lam = np.where(live[:, None, None], d_lam, 0.0)
+            d_fsh = np.where(live[:, None, None], d_fsh, 0.0)
         grad_dot = ((grad.dlam * d_lam).sum(axis=(-2, -1))
                     + (grad.dfshare * d_fsh).sum(axis=(-2, -1)))
         held = half.held(res.y, wa)
@@ -315,11 +320,14 @@ def _descend(stack: ScenarioStack, total: np.ndarray, neighbor: np.ndarray,
         _, lam, fshare, step = backtrack(objective_fn, (lam, fshare),
                                          (d_lam, d_fsh), base, grad_dot, table)
         table, objective = step.table, step.objective
-        for p in np.flatnonzero(live):
-            traces[p].append((i, float(objective[p]), int(step.steps[p])))
-        live &= step.steps <= J_MAX   # exhausted searches keep their points
-        if not live.any():
-            break
+        steps, objs = step.steps.tolist(), objective.tolist()
+        for p, on in enumerate(live.tolist()):
+            if on:
+                traces[p].append((i, objs[p], steps[p]))
+        if max(steps) > J_MAX:   # exhausted searches keep their points
+            live &= step.steps <= J_MAX
+            if not live.any():
+                break
     if table is None:   # no iteration ran
         table = branch_tables(stack, total, lam, fshare)
     return lam, fshare, search_flags(half, table), traces
