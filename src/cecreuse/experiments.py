@@ -36,7 +36,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -241,6 +240,9 @@ def run_sweep(spec: SweepSpec, params: GeneratorParams) -> list[dict]:
              for rep in range(spec.repetitions)
              for alg in spec.algorithms]
     if workers > 1 and len(cells) > 1:
+        # imported here: it loads multiprocessing and socket, which a
+        # single-process run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_solve_cell, cells))
     return [_solve_cell(c) for c in cells]

@@ -8,18 +8,31 @@ w^s / f).  Waits follow the Lindley recursion, and the mean sojourn is
 taken over the post-warmup tasks.  The analytic means and the stability
 check come from delay.branch_delays, the formula the solver uses.
 
-RNG: numpy PCG64 seeded through SeedSequence, exponentials via inverse CDF,
-draws in the fixed order interarrivals, hit indicators, workloads.
+RNG: numpy PCG64 seeded through SeedSequence, exponentials via inverse CDF.
+The n tasks' draws are three consecutive stretches of that one stream, in
+the fixed order interarrivals, hit indicators (with searching only),
+workloads; ``Generator.random`` takes one 64-bit output per double, so each
+stretch is its own generator, advanced to offset 0, n and n or 2n.
+
+The tasks are simulated in blocks of ``BLOCK``: each block draws into
+preallocated buffers and runs the Lindley recursion in closed form, carrying
+three values to the next block (U, its running minimum and the last service
+time).  The counted sojourns fill one array of n - n//10, the only
+allocation that grows with n, and their mean is taken over it whole, so the
+result does not depend on the block size, bit for bit.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .delay import branch_delays
 from .errors import MalformedInput, StabilityViolation, UnstableConfig
+
+BLOCK = 1 << 15  # tasks per block
 
 
 @dataclass(frozen=True)
@@ -41,43 +54,23 @@ class SimResult:
     tasks_counted: int
 
 
-def _draw_services(cfg: QueueSimConfig, rng: np.random.Generator,
-                   n: int) -> np.ndarray:
-    if cfg.mode == "with_cache":
-        hits = rng.random(n) < cfg.hit_rate
-    else:
-        hits = np.zeros(n, dtype=bool)
-    workloads = -cfg.app_workload * np.log1p(-rng.random(n))
-    if cfg.mode == "no_cache":
-        return workloads / cfg.cpu
-    cycles = cfg.search_workload + np.where(hits, 0.0, workloads)
-    return cycles / cfg.cpu
-
-
-def _lindley_waits(interarrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
-    """FIFO waits W_i = max(0, W_{i-1} + S_{i-1} - T_i), W_0 = 0, in closed form.
-
-    With U_0 = 0 and U_i = sum_{k<=i} (S_{k-1} - T_k), W_i = U_i - min_{k<=i} U_k.
-    ``interarrivals[i]`` is T_i, the gap before arrival i (index 0 unused);
-    it is overwritten with U, so the only new array is the result.
-    """
-    u = interarrivals
-    u[0] = 0.0
-    np.subtract(services[:-1], u[1:], out=u[1:])
-    np.cumsum(u, out=u)
-    waits = np.minimum.accumulate(u)
-    np.subtract(u, waits, out=waits)
-    return waits
-
-
-def simulate(cfg: QueueSimConfig) -> SimResult:
-    """Mean sojourn time over the tasks after the warm-up.
-
-    A zero arrival rate injects a single task whose sojourn is exactly its
-    service time (no queueing).
-    """
+def _check(cfg: QueueSimConfig) -> None:
+    """MalformedInput naming the first field of the wrong type or range."""
     if cfg.mode not in ("no_cache", "with_cache"):
         raise MalformedInput(f"unknown mode {cfg.mode!r}")
+    for field in ("num_tasks", "rng_seed"):
+        value = getattr(cfg, field)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise MalformedInput(f"{field} must be an integer, "
+                                 f"not {type(value).__name__}")
+    if cfg.rng_seed < 0:
+        raise MalformedInput("rng_seed must be nonnegative")
+    for field in ("arrival_rate", "cpu", "app_workload", "search_workload",
+                  "hit_rate"):
+        value = getattr(cfg, field)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise MalformedInput(f"{field} must be a number, "
+                                 f"not {type(value).__name__}")
     if not 0.0 <= cfg.hit_rate <= 1.0:
         raise MalformedInput("hit rate outside [0, 1]")
     # written so that NaN fails every check
@@ -86,11 +79,71 @@ def simulate(cfg: QueueSimConfig) -> SimResult:
             and 0.0 <= cfg.search_workload < math.inf):
         raise MalformedInput("arrival rate, cpu and workloads must be finite; "
                              "cpu and app workload positive, the rest nonnegative")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.rng_seed)))
+
+
+def _stream(seq: np.random.SeedSequence, offset: int) -> np.random.Generator:
+    """The seed's PCG64 stream from its ``offset``-th 64-bit output on."""
+    return np.random.Generator(np.random.PCG64(seq).advance(offset))
+
+
+def _services(cfg: QueueSimConfig, hit_rng: np.random.Generator,
+              work_rng: np.random.Generator, out: np.ndarray,
+              hit: np.ndarray) -> None:
+    """Fill ``out`` with service times (s): with searching, each task's hit
+    indicator from ``hit_rng`` (into the bool buffer ``hit``), then each
+    task's exponential workload from ``work_rng``."""
+    if cfg.mode == "with_cache":
+        hit_rng.random(out=out)
+        np.less(out, cfg.hit_rate, out=hit)
+    work_rng.random(out=out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    np.multiply(out, -cfg.app_workload, out=out)
+    if cfg.mode == "with_cache":
+        np.copyto(out, 0.0, where=hit)
+        np.add(out, cfg.search_workload, out=out)
+    np.divide(out, cfg.cpu, out=out)
+
+
+def _waits(gaps: np.ndarray, services: np.ndarray, carry: tuple | None,
+           u: np.ndarray, w: np.ndarray) -> tuple:
+    """FIFO waits W_i = max(0, W_{i-1} + S_{i-1} - T_i) of one block of
+    tasks, in closed form, into ``w[1:]``; returns the next block's carry.
+
+    With U_i = sum_{k<=i} (S_{k-1} - T_k), W_i = U_i - min_{k<=i} U_k.
+    ``gaps[j]`` is T of the block's task j, the gap before its arrival.
+    ``carry`` is (U, min U, S) of the task before the block, or None for
+    the first block, whose first task finds the queue empty (U_0 = 0).
+    ``u`` and ``w`` hold one element more than the block: element 0 holds
+    the carried U, then its running minimum, so the sequential ``cumsum``
+    and ``minimum.accumulate`` go on from where the last block left off.
+    """
+    u_prev, min_prev, s_prev = carry or (0.0, 0.0, None)
+    u[0] = u_prev
+    u[1] = 0.0 if carry is None else s_prev - gaps[0]
+    np.subtract(services[:-1], gaps[1:], out=u[2:])
+    np.cumsum(u, out=u)
+    u[0] = min_prev
+    np.minimum.accumulate(u, out=w)
+    carry = (u[-1], w[-1], services[-1])
+    np.subtract(u, w, out=w)
+    return carry
+
+
+def simulate(cfg: QueueSimConfig) -> SimResult:
+    """Mean sojourn time over the tasks after the warm-up.
+
+    A zero arrival rate injects a single task whose sojourn is exactly its
+    service time (no queueing).
+    """
+    _check(cfg)
+    seq = np.random.SeedSequence(cfg.rng_seed)
 
     if cfg.arrival_rate == 0.0:
-        service = float(_draw_services(cfg, rng, 1)[0])
-        return SimResult(mean_sojourn=service, tasks_counted=1)
+        rng = _stream(seq, 0)
+        service = np.empty(1)
+        _services(cfg, rng, rng, service, np.empty(1, dtype=bool))
+        return SimResult(mean_sojourn=float(service[0]), tasks_counted=1)
 
     if not _branch(cfg)[0]:
         raise UnstableConfig("utilization at or above 1")
@@ -98,12 +151,30 @@ def simulate(cfg: QueueSimConfig) -> SimResult:
         raise MalformedInput("need at least one task")
 
     n = cfg.num_tasks
-    interarrivals = -np.log1p(-rng.random(n)) / cfg.arrival_rate
-    services = _draw_services(cfg, rng, n)
-    sojourns = _lindley_waits(interarrivals, services)
-    sojourns += services
-
-    counted = sojourns[n // 10:]
+    arrivals = _stream(seq, 0)
+    hits = _stream(seq, n)
+    works = _stream(seq, 2 * n if cfg.mode == "with_cache" else n)
+    skip = n // 10
+    counted = np.empty(n - skip)
+    size = min(BLOCK, n)
+    gaps, services = np.empty(size), np.empty(size)
+    hit = np.empty(size, dtype=bool)
+    u, w = np.empty(size + 1), np.empty(size + 1)
+    carry = None
+    for lo in range(0, n, size):
+        k = min(size, n - lo)
+        t, s = gaps[:k], services[:k]
+        arrivals.random(out=t)
+        np.negative(t, out=t)
+        np.log1p(t, out=t)
+        # -log1p(-r) / rate, bit for bit: IEEE division is symmetric in sign
+        np.divide(t, -cfg.arrival_rate, out=t)
+        _services(cfg, hits, works, s, hit[:k])
+        carry = _waits(t, s, carry, u[:k + 1], w[:k + 1])
+        first = max(lo, skip)
+        if first < lo + k:
+            np.add(w[first - lo + 1:k + 1], s[first - lo:],
+                   out=counted[first - skip:lo + k - skip])
     return SimResult(mean_sojourn=float(counted.mean()),
                      tasks_counted=int(counted.size))
 

@@ -22,3 +22,13 @@ def test_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=package_env(), check=True, capture_output=True, text=True, timeout=120).stdout
     assert out == "[]\n"
+
+
+def test_import_loads_no_process_pool():
+    # the sweep's worker pool is imported where workers start: a plain
+    # import of the package loads neither it nor multiprocessing
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cecreuse; print(sorted(m for m in "
+         "('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"],
+        env=package_env(), check=True, capture_output=True, text=True, timeout=120).stdout
+    assert out == "[]\n"

@@ -12,7 +12,7 @@ from cecreuse import (CacheAssignment, EfficiencyContext,
                       validate)
 from cecreuse.delay import (evaluate_with_rates, gradient_with_rates,
                             hit_derivative, selected_stability)
-from cecreuse.queuesim import _draw_services
+from cecreuse.queuesim import _services
 from cecreuse.scheduling import DELTA_STAB
 
 from conftest import build_scenario, full_cache, uniform_state
@@ -148,7 +148,10 @@ def test_service_time_cdf():
         cfg = QueueSimConfig(arrival_rate=1.0, cpu=1.0, app_workload=wa,
                              search_workload=ws, hit_rate=p_hr, mode=mode,
                              num_tasks=n)
-        cost = _draw_services(cfg, np.random.Generator(np.random.PCG64(9)), n)
+        # one generator for both streams: hit indicators, then workloads
+        rng = np.random.Generator(np.random.PCG64(9))
+        cost = np.empty(n)
+        _services(cfg, rng, rng, cost, np.empty(n, dtype=bool))
         for w in (1e7, ws, ws + 1e7, ws + wa, ws + 3 * wa, 1e12):
             assert np.mean(cost <= w) == pytest.approx(cdf(w, p_hr, mode), abs=0.01)
     assert cdf(ws, 0.3, "with_cache") == pytest.approx(0.3)
