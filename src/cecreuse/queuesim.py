@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,23 +54,32 @@ class SimResult:
     tasks_counted: int
 
 
-def _check(cfg: QueueSimConfig) -> None:
-    """MalformedInput naming the first field of the wrong type or range."""
+def _checked(cfg: QueueSimConfig) -> QueueSimConfig:
+    """``cfg`` with its task count and seed as ints and its rates and
+    workloads as floats; MalformedInput naming the first field of the wrong
+    type or range."""
     if cfg.mode not in ("no_cache", "with_cache"):
         raise MalformedInput(f"unknown mode {cfg.mode!r}")
+    fields = {}
     for field in ("num_tasks", "rng_seed"):
         value = getattr(cfg, field)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise MalformedInput(f"{field} must be an integer, "
                                  f"not {type(value).__name__}")
-    if cfg.rng_seed < 0:
-        raise MalformedInput("rng_seed must be nonnegative")
+        fields[field] = int(value)
     for field in ("arrival_rate", "cpu", "app_workload", "search_workload",
                   "hit_rate"):
         value = getattr(cfg, field)
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise MalformedInput(f"{field} must be a number, "
                                  f"not {type(value).__name__}")
+        try:
+            fields[field] = float(value)
+        except OverflowError:
+            raise MalformedInput(f"{field} must be finite") from None
+    cfg = replace(cfg, **fields)
+    if cfg.rng_seed < 0:
+        raise MalformedInput("rng_seed must be nonnegative")
     if not 0.0 <= cfg.hit_rate <= 1.0:
         raise MalformedInput("hit rate outside [0, 1]")
     # written so that NaN fails every check
@@ -79,6 +88,7 @@ def _check(cfg: QueueSimConfig) -> None:
             and 0.0 <= cfg.search_workload < math.inf):
         raise MalformedInput("arrival rate, cpu and workloads must be finite; "
                              "cpu and app workload positive, the rest nonnegative")
+    return cfg
 
 
 def _stream(seq: np.random.SeedSequence, offset: int) -> np.random.Generator:
@@ -136,7 +146,7 @@ def simulate(cfg: QueueSimConfig) -> SimResult:
     A zero arrival rate injects a single task whose sojourn is exactly its
     service time (no queueing).
     """
-    _check(cfg)
+    cfg = _checked(cfg)
     seq = np.random.SeedSequence(cfg.rng_seed)
 
     if cfg.arrival_rate == 0.0:

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -226,6 +227,7 @@ def test_rejects_non_finite_or_negative_numbers(field, value):
     ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", False),
     ("hit_rate", "0.5"), ("arrival_rate", "0.5"), ("cpu", None),
     ("app_workload", True), ("search_workload", "2.5e7"),
+    ("cpu", 10 ** 400), ("hit_rate", -10 ** 400),
 ])
 @pytest.mark.parametrize("arrival_rate", [5.0, 0.0])
 def test_wrong_types_are_malformed_input(field, value, arrival_rate):
@@ -233,3 +235,14 @@ def test_wrong_types_are_malformed_input(field, value, arrival_rate):
     # checked before any draw, on the single-task path too
     with pytest.raises(MalformedInput, match=field):
         simulate(replace(c, **{field: value}))
+
+
+@pytest.mark.parametrize("mode", ["no_cache", "with_cache"])
+def test_numpy_and_integer_fields_are_their_values(mode):
+    # a numpy scalar, a Python int or a Fraction is the number it holds
+    c = cfg(mode=mode, hit_rate=0.5, num_tasks=2000, rng_seed=3)
+    odd = replace(c, num_tasks=np.int64(2000), rng_seed=np.uint32(3),
+                  arrival_rate=np.float32(5.0), cpu=np.int64(2 * 10 ** 9),
+                  app_workload=2 * 10 ** 8, search_workload=Fraction(5 * 10 ** 7, 2),
+                  hit_rate=np.float64(0.5))
+    assert simulate(odd) == simulate(c)
