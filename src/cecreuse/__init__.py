@@ -14,7 +14,7 @@ from .errors import (CecReuseError, DegenerateInput, DimensionMismatch,
 from .experiments import (GeneratorParams, SweepSpec, generate_scenario,
                           run_sweep, save_sweep_csv)
 from .model import (Application, BaseStation, CacheAssignment, HitRateTable,
-                    Scenario, ScenarioStack, SchedulingState, TypicalInput,
+                    Scenario, ScenarioStack, SchedulingState,
                     compute_hit_rates, load_scenario, save_scenario,
                     scenario_from_dict, scenario_to_dict, storage_used,
                     validate)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "TypicalInput", "Application", "BaseStation", "Scenario", "ScenarioStack",
+    "Application", "BaseStation", "Scenario", "ScenarioStack",
     "CacheAssignment", "SchedulingState", "HitRateTable",
     "compute_hit_rates", "storage_used", "validate",
     "scenario_to_dict", "scenario_from_dict", "save_scenario", "load_scenario",

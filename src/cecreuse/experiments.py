@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CecReuseError, MalformedInput
-from .model import Application, BaseStation, Scenario, TypicalInput
+from .model import Application, BaseStation, Scenario
 from .scheduling import PgdParams
 from .solver import ALGORITHMS, ROUND_CAP, check_rounds, solve
 
@@ -122,13 +122,13 @@ def generate_scenario(params: GeneratorParams) -> Scenario:
 
     workloads = np.empty(A)
     rate_rows = np.empty((A, N))
-    inputs: list[tuple[TypicalInput, ...]] = []
+    catalogs: list[np.ndarray] = []
     for a_ss in app_ss.spawn(A):
         # per-app sub-streams: catalog draws stay fixed across N, rate
         # draws stay fixed across the catalog size
         cat_rng, rate_rng = (np.random.Generator(np.random.PCG64(s))
                              for s in a_ss.spawn(2))
-        a = len(inputs)
+        a = len(catalogs)
         k = max(1, int(round(cat_rng.uniform(CATALOG_LO, CATALOG_HI)
                              * p.k_scale)))
         workloads[a] = cat_rng.uniform(WORKLOAD_LO, WORKLOAD_HI)
@@ -138,9 +138,7 @@ def generate_scenario(params: GeneratorParams) -> Scenario:
         total_match = match.sum()
         if total_match > MAX_MATCH_SUM:
             match = match * (MAX_MATCH_SUM / total_match)
-        inputs.append(tuple(TypicalInput(match_prob=float(m),
-                                         result_size=float(s))
-                            for m, s in zip(match, sizes)))
+        catalogs.append(np.column_stack((match, sizes)))
     rate_rows *= totals / rate_rows.sum(axis=0)
 
     stations = tuple(
@@ -156,7 +154,7 @@ def generate_scenario(params: GeneratorParams) -> Scenario:
     apps = tuple(
         Application(weight=float(rate_rows[a].sum()),
                     mean_workload=float(workloads[a]),
-                    typical_inputs=inputs[a])
+                    typical_inputs=catalogs[a])
         for a in range(A))
     return Scenario(stations=stations, apps=apps,
                     search_workload=SEARCH_WORKLOAD)

@@ -2,10 +2,12 @@
 
 Internal units are CPU cycles and cycles/s for work, bytes for storage and
 seconds for time.  A scenario holds N base stations and A applications; each
-application has a catalog of typical inputs whose results can be cached.
+application has a catalog of typical inputs whose results can be cached,
+held as one (K_a, 2) array of match probabilities and result sizes.
 
-The catalog is flat: app a's inputs are the positions offsets[a]:offsets[a
-+ 1] of the arrays p (match probabilities) and s (result sizes).
+The scenario's catalog is flat: app a's inputs are the positions
+offsets[a]:offsets[a + 1] of the arrays p (match probabilities) and s
+(result sizes), its catalog's two columns.
 
 Decision variables:
   cache entries  x[n, k] in {0, 1}     flat input k kept at station n: one
@@ -33,18 +35,56 @@ BINARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class TypicalInput:
-    """One cacheable result: how often fresh tasks match it, and its size."""
-
-    match_prob: float
-    result_size: float  # bytes
-
-
-@dataclass(frozen=True)
 class Application:
+    """An app and its catalog.  ``typical_inputs`` is given as any sequence
+    of (match_prob, result_size) pairs and held as one read-only (K, 2)
+    float64 array: row k is input k's match probability and result size in
+    bytes.  Their values are checked by the Scenario, which knows the
+    app's index."""
+
     weight: float           # relative importance in the objective
     mean_workload: float    # cycles per full computation
-    typical_inputs: tuple[TypicalInput, ...]
+    typical_inputs: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "typical_inputs", _catalog(self.typical_inputs))
+
+    def __eq__(self, other):
+        if not isinstance(other, Application):
+            return NotImplemented
+        return (self.weight == other.weight
+                and self.mean_workload == other.mean_workload
+                and np.array_equal(self.typical_inputs, other.typical_inputs))
+
+
+_NOT_PAIRS = "typical inputs must be (match_prob, result_size) pairs"
+
+
+def _catalog(inputs) -> np.ndarray:
+    """``inputs`` as a read-only (K, 2) float64 array; one that is already
+    so is taken as it is, and any other array is copied.  Entries are
+    checked a column at a time: a str, a bool, None or any other value that
+    is not a real number is MalformedInput naming its column, as is a
+    sequence whose rows are not pairs."""
+    if not (isinstance(inputs, np.ndarray) and inputs.dtype.kind in "fiu"):
+        try:
+            cells = np.array(inputs, dtype=object)
+        except ValueError:  # rows nested to different depths
+            raise MalformedInput(_NOT_PAIRS) from None
+        if cells.shape == (0,):
+            cells = cells.reshape(0, 2)
+        if cells.ndim == 2 and cells.shape[1] == 2:
+            for column, field in zip(cells.T, ("match_prob", "result_size")):
+                _checked_numbers(column, field)
+        inputs = cells
+    if inputs.ndim != 2 or inputs.shape[1] != 2:
+        raise MalformedInput(_NOT_PAIRS)
+    if inputs.dtype != np.float64 or inputs.flags.writeable:
+        try:
+            inputs = _frozen(np.array(inputs, dtype=np.float64))
+        except OverflowError:
+            raise MalformedInput("typical inputs must be finite") from None
+    return inputs
 
 
 @dataclass(frozen=True)
@@ -66,12 +106,20 @@ class Scenario:
         self._check_catalog()
 
     def _check_fields(self) -> None:
-        """The station and app fields, O(N·A).  Every check is written so
+        """The station and app fields, O(N·A): each a real number (see
+        _checked_numbers), then in range.  Every range check is written so
         that NaN fails it; upper bounds of inf reject infinities."""
         if not self.stations:
             raise MalformedInput("scenario needs at least one station")
         if not self.apps:
             raise MalformedInput("scenario needs at least one app")
+        _checked_numbers([self.search_workload], "search_workload")
+        for field in ("compute_capacity", "storage_capacity", "transfer_delay"):
+            _checked_numbers([getattr(st, field) for st in self.stations], field)
+        _checked_numbers([r for st in self.stations for r in st.arrival_rates],
+                         "arrival_rates")
+        for field in ("weight", "mean_workload"):
+            _checked_numbers([getattr(app, field) for app in self.apps], field)
         if not 0.0 <= self.search_workload < math.inf:
             raise MalformedInput("search workload must be finite and nonnegative")
         for n, st in enumerate(self.stations):
@@ -202,16 +250,12 @@ class Scenario:
     @cached_property
     def p(self) -> np.ndarray:
         """Shape (K,): every input's match probability, app after app."""
-        values = [ti.match_prob for app in self.apps for ti in app.typical_inputs]
-        return _frozen(np.fromiter(_checked_numbers(values, "match_prob"),
-                                   np.float64, len(values)))
+        return _frozen(np.concatenate([app.typical_inputs[:, 0] for app in self.apps]))
 
     @cached_property
     def s(self) -> np.ndarray:
         """Shape (K,): every input's result size in bytes, app after app."""
-        values = [ti.result_size for app in self.apps for ti in app.typical_inputs]
-        return _frozen(np.fromiter(_checked_numbers(values, "result_size"),
-                                   np.float64, len(values)))
+        return _frozen(np.concatenate([app.typical_inputs[:, 1] for app in self.apps]))
 
     @cached_property
     def segments(self) -> list[tuple[int, int]]:
@@ -583,8 +627,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                 "weight": app.weight,
                 "mean_workload_cycles": app.mean_workload,
                 "typical_inputs": [
-                    {"match_prob": ti.match_prob, "result_size_bytes": ti.result_size}
-                    for ti in app.typical_inputs
+                    {"match_prob": p, "result_size_bytes": s}
+                    for p, s in app.typical_inputs.tolist()
                 ],
             }
             for app in scenario.apps
@@ -595,7 +639,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def _checked_numbers(values: list, field: str) -> list:
     """``values``, each a real number; a string, a bool, None or any other
     value is MalformedInput naming ``field``.  The types are checked as one
-    set, so a catalog's inputs are checked without a Python call per
+    set, so a catalog column is checked without a Python call per
     input."""
     if not set(map(type, values)) <= {int, float}:
         for value in values:
@@ -639,10 +683,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             Application(
                 weight=_number(app, "weight"),
                 mean_workload=_number(app, "mean_workload_cycles"),
-                typical_inputs=tuple(map(TypicalInput, *(
+                typical_inputs=np.column_stack([
                     _numbers([ti[key] for ti in _list(app, "typical_inputs")],
                              key)
-                    for key in ("match_prob", "result_size_bytes")))),
+                    for key in ("match_prob", "result_size_bytes")]),
             )
             for app in _list(data, "apps")
         )

@@ -33,6 +33,10 @@ from .delay import branch_delays
 from .errors import MalformedInput, StabilityViolation, UnstableConfig
 
 BLOCK = 1 << 15  # tasks per block
+# a thousand times the 10**6 tasks the CLI and the benchmark simulate: the
+# counted sojourns of this many tasks take 7.2 GB and about 30 s on one core
+# of a 2-vCPU host, so a larger count is a mistake, not a request to serve
+MAX_TASKS = 10 ** 9
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,8 @@ def _checked(cfg: QueueSimConfig) -> QueueSimConfig:
     cfg = replace(cfg, **fields)
     if cfg.rng_seed < 0:
         raise MalformedInput("rng_seed must be nonnegative")
+    if cfg.num_tasks > MAX_TASKS:
+        raise MalformedInput(f"num_tasks must be at most {MAX_TASKS}")
     if not 0.0 <= cfg.hit_rate <= 1.0:
         raise MalformedInput("hit rate outside [0, 1]")
     # written so that NaN fails every check

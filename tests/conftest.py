@@ -11,7 +11,7 @@ import pytest
 
 import cecreuse
 from cecreuse import (Application, BaseStation, CacheAssignment, GeneratorParams,
-                      Scenario, SchedulingState, TypicalInput, generate_scenario,
+                      Scenario, SchedulingState, generate_scenario,
                       scenario_to_dict)
 
 # (location in a scenario document, value) pairs that must be rejected as
@@ -105,8 +105,7 @@ def build_scenario(compute, storage, transfer, rates, apps, search_workload=25e6
         for c, s, d, rr in zip(compute, storage, transfer, rates))
     app_objs = tuple(
         Application(weight=float(w), mean_workload=float(wl),
-                    typical_inputs=tuple(TypicalInput(float(p), float(sz))
-                                         for p, sz in inputs))
+                    typical_inputs=inputs)
         for w, wl, inputs in apps)
     return Scenario(stations=stations, apps=app_objs,
                     search_workload=float(search_workload))

@@ -10,7 +10,7 @@ from cecreuse import (CacheAssignment, DimensionMismatch, GeneratorParams,
                       generate_scenario, load_scenario, save_scenario,
                       scenario_from_dict, scenario_to_dict, storage_used,
                       validate)
-from cecreuse.model import Scenario, TypicalInput, rows_storage
+from cecreuse.model import Application, Scenario, rows_storage
 from cecreuse.solver import greedy_cache, solve_greedy, solve_noc
 
 from conftest import (NON_FINITE_FIELDS, NON_FINITE_IDS, WRONG_TYPE_FIELDS,
@@ -263,8 +263,7 @@ def assert_flat_catalog(sc):
         [0] + [len(app.typical_inputs) for app in sc.apps]).tolist()
     for a, app in enumerate(sc.apps):
         lo, hi = sc.offsets[a], sc.offsets[a + 1]
-        p = [ti.match_prob for ti in app.typical_inputs]
-        s = [ti.result_size for ti in app.typical_inputs]
+        p, s = app.typical_inputs.T.tolist()
         assert sc.p[lo:hi].tolist() == sc.match_probs[a].tolist() == p
         assert sc.s[lo:hi].tolist() == sc.result_sizes[a].tolist() == s
         neg = -(np.array(p) / np.array(s))
@@ -315,8 +314,8 @@ def test_flat_catalog_of_single_station_scenarios(kept, monkeypatch):
         patched.setattr(Scenario, "_check_catalog", checked)
         sub = sc.isolated(1)
         solve_noc(sc, 0)
-    assert [app.typical_inputs for app in sub.apps] == [
-        sc.apps[a].typical_inputs for a in kept]
+    assert all(app.typical_inputs is sc.apps[a].typical_inputs
+               for app, a in zip(sub.apps, kept))
     assert_flat_catalog(sub)
     every = kept == [0, 1, 2]
     for name in ("p", "s", "density_order"):
@@ -394,18 +393,92 @@ def test_each_outside_path_checks_the_catalog_once(monkeypatch):
     with pytest.raises(MalformedInput, match=r"^app 1 input 3: result size "
                        "must be finite and positive$"):
         scenario_from_dict(doc)
-    inputs = sc.apps[0].typical_inputs
+    pairs = [tuple(row) for row in sc.apps[0].typical_inputs.tolist()]
     # a Python caller's field that is not a number is named, not converted
-    for ti, message in (
-            (TypicalInput(1.5, 1.0),
-             r"^app 0 input 2: match prob outside \[0, 1\]$"),
-            (TypicalInput("0.5", 1.0), r"^match_prob must be a number, not str$"),
-            (TypicalInput(True, 1.0), r"^match_prob must be a number, not bool$"),
-            (TypicalInput(0.5, None),
-             r"^result_size must be a number, not NoneType$")):
-        bad = replace(sc.apps[0], typical_inputs=inputs[:2] + (ti,) + inputs[3:])
+    for pair, message in (
+            ((1.5, 1.0), r"^app 0 input 2: match prob outside \[0, 1\]$"),
+            (("0.5", 1.0), r"^match_prob must be a number, not str$"),
+            ((True, 1.0), r"^match_prob must be a number, not bool$"),
+            ((0.5, None), r"^result_size must be a number, not NoneType$"),
+            ([0.5, True], r"^result_size must be a number, not bool$"),
+            ((0.5, 1.0, 2.0), r"^typical inputs must be \(match_prob, "
+             r"result_size\) pairs$"),
+            ((0.5, 10 ** 400), r"^typical inputs must be finite$")):
         with pytest.raises(MalformedInput, match=message):
+            bad = replace(sc.apps[0],
+                          typical_inputs=pairs[:2] + [pair] + pairs[3:])
             replace(sc, apps=(bad,) + sc.apps[1:])
+
+
+def test_every_catalog_is_one_read_only_array(default_scenario):
+    # the generator, JSON, a Python caller's pairs and the benchmark's
+    # permuted row views each give a read-only (K, 2) float64 catalog
+    sc = default_scenario
+    loaded = scenario_from_dict(scenario_to_dict(sc))
+    rng = np.random.default_rng(3)
+    for a, app in enumerate(sc.apps):
+        perm = rng.permutation(len(app.typical_inputs))
+        permuted = replace(app, typical_inputs=tuple(
+            app.typical_inputs[k] for k in perm))
+        pairs = Application(app.weight, app.mean_workload,
+                            [tuple(row) for row in app.typical_inputs.tolist()])
+        for made in (app, loaded.apps[a], pairs, permuted):
+            catalog = made.typical_inputs
+            assert catalog.dtype == np.float64 and not catalog.flags.writeable
+            assert catalog.shape == (sc.catalog_size(a), 2)
+        assert pairs.typical_inputs.tobytes() == app.typical_inputs.tobytes()
+        assert (permuted.typical_inputs[:, 0].tobytes()
+                == sc.match_probs[a][perm].tobytes())
+        assert (permuted.typical_inputs[:, 1].tobytes()
+                == sc.result_sizes[a][perm].tobytes())
+    assert Application(1.0, 1e8, []).typical_inputs.shape == (0, 2)
+
+
+def test_a_writable_catalog_is_copied():
+    mine = np.array([[0.2, 1e5], [0.3, 2e5]])
+    app = Application(1.0, 1e8, mine)
+    assert mine.flags.writeable and not np.shares_memory(app.typical_inputs, mine)
+    mine[0, 0] = 0.9
+    assert app.typical_inputs[0, 0] == 0.2
+    # a read-only float64 catalog is taken as it is
+    assert replace(app, weight=2.0).typical_inputs is app.typical_inputs
+
+
+@pytest.mark.parametrize("inputs", [
+    [0.2, 1e5, 0.3, 1e5], [(0.2, 1e5), (0.3,)], [(0.2, 1e5, 0.3)], [[]],
+    (0.2, 1e5), [np.zeros(2), np.zeros((2, 2))], np.zeros((2, 3)), np.zeros(4),
+    None])
+def test_catalog_rows_must_be_pairs(inputs):
+    with pytest.raises(MalformedInput, match=r"^typical inputs must be "
+                       r"\(match_prob, result_size\) pairs$"):
+        Application(1.0, 1e8, inputs)
+
+
+def with_field(sc, field, value):
+    """``sc`` with one scalar field set: app 0's, station 0's, or its own."""
+    if field in ("weight", "mean_workload"):
+        app = replace(sc.apps[0], **{field: value})
+        return replace(sc, apps=(app,) + sc.apps[1:])
+    if field == "search_workload":
+        return replace(sc, search_workload=value)
+    if field == "arrival_rates":
+        value = (value,) + sc.stations[0].arrival_rates[1:]
+    station = replace(sc.stations[0], **{field: value})
+    return replace(sc, stations=(station,) + sc.stations[1:])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("weight", "1.0"), ("weight", True), ("mean_workload", None),
+    ("compute_capacity", None), ("storage_capacity", "4e9"),
+    ("transfer_delay", False), ("arrival_rates", "1"),
+    ("search_workload", "5"), ("search_workload", None)])
+def test_python_scalar_fields_must_be_numbers(two_station_one_app, field, value):
+    # a Python caller's scalar field is checked as the JSON's is: a str, a
+    # bool or None is named, never compared or read as a number
+    with pytest.raises(MalformedInput, match=rf"^{field} must be a number, "
+                       rf"not {type(value).__name__}$"):
+        with_field(two_station_one_app, field, value)
+    with_field(two_station_one_app, field, 1)   # an int is a number
 
 
 @pytest.mark.parametrize("field", ["lam", "fshare", "y"])

@@ -33,9 +33,8 @@ from cecreuse.delay import (BranchDelays, evaluate_with_rates,
 from cecreuse.scheduling import (ALPHA, BETA, DELTA_STAB, J_MAX, STEP_BLOCK,
                                  STATIONARY_TOL, solve_scheduling)
 from cecreuse.model import (BINARY_TOL, Application, BaseStation,
-                            HitRateTable, Scenario, ScenarioStack,
-                            TypicalInput, dot, row_storage, rows_storage,
-                            validate)
+                            HitRateTable, Scenario, ScenarioStack, dot,
+                            row_storage, rows_storage, validate)
 
 from conftest import build_scenario
 
@@ -76,12 +75,12 @@ def catalog_verdict(apps):
     the first that fails, or None."""
     for a, app in enumerate(apps):
         total_p = 0.0
-        for k, ti in enumerate(app.typical_inputs):
-            if not 0.0 <= ti.match_prob <= 1.0:
+        for k, (match_prob, result_size) in enumerate(app.typical_inputs.tolist()):
+            if not 0.0 <= match_prob <= 1.0:
                 return f"app {a} input {k}: match prob outside [0, 1]"
-            if not 0.0 < ti.result_size < math.inf:
+            if not 0.0 < result_size < math.inf:
                 return f"app {a} input {k}: result size must be finite and positive"
-            total_p += ti.match_prob
+            total_p += match_prob
         if total_p > 1.0 + 1e-12:
             return f"app {a}: match probabilities sum to {total_p} > 1"
     return None
@@ -109,7 +108,7 @@ def faulty_catalogs(draw):
                 p[i] = draw(st.sampled_from(P_FAULTS))
             else:
                 s[i] = draw(st.sampled_from(S_FAULTS))
-        apps.append(Application(1.0, 1e8, tuple(map(TypicalInput, p, s))))
+        apps.append(Application(1.0, 1e8, list(zip(p, s))))
     return tuple(apps)
 
 

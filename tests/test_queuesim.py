@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cecreuse import (MalformedInput, QueueSimConfig, UnstableConfig,
                       analytic_mean, queuesim, simulate)
-from cecreuse.queuesim import BLOCK, _waits
+from cecreuse.queuesim import BLOCK, MAX_TASKS, _waits
 
 
 def cfg(**kw):
@@ -223,7 +223,8 @@ def test_rejects_non_finite_or_negative_numbers(field, value):
 
 @pytest.mark.parametrize("field,value", [
     ("num_tasks", 2000.0), ("num_tasks", 2.5), ("num_tasks", True),
-    ("num_tasks", "100"), ("num_tasks", None),
+    ("num_tasks", "100"), ("num_tasks", None), ("num_tasks", 10 ** 18),
+    ("num_tasks", 10 ** 30),
     ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", False),
     ("hit_rate", "0.5"), ("arrival_rate", "0.5"), ("cpu", None),
     ("app_workload", True), ("search_workload", "2.5e7"),
@@ -235,6 +236,15 @@ def test_wrong_types_are_malformed_input(field, value, arrival_rate):
     # checked before any draw, on the single-task path too
     with pytest.raises(MalformedInput, match=field):
         simulate(replace(c, **{field: value}))
+
+
+def test_task_count_bound():
+    # the bound itself is checked without a simulation, which would take
+    # 7.2 GB if the check were missing
+    c = cfg(mode="with_cache", hit_rate=0.5)
+    assert queuesim._checked(replace(c, num_tasks=MAX_TASKS)).num_tasks == MAX_TASKS
+    with pytest.raises(MalformedInput, match="^num_tasks must be at most"):
+        queuesim._checked(replace(c, num_tasks=MAX_TASKS + 1))
 
 
 @pytest.mark.parametrize("mode", ["no_cache", "with_cache"])
